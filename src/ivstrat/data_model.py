@@ -15,8 +15,8 @@ safe to share across threads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -137,16 +137,51 @@ NEVER_TAKER = 0
 COMPLIER = 1
 ALWAYS_TAKER = 2
 
-COMPLIANCE_NAMES = {NEVER_TAKER: "never-taker", COMPLIER: "complier", ALWAYS_TAKER: "always-taker"}
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-def _dense_codes(strata: Sequence[Hashable]) -> tuple[np.ndarray, tuple[Hashable, ...]]:
-    """Map arbitrary labels to 0..G-1 in order of first appearance."""
+def first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense codes in order of first appearance, row by row.
+
+    labels is an (R, n) integer array. Returns the (R, n) codes, the (R,)
+    number of distinct labels per row, and the (R, G) positions of each
+    code's first unit, G being the largest count (rows with fewer labels
+    are padded with n).
+    """
+    r, n = labels.shape
+    if labels.size == 0:
+        return np.zeros((r, n), dtype=np.intp), np.zeros(r, dtype=np.intp), np.zeros((r, 0), np.intp)
+    lab = labels.astype(np.intp)
+    lo = int(lab.min())
+    span = int(lab.max()) - lo + 1
+    if span > lab.size:  # sparse label values: rank them first
+        _, lab = np.unique(lab.ravel(), return_inverse=True)
+        lab, lo, span = lab.reshape(r, n), 0, int(lab.max()) + 1
+    rows = np.arange(r)[:, None]
+    key = (lab - lo + span * rows).ravel()  # (row, label) cell
+    first = np.full(r * span, r * n, dtype=np.intp)
+    np.minimum.at(first, key, np.arange(r * n))
+    # each row's cells by first appearance, as flat cell indices
+    order = np.argsort(first.reshape(r, span), axis=1, kind="stable") + span * rows
+    rank = np.empty(r * span, dtype=np.intp)
+    rank[order.ravel()] = np.tile(np.arange(span), r)
+    count = (first < r * n).reshape(r, span).sum(axis=1)
+    firsts = np.minimum(first[order[:, : int(count.max())]] - n * rows, n)
+    return rank[key].reshape(r, n), count, firsts
+
+
+def _binary(a: np.ndarray) -> bool:
+    return bool(((a == 0) | (a == 1)).all())
+
+
+def _dense_codes(strata) -> tuple[np.ndarray, tuple[Hashable, ...]]:
+    """Map labels to 0..G-1 in order of first appearance."""
+    if isinstance(strata, np.ndarray) and strata.ndim == 1 and strata.dtype.kind in "biu":
+        codes, _, firsts = first_appearance(strata[None, :])
+        return codes[0], tuple(strata[firsts[0]])
     labels: list[Hashable] = []
     index: dict[Hashable, int] = {}
     codes = np.empty(len(strata), dtype=np.intp)
@@ -195,7 +230,7 @@ class ObservedSample:
             strata = np.zeros(len(z), dtype=np.intp)
         if not (len(z) == len(d) == len(y) == len(strata)):
             raise LengthMismatch("z, d, y, strata must have equal length")
-        codes, labels = _dense_codes(list(strata))
+        codes, labels = _dense_codes(strata)
         return cls(_frozen(z), _frozen(d), _frozen(y), _frozen(codes), labels)
 
     @classmethod
@@ -231,13 +266,6 @@ class ObservedSample:
             for z, d, y, g in zip(self.z, self.d, self.y, self.strata)
         )
 
-    @property
-    def strata_index(self) -> dict[Hashable, np.ndarray]:
-        return {
-            label: np.flatnonzero(self.strata == code)
-            for code, label in enumerate(self.stratum_labels)
-        }
-
 
 def validate(sample: ObservedSample) -> ObservedSample:
     """Check sample invariants and return the sample with dense stratum codes.
@@ -246,12 +274,12 @@ def validate(sample: ObservedSample) -> ObservedSample:
     TooFewUnits for N < 4, and EmptyArm(g, z) if any stratum lacks units on
     either arm (which also covers an empty arm overall).
     """
-    sample = ObservedSample.from_arrays(sample.z, sample.d, sample.y, [
-        sample.stratum_labels[g] for g in sample.strata
-    ])
-    if not np.isin(sample.z, (0, 1)).all():
+    labels = sample.stratum_labels
+    sample = ObservedSample.from_arrays(sample.z, sample.d, sample.y, sample.strata)
+    sample = replace(sample, stratum_labels=tuple(labels[g] for g in sample.stratum_labels))
+    if not _binary(sample.z):
         raise NonBinary("z must be 0 or 1")
-    if not np.isin(sample.d, (0, 1)).all():
+    if not _binary(sample.d):
         raise NonBinary("d must be 0 or 1")
     if not np.isfinite(sample.y).all():
         raise NonFinite("y must be finite")
@@ -293,16 +321,8 @@ class ScienceTable:
             strata = np.zeros(len(y0), dtype=np.intp)
         if not (len(y0) == len(y1) == len(d0) == len(d1) == len(strata)):
             raise LengthMismatch("y0, y1, d0, d1, strata must have equal length")
-        if not (np.isin(d0, (0, 1)).all() and np.isin(d1, (0, 1)).all()):
-            raise NonBinary("d0 and d1 must be 0 or 1")
-        if not (np.isfinite(y0).all() and np.isfinite(y1).all()):
-            raise NonFinite("potential outcomes must be finite")
-        if np.any(d1 < d0):
-            raise DefierPresent("monotonicity requires d1 >= d0 for every unit")
-        noncomplier = d0 == d1
-        if np.any(y0[noncomplier] != y1[noncomplier]):
-            raise ExclusionViolation("units with d0 == d1 must have y1 == y0")
-        codes, labels = _dense_codes(list(strata))
+        check_science(y0, y1, d0, d1)
+        codes, labels = _dense_codes(strata)
         return cls(_frozen(y0), _frozen(y1), _frozen(d0), _frozen(d1), _frozen(codes), labels)
 
     @property
@@ -346,7 +366,33 @@ class ScienceTable:
         mask = self.is_complier
         if not mask.any():
             raise NoCompliers("table has no compliers, CACE undefined")
-        return float(np.mean(self.y1[mask] - self.y0[mask]))
+        return complier_effect(self.y1, self.y0, mask)
+
+
+def check_science(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray) -> None:
+    """The ScienceTable invariants, for arrays of any (equal) shape: binary
+    uptake, finite outcomes, no defiers, and the exclusion restriction."""
+    if not (_binary(d0) and _binary(d1)):
+        raise NonBinary("d0 and d1 must be 0 or 1")
+    if not (np.isfinite(y0).all() and np.isfinite(y1).all()):
+        raise NonFinite("potential outcomes must be finite")
+    if np.any(d1 < d0):
+        raise DefierPresent("monotonicity requires d1 >= d0 for every unit")
+    noncomplier = d0 == d1
+    if np.any(y0[noncomplier] != y1[noncomplier]):
+        raise ExclusionViolation("units with d0 == d1 must have y1 == y0")
+
+
+def complier_effect(y1: np.ndarray, y0: np.ndarray, mask: np.ndarray) -> float:
+    """Mean of y1 - y0 over the masked units (one table's CACE)."""
+    return float(np.mean(y1[mask] - y0[mask]))
+
+
+def reveal(y0, y1, d0, d1, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observed (y, d) under assignment z, elementwise over any shape."""
+    treated = z == 1
+    y = np.where(treated, y1, y0).astype(np.float64, copy=False)
+    return y, np.where(treated, d1, d0).astype(np.int8)
 
 
 def science_to_observed(table: ScienceTable, assignment) -> ObservedSample:
@@ -358,15 +404,10 @@ def science_to_observed(table: ScienceTable, assignment) -> ObservedSample:
     z = np.asarray(assignment, dtype=np.int8)
     if len(z) != table.n:
         raise LengthMismatch(f"assignment has length {len(z)}, table has {table.n}")
-    if not np.isin(z, (0, 1)).all():
+    if not _binary(z):
         raise NonBinary("assignment must be 0 or 1")
-    treated = z == 1
-    y = np.where(treated, table.y1, table.y0)
-    d = np.where(treated, table.d1, table.d0).astype(np.int8)
-    return ObservedSample(
-        _frozen(z), _frozen(d), _frozen(y.astype(np.float64)),
-        table.strata, table.stratum_labels,
-    )
+    y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
+    return ObservedSample(_frozen(z), _frozen(d), _frozen(y), table.strata, table.stratum_labels)
 
 
 @dataclass(frozen=True)
@@ -426,25 +467,33 @@ class StratumMoments:
         return self.ybar1 - self.ybar0
 
 
-@functools.lru_cache(maxsize=128)
-def stratum_moments(sample: ObservedSample) -> StratumMoments:
-    """Compute all per-stratum, per-arm moments in one vectorized pass.
+    def map(self, fn) -> "StratumMoments":
+        """The moments with fn applied to every field array."""
+        return StratumMoments(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
 
-    Two-pass (mean, then centered products) so the s2 and s_yd terms do not
-    suffer the cancellation of a sums-of-squares shortcut. Memoized on sample
-    identity because several estimators and their standard errors share it.
+
+def block_moments(z, d, y, strata, num_strata: int) -> StratumMoments:
+    """Per-stratum, per-arm moments of R samples in one vectorized pass.
+
+    z, d, y and strata are (R, n) arrays, one sample per row (strata may be
+    a scalar code shared by every unit); the result's fields are (R, G) with
+    G = num_strata. One bincount over the cell index rep*2G + 2g + z sums
+    each cell in unit order, so every row is bit-identical to computing that
+    sample alone. Two-pass (mean, then centered products) so the s2 and s_yd
+    terms do not suffer the cancellation of a sums-of-squares shortcut.
     """
-    g = sample.num_strata
-    cell = sample.strata * 2 + sample.z  # stratum-by-arm cell index
-    ncells = 2 * g
+    r, g = len(z), num_strata
+    cell = ((strata + g * np.arange(r)[:, None]) * 2 + z).ravel()
+    y, d = y.ravel(), d.ravel()
+    ncells = 2 * g * r
     counts = np.bincount(cell, minlength=ncells).astype(np.float64)
-    sum_y = np.bincount(cell, weights=sample.y, minlength=ncells)
-    sum_d = np.bincount(cell, weights=sample.d.astype(np.float64), minlength=ncells)
+    sum_y = np.bincount(cell, weights=y, minlength=ncells)
+    sum_d = np.bincount(cell, weights=d.astype(np.float64), minlength=ncells)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_y = sum_y / counts
         mean_d = sum_d / counts
-    ry = sample.y - mean_y[cell]
-    rd = sample.d - mean_d[cell]
+    ry = y - mean_y[cell]
+    rd = d - mean_d[cell]
     ss_y = np.bincount(cell, weights=ry * ry, minlength=ncells)
     ss_d = np.bincount(cell, weights=rd * rd, minlength=ncells)
     ss_yd = np.bincount(cell, weights=ry * rd, minlength=ncells)
@@ -453,22 +502,71 @@ def stratum_moments(sample: ObservedSample) -> StratumMoments:
         s2_y = np.where(dof >= 1, ss_y / dof, np.nan)
         s2_d = np.where(dof >= 1, ss_d / dof, np.nan)
         s_yd = np.where(dof >= 1, ss_yd / dof, np.nan)
-    ctrl, trt = slice(0, ncells, 2), slice(1, ncells, 2)
+
+    def arms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = a.reshape(r, g, 2)
+        return a[..., 1], a[..., 0]
+
+    (n1, n0), (ybar1, ybar0), (dbar1, dbar0) = arms(counts), arms(mean_y), arms(mean_d)
+    (s2_y1, s2_y0), (s2_d1, s2_d0), (s_yd1, s_yd0) = arms(s2_y), arms(s2_d), arms(s_yd)
     return StratumMoments(
-        n_g=(counts[ctrl] + counts[trt]).astype(np.intp),
-        n_g1=counts[trt].astype(np.intp),
-        n_g0=counts[ctrl].astype(np.intp),
-        ybar1=mean_y[trt],
-        ybar0=mean_y[ctrl],
-        dbar1=mean_d[trt],
-        dbar0=mean_d[ctrl],
-        s2_y1=s2_y[trt],
-        s2_y0=s2_y[ctrl],
-        s2_d1=s2_d[trt],
-        s2_d0=s2_d[ctrl],
-        s_yd1=s_yd[trt],
-        s_yd0=s_yd[ctrl],
+        n_g=(n0 + n1).astype(np.intp),
+        n_g1=n1.astype(np.intp),
+        n_g0=n0.astype(np.intp),
+        ybar1=ybar1,
+        ybar0=ybar0,
+        dbar1=dbar1,
+        dbar0=dbar0,
+        s2_y1=s2_y1,
+        s2_y0=s2_y0,
+        s2_d1=s2_d1,
+        s2_d0=s2_d0,
+        s_yd1=s_yd1,
+        s_yd0=s_yd0,
     )
+
+
+@functools.lru_cache(maxsize=128)
+def stratum_moments(sample: ObservedSample) -> StratumMoments:
+    """All per-stratum, per-arm moments of one sample: block_moments with
+    R = 1. Memoized on sample identity because several estimators and their
+    standard errors share it."""
+    m = block_moments(
+        sample.z[None], sample.d[None], sample.y[None], sample.strata[None], sample.num_strata
+    )
+    return m.map(lambda a: a[0])
+
+
+class ObservedBlock:
+    """R observed samples of n units each, stacked row by row: the input of
+    every estimator.
+
+    Row r holds dense first-appearance stratum codes 0..num_strata[r]-1;
+    its (R, G) moments pad the codes it lacks with empty cells, which
+    `present` masks out. A single ObservedSample is the R = 1 case (of).
+    """
+
+    def __init__(self, z, d, y, strata, num_strata) -> None:
+        self.z, self.d, self.y, self.strata = z, d, y, strata
+        self.num_strata = np.asarray(num_strata, dtype=np.intp)
+        self.n = z.shape[1]
+        self.present = np.arange(int(self.num_strata.max())) < self.num_strata[:, None]
+
+    @classmethod
+    def of(cls, sample: ObservedSample) -> "ObservedBlock":
+        block = cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
+                    [sample.num_strata])
+        block.moments = stratum_moments(sample).map(lambda a: a[None])
+        return block
+
+    @functools.cached_property
+    def moments(self) -> StratumMoments:
+        return block_moments(self.z, self.d, self.y, self.strata, self.present.shape[1])
+
+    @functools.cached_property
+    def pooled(self) -> StratumMoments:
+        """Moments with every unit in one stratum: (R, 1) fields."""
+        return block_moments(self.z, self.d, self.y, 0, 1)
 
 
 def _maybe(x: float) -> float | None:

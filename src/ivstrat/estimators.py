@@ -2,8 +2,8 @@
 
 All estimators consume a validated ObservedSample and return an
 EstimateReport. The stratified family shares one computational core, the
-weighted-ITT ratio sum(N_g itt_g) / sum(N_g f_g) over a kept set of strata;
-the estimators differ only in which strata they keep:
+weighted-ITT ratio sum(N_g itt_g) / sum(N_g f_g) over a kept set of strata
+(variance.ratio_rows); the estimators differ only in which strata they keep:
 
 * iv_within     keeps strata with f_g != 0 (zero-compliance strata carry no
                 information about the effect and are dropped),
@@ -15,42 +15,39 @@ the estimators differ only in which strata they keep:
 oracle_complier_dim benchmarks against the infeasible difference in means
 among true compliers, and tsls_weighted / tsls_dummies are the two-stage
 least squares comparators.
+
+Every estimator is a row-wise kernel over an ObservedBlock of R samples
+(estimate_rows); estimate() and the iv_* / tsls_* functions are its R = 1
+call, and the simulation engine calls it once per block of replications.
+Kept sets are (R, G) code masks; labels appear only in EstimateReport.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
 
 import numpy as np
 
 from .data_model import (
     AllStrataDropped,
-    DegenerateVariance,
     EmptyArm,
     EstimateReport,
+    EstimationError,
     LengthMismatch,
     NoCompliersInArm,
     NonBinary,
+    ObservedBlock,
     ObservedSample,
     RankDeficient,
     ScienceTable,
     StratumMoments,
     StratumSummary,
-    TooFewUnits,
     TooSmall,
     ZeroCompliance,
-    stratum_moments,
+    _binary,
 )
-from .variance import (
-    arm_moments,
-    se_bloom_ps,
-    se_bloom_unstrat,
-    se_delta_ps,
-    se_delta_unstrat,
-    se_pwiv,
-)
+from .variance import KeptSum, Rows, pwiv_rows, ratio_rows
 
 __all__ = [
     "EstimatorConfig",
@@ -88,72 +85,239 @@ class EstimatorConfig:
 _DEFAULT_CONFIG = EstimatorConfig()
 
 
+def _pooled(sample: ObservedSample) -> StratumMoments:
+    return ObservedBlock.of(sample).pooled
+
+
 def itt_hat(sample: ObservedSample) -> float:
     """Intent-to-treat estimate: difference of outcome means by arm."""
-    m = arm_moments(sample)
-    return float(m["ybar1"] - m["ybar0"])
+    return float(_pooled(sample).itt_hat[0, 0])
 
 
 def f_hat(sample: ObservedSample) -> float:
     """Estimated compliance: difference of uptake means by arm."""
-    m = arm_moments(sample)
-    return float(m["dbar1"] - m["dbar0"])
+    return float(_pooled(sample).f_hat[0, 0])
 
 
-def _all_labels(sample: ObservedSample) -> frozenset:
-    return frozenset(sample.stratum_labels)
+# ---------------------------------------------------------------------------
+# Row-wise kernels: each takes an ObservedBlock of R samples and returns the
+# estimator's Rows. The public functions below are their R = 1 calls.
+
+
+def _unstratified_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    # the one-stratum case of the weighted-ITT ratio, on pooled moments
+    rows = ratio_rows(block.pooled, np.ones((len(block.present), 1), dtype=bool))
+    rows.kept = block.present
+    return rows
+
+
+def _within_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    m = block.moments
+    kept = (m.f_hat != 0.0) & block.present
+    return _screened(m, kept, ZeroCompliance("every stratum has zero estimated compliance"))
+
+
+def _across_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    return ratio_rows(block.moments, block.present)
+
+
+def _dss_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    m = block.moments
+    kept = (m.f_hat >= config.dss_threshold) & block.present
+    return _screened(
+        m,
+        kept,
+        AllStrataDropped(f"no stratum has estimated compliance >= {config.dss_threshold}"),
+    )
+
+
+def _dsf_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    m = block.moments
+    with np.errstate(invalid="ignore"):
+        kept = (_first_stage_f_all(m) >= config.dsf_f_min) & block.present
+    return _screened(
+        m, kept, AllStrataDropped(f"no stratum has first-stage F >= {config.dsf_f_min}")
+    )
+
+
+def _screened(m: StratumMoments, kept: np.ndarray, none_kept: EstimationError) -> Rows:
+    """The weighted-ITT ratio over a screened kept set; rows that keep no
+    stratum fail with none_kept first."""
+    rows = ratio_rows(m, kept)
+    rows.errors.insert(0, (~kept.any(axis=1), none_kept))
+    return rows
+
+
+def _pwiv_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    return pwiv_rows(block.moments, block.present)
+
+
+def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    """Conventional 2SLS with an intercept and G-1 stratum indicators, in
+    closed form on the stratum moments.
+
+    By Frisch-Waugh-Lovell the dummies absorb the stratum means, so with
+    h_g = N_g1 N_g0 / N_g (the within-stratum sum of squares of z) the
+    first-stage slope is pi = sum h_g f_g / sum h_g and the 2SLS slope is
+    sum h_g itt_g / sum h_g f_g. The homoskedastic SE is
+    sqrt(sigma2 / (pi^2 sum h_g)) with sigma2 = RSS / (N - G - 1) from the
+    structural residuals (actual, not predicted, uptake); each stratum's
+    RSS is its within-arm sum of squares of y - beta d plus
+    h_g (itt_g - beta f_g)^2. A zero sum h_g (no stratum varies z) or zero
+    first-stage slope leaves a stage rank deficient.
+    """
+    m, present = block.moments, block.present
+    ksum = KeptSum(present)
+
+    def ss(s: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return np.where(n >= 2, (n - 1.0) * s, 0.0)
+
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        h = np.where(present, m.n_g1 * m.n_g0 / m.n_g, 0.0)
+        varies = h > 0.0
+        h_sum = ksum(h)
+        sf = ksum(np.where(varies, h * m.f_hat, 0.0))
+        beta = ksum(np.where(varies, h * m.itt_hat, 0.0)) / sf
+        pi = sf / h_sum
+        b = beta[:, None]
+        within = (
+            ss(m.s2_y1, m.n_g1) + ss(m.s2_y0, m.n_g0)
+            - 2.0 * b * (ss(m.s_yd1, m.n_g1) + ss(m.s_yd0, m.n_g0))
+            + b * b * (ss(m.s2_d1, m.n_g1) + ss(m.s2_d0, m.n_g0))
+        )
+        between = np.where(varies, h * (m.itt_hat - b * m.f_hat) ** 2, 0.0)
+        dof = block.n - (block.num_strata + 1)
+        var = ksum(np.where(present, within + between, 0.0)) / dof / (pi * pi * h_sum)
+        se = np.where(dof >= 1, np.sqrt(np.where(0.0 > var, 0.0, var)), np.nan)
+    errors = [
+        (h_sum == 0.0, RankDeficient("first-stage design matrix is rank deficient")),
+        (sf == 0.0, RankDeficient("second-stage design matrix is rank deficient")),
+    ]
+    rows = Rows(beta, pi, np.full(len(beta), block.n), present, se, np.full(len(beta), np.nan),
+                errors, errors)
+    failed = rows.failed
+    rows.est = np.where(failed, np.nan, beta)
+    rows.se_bloom = np.where(failed, np.nan, se)
+    return rows
+
+
+def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    """Two weighted one-regressor least-squares stages on the units, row by
+    row. Unit weights (N_g / N_{g,z})(n_z / N) make the first-stage slope
+    the post-stratified compliance estimate and the second-stage slope
+    iv_across; kept as an independent cross-check of that identity."""
+    m, present = block.moments, block.present
+    r = len(present)
+    est = np.full(r, np.nan)
+    zero = np.zeros(r, dtype=bool)
+    for i in range(r):
+        codes, z = block.strata[i], block.z[i]
+        treated = z == 1
+        n_gz = np.where(treated, m.n_g1[i][codes], m.n_g0[i][codes]).astype(np.float64)
+        n_z = np.where(treated, int(treated.sum()), int((z == 0).sum())).astype(np.float64)
+        w = (m.n_g[i][codes] / n_gz) * (n_z / block.n)
+        zf = z.astype(np.float64)
+        a1, b1 = _wls_slope(w, zf, block.d[i].astype(np.float64))
+        if b1 == 0.0:
+            zero[i] = True
+            continue
+        est[i] = _wls_slope(w, a1 + b1 * zf, block.y[i])[1]
+    f_ps = KeptSum(present)((m.n_g / float(block.n)) * m.f_hat)
+    errors = [(zero, ZeroCompliance("first-stage slope is zero; the second stage is undefined"))]
+    nan = np.full(r, np.nan)
+    return Rows(est, f_ps, np.full(r, block.n), present, nan, nan, errors, errors)
+
+
+def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Weighted least squares of v on x with an intercept: (intercept, slope)."""
+    sw = float(np.sum(w))
+    xbar = float(np.sum(w * x)) / sw
+    vbar = float(np.sum(w * v)) / sw
+    sxx = float(np.sum(w * (x - xbar) ** 2))
+    sxv = float(np.sum(w * (x - xbar) * (v - vbar)))
+    slope = sxv / sxx
+    return vbar - slope * xbar, slope
+
+
+def oracle_rows(
+    y1: np.ndarray, y0: np.ndarray, compliers: np.ndarray, z: np.ndarray, strata: np.ndarray,
+    num_strata: int,
+) -> Rows:
+    """Infeasible benchmark, row by row: the difference in observed means
+    among true compliers, with the Neyman SE. Rows are (R, n) science-table
+    columns, the complier mask, assignments and dense stratum codes; a row
+    keeps the strata that contain a complier."""
+    treated = compliers & (z == 1)
+    control = compliers & (z == 0)
+    n1, n0 = treated.sum(axis=1), control.sum(axis=1)
+    r = len(z)
+    est, se = np.full(r, np.nan), np.full(r, np.nan)
+    for i in np.flatnonzero((n1 > 0) & (n0 > 0)):
+        a, b = y1[i][treated[i]], y0[i][control[i]]
+        est[i] = np.mean(a) - np.mean(b)
+        if n1[i] >= 2 and n0[i] >= 2:
+            se[i] = math.sqrt(np.var(a, ddof=1) / n1[i] + np.var(b, ddof=1) / n0[i])
+    cells = (strata + num_strata * np.arange(r)[:, None])[compliers]
+    kept = np.bincount(cells, minlength=r * num_strata).reshape(r, num_strata) > 0
+    errors = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
+    return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), errors, errors)
+
+
+_KERNELS = {
+    "UNSTRAT": _unstratified_rows,
+    "IV_W": _within_rows,
+    "IV_A": _across_rows,
+    "DSS": _dss_rows,
+    "DSF": _dsf_rows,
+    "PWIV": _pwiv_rows,
+    "TSLS_DUMMY": _tsls_dummies_rows,
+    "TSLS_WEIGHTED": _tsls_weighted_rows,
+}
+
+METHODS = tuple(_KERNELS)
+
+
+def estimate_rows(
+    block: ObservedBlock, method: str, config: EstimatorConfig = _DEFAULT_CONFIG
+) -> Rows:
+    """Run one estimator by tag on every row of a block."""
+    try:
+        kernel = _KERNELS[method]
+    except KeyError:
+        raise ValueError(f"unknown estimator tag {method!r}") from None
+    return kernel(block, config)
+
+
+def _report(rows: Rows, method: str, labels: tuple) -> EstimateReport:
+    """The R = 1 result as an EstimateReport, or the row's first error."""
+    rows.raise_first()
+
+    def opt(x: float) -> float | None:
+        return None if math.isnan(x) else float(x)
+
+    return EstimateReport(
+        method=method,
+        estimate=float(rows.est[0]),
+        f_hat=float(rows.f_hat[0]),
+        n_used=int(rows.n_used[0]),
+        strata_kept=frozenset(labels[g] for g in np.flatnonzero(rows.kept[0])),
+        se_bloom=opt(rows.se_bloom[0]),
+        se_delta=opt(rows.se_delta[0]),
+    )
+
+
+def estimate(
+    sample: ObservedSample, method: str, config: EstimatorConfig = _DEFAULT_CONFIG
+) -> EstimateReport:
+    """Run one estimator by tag. ORACLE needs the science table and is not
+    dispatchable from observed data."""
+    rows = estimate_rows(ObservedBlock.of(sample), method, config)
+    return _report(rows, method, sample.stratum_labels)
 
 
 def iv_unstratified(sample: ObservedSample) -> EstimateReport:
     """Standard IV ratio itt_hat / f_hat, ignoring strata."""
-    m = arm_moments(sample)
-    f = float(m["dbar1"] - m["dbar0"])
-    if f == 0.0:
-        raise ZeroCompliance("f_hat is zero; the IV ratio is undefined")
-    est = float(m["ybar1"] - m["ybar0"]) / f
-    return EstimateReport(
-        method="UNSTRAT",
-        estimate=est,
-        f_hat=f,
-        n_used=sample.n,
-        strata_kept=_all_labels(sample),
-        se_bloom=_try_se(se_bloom_unstrat, sample),
-        se_delta=_try_se(se_delta_unstrat, sample),
-    )
-
-
-def _try_se(fn, *args) -> float | None:
-    try:
-        return fn(*args)
-    except (TooFewUnits, DegenerateVariance):
-        return None
-
-
-def _weighted_itt(
-    sample: ObservedSample, m: StratumMoments, kept: np.ndarray, method: str
-) -> EstimateReport:
-    """Weighted-ITT ratio over the kept strata, with renormalized SEs.
-
-    Evaluates sum(w_g itt_g) / sum(w_g f_g) with w_g = N_g / N_kept, which
-    equals the compliance-weighted average of per-stratum IV estimates but
-    stays finite when some kept f_g are tiny.
-    """
-    n_kept = float(m.n_g[kept].sum())
-    w = m.n_g[kept] / n_kept
-    f_ps = float(np.sum(w * m.f_hat[kept]))
-    if f_ps == 0.0:
-        raise ZeroCompliance("kept strata have zero combined compliance")
-    est = float(np.sum(w * m.itt_hat[kept])) / f_ps
-    kept_labels = frozenset(sample.stratum_labels[g] for g in kept)
-    return EstimateReport(
-        method=method,
-        estimate=est,
-        f_hat=f_ps,
-        n_used=int(m.n_g[kept].sum()),
-        strata_kept=kept_labels,
-        se_bloom=_try_se(se_bloom_ps, sample, kept_labels),
-        se_delta=_try_se(se_delta_ps, sample, kept_labels, est),
-    )
+    return estimate(sample, "UNSTRAT")
 
 
 def iv_within(sample: ObservedSample) -> EstimateReport:
@@ -162,17 +326,12 @@ def iv_within(sample: ObservedSample) -> EstimateReport:
     Strata with f_g = 0 are dropped; negative f_g strata are retained with
     their negative weight so the ratio form stays algebraically equivalent.
     """
-    m = stratum_moments(sample)
-    kept = np.flatnonzero(m.f_hat != 0.0)
-    if kept.size == 0:
-        raise ZeroCompliance("every stratum has zero estimated compliance")
-    return _weighted_itt(sample, m, kept, "IV_W")
+    return estimate(sample, "IV_W")
 
 
 def iv_across(sample: ObservedSample) -> EstimateReport:
     """Ratio of post-stratified averages; never drops strata."""
-    m = stratum_moments(sample)
-    return _weighted_itt(sample, m, np.arange(sample.num_strata), "IV_A")
+    return estimate(sample, "IV_A")
 
 
 def iv_dss(sample: ObservedSample, config: EstimatorConfig = _DEFAULT_CONFIG) -> EstimateReport:
@@ -180,13 +339,7 @@ def iv_dss(sample: ObservedSample, config: EstimatorConfig = _DEFAULT_CONFIG) ->
 
     The threshold comparison also removes negative-f_g strata.
     """
-    m = stratum_moments(sample)
-    kept = np.flatnonzero(m.f_hat >= config.dss_threshold)
-    if kept.size == 0:
-        raise AllStrataDropped(
-            f"no stratum has estimated compliance >= {config.dss_threshold}"
-        )
-    return _weighted_itt(sample, m, kept, "DSS")
+    return estimate(sample, "DSS", config)
 
 
 def first_stage_f(summary: StratumSummary) -> float:
@@ -237,13 +390,7 @@ def iv_dsf(sample: ObservedSample, config: EstimatorConfig = _DEFAULT_CONFIG) ->
     Strata too small for the F statistic (N_g < 3) are dropped along with
     the failing ones.
     """
-    m = stratum_moments(sample)
-    stat = _first_stage_f_all(m)
-    with np.errstate(invalid="ignore"):
-        kept = np.flatnonzero(stat >= config.dsf_f_min)
-    if kept.size == 0:
-        raise AllStrataDropped(f"no stratum has first-stage F >= {config.dsf_f_min}")
-    return _weighted_itt(sample, m, kept, "DSF")
+    return estimate(sample, "DSF", config)
 
 
 def iv_pwiv(sample: ObservedSample) -> EstimateReport:
@@ -253,24 +400,7 @@ def iv_pwiv(sample: ObservedSample) -> EstimateReport:
     Strata with f_g = 0 get zero weight (their IV estimate is undefined).
     Every stratum still needs two units per arm so its weight is defined.
     """
-    m = stratum_moments(sample)
-    se = se_pwiv(sample)  # runs the shared precondition checks
-    var_itt_g = m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0
-    kept = np.flatnonzero(m.f_hat != 0.0)
-    weights = m.f_hat[kept] ** 2 / var_itt_g[kept]
-    cace_g = m.itt_hat[kept] / m.f_hat[kept]
-    est = float(np.sum(weights * cace_g) / np.sum(weights))
-    n_kept = float(m.n_g[kept].sum())
-    f_ps = float(np.sum((m.n_g[kept] / n_kept) * m.f_hat[kept]))
-    return EstimateReport(
-        method="PWIV",
-        estimate=est,
-        f_hat=f_ps,
-        n_used=int(m.n_g[kept].sum()),
-        strata_kept=frozenset(sample.stratum_labels[g] for g in kept),
-        se_bloom=se,
-        se_delta=None,
-    )
+    return estimate(sample, "PWIV")
 
 
 def oracle_complier_dim(table: ScienceTable, assignment) -> EstimateReport:
@@ -281,152 +411,26 @@ def oracle_complier_dim(table: ScienceTable, assignment) -> EstimateReport:
     z = np.asarray(assignment)
     if len(z) != table.n:
         raise LengthMismatch(f"assignment has length {len(z)}, table has {table.n}")
-    if not np.isin(z, (0, 1)).all():
+    if not _binary(z):
         raise NonBinary("assignment must be 0 or 1")
-    compl = table.is_complier
-    treated = compl & (z == 1)
-    control = compl & (z == 0)
-    n1, n0 = int(treated.sum()), int(control.sum())
-    if n1 == 0:
-        raise NoCompliersInArm(1)
-    if n0 == 0:
-        raise NoCompliersInArm(0)
-    y1 = table.y1[treated]
-    y0 = table.y0[control]
-    est = float(np.mean(y1) - np.mean(y0))
-    se = None
-    if n1 >= 2 and n0 >= 2:
-        se = math.sqrt(np.var(y1, ddof=1) / n1 + np.var(y0, ddof=1) / n0)
-    kept = frozenset(
-        table.stratum_labels[g] for g in np.unique(table.strata[compl])
+    rows = oracle_rows(
+        table.y1[None], table.y0[None], table.is_complier[None], z[None], table.strata[None],
+        table.num_strata,
     )
-    return EstimateReport(
-        method="ORACLE",
-        estimate=est,
-        f_hat=1.0,
-        n_used=n1 + n0,
-        strata_kept=kept,
-        se_bloom=se,
-        se_delta=None,
-    )
-
-
-def _unit_weights(sample: ObservedSample, m: StratumMoments) -> np.ndarray:
-    # w_i = (N_g / N_{g,z}) (n_z / N) for the unit's stratum g and arm z
-    codes = sample.strata
-    treated = sample.z == 1
-    n_gz = np.where(treated, m.n_g1[codes], m.n_g0[codes]).astype(np.float64)
-    n_z = np.where(treated, sample.n1, sample.n0).astype(np.float64)
-    return (m.n_g[codes] / n_gz) * (n_z / sample.n)
-
-
-def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Weighted least squares of v on x with an intercept: (intercept, slope)."""
-    sw = float(np.sum(w))
-    xbar = float(np.sum(w * x)) / sw
-    vbar = float(np.sum(w * v)) / sw
-    sxx = float(np.sum(w * (x - xbar) ** 2))
-    sxv = float(np.sum(w * (x - xbar) * (v - vbar)))
-    slope = sxv / sxx
-    return vbar - slope * xbar, slope
+    return _report(rows, "ORACLE", table.stratum_labels)
 
 
 def tsls_weighted(sample: ObservedSample) -> float:
-    """Two weighted one-regressor least-squares stages.
-
-    Unit weights (N_g / N_{g,z})(n_z / N) make the first-stage slope equal
-    the post-stratified compliance estimate and the second-stage slope equal
-    iv_across; kept as an independent cross-check of that identity.
-    """
-    m = stratum_moments(sample)
-    w = _unit_weights(sample, m)
-    z = sample.z.astype(np.float64)
-    a1, b1 = _wls_slope(w, z, sample.d.astype(np.float64))
-    if b1 == 0.0:
-        raise ZeroCompliance("first-stage slope is zero; the second stage is undefined")
-    d_pred = a1 + b1 * z
-    _, b2 = _wls_slope(w, d_pred, sample.y)
-    return float(b2)
-
-
-def _design(sample: ObservedSample, last: np.ndarray) -> np.ndarray:
-    n, g = sample.n, sample.num_strata
-    x = np.empty((n, g + 1))
-    x[:, 0] = 1.0
-    if g > 1:
-        x[:, 1:g] = sample.strata[:, None] == np.arange(1, g)
-    x[:, g] = last
-    return x
+    """Two-stage least squares with the post-stratification unit weights;
+    numerically equal to iv_across (see _tsls_weighted_rows)."""
+    return estimate(sample, "TSLS_WEIGHTED").estimate
 
 
 def tsls_dummies(sample: ObservedSample) -> EstimateReport:
     """Conventional 2SLS with an intercept and G-1 stratum indicators.
 
-    Stage one regresses d on the instrument plus indicators; stage two
-    regresses y on predicted d plus indicators. The reported standard error
-    is the homoskedastic 2SLS one, built from structural residuals that use
-    actual (not predicted) uptake; it rides in the se_bloom slot.
+    The reported standard error is the homoskedastic 2SLS one, built from
+    structural residuals that use actual (not predicted) uptake; it rides
+    in the se_bloom slot. See _tsls_dummies_rows for the closed form.
     """
-    n, g = sample.n, sample.num_strata
-    x1 = _design(sample, sample.z.astype(np.float64))
-    beta1, _, rank1, _ = np.linalg.lstsq(x1, sample.d.astype(np.float64), rcond=None)
-    if rank1 < g + 1:
-        raise RankDeficient("first-stage design matrix is rank deficient")
-    d_pred = x1 @ beta1
-    x2 = _design(sample, d_pred)
-    beta2, _, rank2, _ = np.linalg.lstsq(x2, sample.y, rcond=None)
-    if rank2 < g + 1:
-        raise RankDeficient("second-stage design matrix is rank deficient")
-    est = float(beta2[g])
-    se = None
-    dof = n - (g + 1)
-    if dof >= 1:
-        x_struct = _design(sample, sample.d.astype(np.float64))
-        resid = sample.y - x_struct @ beta2
-        sigma2 = float(resid @ resid) / dof
-        cov = sigma2 * np.linalg.inv(x2.T @ x2)
-        se = math.sqrt(max(float(cov[g, g]), 0.0))
-    return EstimateReport(
-        method="TSLS_DUMMY",
-        estimate=est,
-        f_hat=float(beta1[g]),
-        n_used=n,
-        strata_kept=_all_labels(sample),
-        se_bloom=se,
-        se_delta=None,
-    )
-
-
-METHODS = ("UNSTRAT", "IV_W", "IV_A", "DSS", "DSF", "PWIV", "TSLS_DUMMY", "TSLS_WEIGHTED")
-
-
-def estimate(
-    sample: ObservedSample, method: str, config: EstimatorConfig = _DEFAULT_CONFIG
-) -> EstimateReport:
-    """Run one estimator by tag. ORACLE needs the science table and is not
-    dispatchable from observed data."""
-    if method == "UNSTRAT":
-        return iv_unstratified(sample)
-    if method == "IV_W":
-        return iv_within(sample)
-    if method == "IV_A":
-        return iv_across(sample)
-    if method == "DSS":
-        return iv_dss(sample, config)
-    if method == "DSF":
-        return iv_dsf(sample, config)
-    if method == "PWIV":
-        return iv_pwiv(sample)
-    if method == "TSLS_DUMMY":
-        return tsls_dummies(sample)
-    if method == "TSLS_WEIGHTED":
-        m = stratum_moments(sample)
-        w = m.n_g / float(sample.n)
-        return EstimateReport(
-            method="TSLS_WEIGHTED",
-            estimate=tsls_weighted(sample),
-            f_hat=float(np.sum(w * m.f_hat)),
-            n_used=sample.n,
-            strata_kept=_all_labels(sample),
-        )
-    raise ValueError(f"unknown estimator tag {method!r}")
+    return estimate(sample, "TSLS_DUMMY")

@@ -127,7 +127,9 @@ class DatasetSchema:
     """Column layout of an input CSV: z/d/y names plus stratum covariates.
 
     binning maps a covariate column to "as-is" (categorical) or
-    {"quantile": k}; unlisted columns default to as-is.
+    {"quantile": k}; unlisted columns default to as-is. missing_policy
+    "own-stratum" puts rows missing a stratification value in a "missing"
+    stratum; "error" rejects them as malformed rows.
     """
 
     z_col: str = "z"
@@ -142,7 +144,7 @@ class DatasetSchema:
         names = (self.z_col, self.d_col, self.y_col) + self.strata_cols
         if len(set(names)) != len(names):
             raise ValueError("schema column names must be distinct")
-        if self.missing_policy != "own-stratum":
+        if self.missing_policy not in ("own-stratum", "error"):
             raise ValueError(f"unknown missing_policy {self.missing_policy!r}")
         rules = dict(self.binning or {})
         for col in rules:
@@ -225,8 +227,9 @@ def load_csv(path: str, schema: DatasetSchema) -> ObservedSample:
     """Parse a dataset CSV into an ObservedSample.
 
     Malformed rows are rejected with their physical line number; missing
-    covariate values become the "missing" stratum; no strata_cols puts
-    every unit in a single "all" stratum.
+    covariate values become the "missing" stratum, or a MalformedRow under
+    missing_policy "error"; no strata_cols puts every unit in a single
+    "all" stratum.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -248,7 +251,10 @@ def load_csv(path: str, schema: DatasetSchema) -> ObservedSample:
             d.append(_parse_binary(row[schema.d_col], schema.d_col, line))
             y.append(_parse_outcome(row[schema.y_col], schema.y_col, line))
             for col in schema.strata_cols:
-                raw_strata[col].append(row[col])
+                raw = row[col]
+                if schema.missing_policy == "error" and (raw is None or raw.strip() == ""):
+                    raise MalformedRow(line, f"missing {col}")
+                raw_strata[col].append(raw)
             lines.append(line)
     if not z:
         raise EmptyFile(path)

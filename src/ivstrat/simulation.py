@@ -8,10 +8,18 @@ total outcome variance. A concentration variant reparameterizes compliance
 as (p r^3, p r^2, p r, p) across four strata so a single knob r moves the
 design from uninformative (r = 1) to perfectly predictive (r = 0).
 
+The engine runs replications in blocks of about 64k units. Within a block
+each replication draws its table and assignment from its own stream; the
+block is then revealed, reduced to (R, G) moments in one pass and run
+through every estimator's row-wise kernel at once (estimators.estimate_rows),
+the same code that estimate() runs on one sample.
+
 Determinism contract: every replication draws from its own counter-based
-substream keyed by (seed, replication index), and aggregation reads
-preallocated per-replication slots in index order, so results are byte
-identical for any thread count.
+substream keyed by (seed, replication index) (Philox; Salmon et al., SC11),
+each row of a block is computed independently of the others, and
+aggregation reads preallocated per-replication slots in index order, so
+results are byte identical for any block partition and any thread count.
+Threads run whole blocks.
 """
 
 from __future__ import annotations
@@ -19,19 +27,21 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data_model import (
-    COMPLIER,
-    EstimationError,
     InfeasibleCompliance,
-    ObservedSample,
+    ObservedBlock,
     ScienceTable,
-    science_to_observed,
+    _frozen,
+    check_science,
+    complier_effect,
+    first_appearance,
+    reveal,
 )
-from .estimators import METHODS, EstimatorConfig, estimate, oracle_complier_dim
+from .estimators import METHODS, EstimatorConfig, estimate_rows, oracle_rows
 
 _VALID_TAGS = frozenset(METHODS) | {"ORACLE"}
 
@@ -201,36 +211,121 @@ class ConcentrationConfig:
         return f"r{self.r:g}_P{self.target_p:g}_n{self.n}"
 
 
-def _assemble_table(
-    strata: np.ndarray,
-    comp_prob: np.ndarray,
-    num_strata: int,
-    predicts_outcome: bool,
-    never_taker_shift: float,
-    heterogeneous_tau: bool,
-    tau: float,
-    outcome_r2: float,
-    rng: np.random.Generator,
-) -> ScienceTable:
-    n = len(strata)
-    is_complier = rng.random(n) < comp_prob[strata]
-    if predicts_outcome:
-        scale = _pattern_scale(num_strata, outcome_r2)
-        mu_g = scale * (np.arange(num_strata) - (num_strata - 1) / 2.0)
-        noise_sd = math.sqrt(1.0 - outcome_r2)
-    else:
-        mu_g = np.zeros(num_strata)
-        noise_sd = 1.0
-    mu = mu_g[strata] + never_taker_shift * (~is_complier)
-    y0 = mu + rng.normal(0.0, noise_sd, n)
-    if heterogeneous_tau:
-        tau_g = 0.8 - 0.2 * np.arange(num_strata, dtype=np.float64)
-    else:
-        tau_g = np.full(num_strata, tau)
-    y1 = y0 + tau_g[strata] * is_complier
-    d1 = is_complier.astype(np.int8)
-    d0 = np.zeros(n, dtype=np.int8)
-    return ScienceTable.from_arrays(y0=y0, y1=y1, d0=d0, d1=d1, strata=strata)
+@dataclass(frozen=True)
+class _Design:
+    """Everything one replication's population draw needs, per stratum.
+
+    Each replication draws, from its own stream and in this order: stratum
+    labels (uniform, or by `weights`), compliance uniforms, outcome
+    normals, and with random_k the k random stratum labels that replace
+    the first ones. `assemble` turns a block of such draws into tables.
+    """
+
+    n: int
+    num_strata: int
+    comp_prob: np.ndarray
+    mu_g: np.ndarray
+    noise_sd: float
+    never_taker_shift: float
+    tau_g: np.ndarray
+    weights: tuple[float, ...] | None = None
+    random_k: int | None = None
+
+    @classmethod
+    def of(cls, config: "ScenarioConfig | ConcentrationConfig") -> "_Design":
+        g = config.num_strata
+        if isinstance(config, ConcentrationConfig):
+            comp_prob = config.base_rate * config.r ** np.arange(g - 1, -1, -1, dtype=np.float64)
+            weights, random_k = config.weights, None
+        else:
+            weights, random_k = None, config.random_strata_k
+            if config.predicts_compliance:
+                powers = config.compliance_ratio ** np.arange(g, dtype=np.float64)
+                base = g * config.target_pi_c / float(powers.sum())
+                comp_prob = base * powers
+                if base > 1.0:
+                    raise InfeasibleCompliance(
+                        f"target_pi_c={config.target_pi_c} needs top-stratum compliance "
+                        f"{base:.4g} > 1 under ratio {config.compliance_ratio}"
+                    )
+            else:
+                comp_prob = np.full(g, config.target_pi_c)
+        if config.predicts_outcome:
+            scale = _pattern_scale(g, config.outcome_r2)
+            mu_g = scale * (np.arange(g) - (g - 1) / 2.0)
+            noise_sd = math.sqrt(1.0 - config.outcome_r2)
+        else:
+            mu_g = np.zeros(g)
+            noise_sd = 1.0
+        if config.heterogeneous_tau:
+            tau_g = 0.8 - 0.2 * np.arange(g, dtype=np.float64)
+        else:
+            tau_g = np.full(g, config.tau)
+        return cls(
+            config.n, g, comp_prob, mu_g, noise_sd, config.never_taker_shift, tau_g,
+            weights, random_k,
+        )
+
+    def empty(self, reps: int) -> dict[str, np.ndarray]:
+        shape = (reps, self.n)
+        draws = {"strata": np.empty(shape, dtype=np.int64), "u": np.empty(shape),
+                 "noise": np.empty(shape)}
+        if self.random_k is not None:
+            draws["labels"] = np.empty(shape, dtype=np.int64)
+        return draws
+
+    def draw(self, draws: dict[str, np.ndarray], i: int, rng: np.random.Generator) -> None:
+        """One replication's population draws into row i."""
+        g, n = self.num_strata, self.n
+        if self.weights is None:
+            draws["strata"][i] = rng.integers(0, g, size=n)
+        else:
+            draws["strata"][i] = rng.choice(g, size=n, p=np.asarray(self.weights))
+        rng.random(out=draws["u"][i])
+        draws["noise"][i] = rng.normal(0.0, self.noise_sd, n)
+        if self.random_k is not None:
+            draws["labels"][i] = rng.integers(0, self.random_k, size=n)
+
+    def assemble(self, draws: dict[str, np.ndarray]) -> "_Tables":
+        strata = draws["strata"]
+        is_complier = draws["u"] < self.comp_prob[strata]
+        mu = self.mu_g[strata] + self.never_taker_shift * (~is_complier)
+        y0 = mu + draws["noise"]
+        y1 = y0 + self.tau_g[strata] * is_complier
+        d1 = is_complier.astype(np.int8)
+        d0 = np.zeros_like(d1)
+        check_science(y0, y1, d0, d1)
+        labels = draws.get("labels", strata)
+        codes, num_strata, firsts = first_appearance(labels)
+        return _Tables(y0, y1, d0, d1, codes, num_strata, firsts, labels)
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """A block of population tables, one per row, with dense stratum codes."""
+
+    y0: np.ndarray
+    y1: np.ndarray
+    d0: np.ndarray
+    d1: np.ndarray
+    codes: np.ndarray
+    num_strata: np.ndarray
+    firsts: np.ndarray
+    labels: np.ndarray
+
+    def table(self, i: int) -> ScienceTable:
+        labels = tuple(self.labels[i][self.firsts[i][: self.num_strata[i]]])
+        y0, y1, d0, d1, codes = (
+            _frozen(a[i]) for a in (self.y0, self.y1, self.d0, self.d1, self.codes)
+        )
+        return ScienceTable(y0, y1, d0, d1, codes, labels)
+
+
+def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
+    design = _Design.of(config)
+    draws = design.empty(1)
+    design.draw(draws, 0, rng)
+    return design.assemble(draws).table(0)
 
 
 def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> ScienceTable:
@@ -238,56 +333,17 @@ def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> 
 
     With predicts_compliance, stratum g's compliance rate is p * ratio^g,
     rescaled so the expected overall rate stays at target_pi_c; otherwise
-    every unit complies with probability target_pi_c.
+    every unit complies with probability target_pi_c. With random_strata_k
+    the table is relabeled as generate_random_strata does.
     """
-    g = config.num_strata
-    strata = rng.integers(0, g, size=config.n)
-    if config.predicts_compliance:
-        powers = config.compliance_ratio ** np.arange(g, dtype=np.float64)
-        base = g * config.target_pi_c / float(powers.sum())
-        comp_prob = base * powers
-        if base > 1.0:
-            raise InfeasibleCompliance(
-                f"target_pi_c={config.target_pi_c} needs top-stratum compliance "
-                f"{base:.4g} > 1 under ratio {config.compliance_ratio}"
-            )
-    else:
-        comp_prob = np.full(g, config.target_pi_c)
-    table = _assemble_table(
-        strata,
-        comp_prob,
-        g,
-        config.predicts_outcome,
-        config.never_taker_shift,
-        config.heterogeneous_tau,
-        config.tau,
-        config.outcome_r2,
-        rng,
-    )
-    if config.random_strata_k is not None:
-        table = generate_random_strata(table, config.random_strata_k, rng)
-    return table
+    return _draw_table(config, rng)
 
 
 def generate_concentration_table(
     config: ConcentrationConfig, rng: np.random.Generator
 ) -> ScienceTable:
     """Draw one population table for the concentration sweep."""
-    g = config.num_strata
-    strata = rng.choice(g, size=config.n, p=np.asarray(config.weights))
-    p = config.base_rate
-    comp_prob = p * config.r ** np.arange(g - 1, -1, -1, dtype=np.float64)
-    return _assemble_table(
-        strata,
-        comp_prob,
-        g,
-        config.predicts_outcome,
-        config.never_taker_shift,
-        config.heterogeneous_tau,
-        config.tau,
-        config.outcome_r2,
-        rng,
-    )
+    return _draw_table(config, rng)
 
 
 def generate_random_strata(
@@ -341,12 +397,6 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_assignment(n: int, n1: int, rng: np.random.Generator) -> np.ndarray:
-    z = np.zeros(n, dtype=np.int8)
-    z[rng.permutation(n)[:n1]] = 1
-    return z
-
-
 @dataclass
 class _RepStore:
     """Per-replication result slots, preallocated for index-order reads."""
@@ -373,36 +423,51 @@ class _RepStore:
         )
 
 
-def _run_replication(
+# units per block: amortizes numpy call overhead over many replications
+# while bounding a block's working set to a few MB
+_BLOCK_UNITS = 1 << 16
+
+
+def _run_block(
     store: _RepStore,
-    rep: int,
-    tags: Sequence[str],
-    table: ScienceTable,
-    sample: ObservedSample,
-    z: np.ndarray,
+    reps: range,
+    config,
+    design: _Design,
+    n1: int,
     est_config: EstimatorConfig,
 ) -> None:
-    if not np.any(table.compliance_type == COMPLIER):
-        return  # truth undefined; every estimator slot stays nan
-    store.truth[rep] = table.cace
-    num_strata = sample.num_strata
-    for tag in tags:
-        try:
-            if tag == "ORACLE":
-                report = oracle_complier_dim(table, z)
-            else:
-                report = estimate(sample, tag, est_config)
-        except EstimationError:
-            continue
-        if not math.isfinite(report.estimate):
-            continue
-        store.est[tag][rep] = report.estimate
-        if report.se_bloom is not None:
-            store.se_b[tag][rep] = report.se_bloom
-        if report.se_delta is not None:
-            store.se_d[tag][rep] = report.se_delta
-        store.n_used[tag][rep] = report.n_used
-        store.dropped[tag][rep] = len(report.strata_kept) < num_strata
+    """Replications reps[0]..reps[-1] as one block: draw each from its own
+    substream, then reveal, estimate and store them all at once."""
+    n, r = config.n, len(reps)
+    draws = design.empty(r)
+    z = np.zeros((r, n), dtype=np.int8)
+    for i, rep in enumerate(reps):
+        rng = _rep_rng(config.seed, rep)
+        design.draw(draws, i, rng)
+        z[i, rng.permutation(n)[:n1]] = 1
+    tables = design.assemble(draws)
+    del draws
+    compliers = (tables.d1 == 1) & (tables.d0 == 0)
+    live = np.flatnonzero(compliers.any(axis=1))  # truth undefined elsewhere
+    slots = reps.start + live
+    for i, rep in zip(live, slots):
+        store.truth[rep] = complier_effect(tables.y1[i], tables.y0[i], compliers[i])
+    y, d = reveal(tables.y0, tables.y1, tables.d0, tables.d1, z)
+    block = ObservedBlock(z, d, y, tables.codes, tables.num_strata)
+    for tag in config.estimators:
+        if tag == "ORACLE":
+            rows = oracle_rows(
+                tables.y1, tables.y0, compliers, z, tables.codes, block.present.shape[1]
+            )
+        else:
+            rows = estimate_rows(block, tag, est_config)
+        ok = ~rows.failed[live] & np.isfinite(rows.est[live])
+        at, src = slots[ok], live[ok]
+        store.est[tag][at] = rows.est[src]
+        store.se_b[tag][at] = rows.se_bloom[src]
+        store.se_d[tag][at] = rows.se_delta[src]
+        store.n_used[tag][at] = rows.n_used[src]
+        store.dropped[tag][at] = rows.kept[src].sum(axis=1) < tables.num_strata[src]
 
 
 def _sd(x: np.ndarray) -> float:
@@ -478,31 +543,46 @@ def _aggregate(
     return tuple(rows)
 
 
-def _run_reps(
-    config,
-    make_table: Callable[[np.random.Generator], ScienceTable],
-    threads: int,
-) -> _RepStore:
-    tags = config.estimators
+def _run_reps(config, threads: int, block: int | None = None) -> _RepStore:
+    """Every replication of a config, in blocks of `block` replications
+    (by default as many as fit in _BLOCK_UNITS units). Blocks run on
+    `threads` threads; each writes only its own slots."""
     reps = config.replications
     n1 = _check_treated_count(config.n, config.p_treat)
+    design = _Design.of(config)
     est_config = EstimatorConfig()
-    store = _RepStore.empty(tags, reps)
+    store = _RepStore.empty(config.estimators, reps)
+    size = block or max(1, _BLOCK_UNITS // config.n)
+    blocks = [range(a, min(a + size, reps)) for a in range(0, reps, size)]
 
-    def one(rep: int) -> None:
-        rng = _rep_rng(config.seed, rep)
-        table = make_table(rng)
-        z = _draw_assignment(config.n, n1, rng)
-        sample = science_to_observed(table, z)
-        _run_replication(store, rep, tags, table, sample, z, est_config)
+    def one(part: range) -> None:
+        _run_block(store, part, config, design, n1, est_config)
 
-    if threads > 1:
+    if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(reps)))
+            list(pool.map(one, blocks))
     else:
-        for rep in range(reps):
-            one(rep)
+        for part in blocks:
+            one(part)
     return store
+
+
+def _run(config, threads: int) -> ScenarioMetrics:
+    store = _run_reps(config, threads)
+    concentration = isinstance(config, ConcentrationConfig)
+    return ScenarioMetrics(
+        scenario_id=config.scenario_id,
+        n=config.n,
+        pi_c_target=config.target_p if concentration else config.target_pi_c,
+        predicts_c=config.r < 1.0 if concentration else config.predicts_compliance,
+        predicts_y=config.predicts_outcome,
+        nt_shift=config.never_taker_shift,
+        het_tau=config.heterogeneous_tau,
+        seed=config.seed,
+        rng_family=RNG_FAMILY,
+        replications=config.replications,
+        rows=_aggregate(store, config.estimators, config.replications),
+    )
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
@@ -513,40 +593,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     fatal; bias and rmse are measured against each replication's own
     realized complier effect.
     """
-    store = _run_reps(config, lambda rng: generate_science_table(config, rng), threads)
-    return ScenarioMetrics(
-        scenario_id=config.scenario_id,
-        n=config.n,
-        pi_c_target=config.target_pi_c,
-        predicts_c=config.predicts_compliance,
-        predicts_y=config.predicts_outcome,
-        nt_shift=config.never_taker_shift,
-        het_tau=config.heterogeneous_tau,
-        seed=config.seed,
-        rng_family=RNG_FAMILY,
-        replications=config.replications,
-        rows=_aggregate(store, config.estimators, config.replications),
-    )
+    return _run(config, threads)
 
 
 def run_concentration(config: ConcentrationConfig, threads: int = 1) -> ScenarioMetrics:
     """Run one point of the compliance-concentration sweep."""
-    store = _run_reps(
-        config, lambda rng: generate_concentration_table(config, rng), threads
-    )
-    return ScenarioMetrics(
-        scenario_id=config.scenario_id,
-        n=config.n,
-        pi_c_target=config.target_p,
-        predicts_c=config.r < 1.0,
-        predicts_y=config.predicts_outcome,
-        nt_shift=config.never_taker_shift,
-        het_tau=config.heterogeneous_tau,
-        seed=config.seed,
-        rng_family=RNG_FAMILY,
-        replications=config.replications,
-        rows=_aggregate(store, config.estimators, config.replications),
-    )
+    return _run(config, threads)
 
 
 def run_grid(

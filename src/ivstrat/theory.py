@@ -43,13 +43,7 @@ from .data_model import (
     TwoSidedInput,
     science_to_observed,
 )
-from .estimators import (
-    EstimatorConfig,
-    estimate,
-    f_hat,
-    itt_hat,
-    oracle_complier_dim,
-)
+from .estimators import EstimatorConfig, estimate, oracle_complier_dim
 
 __all__ = [
     "PopulationMoments",
@@ -475,10 +469,6 @@ def _resolve_estimator(
 ) -> Callable[[np.ndarray], float]:
     if callable(estimator):
         return lambda z: estimator(science_to_observed(table, z))
-    if estimator == "ITT":
-        return lambda z: itt_hat(science_to_observed(table, z))
-    if estimator == "F_HAT":
-        return lambda z: f_hat(science_to_observed(table, z))
     if estimator == "ORACLE":
         return lambda z: oracle_complier_dim(table, z).estimate
     return lambda z: estimate(science_to_observed(table, z), estimator, config).estimate

@@ -7,15 +7,18 @@ Two families of plug-in variances for a ratio estimate itt_hat / f_hat:
 * Delta: first-order expansion of the ratio, which adds the sampling noise
   of f_hat and its covariance with itt_hat.
 
-Each family comes in an unstratified form and a post-stratified form that
-averages per-stratum pieces with (N_g / N)^2 weights. The post-stratified
-functions accept the set of strata an estimator actually kept so that the
-reported uncertainty matches the units that produced the estimate.
+Each family is a post-stratified form that averages per-stratum pieces with
+(N_g / N)^2 weights over the strata an estimator kept; the unstratified
+form is its one-stratum case, evaluated on moments that pool every unit.
+
+The work happens row-wise on (R, G) moments (see data_model.block_moments):
+`ratio_rows` forms the weighted-ITT ratio and both SEs for R samples at
+once, `pwiv_rows` the precision-weighted combination. The public se_*
+functions are their R = 1 calls on one sample.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -24,13 +27,14 @@ import numpy as np
 from .data_model import (
     AllStrataDropped,
     DegenerateVariance,
+    EstimationError,
+    ObservedBlock,
     ObservedSample,
     StratumMoments,
     StratumSummary,
     TooFewUnits,
     UnknownStratum,
     ZeroCompliance,
-    stratum_moments,
 )
 
 __all__ = [
@@ -55,52 +59,171 @@ class VarianceComponents:
     cov_itt_f_hat: float
 
 
+class KeptSum:
+    """Row sums over each row's kept strata.
+
+    Rows are grouped by kept pattern and each group is summed over its
+    kept columns only, so a row's sum is the 1-D np.sum over its kept
+    strata in code order. Summing zero-padded rows, or a non-contiguous
+    gather, would change numpy's pairwise summation order once more than a
+    few strata are kept.
+    """
+
+    def __init__(self, kept: np.ndarray) -> None:
+        if len(kept) == 1:
+            self.groups = [(slice(None), np.flatnonzero(kept[0]))]
+        else:
+            patterns, inverse = np.unique(kept, axis=0, return_inverse=True)
+            inverse = inverse.ravel()
+            self.groups = [
+                (np.flatnonzero(inverse == j), np.flatnonzero(p)) for j, p in enumerate(patterns)
+            ]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = np.empty(len(values))
+        for rows, cols in self.groups:
+            out[rows] = np.ascontiguousarray(values[rows][:, cols]).sum(axis=1)
+        return out
+
+
+@dataclass
+class Rows:
+    """One estimator's results for R samples, indexed by row.
+
+    est, f_hat, n_used and kept (an (R, G) mask) describe each row's
+    estimate; se_bloom / se_delta are nan where undefined. errors lists
+    (row mask, exception) pairs in the order the checks run: a row fails
+    with the first exception whose mask holds it. se_errors likewise says
+    why a row's SEs are undefined.
+    """
+
+    est: np.ndarray
+    f_hat: np.ndarray
+    n_used: np.ndarray
+    kept: np.ndarray
+    se_bloom: np.ndarray
+    se_delta: np.ndarray
+    errors: list[tuple[np.ndarray, EstimationError]]
+    se_errors: list[tuple[np.ndarray, EstimationError]]
+
+    @property
+    def failed(self) -> np.ndarray:
+        out = np.zeros(len(self.est), dtype=bool)
+        for mask, _ in self.errors:
+            out |= mask
+        return out
+
+    def raise_first(self, which: str = "errors") -> None:
+        """Raise the first failure of row 0 (the R = 1 case)."""
+        for mask, exc in getattr(self, which):
+            if mask[0]:
+                raise exc
+
+
+def _two_per_arm(m: StratumMoments) -> np.ndarray:
+    return (m.n_g1 >= 2) & (m.n_g0 >= 2)
+
+
+def _too_few(rows: np.ndarray) -> tuple[np.ndarray, EstimationError]:
+    return rows, TooFewUnits("need at least 2 units per arm in every kept stratum")
+
+
+def _var_itt(m: StratumMoments) -> np.ndarray:
+    return m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0
+
+
+def ratio_rows(m: StratumMoments, kept: np.ndarray, cace: np.ndarray | None = None) -> Rows:
+    """Weighted-ITT ratio over each row's kept strata, with renormalized SEs.
+
+    Evaluates sum(w_g itt_g) / sum(w_g f_g) with w_g = N_g / N_kept, which
+    equals the compliance-weighted average of per-stratum IV estimates but
+    stays finite when some kept f_g are tiny. Bloom:
+    var = (1/f_ps^2) sum_g w_g^2 [s2_yg(1)/N_g1 + s2_yg(0)/N_g0]. Delta: the
+    bracket becomes var(itt_g) + c^2 var(f_g) - 2 c cov_g, the Neyman
+    variance of y - c d, with c the estimate unless cace overrides it. Both
+    SEs need two units per arm in every kept stratum.
+    """
+    ksum = KeptSum(kept)
+    n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        w = m.n_g / n_kept[:, None].astype(np.float64)
+        f_ps = ksum(w * m.f_hat)
+        est = ksum(w * m.itt_hat) / f_ps
+        w2 = w**2
+        var_itt = _var_itt(m)
+        var_f = m.s2_d1 / m.n_g1 + m.s2_d0 / m.n_g0
+        cov = m.s_yd1 / m.n_g1 + m.s_yd0 / m.n_g0
+        bloom = np.sqrt(ksum(w2 * var_itt) / (f_ps * f_ps))
+        c = (est if cace is None else cace)[:, None]
+        var = ksum(w2 * (var_itt + c * c * var_f - 2.0 * c * cov)) / (f_ps * f_ps)
+        delta = np.sqrt(np.where(0.0 > var, 0.0, var))
+    zero = f_ps == 0.0
+    errors = [(zero, ZeroCompliance("kept strata have zero combined compliance"))]
+    se_errors = [_too_few(np.any(kept & ~_two_per_arm(m), axis=1))] + errors
+    undefined = se_errors[0][0] | zero
+    return Rows(
+        est=np.where(zero, np.nan, est),
+        f_hat=f_ps,
+        n_used=n_kept,
+        kept=kept,
+        se_bloom=np.where(undefined, np.nan, bloom),
+        se_delta=np.where(undefined, np.nan, delta),
+        errors=errors,
+        se_errors=se_errors,
+    )
+
+
+def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
+    """Precision-weighted IV: stratum IV estimates averaged with weights
+    f_g^2 / var(itt_g), the reciprocal per-stratum Bloom variances, and
+    SE sqrt(1 / Z) with Z the sum of the weights.
+
+    Strata with f_g = 0 get zero weight. Every stratum needs two units per
+    arm (TooFewUnits), at least one must have nonzero f_g
+    (AllStrataDropped), and each weighted one a positive var(itt_g)
+    (DegenerateVariance).
+    """
+    kept = (m.f_hat != 0.0) & present
+    ksum = KeptSum(kept)
+    n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        var_itt = _var_itt(m)
+        weights = m.f_hat**2 / var_itt
+        z_total = ksum(weights)
+        est = ksum(weights * (m.itt_hat / m.f_hat)) / z_total
+        se = np.sqrt(1.0 / z_total)
+        f_ps = ksum((m.n_g / n_kept[:, None].astype(np.float64)) * m.f_hat)
+    errors = [
+        _too_few(np.any(present & ~_two_per_arm(m), axis=1)),
+        (~kept.any(axis=1), AllStrataDropped("every stratum has zero estimated compliance")),
+        (
+            np.any(kept & (var_itt == 0.0), axis=1),
+            DegenerateVariance("a stratum with nonzero f_hat has zero outcome variance"),
+        ),
+    ]
+    rows = Rows(est, f_ps, n_kept, kept, se, np.full(len(est), np.nan), errors, errors)
+    failed = rows.failed
+    rows.est = np.where(failed, np.nan, est)
+    rows.se_bloom = np.where(failed, np.nan, se)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# One sample: the R = 1 calls.
+
+
 def arm_moments(sample: ObservedSample) -> dict[str, float]:
     """Whole-sample per-arm means and sample (co)variances of y and d.
 
-    Ignores strata. Accumulates through bincount so that a single-stratum
-    sample reproduces these numbers bit for bit via stratum_moments.
+    Ignores strata: these are the pooled one-cell moments, so a
+    single-stratum sample reproduces them bit for bit via stratum_moments.
     Variance entries are nan when an arm has fewer than two units.
     """
-    z = sample.z
-    counts = np.bincount(z, minlength=2).astype(np.float64)
-    sum_y = np.bincount(z, weights=sample.y, minlength=2)
-    sum_d = np.bincount(z, weights=sample.d.astype(np.float64), minlength=2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_y = sum_y / counts
-        mean_d = sum_d / counts
-    ry = sample.y - mean_y[z]
-    rd = sample.d - mean_d[z]
-    ss_y = np.bincount(z, weights=ry * ry, minlength=2)
-    ss_d = np.bincount(z, weights=rd * rd, minlength=2)
-    ss_yd = np.bincount(z, weights=ry * rd, minlength=2)
-    dof = counts - 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s2_y = np.where(dof >= 1, ss_y / dof, np.nan)
-        s2_d = np.where(dof >= 1, ss_d / dof, np.nan)
-        s_yd = np.where(dof >= 1, ss_yd / dof, np.nan)
-    return {
-        "n1": counts[1],
-        "n0": counts[0],
-        "ybar1": mean_y[1],
-        "ybar0": mean_y[0],
-        "dbar1": mean_d[1],
-        "dbar0": mean_d[0],
-        "s2_y1": s2_y[1],
-        "s2_y0": s2_y[0],
-        "s2_d1": s2_d[1],
-        "s2_d0": s2_d[0],
-        "s_yd1": s_yd[1],
-        "s_yd0": s_yd[0],
-    }
-
-
-def _require_two_per_arm(n1: float, n0: float, where: str = "") -> None:
-    tag = f" in {where}" if where else ""
-    if n1 < 2:
-        raise TooFewUnits(f"need at least 2 treated units{tag} to estimate a variance")
-    if n0 < 2:
-        raise TooFewUnits(f"need at least 2 control units{tag} to estimate a variance")
+    m = ObservedBlock.of(sample).pooled
+    out = {f: float(getattr(m, f)[0, 0]) for f in (
+        "ybar1", "ybar0", "dbar1", "dbar0", "s2_y1", "s2_y0", "s2_d1", "s2_d0", "s_yd1", "s_yd0"
+    )}
+    return {"n1": float(m.n_g1[0, 0]), "n0": float(m.n_g0[0, 0]), **out}
 
 
 def variance_components(sample: ObservedSample) -> VarianceComponents:
@@ -109,11 +232,12 @@ def variance_components(sample: ObservedSample) -> VarianceComponents:
     Raises TooFewUnits when either arm has fewer than two units.
     """
     m = arm_moments(sample)
-    _require_two_per_arm(m["n1"], m["n0"])
+    if m["n1"] < 2 or m["n0"] < 2:
+        raise TooFewUnits("need at least 2 units per arm to estimate a variance")
     var_itt = m["s2_y1"] / m["n1"] + m["s2_y0"] / m["n0"]
     var_f = m["s2_d1"] / m["n1"] + m["s2_d0"] / m["n0"]
     cov = m["s_yd1"] / m["n1"] + m["s_yd0"] / m["n0"]
-    return VarianceComponents(float(var_itt), float(var_f), float(cov))
+    return VarianceComponents(var_itt, var_f, cov)
 
 
 def var_itt_neyman(x: ObservedSample | StratumSummary) -> float:
@@ -123,81 +247,56 @@ def var_itt_neyman(x: ObservedSample | StratumSummary) -> float:
     Raises TooFewUnits when either arm has fewer than two units.
     """
     if isinstance(x, StratumSummary):
-        _require_two_per_arm(x.n_g1, x.n_g0, where=f"stratum {x.g!r}")
+        if x.n_g1 < 2 or x.n_g0 < 2:
+            raise TooFewUnits(f"need at least 2 units per arm in stratum {x.g!r}")
         assert x.s2_y1 is not None and x.s2_y0 is not None
         return x.s2_y1 / x.n_g1 + x.s2_y0 / x.n_g0
     return variance_components(x).var_itt_hat
 
 
-def _f_hat_unstrat(sample: ObservedSample) -> float:
-    m = arm_moments(sample)
-    return float(m["dbar1"] - m["dbar0"])
+def _se(rows: Rows, field: str) -> float:
+    rows.raise_first("se_errors")
+    return float(getattr(rows, field)[0])
+
+
+def _pooled_rows(sample: ObservedSample) -> Rows:
+    return ratio_rows(ObservedBlock.of(sample).pooled, np.ones((1, 1), dtype=bool))
 
 
 def se_bloom_unstrat(sample: ObservedSample) -> float:
     """Bloom standard error: sqrt(var_itt_neyman) / |f_hat|.
 
-    Raises ZeroCompliance when f_hat is exactly zero and TooFewUnits when
-    either arm cannot support a variance estimate.
+    Raises TooFewUnits when either arm cannot support a variance estimate
+    and ZeroCompliance when f_hat is exactly zero.
     """
-    f = _f_hat_unstrat(sample)
-    if f == 0.0:
-        raise ZeroCompliance("f_hat is zero; the Bloom variance is undefined")
-    return math.sqrt(var_itt_neyman(sample) / (f * f))
+    return _se(_pooled_rows(sample), "se_bloom")
 
 
 def se_delta_unstrat(sample: ObservedSample) -> float:
     """Delta-method standard error of the unstratified IV ratio.
 
-    var = var(itt)/f^2 + itt^2 var(f)/f^4 - 2 itt cov(itt, f)/f^3 with each
-    component the usual plug-in sum over arms, evaluated in the factored
-    form (1/f^2)[var(itt) + c^2 var(f) - 2 c cov] with c = itt/f so that the
-    single-stratum case reproduces se_delta_ps bit for bit. The bracket is
-    the Neyman variance of y - c d, so it is nonnegative.
+    var = var(itt)/f^2 + itt^2 var(f)/f^4 - 2 itt cov(itt, f)/f^3, evaluated
+    in the factored form (1/f^2)[var(itt) + c^2 var(f) - 2 c cov] with
+    c = itt/f: se_delta_ps on one stratum. The bracket is the Neyman
+    variance of y - c d, so it is nonnegative.
     """
-    m = arm_moments(sample)
-    _require_two_per_arm(m["n1"], m["n0"])
-    f = float(m["dbar1"] - m["dbar0"])
-    if f == 0.0:
-        raise ZeroCompliance("f_hat is zero; the delta variance is undefined")
-    c = float(m["ybar1"] - m["ybar0"]) / f
-    c_y = m["s2_y1"] / m["n1"] + m["s2_y0"] / m["n0"]
-    c_d = m["s2_d1"] / m["n1"] + m["s2_d0"] / m["n0"]
-    c_yd = m["s_yd1"] / m["n1"] + m["s_yd0"] / m["n0"]
-    var = float(c_y + c * c * c_d - 2.0 * c * c_yd) / (f * f)
-    return math.sqrt(max(var, 0.0))
+    return _se(_pooled_rows(sample), "se_delta")
 
 
-def _kept_codes(sample: ObservedSample, kept_strata: Iterable[Hashable] | None) -> np.ndarray:
+def kept_mask(sample: ObservedSample, kept_strata: Iterable[Hashable] | None) -> np.ndarray:
+    """The (1, G) kept-strata mask of one sample from labels (None keeps all)."""
+    kept = np.zeros((1, sample.num_strata), dtype=bool)
     if kept_strata is None:
-        return np.arange(sample.num_strata)
-    labels = list(sample.stratum_labels)
-    codes = []
-    for g in kept_strata:
-        try:
-            codes.append(labels.index(g))
-        except ValueError:
-            raise UnknownStratum(f"stratum {g!r} is not a stratum of this sample") from None
-    if not codes:
+        kept[:] = True
+        return kept
+    codes = {label: g for g, label in enumerate(sample.stratum_labels)}
+    for label in kept_strata:
+        if label not in codes:
+            raise UnknownStratum(f"stratum {label!r} is not a stratum of this sample")
+        kept[0, codes[label]] = True
+    if not kept.any():
         raise AllStrataDropped("kept_strata is empty")
-    return np.array(sorted(set(codes)), dtype=np.intp)
-
-
-def _kept_pieces(
-    sample: ObservedSample, kept_strata: Iterable[Hashable] | None
-) -> tuple[StratumMoments, np.ndarray, float, float]:
-    """Shared front end of the post-stratified variances.
-
-    Returns (moments, kept codes, N over kept strata, f_hat_ps over kept
-    strata). Every kept stratum must have two units in each arm.
-    """
-    m = stratum_moments(sample)
-    kept = _kept_codes(sample, kept_strata)
-    for g in kept:
-        _require_two_per_arm(m.n_g1[g], m.n_g0[g], where=f"stratum {sample.stratum_labels[g]!r}")
-    n_kept = float(m.n_g[kept].sum())
-    f_ps = float(np.sum((m.n_g[kept] / n_kept) * m.f_hat[kept]))
-    return m, kept, n_kept, f_ps
+    return kept
 
 
 def se_bloom_ps(sample: ObservedSample, kept_strata: Iterable[Hashable] | None = None) -> float:
@@ -206,12 +305,8 @@ def se_bloom_ps(sample: ObservedSample, kept_strata: Iterable[Hashable] | None =
     var = (1/f_ps^2) sum_g (N_g/N)^2 [s2_yg(1)/N_g1 + s2_yg(0)/N_g0] with N
     and f_ps renormalized to the kept units. kept_strata of None keeps all.
     """
-    m, kept, n_kept, f_ps = _kept_pieces(sample, kept_strata)
-    if f_ps == 0.0:
-        raise ZeroCompliance("post-stratified f_hat is zero over the kept strata")
-    w2 = (m.n_g[kept] / n_kept) ** 2
-    var_itt_g = m.s2_y1[kept] / m.n_g1[kept] + m.s2_y0[kept] / m.n_g0[kept]
-    return math.sqrt(float(np.sum(w2 * var_itt_g)) / (f_ps * f_ps))
+    m = ObservedBlock.of(sample).moments
+    return _se(ratio_rows(m, kept_mask(sample, kept_strata)), "se_bloom")
 
 
 def se_delta_ps(
@@ -225,42 +320,18 @@ def se_delta_ps(
     i.e. the Neyman variance of y - cace * d, so each term is nonnegative.
     cace_hat defaults to the post-stratified ratio over the kept strata.
     """
-    m, kept, n_kept, f_ps = _kept_pieces(sample, kept_strata)
-    if f_ps == 0.0:
-        raise ZeroCompliance("post-stratified f_hat is zero over the kept strata")
-    if cace_hat is None:
-        itt_ps = float(np.sum((m.n_g[kept] / n_kept) * m.itt_hat[kept]))
-        cace_hat = itt_ps / f_ps
-    w2 = (m.n_g[kept] / n_kept) ** 2
-    var_itt_g = m.s2_y1[kept] / m.n_g1[kept] + m.s2_y0[kept] / m.n_g0[kept]
-    var_f_g = m.s2_d1[kept] / m.n_g1[kept] + m.s2_d0[kept] / m.n_g0[kept]
-    cov_g = m.s_yd1[kept] / m.n_g1[kept] + m.s_yd0[kept] / m.n_g0[kept]
-    bracket = var_itt_g + cace_hat * cace_hat * var_f_g - 2.0 * cace_hat * cov_g
-    var = float(np.sum(w2 * bracket)) / (f_ps * f_ps)
-    return math.sqrt(max(var, 0.0))
+    m = ObservedBlock.of(sample).moments
+    cace = None if cace_hat is None else np.array([cace_hat], dtype=np.float64)
+    return _se(ratio_rows(m, kept_mask(sample, kept_strata), cace), "se_delta")
 
 
 def se_pwiv(sample: ObservedSample) -> float:
     """Standard error of the precision-weighted IV estimate: sqrt(1 / Z).
 
-    Z sums f_g^2 / var(itt_g) over strata with nonzero f_g. Requires two
-    units per arm in every stratum (TooFewUnits), a positive var(itt_g) in
-    every weighted stratum (DegenerateVariance), and at least one stratum
-    with nonzero f_g (AllStrataDropped).
+    Z sums f_g^2 / var(itt_g) over strata with nonzero f_g; see pwiv_rows
+    for the preconditions and the errors they raise.
     """
-    m = stratum_moments(sample)
-    for g in range(sample.num_strata):
-        _require_two_per_arm(m.n_g1[g], m.n_g0[g], where=f"stratum {sample.stratum_labels[g]!r}")
-    var_itt_g = m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0
-    f_g = m.f_hat
-    nonzero = f_g != 0.0
-    if not bool(np.any(nonzero)):
-        raise AllStrataDropped("every stratum has zero estimated compliance")
-    if bool(np.any(var_itt_g[nonzero] == 0.0)):
-        bad = int(np.flatnonzero(nonzero & (var_itt_g == 0.0))[0])
-        raise DegenerateVariance(
-            f"stratum {sample.stratum_labels[bad]!r} has zero outcome variance; "
-            "its precision weight is unbounded"
-        )
-    z_total = float(np.sum(f_g[nonzero] ** 2 / var_itt_g[nonzero]))
-    return math.sqrt(1.0 / z_total)
+    block = ObservedBlock.of(sample)
+    rows = pwiv_rows(block.moments, block.present)
+    rows.raise_first()
+    return float(rows.se_bloom[0])

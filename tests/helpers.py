@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ivstrat import ObservedSample, ScienceTable
+from ivstrat.data_model import RankDeficient
 
 
 def sample_a() -> ObservedSample:
@@ -131,3 +134,37 @@ def stratified_table(
     return ScienceTable.from_arrays(
         y0=y0, y1=y1, d0=np.zeros(n, dtype=int), d1=ctype, strata=strata
     )
+
+
+def tsls_dummies_lstsq(sample: ObservedSample) -> tuple[float, float, float | None]:
+    """Independent oracle for TSLS_DUMMY: 2SLS by least squares on the
+    n x (G+1) designs [1, stratum indicators 1..G-1, regressor].
+
+    Returns (estimate, first-stage slope, homoskedastic SE or None when
+    N - G - 1 < 1); raises RankDeficient when a stage's design is.
+    """
+    n, g = sample.n, sample.num_strata
+
+    def design(last: np.ndarray) -> np.ndarray:
+        x = np.empty((n, g + 1))
+        x[:, 0] = 1.0
+        if g > 1:
+            x[:, 1:g] = sample.strata[:, None] == np.arange(1, g)
+        x[:, g] = last
+        return x
+
+    x1 = design(sample.z.astype(np.float64))
+    beta1, _, rank1, _ = np.linalg.lstsq(x1, sample.d.astype(np.float64), rcond=None)
+    if rank1 < g + 1:
+        raise RankDeficient("first-stage design matrix is rank deficient")
+    x2 = design(x1 @ beta1)
+    beta2, _, rank2, _ = np.linalg.lstsq(x2, sample.y, rcond=None)
+    if rank2 < g + 1:
+        raise RankDeficient("second-stage design matrix is rank deficient")
+    se = None
+    dof = n - (g + 1)
+    if dof >= 1:
+        resid = sample.y - design(sample.d.astype(np.float64)) @ beta2
+        cov = float(resid @ resid) / dof * np.linalg.inv(x2.T @ x2)
+        se = math.sqrt(max(float(cov[g, g]), 0.0))
+    return float(beta2[g]), float(beta1[g]), se

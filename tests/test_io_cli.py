@@ -106,6 +106,25 @@ def test_load_csv_missing_covariate_routes_to_own_stratum(tmp_path):
     assert set(sample.stratum_labels) == {"a", "missing"}
 
 
+def test_missing_policy_error_rejects_missing_covariate(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "d.csv",
+        "z,d,y,site,sex\n1,1,3.0,1,m\n1,0,1.0,1, \n0,0,2.0,,f\n0,0,0.0,1,f\n",
+    )
+    schema = DatasetSchema(strata_cols=("site", "sex"), missing_policy="error")
+    with pytest.raises(MalformedRow) as exc:
+        load_csv(path, schema)
+    assert exc.value.line == 3 and "sex" in exc.value.reason
+    schema_path = write(
+        tmp_path, "s.json", '{"strata_cols": ["site", "sex"], "missing_policy": "error"}'
+    )
+    assert cli_main(["analyze", "--data", path, "--schema", schema_path]) == 1
+    assert "line 3" in capsys.readouterr().err
+    complete = write(tmp_path, "ok.csv", "z,d,y,site\n1,1,3.0,a\n1,0,1.0,a\n0,0,2.0,a\n0,0,0.0,a\n")
+    assert load_csv(complete, DatasetSchema(strata_cols=("site",), missing_policy="error")).n == 4
+
+
 def test_load_csv_compound_labels(tmp_path):
     path = write(
         tmp_path,
