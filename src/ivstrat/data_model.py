@@ -154,7 +154,7 @@ def first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     r, n = labels.shape
     if labels.size == 0:
         return np.zeros((r, n), dtype=np.intp), np.zeros(r, dtype=np.intp), np.zeros((r, 0), np.intp)
-    lab = labels.astype(np.intp)
+    lab = labels.astype(np.intp, copy=False)
     lo = int(lab.min())
     span = int(lab.max()) - lo + 1
     if span > lab.size:  # sparse label values: rank them first
@@ -535,6 +535,11 @@ def stratum_moments(sample: ObservedSample) -> StratumMoments:
         sample.z[None], sample.d[None], sample.y[None], sample.strata[None], sample.num_strata
     )
     return m.map(lambda a: a[0])
+
+
+# units per block of samples: amortizes numpy call overhead over many
+# samples while bounding a block's working set to a few MB
+BLOCK_UNITS = 1 << 16
 
 
 class ObservedBlock:

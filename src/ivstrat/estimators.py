@@ -217,23 +217,30 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
         n_z = np.where(treated, int(treated.sum()), int((z == 0).sum())).astype(np.float64)
         w = (m.n_g[i][codes] / n_gz) * (n_z / block.n)
         zf = z.astype(np.float64)
-        a1, b1 = _wls_slope(w, zf, block.d[i].astype(np.float64))
-        if b1 == 0.0:
+        first = _wls_slope(w, zf, block.d[i].astype(np.float64))
+        if first is None or first[1] == 0.0:
             zero[i] = True
             continue
-        est[i] = _wls_slope(w, a1 + b1 * zf, block.y[i])[1]
+        second = _wls_slope(w, first[0] + first[1] * zf, block.y[i])
+        if second is None:  # the slope is too small to move the fitted uptake
+            zero[i] = True
+            continue
+        est[i] = second[1]
     f_ps = KeptSum(present)((m.n_g / float(block.n)) * m.f_hat)
-    errors = [(zero, ZeroCompliance("first-stage slope is zero; the second stage is undefined"))]
+    errors = [(zero, ZeroCompliance("fitted uptake does not vary; the second stage is undefined"))]
     nan = np.full(r, np.nan)
     return Rows(est, f_ps, np.full(r, block.n), present, nan, nan, errors, errors)
 
 
-def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Weighted least squares of v on x with an intercept: (intercept, slope)."""
+def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, float] | None:
+    """Weighted least squares of v on x with an intercept: (intercept,
+    slope), or None when x has no weighted spread."""
     sw = float(np.sum(w))
     xbar = float(np.sum(w * x)) / sw
     vbar = float(np.sum(w * v)) / sw
     sxx = float(np.sum(w * (x - xbar) ** 2))
+    if sxx == 0.0:
+        return None
     sxv = float(np.sum(w * (x - xbar) * (v - vbar)))
     slope = sxv / sxx
     return vbar - slope * xbar, slope

@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .data_model import (
+    BLOCK_UNITS,
     InfeasibleCompliance,
     ObservedBlock,
     ScienceTable,
@@ -423,11 +424,6 @@ class _RepStore:
         )
 
 
-# units per block: amortizes numpy call overhead over many replications
-# while bounding a block's working set to a few MB
-_BLOCK_UNITS = 1 << 16
-
-
 def _run_block(
     store: _RepStore,
     reps: range,
@@ -545,14 +541,14 @@ def _aggregate(
 
 def _run_reps(config, threads: int, block: int | None = None) -> _RepStore:
     """Every replication of a config, in blocks of `block` replications
-    (by default as many as fit in _BLOCK_UNITS units). Blocks run on
+    (by default as many as fit in BLOCK_UNITS units). Blocks run on
     `threads` threads; each writes only its own slots."""
     reps = config.replications
     n1 = _check_treated_count(config.n, config.p_treat)
     design = _Design.of(config)
     est_config = EstimatorConfig()
     store = _RepStore.empty(config.estimators, reps)
-    size = block or max(1, _BLOCK_UNITS // config.n)
+    size = block or max(1, BLOCK_UNITS // config.n)
     blocks = [range(a, min(a + size, reps)) for a in range(0, reps, size)]
 
     def one(part: range) -> None:

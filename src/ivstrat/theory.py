@@ -25,25 +25,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.stats import hypergeom
 
 from .data_model import (
     ALWAYS_TAKER,
+    BLOCK_UNITS,
     COMPLIER,
     EstimationError,
     Infeasible,
     NEVER_TAKER,
     NoCompliers,
     NonIntegralArm,
+    ObservedBlock,
     ScienceTable,
     TooFewUnits,
     TwoSidedInput,
+    reveal,
     science_to_observed,
 )
-from .estimators import EstimatorConfig, estimate, oracle_complier_dim
+from .estimators import EstimatorConfig, estimate_rows, oracle_rows
 
 __all__ = [
     "PopulationMoments",
@@ -428,6 +430,17 @@ class EnumerationResult:
 _FAST_TAGS = ("ITT", "F_HAT", "UNSTRAT")
 
 
+def _assignment_blocks(n: int, n1: int, chunk: int):
+    """Every assignment of n1 treated units out of n, in
+    itertools.combinations order, as int8 (R, n) blocks of at most chunk
+    rows."""
+    combos = itertools.combinations(range(n), n1)
+    while idx := list(itertools.islice(combos, chunk)):
+        z = np.zeros((len(idx), n), dtype=np.int8)
+        z[np.arange(len(idx))[:, None], np.array(idx, dtype=np.intp)] = 1
+        yield z
+
+
 def _enumerate_fast(
     table: ScienceTable, n1: int, total: int, tag: str
 ) -> np.ndarray:
@@ -438,17 +451,9 @@ def _enumerate_fast(
     d1, d0 = table.d1.astype(np.float64), table.d0.astype(np.float64)
     sum_y0, sum_d0 = float(y0.sum()), float(d0.sum())
     values = np.empty(total)
-    combos = itertools.combinations(range(n), n1)
-    chunk = 4096
     base = 0
-    while True:
-        idx_list = list(itertools.islice(combos, chunk))
-        if not idx_list:
-            break
-        idx = np.array(idx_list, dtype=np.intp)
-        rows = np.arange(len(idx_list))
-        z = np.zeros((len(idx_list), n))
-        z[rows[:, None], idx] = 1.0
+    for block in _assignment_blocks(n, n1, 4096):
+        z = block.astype(np.float64)
         itt = z @ y1 / n1 - (sum_y0 - z @ y0) / n0
         if tag == "ITT":
             vals = itt
@@ -459,19 +464,46 @@ def _enumerate_fast(
             else:
                 with np.errstate(invalid="ignore", divide="ignore"):
                     vals = np.where(f != 0.0, itt / f, np.nan)
-        values[base : base + len(idx_list)] = vals
-        base += len(idx_list)
+        values[base : base + len(z)] = vals
+        base += len(z)
     return values
 
 
-def _resolve_estimator(
-    table: ScienceTable, estimator, config: EstimatorConfig
-) -> Callable[[np.ndarray], float]:
-    if callable(estimator):
-        return lambda z: estimator(science_to_observed(table, z))
-    if estimator == "ORACLE":
-        return lambda z: oracle_complier_dim(table, z).estimate
-    return lambda z: estimate(science_to_observed(table, z), estimator, config).estimate
+def _enumerate_rows(
+    table: ScienceTable, n1: int, total: int, tag: str, config: EstimatorConfig
+) -> np.ndarray:
+    """Per-assignment values of an estimator tag (nan where undefined),
+    running the estimators' row-wise kernels on blocks of assignments."""
+    n, g = table.n, table.num_strata
+    values = np.empty(total)
+    base = 0
+    for z in _assignment_blocks(n, n1, max(1, BLOCK_UNITS // n)):
+        r = len(z)
+        strata = np.broadcast_to(table.strata, (r, n))
+        if tag == "ORACLE":
+            y1, y0, compliers = (
+                np.broadcast_to(a, (r, n)) for a in (table.y1, table.y0, table.is_complier)
+            )
+            rows = oracle_rows(y1, y0, compliers, z, strata, g)
+        else:
+            y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
+            rows = estimate_rows(ObservedBlock(z, d, y, strata, np.full(r, g)), tag, config)
+        values[base : base + r] = np.where(rows.failed, np.nan, rows.est)
+        base += r
+    return values
+
+
+def _enumerate_callable(table: ScienceTable, n1: int, total: int, fn) -> np.ndarray:
+    values = np.empty(total)
+    for i, treated in enumerate(itertools.combinations(range(table.n), n1)):
+        # sample construction freezes its arrays, so z cannot be reused
+        z = np.zeros(table.n, dtype=np.int8)
+        z[list(treated)] = 1
+        try:
+            values[i] = fn(science_to_observed(table, z))
+        except EstimationError:
+            values[i] = np.nan
+    return values
 
 
 def enumerate_expectation(
@@ -501,19 +533,12 @@ def enumerate_expectation(
         raise Infeasible(
             f"C({n}, {n1}) = {total} assignments exceeds the cap of {ENUMERATION_CAP}"
         )
-    if isinstance(estimator, str) and estimator in _FAST_TAGS:
+    if callable(estimator):
+        values = _enumerate_callable(table, n1, total, estimator)
+    elif estimator in _FAST_TAGS:
         values = _enumerate_fast(table, n1, total, estimator)
     else:
-        fn = _resolve_estimator(table, estimator, config)
-        values = np.empty(total)
-        for i, treated in enumerate(itertools.combinations(range(n), n1)):
-            # sample construction freezes its arrays, so z cannot be reused
-            z = np.zeros(n, dtype=np.int8)
-            z[list(treated)] = 1
-            try:
-                values[i] = fn(z)
-            except EstimationError:
-                values[i] = np.nan
+        values = _enumerate_rows(table, n1, total, estimator, config)
     defined = np.isfinite(values)
     n_defined = int(defined.sum())
     n_undefined = total - n_defined

@@ -6,6 +6,8 @@ against independent oracles.
   oracle_complier_dim on that sample alone.
 * The simulation's per-replication slots do not depend on how the
   replications are cut into blocks or spread over threads.
+* Exact enumeration over blocks of assignments equals the loop that runs
+  estimate() assignment by assignment.
 * The closed-form TSLS_DUMMY matches a least-squares 2SLS within 1e-12.
 """
 
@@ -16,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivstrat import METHODS, ScenarioConfig, ScienceTable, estimate, oracle_complier_dim
+from ivstrat import (
+    METHODS,
+    Infeasible,
+    ScenarioConfig,
+    ScienceTable,
+    enumerate_expectation,
+    estimate,
+    oracle_complier_dim,
+)
 from ivstrat.data_model import (
     EstimationError,
     ObservedBlock,
@@ -172,3 +182,21 @@ def test_closed_form_tsls_dummy_rank_deficient_like_least_squares(z, d):
         tsls_dummies_lstsq(sample)
     with pytest.raises(RankDeficient):
         tsls_dummies(sample)
+
+
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), pa=st.sampled_from([0.0, 0.2]))
+def test_blocked_enumeration_matches_per_assignment_loop(seed, k, pa):
+    labels, y0, y1, d0, d1, _ = _block_of_tables(seed, 1, 10, k, 0.4, pa)
+    table = ScienceTable.from_arrays(y0[0], y1[0], d0[0], d1[0], strata=labels[0])
+    for tag in (t for t in METHODS if t != "UNSTRAT"):  # UNSTRAT has its own closed form
+        try:
+            loop = enumerate_expectation(
+                table, 0.5, lambda s, tag=tag: estimate(s, tag).estimate, convention="condition"
+            )
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                enumerate_expectation(table, 0.5, tag, convention="condition")
+            continue
+        blocked = enumerate_expectation(table, 0.5, tag, convention="condition")
+        assert blocked == loop, tag
