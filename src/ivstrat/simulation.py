@@ -539,16 +539,16 @@ def _aggregate(
     return tuple(rows)
 
 
-def _run_reps(config, threads: int, block: int | None = None) -> _RepStore:
-    """Every replication of a config, in blocks of `block` replications
-    (by default as many as fit in BLOCK_UNITS units). Blocks run on
-    `threads` threads; each writes only its own slots."""
+def _run_reps(config, threads: int) -> _RepStore:
+    """Every replication of a config, in blocks of as many replications as
+    fit in BLOCK_UNITS units. Blocks run on `threads` threads; each writes
+    only its own slots."""
     reps = config.replications
     n1 = _check_treated_count(config.n, config.p_treat)
     design = _Design.of(config)
     est_config = EstimatorConfig()
     store = _RepStore.empty(config.estimators, reps)
-    size = block or max(1, BLOCK_UNITS // config.n)
+    size = max(1, BLOCK_UNITS // config.n)
     blocks = [range(a, min(a + size, reps)) for a in range(0, reps, size)]
 
     def one(part: range) -> None:

@@ -38,6 +38,7 @@ from ivstrat.data_model import (
     science_to_observed,
 )
 from ivstrat.estimators import estimate_rows, oracle_rows, tsls_dummies
+from ivstrat import simulation
 from ivstrat.simulation import ConcentrationConfig, _run_reps
 from helpers import random_sample, tsls_dummies_lstsq
 
@@ -141,8 +142,14 @@ CONFIGS = [
 )
 def test_rep_store_slots_do_not_depend_on_block_partition(which, block, threads):
     config = CONFIGS[which]
-    whole = _slots(_run_reps(config, 1, block=config.replications))
-    parts = _slots(_run_reps(config, threads, block=block))
+
+    def run(reps_per_block: int, threads: int) -> dict:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "BLOCK_UNITS", reps_per_block * config.n)
+            return _slots(_run_reps(config, threads))
+
+    whole = run(config.replications, 1)
+    parts = run(block, threads)
     assert whole.keys() == parts.keys()
     for name, values in whole.items():
         assert np.array_equal(values, parts[name], equal_nan=values.dtype.kind == "f"), name
