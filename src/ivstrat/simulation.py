@@ -298,12 +298,15 @@ class _Design:
         check_science(y0, y1, d0, d1)
         labels = draws.get("labels", strata)
         codes, num_strata, firsts = first_appearance(labels)
-        return _Tables(y0, y1, d0, d1, codes, num_strata, firsts, labels)
+        # each row's labels in code order (padding repeats the last unit's)
+        values = np.take_along_axis(labels, np.minimum(firsts, self.n - 1), axis=1)
+        return _Tables(y0, y1, d0, d1, codes, num_strata, values)
 
 
 @dataclass(frozen=True)
 class _Tables:
-    """A block of population tables, one per row, with dense stratum codes."""
+    """A block of population tables, one per row, with dense stratum codes;
+    labels[i, g] is the label row i codes as g."""
 
     y0: np.ndarray
     y1: np.ndarray
@@ -311,11 +314,10 @@ class _Tables:
     d1: np.ndarray
     codes: np.ndarray
     num_strata: np.ndarray
-    firsts: np.ndarray
     labels: np.ndarray
 
     def table(self, i: int) -> ScienceTable:
-        labels = tuple(self.labels[i][self.firsts[i][: self.num_strata[i]]])
+        labels = tuple(self.labels[i][: self.num_strata[i]])
         y0, y1, d0, d1, codes = (
             _frozen(a[i]) for a in (self.y0, self.y1, self.d0, self.d1, self.codes)
         )

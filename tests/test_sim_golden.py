@@ -32,7 +32,7 @@ def _close(a: str, b: str) -> bool:
     return math.isclose(x, y, rel_tol=1e-12, abs_tol=0.0)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_simulation_metrics_match_frozen_bytes(name, threads):
     frozen = (GOLDEN / name).read_text()
