@@ -366,7 +366,7 @@ class ScienceTable:
         mask = self.is_complier
         if not mask.any():
             raise NoCompliers("table has no compliers, CACE undefined")
-        return complier_effect(self.y1, self.y0, mask)
+        return float(np.mean(self.y1[mask] - self.y0[mask]))
 
 
 def check_science(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray) -> None:
@@ -378,14 +378,49 @@ def check_science(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray
         raise NonFinite("potential outcomes must be finite")
     if np.any(d1 < d0):
         raise DefierPresent("monotonicity requires d1 >= d0 for every unit")
-    noncomplier = d0 == d1
-    if np.any(y0[noncomplier] != y1[noncomplier]):
+    if np.any((y0 != y1) & (d0 == d1)):
         raise ExclusionViolation("units with d0 == d1 must have y1 == y0")
 
 
-def complier_effect(y1: np.ndarray, y0: np.ndarray, mask: np.ndarray) -> float:
-    """Mean of y1 - y0 over the masked units (one table's CACE)."""
-    return float(np.mean(y1[mask] - y0[mask]))
+class MaskedRows:
+    """The masked entries of each row of (R, m) arrays, gathered into
+    contiguous blocks of the rows that have equally many entries.
+
+    A row's entries keep their column order, so reducing a block along
+    axis 1 gives each row exactly the 1-D np.sum / np.mean / np.var of its
+    masked entries. Summing zero-padded rows, or a non-contiguous gather,
+    would change numpy's pairwise summation order once more than a few
+    entries are summed.
+    """
+
+    def __init__(self, mask: np.ndarray) -> None:
+        counts = mask.sum(axis=1)
+        self.groups = []
+        for k in np.unique(counts):
+            rows = np.flatnonzero(counts == k)
+            self.groups.append((rows, mask[rows], int(k)))
+
+    def gather(self, values: np.ndarray):
+        """(rows, their masked entries as a (len(rows), k) array) per group."""
+        for rows, mask, k in self.groups:
+            yield rows, values[rows][mask].reshape(len(rows), k)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        out = np.empty(len(values))
+        for rows, block in self.gather(values):
+            out[rows] = block.sum(axis=1)
+        return out
+
+    def mean_var(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row means (nan without entries) and sample variances (ddof 1;
+        nan with fewer than 2 entries)."""
+        mean, var = np.full(len(values), np.nan), np.full(len(values), np.nan)
+        for rows, block in self.gather(values):
+            if block.shape[1]:
+                mean[rows] = block.mean(axis=1)
+            if block.shape[1] >= 2:
+                var[rows] = block.var(axis=1, ddof=1)
+        return mean, var
 
 
 def reveal(y0, y1, d0, d1, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

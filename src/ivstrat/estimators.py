@@ -45,9 +45,10 @@ from .data_model import (
     StratumSummary,
     TooSmall,
     ZeroCompliance,
+    MaskedRows,
     _binary,
 )
-from .variance import KeptSum, Rows, pwiv_rows, ratio_rows
+from .variance import Rows, pwiv_rows, ratio_rows
 
 __all__ = [
     "EstimatorConfig",
@@ -167,7 +168,7 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     first-stage slope leaves a stage rank deficient.
     """
     m, present = block.moments, block.present
-    ksum = KeptSum(present)
+    ksum = MaskedRows(present).sum
 
     def ss(s: np.ndarray, n: np.ndarray) -> np.ndarray:
         return np.where(n >= 2, (n - 1.0) * s, 0.0)
@@ -226,7 +227,7 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
             zero[i] = True
             continue
         est[i] = second[1]
-    f_ps = KeptSum(present)((m.n_g / float(block.n)) * m.f_hat)
+    f_ps = MaskedRows(present).sum((m.n_g / float(block.n)) * m.f_hat)
     errors = [(zero, ZeroCompliance("fitted uptake does not vary; the second stage is undefined"))]
     nan = np.full(r, np.nan)
     return Rows(est, f_ps, np.full(r, block.n), present, nan, nan, errors, errors)
@@ -257,13 +258,12 @@ def oracle_rows(
     treated = compliers & (z == 1)
     control = compliers & (z == 0)
     n1, n0 = treated.sum(axis=1), control.sum(axis=1)
+    mean1, var1 = MaskedRows(treated).mean_var(y1)
+    mean0, var0 = MaskedRows(control).mean_var(y0)
+    est = mean1 - mean0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        se = np.sqrt(var1 / n1 + var0 / n0)
     r = len(z)
-    est, se = np.full(r, np.nan), np.full(r, np.nan)
-    for i in np.flatnonzero((n1 > 0) & (n0 > 0)):
-        a, b = y1[i][treated[i]], y0[i][control[i]]
-        est[i] = np.mean(a) - np.mean(b)
-        if n1[i] >= 2 and n0[i] >= 2:
-            se[i] = math.sqrt(np.var(a, ddof=1) / n1[i] + np.var(b, ddof=1) / n0[i])
     cells = (strata + num_strata * np.arange(r)[:, None])[compliers]
     kept = np.bincount(cells, minlength=r * num_strata).reshape(r, num_strata) > 0
     errors = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]

@@ -34,11 +34,11 @@ import numpy as np
 from .data_model import (
     BLOCK_UNITS,
     InfeasibleCompliance,
+    MaskedRows,
     ObservedBlock,
     ScienceTable,
     _frozen,
     check_science,
-    complier_effect,
     first_appearance,
     reveal,
 )
@@ -448,8 +448,7 @@ def _run_block(
     compliers = (tables.d1 == 1) & (tables.d0 == 0)
     live = np.flatnonzero(compliers.any(axis=1))  # truth undefined elsewhere
     slots = reps.start + live
-    for i, rep in zip(live, slots):
-        store.truth[rep] = complier_effect(tables.y1[i], tables.y0[i], compliers[i])
+    store.truth[slots] = MaskedRows(compliers).mean_var(tables.y1 - tables.y0)[0][live]
     y, d = reveal(tables.y0, tables.y1, tables.d0, tables.d1, z)
     block = ObservedBlock(z, d, y, tables.codes, tables.num_strata)
     for tag in config.estimators:

@@ -11,7 +11,8 @@ Each family is a post-stratified form that averages per-stratum pieces with
 (N_g / N)^2 weights over the strata an estimator kept; the unstratified
 form is its one-stratum case, evaluated on moments that pool every unit.
 
-The work happens row-wise on (R, G) moments (see data_model.block_moments):
+The work happens row-wise on (R, G) moments (see data_model.block_moments),
+with each row's sums over its kept strata taken by data_model.MaskedRows:
 `ratio_rows` forms the weighted-ITT ratio and both SEs for R samples at
 once, `pwiv_rows` the precision-weighted combination. The public se_*
 functions are their R = 1 calls on one sample.
@@ -28,6 +29,7 @@ from .data_model import (
     AllStrataDropped,
     DegenerateVariance,
     EstimationError,
+    MaskedRows,
     ObservedBlock,
     ObservedSample,
     StratumMoments,
@@ -57,33 +59,6 @@ class VarianceComponents:
     var_itt_hat: float
     var_f_hat: float
     cov_itt_f_hat: float
-
-
-class KeptSum:
-    """Row sums over each row's kept strata.
-
-    Rows are grouped by kept pattern and each group is summed over its
-    kept columns only, so a row's sum is the 1-D np.sum over its kept
-    strata in code order. Summing zero-padded rows, or a non-contiguous
-    gather, would change numpy's pairwise summation order once more than a
-    few strata are kept.
-    """
-
-    def __init__(self, kept: np.ndarray) -> None:
-        if len(kept) == 1:
-            self.groups = [(slice(None), np.flatnonzero(kept[0]))]
-        else:
-            patterns, inverse = np.unique(kept, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-            self.groups = [
-                (np.flatnonzero(inverse == j), np.flatnonzero(p)) for j, p in enumerate(patterns)
-            ]
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty(len(values))
-        for rows, cols in self.groups:
-            out[rows] = np.ascontiguousarray(values[rows][:, cols]).sum(axis=1)
-        return out
 
 
 @dataclass
@@ -143,7 +118,7 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray, cace: np.ndarray | None = No
     variance of y - c d, with c the estimate unless cace overrides it. Both
     SEs need two units per arm in every kept stratum.
     """
-    ksum = KeptSum(kept)
+    ksum = MaskedRows(kept).sum
     n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         w = m.n_g / n_kept[:, None].astype(np.float64)
@@ -184,7 +159,7 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
     (DegenerateVariance).
     """
     kept = (m.f_hat != 0.0) & present
-    ksum = KeptSum(kept)
+    ksum = MaskedRows(kept).sum
     n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         var_itt = _var_itt(m)
