@@ -25,7 +25,7 @@ Kept sets are (R, G) code masks; labels appear only in EstimateReport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -362,20 +362,9 @@ def first_stage_f(summary: StratumSummary) -> float:
         raise EmptyArm(summary.g, 1)
     if summary.n_g0 == 0:
         raise EmptyArm(summary.g, 0)
-    f = summary.f_hat
-    if f == 0.0:
-        return 0.0
-    ess = summary.n_g1 * summary.n_g0 / summary.n_g * f * f
-    rss = 0.0
-    if summary.n_g1 >= 2:
-        assert summary.s2_d1 is not None
-        rss += (summary.n_g1 - 1) * summary.s2_d1
-    if summary.n_g0 >= 2:
-        assert summary.s2_d0 is not None
-        rss += (summary.n_g0 - 1) * summary.s2_d0
-    if rss == 0.0:
-        return math.inf
-    return (summary.n_g - 2) * ess / rss
+    values = {f.name: getattr(summary, f.name) for f in fields(StratumMoments)}
+    m = StratumMoments(**{k: np.array([np.nan if v is None else v]) for k, v in values.items()})
+    return float(_first_stage_f_all(m)[0])
 
 
 def _first_stage_f_all(m: StratumMoments) -> np.ndarray:
