@@ -495,10 +495,8 @@ def _enumerate_rows(
 
 def _enumerate_callable(table: ScienceTable, n1: int, total: int, fn) -> np.ndarray:
     values = np.empty(total)
-    for i, treated in enumerate(itertools.combinations(range(table.n), n1)):
-        # sample construction freezes its arrays, so z cannot be reused
-        z = np.zeros(table.n, dtype=np.int8)
-        z[list(treated)] = 1
+    rows = (z for block in _assignment_blocks(table.n, n1, 4096) for z in block)
+    for i, z in enumerate(rows):
         try:
             values[i] = fn(science_to_observed(table, z))
         except EstimationError:

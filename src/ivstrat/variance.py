@@ -258,7 +258,7 @@ def se_delta_unstrat(sample: ObservedSample) -> float:
     return _se(_pooled_rows(sample), "se_delta")
 
 
-def kept_mask(sample: ObservedSample, kept_strata: Iterable[Hashable] | None) -> np.ndarray:
+def _kept_mask(sample: ObservedSample, kept_strata: Iterable[Hashable] | None) -> np.ndarray:
     """The (1, G) kept-strata mask of one sample from labels (None keeps all)."""
     kept = np.zeros((1, sample.num_strata), dtype=bool)
     if kept_strata is None:
@@ -281,7 +281,7 @@ def se_bloom_ps(sample: ObservedSample, kept_strata: Iterable[Hashable] | None =
     and f_ps renormalized to the kept units. kept_strata of None keeps all.
     """
     m = ObservedBlock.of(sample).moments
-    return _se(ratio_rows(m, kept_mask(sample, kept_strata)), "se_bloom")
+    return _se(ratio_rows(m, _kept_mask(sample, kept_strata)), "se_bloom")
 
 
 def se_delta_ps(
@@ -297,7 +297,7 @@ def se_delta_ps(
     """
     m = ObservedBlock.of(sample).moments
     cace = None if cace_hat is None else np.array([cace_hat], dtype=np.float64)
-    return _se(ratio_rows(m, kept_mask(sample, kept_strata), cace), "se_delta")
+    return _se(ratio_rows(m, _kept_mask(sample, kept_strata), cace), "se_delta")
 
 
 def se_pwiv(sample: ObservedSample) -> float:
