@@ -596,6 +596,7 @@ class ObservedBlock:
     def of(cls, sample: ObservedSample) -> "ObservedBlock":
         block = cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
                     [sample.num_strata])
+        # fill the cached property from the sample's memoized moments
         block.moments = stratum_moments(sample).map(lambda a: a[None])
         return block
 
