@@ -16,18 +16,19 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import IO, Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data_model import (
     EmptyBin,
     EmptyFile,
+    EstimateReport,
     EstimationError,
     MalformedRow,
     MissingColumn,
@@ -192,35 +193,171 @@ def _parse_outcome(raw: str | None, col: str, line: int) -> float:
     return v
 
 
-def _quantile_labels(
-    raw: list[str | None], k: int, col: str, lines: list[int]
-) -> list[str]:
-    """Rank-based k-quantile bins with midpoint tie ranks; missing values
-    keep their own label and stay out of the ranking."""
-    present_idx = []
-    values = []
-    labels: list[str | None] = [None] * len(raw)
-    for i, s in enumerate(raw):
-        if s is None or s.strip() == "":
-            labels[i] = "missing"
-            continue
+# Each per-row parser's check as a mask over the floats it would return.
+_VALID = {_parse_binary: lambda v: (v == 0.0) | (v == 1.0), _parse_outcome: np.isfinite}
+
+_CHUNK_ROWS = 4096
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a nonempty float array, tied values sharing their
+    midpoint rank (scipy.stats.rankdata's "average" method)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.r_[True, ordered[1:] != ordered[:-1]]
+    bounds = np.r_[np.flatnonzero(new), len(values)]  # each tie group's first slot, then n
+    group = np.cumsum(new) - 1
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
+def _raise_first_error(
+    path: str, start: int, check: Callable[[list[str], int], None]
+) -> NoReturn:
+    """Re-read path and call check(row, line) on its data rows from the
+    start-th on, so that the first failing row raises. line is the row's
+    last physical line, csv.DictReader's line_num; blank lines are skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in itertools.islice(filter(None, reader), start, None):
+            check(row, reader.line_num)
+    raise RuntimeError(f"{path}: no data row from {start} on fails its checks")
+
+
+def _read_columns(
+    path: str,
+    numeric: Sequence[tuple[str, Callable]],
+    text: Sequence[str],
+    refuse_blank: bool = False,
+) -> tuple[list[np.ndarray], list[tuple[list[str], np.ndarray]]]:
+    """Read a CSV with a header row column-wise, a chunk of rows at a time.
+
+    numeric holds (column, parser) pairs, the parser being _parse_binary or
+    _parse_outcome. Text columns stay strings, and with refuse_blank none
+    of them may be blank. Returns the numeric columns as float arrays and, per text
+    column, its distinct values in order of first appearance with each
+    row's index into them. A repeated header name means its last column,
+    as in csv.DictReader.
+
+    Rows are checked in this order: field count, the numeric columns, the
+    text columns. A chunk that fails a check is re-read row by row, so
+    that the first failing row raises with its line.
+    """
+    numbers: list[list[np.ndarray]] = [[] for _ in numeric]
+    levels: list[tuple[dict[str, int], list[np.ndarray]]] = [({}, []) for _ in text]
+
+    def check(row: list[str], line: int) -> None:
+        if len(row) != len(header):
+            raise MalformedRow(line, "wrong number of fields")
+        for (col, parse), i in zip(numeric, num_at):
+            parse(row[i], col, line)
+        for col, i in zip(text, text_at):
+            if refuse_blank and row[i].strip() == "":
+                raise MalformedRow(line, f"missing {col}")
+
+    def take(chunk: list[list[str]]) -> bool:
+        if set(map(len, chunk)) != {len(header)}:
+            return False
+        cols = list(zip(*chunk))
         try:
-            v = float(s)
+            arrays = [np.fromiter(map(float, cols[i]), np.float64, len(chunk)) for i in num_at]
         except ValueError:
-            raise MalformedRow(lines[i], f"{col}={s!r} is not numeric") from None
-        if not math.isfinite(v):
-            raise MalformedRow(lines[i], f"{col}={s!r} is not finite")
-        present_idx.append(i)
-        values.append(v)
-    if present_idx:
-        ranks = rankdata(values, method="average")
-        n = len(values)
-        bins = np.ceil(ranks * k / n).astype(int) - 1
+            return False
+        if not all(_VALID[parse](a).all() for (_, parse), a in zip(numeric, arrays)):
+            return False
+        for (index, codes), i in zip(levels, text_at):
+            new = [v for v in dict.fromkeys(cols[i]) if v not in index]
+            if refuse_blank and any(v.strip() == "" for v in new):
+                return False
+            index.update(zip(new, itertools.count(len(index))))
+            codes.append(np.fromiter(map(index.__getitem__, cols[i]), np.intp, len(chunk)))
+        for parts, a in zip(numbers, arrays):
+            parts.append(a)
+        return True
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFile(path)
+        for col in [c for c, _ in numeric] + list(text):
+            if col not in header:
+                raise MissingColumn(col)
+        pos = {name: i for i, name in enumerate(header)}
+        num_at = [pos[col] for col, _ in numeric]
+        text_at = [pos[col] for col in text]
+        rows = filter(None, reader)  # csv.DictReader skips blank lines too
+        n = 0
+        try:
+            while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+                if not take(chunk):
+                    _raise_first_error(path, n, check)
+                n += len(chunk)
+        except csv.Error:
+            _raise_first_error(path, n, check)
+    if n == 0:
+        raise EmptyFile(path)
+    return (
+        [np.concatenate(parts) for parts in numbers],
+        [(list(index), np.concatenate(codes)) for index, codes in levels],
+    )
+
+
+def _quantile_levels(
+    path: str, col: str, values: list[str], codes: np.ndarray, k: int
+) -> tuple[np.ndarray, list[str]]:
+    """Rank-based k-quantile bins with midpoint tie ranks: each row's bin
+    (k for a blank value, which stays out of the ranking) and the labels
+    q1..qk, "missing"."""
+    blank = np.array([v.strip() == "" for v in values], dtype=bool)
+    numbers = np.zeros(len(values))
+    for j in np.flatnonzero(~blank):  # in order of first appearance
+        try:
+            numbers[j] = _parse_outcome(values[j], col, 0)
+        except MalformedRow:
+            first = int(np.argmax(codes == j))  # the value's first row
+            _raise_first_error(
+                path, first, lambda row, line: _parse_outcome(values[j], col, line)
+            )
+    present = ~blank[codes]
+    level = np.full(len(codes), k)
+    if present.any():
+        ranks = _midranks(numbers[codes[present]])
+        bins = np.ceil(ranks * k / len(ranks)).astype(int) - 1
         if len(np.unique(bins)) < k:
             raise EmptyBin(f"quantile({k}) on column {col!r} leaves an empty bin")
-        for i, b in zip(present_idx, bins):
-            labels[i] = f"q{b + 1}"
-    return [s for s in labels]  # all slots filled
+        level[present] = bins
+    return level, [f"q{b + 1}" for b in range(k)] + ["missing"]
+
+
+def _strata(
+    cols: Sequence[str], columns: list[tuple[np.ndarray, list[str]]]
+) -> tuple[np.ndarray, list[str]]:
+    """Cross per-column (row codes, code labels) into each row's stratum
+    and the stratum labels: the label itself for one column, "col=label|..."
+    for several. Rows whose labels read the same share a stratum."""
+    key = np.zeros(len(columns[0][0]), dtype=np.intp)
+    for codes, labels in columns:  # re-densified after each column
+        key = key * len(labels) + codes
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    if len(columns) == 1:
+        ((codes, labels),) = columns
+        names = [labels[c] for c in codes[first]]
+    else:
+        names = [
+            "|".join(f"{col}={labels[codes[i]]}" for col, (codes, labels) in zip(cols, columns))
+            for i in first
+        ]
+    index: dict[str, int] = {}
+    merged = np.array([index.setdefault(s, len(index)) for s in names], dtype=np.intp)
+    return merged[key], list(index)
+
+
+def _relabel(obj, names: list[str]):
+    """obj, built with integer strata, with each label g replaced by names[g]."""
+    return replace(obj, stratum_labels=tuple(names[g] for g in obj.stratum_labels))
 
 
 def load_csv(path: str, schema: DatasetSchema) -> ObservedSample:
@@ -231,54 +368,25 @@ def load_csv(path: str, schema: DatasetSchema) -> ObservedSample:
     missing_policy "error"; no strata_cols puts every unit in a single
     "all" stratum.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(path)
-        for col in (schema.z_col, schema.d_col, schema.y_col, *schema.strata_cols):
-            if col not in reader.fieldnames:
-                raise MissingColumn(col)
-        z: list[int] = []
-        d: list[int] = []
-        y: list[float] = []
-        raw_strata: dict[str, list[str | None]] = {c: [] for c in schema.strata_cols}
-        lines: list[int] = []
-        for row in reader:
-            line = reader.line_num
-            if row.get(None) is not None or None in row.values():
-                raise MalformedRow(line, "wrong number of fields")
-            z.append(_parse_binary(row[schema.z_col], schema.z_col, line))
-            d.append(_parse_binary(row[schema.d_col], schema.d_col, line))
-            y.append(_parse_outcome(row[schema.y_col], schema.y_col, line))
-            for col in schema.strata_cols:
-                raw = row[col]
-                if schema.missing_policy == "error" and (raw is None or raw.strip() == ""):
-                    raise MalformedRow(line, f"missing {col}")
-                raw_strata[col].append(raw)
-            lines.append(line)
-    if not z:
-        raise EmptyFile(path)
-
-    col_labels: dict[str, list[str]] = {}
-    for col in schema.strata_cols:
+    cols = schema.strata_cols
+    numeric = [
+        (schema.z_col, _parse_binary),
+        (schema.d_col, _parse_binary),
+        (schema.y_col, _parse_outcome),
+    ]
+    refuse_blank = schema.missing_policy == "error"
+    (z, d, y), levels = _read_columns(path, numeric, cols, refuse_blank)
+    if not cols:
+        return _relabel(ObservedSample.from_arrays(z=z, d=d, y=y), ["all"])
+    columns = []
+    for col, (values, codes) in zip(cols, levels):
         kind, k = schema.binning[col]
         if kind == "quantile":
-            col_labels[col] = _quantile_labels(raw_strata[col], k, col, lines)
+            columns.append(_quantile_levels(path, col, values, codes, k))
         else:
-            col_labels[col] = [
-                "missing" if (s is None or s.strip() == "") else s
-                for s in raw_strata[col]
-            ]
-    if len(schema.strata_cols) == 0:
-        strata = ["all"] * len(z)
-    elif len(schema.strata_cols) == 1:
-        strata = col_labels[schema.strata_cols[0]]
-    else:
-        strata = [
-            "|".join(f"{col}={col_labels[col][i]}" for col in schema.strata_cols)
-            for i in range(len(z))
-        ]
-    return ObservedSample.from_arrays(z=z, d=d, y=y, strata=strata)
+            columns.append((codes, ["missing" if v.strip() == "" else v for v in values]))
+    strata, names = _strata(cols, columns)
+    return _relabel(ObservedSample.from_arrays(z=z, d=d, y=y, strata=strata), names)
 
 
 def save_csv(sample: ObservedSample, fh: IO[str]) -> None:
@@ -304,30 +412,19 @@ def save_csv(sample: ObservedSample, fh: IO[str]) -> None:
 def load_science_csv(path: str) -> ScienceTable:
     """Parse a potential-outcome table CSV: y0,y1,d0,d1 plus optional stratum."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(path)
-        for col in ("y0", "y1", "d0", "d1"):
-            if col not in reader.fieldnames:
-                raise MissingColumn(col)
-        has_stratum = "stratum" in reader.fieldnames
-        y0, y1, d0, d1, strata = [], [], [], [], []
-        for row in reader:
-            line = reader.line_num
-            if row.get(None) is not None or None in row.values():
-                raise MalformedRow(line, "wrong number of fields")
-            y0.append(_parse_outcome(row["y0"], "y0", line))
-            y1.append(_parse_outcome(row["y1"], "y1", line))
-            d0.append(_parse_binary(row["d0"], "d0", line))
-            d1.append(_parse_binary(row["d1"], "d1", line))
-            if has_stratum:
-                raw = row["stratum"]
-                strata.append("missing" if raw is None or raw == "" else raw)
-    if not y0:
-        raise EmptyFile(path)
-    return ScienceTable.from_arrays(
-        y0=y0, y1=y1, d0=d0, d1=d1, strata=strata if strata else None
-    )
+        text = ("stratum",) if "stratum" in (next(csv.reader(fh), None) or ()) else ()
+    numeric = [
+        ("y0", _parse_outcome),
+        ("y1", _parse_outcome),
+        ("d0", _parse_binary),
+        ("d1", _parse_binary),
+    ]
+    (y0, y1, d0, d1), levels = _read_columns(path, numeric, text)
+    if not levels:
+        return ScienceTable.from_arrays(y0=y0, y1=y1, d0=d0, d1=d1)
+    ((values, codes),) = levels
+    strata, names = _strata(text, [(codes, ["missing" if v == "" else v for v in values])])
+    return _relabel(ScienceTable.from_arrays(y0=y0, y1=y1, d0=d0, d1=d1, strata=strata), names)
 
 
 @dataclass(frozen=True)
@@ -386,25 +483,26 @@ def analyze(
         raise ValueError(f"unknown estimator names: {unknown}")
     config = config or EstimatorConfig()
 
-    base_bloom: float | None = None
-    base_delta: float | None = None
-    try:
-        base = estimate(sample, "UNSTRAT", config)
-        base_bloom, base_delta = base.se_bloom, base.se_delta
-    except EstimationError:
-        pass
+    def attempt(tag: str) -> EstimateReport | None:
+        try:
+            return estimate(sample, tag, config)
+        except EstimationError:
+            return None
+
+    base = attempt("UNSTRAT")
 
     def pct(se_b: float | None, se_d: float | None) -> float | None:
-        ref, own = (base_delta, se_d) if se == "delta" else (base_bloom, se_b)
+        if base is None:
+            return None
+        ref, own = (base.se_delta, se_d) if se == "delta" else (base.se_bloom, se_b)
         if ref is None or own is None or ref == 0.0:
             return None
         return 100.0 * own / ref
 
     rows = []
     for tag in estimators:
-        try:
-            rep = estimate(sample, tag, config)
-        except EstimationError:
+        rep = base if tag == "UNSTRAT" else attempt(tag)
+        if rep is None:
             rows.append(ReportRow(tag, None, None, None, None, None, None, None))
             continue
         rows.append(

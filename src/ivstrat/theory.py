@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import hypergeom
 
 from .data_model import (
     ALWAYS_TAKER,
@@ -337,6 +336,8 @@ def bias_one_sided_exact(
     over f_hat > 0, in which case the result is exactly the conditional
     bias E[itt_hat/f_hat | f_hat > 0] - cace.
     """
+    from scipy.stats import hypergeom  # scipy stays off the import path of ivstrat
+
     _require_one_sided(table)
     if convention not in (None, "condition", "error-if-positive-mass"):
         raise ValueError(f"unknown convention {convention!r}")

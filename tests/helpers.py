@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
+from scipy.stats import rankdata
 
 from ivstrat import ObservedSample, ScienceTable
-from ivstrat.data_model import RankDeficient
+from ivstrat.data_model import EmptyBin, EmptyFile, MalformedRow, MissingColumn, RankDeficient
+from ivstrat.io_cli import DatasetSchema, _parse_binary, _parse_outcome
 
 
 def sample_a() -> ObservedSample:
@@ -168,3 +171,116 @@ def tsls_dummies_lstsq(sample: ObservedSample) -> tuple[float, float, float | No
         cov = float(resid @ resid) / dof * np.linalg.inv(x2.T @ x2)
         se = math.sqrt(max(float(cov[g, g]), 0.0))
     return float(beta2[g]), float(beta1[g]), se
+
+
+def _quantile_labels_rowwise(
+    raw: list[str | None], k: int, col: str, lines: list[int]
+) -> list[str]:
+    """Rank-based k-quantile bins with midpoint tie ranks; missing values
+    keep their own label and stay out of the ranking."""
+    present_idx = []
+    values = []
+    labels: list[str | None] = [None] * len(raw)
+    for i, s in enumerate(raw):
+        if s is None or s.strip() == "":
+            labels[i] = "missing"
+            continue
+        try:
+            v = float(s)
+        except ValueError:
+            raise MalformedRow(lines[i], f"{col}={s!r} is not numeric") from None
+        if not math.isfinite(v):
+            raise MalformedRow(lines[i], f"{col}={s!r} is not finite")
+        present_idx.append(i)
+        values.append(v)
+    if present_idx:
+        ranks = rankdata(values, method="average")
+        n = len(values)
+        bins = np.ceil(ranks * k / n).astype(int) - 1
+        if len(np.unique(bins)) < k:
+            raise EmptyBin(f"quantile({k}) on column {col!r} leaves an empty bin")
+        for i, b in zip(present_idx, bins):
+            labels[i] = f"q{b + 1}"
+    return labels
+
+
+def load_csv_rowwise(path: str, schema: DatasetSchema) -> ObservedSample:
+    """Independent oracle for io_cli.load_csv: one csv.DictReader row at a
+    time, each row's line number taken from the reader."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptyFile(path)
+        for col in (schema.z_col, schema.d_col, schema.y_col, *schema.strata_cols):
+            if col not in reader.fieldnames:
+                raise MissingColumn(col)
+        z: list[int] = []
+        d: list[int] = []
+        y: list[float] = []
+        raw_strata: dict[str, list[str | None]] = {c: [] for c in schema.strata_cols}
+        lines: list[int] = []
+        for row in reader:
+            line = reader.line_num
+            if row.get(None) is not None or None in row.values():
+                raise MalformedRow(line, "wrong number of fields")
+            z.append(_parse_binary(row[schema.z_col], schema.z_col, line))
+            d.append(_parse_binary(row[schema.d_col], schema.d_col, line))
+            y.append(_parse_outcome(row[schema.y_col], schema.y_col, line))
+            for col in schema.strata_cols:
+                raw = row[col]
+                if schema.missing_policy == "error" and (raw is None or raw.strip() == ""):
+                    raise MalformedRow(line, f"missing {col}")
+                raw_strata[col].append(raw)
+            lines.append(line)
+    if not z:
+        raise EmptyFile(path)
+
+    col_labels: dict[str, list[str]] = {}
+    for col in schema.strata_cols:
+        kind, k = schema.binning[col]
+        if kind == "quantile":
+            col_labels[col] = _quantile_labels_rowwise(raw_strata[col], k, col, lines)
+        else:
+            col_labels[col] = [
+                "missing" if (s is None or s.strip() == "") else s
+                for s in raw_strata[col]
+            ]
+    if len(schema.strata_cols) == 0:
+        strata = ["all"] * len(z)
+    elif len(schema.strata_cols) == 1:
+        strata = col_labels[schema.strata_cols[0]]
+    else:
+        strata = [
+            "|".join(f"{col}={col_labels[col][i]}" for col in schema.strata_cols)
+            for i in range(len(z))
+        ]
+    return ObservedSample.from_arrays(z=z, d=d, y=y, strata=strata)
+
+
+def load_science_csv_rowwise(path: str) -> ScienceTable:
+    """Independent oracle for io_cli.load_science_csv, row by row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptyFile(path)
+        for col in ("y0", "y1", "d0", "d1"):
+            if col not in reader.fieldnames:
+                raise MissingColumn(col)
+        has_stratum = "stratum" in reader.fieldnames
+        y0, y1, d0, d1, strata = [], [], [], [], []
+        for row in reader:
+            line = reader.line_num
+            if row.get(None) is not None or None in row.values():
+                raise MalformedRow(line, "wrong number of fields")
+            y0.append(_parse_outcome(row["y0"], "y0", line))
+            y1.append(_parse_outcome(row["y1"], "y1", line))
+            d0.append(_parse_binary(row["d0"], "d0", line))
+            d1.append(_parse_binary(row["d1"], "d1", line))
+            if has_stratum:
+                raw = row["stratum"]
+                strata.append("missing" if raw is None or raw == "" else raw)
+    if not y0:
+        raise EmptyFile(path)
+    return ScienceTable.from_arrays(
+        y0=y0, y1=y1, d0=d0, d1=d1, strata=strata if strata else None
+    )

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,14 @@ def test_schema_from_json_rejects_unknown_keys():
         DatasetSchema.from_json({"z_col": "assign", "extra": 1})
     s = DatasetSchema.from_json({"strata_cols": ["site"], "z_col": "assign"})
     assert s.z_col == "assign" and s.strata_cols == ("site",)
+
+
+def test_readme_schema_example_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    s = DatasetSchema.from_json(json.loads(blocks[0]))
+    assert s.binning["age"] == ("quantile", 4)
 
 
 # ---------------------------------------------------------------- load_csv
