@@ -196,6 +196,8 @@ def _parse_outcome(raw: str | None, col: str, line: int) -> float:
 # Each per-row parser's check as a mask over the floats it would return.
 _VALID = {_parse_binary: lambda v: (v == 0.0) | (v == 1.0), _parse_outcome: np.isfinite}
 
+# Rows parsed per chunk: each chunk's row lists are freed before the next
+# is read, which bounds peak memory and garbage-collector work.
 _CHUNK_ROWS = 4096
 
 
@@ -236,10 +238,10 @@ def _read_columns(
 
     numeric holds (column, parser) pairs, the parser being _parse_binary or
     _parse_outcome. Text columns stay strings, and with refuse_blank none
-    of them may be blank. Returns the numeric columns as float arrays and, per text
-    column, its distinct values in order of first appearance with each
-    row's index into them. A repeated header name means its last column,
-    as in csv.DictReader.
+    of them may be blank. Returns the numeric columns as float arrays and,
+    per text column, its distinct values in order of first appearance
+    with each row's index into them. A repeated header name means its
+    last column, as in csv.DictReader.
 
     Rows are checked in this order: field count, the numeric columns, the
     text columns. A chunk that fails a check is re-read row by row, so
