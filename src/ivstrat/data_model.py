@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields, replace
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class AllStrataDropped(EstimationError):
 
 
 class TooFewUnits(EstimationError):
-    pass
-
-
-class TooSmall(EstimationError):
     pass
 
 
@@ -195,24 +191,15 @@ def _dense_codes(strata) -> tuple[np.ndarray, tuple[Hashable, ...]]:
     return codes, tuple(labels)
 
 
-@dataclass(frozen=True)
-class ObservedUnit:
-    """A single observed record: assignment, uptake, outcome, stratum label."""
-
-    z: int
-    d: int
-    y: float
-    stratum: Hashable = 0
-
-
 @dataclass(frozen=True, eq=False)
 class ObservedSample:
     """Observed data held column-wise, with strata as dense integer codes.
 
-    Construct through from_arrays or from_units; both re-code the stratum
-    labels densely. Invariants (binary z/d, finite y, nonempty arms in each
+    Construct through from_arrays, which re-codes the stratum labels
+    densely. Invariants (binary z/d, finite y, nonempty arms in each
     stratum, N >= 4) are enforced by validate, not by construction.
-    Identity semantics (eq=False) let stratum_moments memoize per sample.
+    Equality is identity (eq=False): field-wise == on arrays has no single
+    truth value.
     """
 
     z: np.ndarray
@@ -233,16 +220,6 @@ class ObservedSample:
         codes, labels = _dense_codes(strata)
         return cls(_frozen(z), _frozen(d), _frozen(y), _frozen(codes), labels)
 
-    @classmethod
-    def from_units(cls, units: Iterable[ObservedUnit]) -> "ObservedSample":
-        units = list(units)
-        return cls.from_arrays(
-            [u.z for u in units],
-            [u.d for u in units],
-            [u.y for u in units],
-            [u.stratum for u in units],
-        )
-
     @property
     def n(self) -> int:
         return len(self.z)
@@ -258,13 +235,6 @@ class ObservedSample:
     @property
     def num_strata(self) -> int:
         return len(self.stratum_labels)
-
-    @property
-    def units(self) -> tuple[ObservedUnit, ...]:
-        return tuple(
-            ObservedUnit(int(z), int(d), float(y), self.stratum_labels[g])
-            for z, d, y, g in zip(self.z, self.d, self.y, self.strata)
-        )
 
 
 def validate(sample: ObservedSample) -> ObservedSample:
@@ -446,32 +416,6 @@ def science_to_observed(table: ScienceTable, assignment) -> ObservedSample:
 
 
 @dataclass(frozen=True)
-class StratumSummary:
-    """Per-stratum counts, arm means, f-hat, ITT-hat, and sample (co)variances.
-
-    The (co)variance fields use the n_z - 1 denominator and are None whenever
-    the relevant arm has fewer than 2 units.
-    """
-
-    g: Hashable
-    n_g: int
-    n_g1: int
-    n_g0: int
-    ybar1: float
-    ybar0: float
-    dbar1: float
-    dbar0: float
-    itt_hat: float
-    f_hat: float
-    s2_y1: float | None
-    s2_y0: float | None
-    s2_d1: float | None
-    s2_d0: float | None
-    s_yd1: float | None
-    s_yd0: float | None
-
-
-@dataclass(frozen=True)
 class StratumMoments:
     """Vectorized per-stratum moments, indexed by dense stratum code.
 
@@ -561,11 +505,9 @@ def block_moments(z, d, y, strata, num_strata: int) -> StratumMoments:
     )
 
 
-@functools.lru_cache(maxsize=128)
 def stratum_moments(sample: ObservedSample) -> StratumMoments:
     """All per-stratum, per-arm moments of one sample: block_moments with
-    R = 1. Memoized on sample identity because several estimators and their
-    standard errors share it."""
+    R = 1, fields indexed by dense stratum code."""
     m = block_moments(
         sample.z[None], sample.d[None], sample.y[None], sample.strata[None], sample.num_strata
     )
@@ -594,11 +536,8 @@ class ObservedBlock:
 
     @classmethod
     def of(cls, sample: ObservedSample) -> "ObservedBlock":
-        block = cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
-                    [sample.num_strata])
-        # fill the cached property from the sample's memoized moments
-        block.moments = stratum_moments(sample).map(lambda a: a[None])
-        return block
+        return cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
+                   [sample.num_strata])
 
     @functools.cached_property
     def moments(self) -> StratumMoments:
@@ -608,45 +547,6 @@ class ObservedBlock:
     def pooled(self) -> StratumMoments:
         """Moments with every unit in one stratum: (R, 1) fields."""
         return block_moments(self.z, self.d, self.y, 0, 1)
-
-
-def _maybe(x: float) -> float | None:
-    return None if np.isnan(x) else float(x)
-
-
-def summarize_stratum(sample: ObservedSample, g: Hashable) -> StratumSummary:
-    """Build the StratumSummary for stratum label g.
-
-    Raises UnknownStratum if g is not a stratum label of the sample.
-    """
-    try:
-        code = sample.stratum_labels.index(g)
-    except ValueError:
-        raise UnknownStratum(f"no stratum labeled {g!r}") from None
-    m = stratum_moments(sample)
-    return StratumSummary(
-        g=g,
-        n_g=int(m.n_g[code]),
-        n_g1=int(m.n_g1[code]),
-        n_g0=int(m.n_g0[code]),
-        ybar1=float(m.ybar1[code]),
-        ybar0=float(m.ybar0[code]),
-        dbar1=float(m.dbar1[code]),
-        dbar0=float(m.dbar0[code]),
-        itt_hat=float(m.itt_hat[code]),
-        f_hat=float(m.f_hat[code]),
-        s2_y1=_maybe(m.s2_y1[code]),
-        s2_y0=_maybe(m.s2_y0[code]),
-        s2_d1=_maybe(m.s2_d1[code]),
-        s2_d0=_maybe(m.s2_d0[code]),
-        s_yd1=_maybe(m.s_yd1[code]),
-        s_yd0=_maybe(m.s_yd0[code]),
-    )
-
-
-def stratum_summaries(sample: ObservedSample) -> tuple[StratumSummary, ...]:
-    """All stratum summaries in dense code order."""
-    return tuple(summarize_stratum(sample, g) for g in sample.stratum_labels)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,12 @@ Kept sets are (R, G) code masks; labels appear only in EstimateReport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import (
     AllStrataDropped,
-    EmptyArm,
     EstimateReport,
     EstimationError,
     LengthMismatch,
@@ -42,8 +41,6 @@ from .data_model import (
     RankDeficient,
     ScienceTable,
     StratumMoments,
-    StratumSummary,
-    TooSmall,
     ZeroCompliance,
     MaskedRows,
     _binary,
@@ -135,7 +132,7 @@ def _dss_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
 def _dsf_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     m = block.moments
     with np.errstate(invalid="ignore"):
-        kept = (_first_stage_f_all(m) >= config.dsf_f_min) & block.present
+        kept = (first_stage_f(m) >= config.dsf_f_min) & block.present
     return _screened(
         m, kept, AllStrataDropped(f"no stratum has first-stage F >= {config.dsf_f_min}")
     )
@@ -349,26 +346,14 @@ def iv_dss(sample: ObservedSample, config: EstimatorConfig = _DEFAULT_CONFIG) ->
     return estimate(sample, "DSS", config)
 
 
-def first_stage_f(summary: StratumSummary) -> float:
-    """Homoskedastic one-regressor OLS F for d ~ z within one stratum.
+def first_stage_f(m: StratumMoments) -> np.ndarray:
+    """Homoskedastic one-regressor OLS F for d ~ z within each stratum.
 
     F = (N_g - 2) ESS / RSS with ESS = (N_g1 N_g0 / N_g) f_g^2 and RSS the
     within-arm residual sum of squares (a one-unit arm contributes 0).
-    Returns 0.0 when f_g = 0 and +inf when the fit is perfect (RSS = 0).
+    Elementwise over moments of any shape: 0.0 where f_g = 0, +inf where
+    the fit is perfect (RSS = 0), and nan where a stratum has N_g < 3.
     """
-    if summary.n_g < 3:
-        raise TooSmall(f"stratum {summary.g!r} has {summary.n_g} units; F needs at least 3")
-    if summary.n_g1 == 0:
-        raise EmptyArm(summary.g, 1)
-    if summary.n_g0 == 0:
-        raise EmptyArm(summary.g, 0)
-    values = {f.name: getattr(summary, f.name) for f in fields(StratumMoments)}
-    m = StratumMoments(**{k: np.array([np.nan if v is None else v]) for k, v in values.items()})
-    return float(_first_stage_f_all(m)[0])
-
-
-def _first_stage_f_all(m: StratumMoments) -> np.ndarray:
-    """Vector form of first_stage_f; nan where a stratum has N_g < 3."""
     f = m.f_hat
     with np.errstate(invalid="ignore", divide="ignore"):
         ess = m.n_g1 * m.n_g0 / m.n_g * f * f

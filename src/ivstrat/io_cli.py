@@ -32,18 +32,21 @@ from .data_model import (
     EstimationError,
     MalformedRow,
     MissingColumn,
+    ObservedBlock,
     ObservedSample,
     ScienceTable,
-    stratum_summaries,
+    stratum_moments,
     validate,
 )
-from .estimators import METHODS, EstimatorConfig, estimate
+from .estimators import METHODS, EstimatorConfig, _report, estimate_rows
 from .simulation import (
     RNG_FAMILY,
     ConcentrationConfig,
     ScenarioConfig,
     ScenarioMetrics,
+    default_grid,
     run_concentration,
+    run_grid,
     run_scenario,
 )
 from .theory import (
@@ -55,7 +58,6 @@ from .theory import (
     enumerate_expectation,
     moments,
 )
-from .variance import var_itt_neyman
 
 __all__ = [
     "DatasetSchema",
@@ -476,7 +478,8 @@ def analyze(
     %SE compares each estimator's SE to the unstratified one (computed
     even when UNSTRAT is not in the requested set); p-values use the Bloom
     SE with a normal approximation. Estimator failures leave unavailable
-    cells rather than aborting.
+    cells rather than aborting. Every estimator runs on one ObservedBlock,
+    so the sample's moments are computed once per call.
     """
     if se not in ("bloom", "delta", "both"):
         raise ValueError(f"se must be bloom, delta, or both, got {se!r}")
@@ -484,10 +487,11 @@ def analyze(
     if unknown:
         raise ValueError(f"unknown estimator names: {unknown}")
     config = config or EstimatorConfig()
+    block = ObservedBlock.of(sample)
 
     def attempt(tag: str) -> EstimateReport | None:
         try:
-            return estimate(sample, tag, config)
+            return _report(estimate_rows(block, tag, config), tag, sample.stratum_labels)
         except EstimationError:
             return None
 
@@ -524,27 +528,24 @@ def analyze(
 
 def stratum_report(sample: ObservedSample) -> tuple[StratumRow, ...]:
     """Per-stratum compliance, IV estimate, and Bloom SE; strata with
-    f_hat_g = 0 get an undefined estimate."""
-    rows = []
-    for s in stratum_summaries(sample):
-        if s.f_hat == 0.0:
-            cace = se = None
-        else:
-            cace = s.itt_hat / s.f_hat
-            try:
-                se = math.sqrt(var_itt_neyman(s)) / abs(s.f_hat)
-            except EstimationError:
-                se = None
-        rows.append(
-            StratumRow(
-                stratum=str(s.g),
-                n=s.n_g,
-                pi_c_hat=s.f_hat,
-                cace=cace,
-                se_bloom=se,
-            )
+    f_hat_g = 0 get an undefined estimate, and strata with fewer than two
+    units in an arm no SE."""
+    m = stratum_moments(sample)
+    f = m.f_hat
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cace = m.itt_hat / f
+        se = np.sqrt(m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0) / np.abs(f)
+    two_per_arm = (m.n_g1 >= 2) & (m.n_g0 >= 2)
+    return tuple(
+        StratumRow(
+            stratum=str(label),
+            n=int(m.n_g[g]),
+            pi_c_hat=float(f[g]),
+            cace=float(cace[g]) if f[g] != 0.0 else None,
+            se_bloom=float(se[g]) if f[g] != 0.0 and two_per_arm[g] else None,
         )
-    return tuple(rows)
+        for g, label in enumerate(sample.stratum_labels)
+    )
 
 
 def _fmt(x: float | int | str | None) -> str:
@@ -799,6 +800,15 @@ def _cmd_random_strata(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_grid(args: argparse.Namespace) -> int:
+    if args.quick:
+        configs = default_grid(replications=100, seed=args.seed, n_values=(500,))
+    else:
+        configs = default_grid(replications=args.replications, seed=args.seed)
+    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
+    return 0
+
+
 def _cmd_theory(args: argparse.Namespace) -> int:
     table = load_science_csv(args.science_table)
     p = args.p
@@ -906,6 +916,18 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--out", default="-")
     pk.add_argument("--threads", type=int, default=1)
     pk.set_defaults(func=_cmd_random_strata)
+
+    pg = sub.add_parser("grid", help="the full factorial simulation grid (216 scenarios)")
+    pg.add_argument("--replications", type=int, default=1000)
+    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--threads", type=int, default=1)
+    pg.add_argument(
+        "--quick",
+        action="store_true",
+        help="n=500 only, 100 replications, for a fast end-to-end check",
+    )
+    pg.add_argument("--out", default="-")
+    pg.set_defaults(func=_cmd_grid)
 
     pt = sub.add_parser(
         "theory", help="analytic bias/variance oracles for a potential-outcome table"

@@ -14,8 +14,9 @@ form is its one-stratum case, evaluated on moments that pool every unit.
 The work happens row-wise on (R, G) moments (see data_model.block_moments),
 with each row's sums over its kept strata taken by data_model.MaskedRows:
 `ratio_rows` forms the weighted-ITT ratio and both SEs for R samples at
-once, `pwiv_rows` the precision-weighted combination. The public se_*
-functions are their R = 1 calls on one sample.
+once, `pwiv_rows` the precision-weighted combination. The public se_*_ps
+functions are their R = 1 calls on one sample; the unstratified and
+precision-weighted SEs come with the UNSTRAT and PWIV estimate() reports.
 """
 
 from __future__ import annotations
@@ -33,32 +34,12 @@ from .data_model import (
     ObservedBlock,
     ObservedSample,
     StratumMoments,
-    StratumSummary,
     TooFewUnits,
     UnknownStratum,
     ZeroCompliance,
 )
 
-__all__ = [
-    "VarianceComponents",
-    "arm_moments",
-    "variance_components",
-    "var_itt_neyman",
-    "se_bloom_unstrat",
-    "se_delta_unstrat",
-    "se_bloom_ps",
-    "se_delta_ps",
-    "se_pwiv",
-]
-
-
-@dataclass(frozen=True)
-class VarianceComponents:
-    """Plug-in variances of (itt_hat, f_hat) and their covariance."""
-
-    var_itt_hat: float
-    var_f_hat: float
-    cov_itt_f_hat: float
+__all__ = ["se_bloom_ps", "se_delta_ps"]
 
 
 @dataclass
@@ -187,75 +168,9 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
 # One sample: the R = 1 calls.
 
 
-def arm_moments(sample: ObservedSample) -> dict[str, float]:
-    """Whole-sample per-arm means and sample (co)variances of y and d.
-
-    Ignores strata: these are the pooled one-cell moments, so a
-    single-stratum sample reproduces them bit for bit via stratum_moments.
-    Variance entries are nan when an arm has fewer than two units.
-    """
-    m = ObservedBlock.of(sample).pooled
-    out = {f: float(getattr(m, f)[0, 0]) for f in (
-        "ybar1", "ybar0", "dbar1", "dbar0", "s2_y1", "s2_y0", "s2_d1", "s2_d0", "s_yd1", "s_yd0"
-    )}
-    return {"n1": float(m.n_g1[0, 0]), "n0": float(m.n_g0[0, 0]), **out}
-
-
-def variance_components(sample: ObservedSample) -> VarianceComponents:
-    """Unstratified plug-in components s2(1)/n1 + s2(0)/n0 for y, d, and yd.
-
-    Raises TooFewUnits when either arm has fewer than two units.
-    """
-    m = arm_moments(sample)
-    if m["n1"] < 2 or m["n0"] < 2:
-        raise TooFewUnits("need at least 2 units per arm to estimate a variance")
-    var_itt = m["s2_y1"] / m["n1"] + m["s2_y0"] / m["n0"]
-    var_f = m["s2_d1"] / m["n1"] + m["s2_d0"] / m["n0"]
-    cov = m["s_yd1"] / m["n1"] + m["s_yd0"] / m["n0"]
-    return VarianceComponents(var_itt, var_f, cov)
-
-
-def var_itt_neyman(x: ObservedSample | StratumSummary) -> float:
-    """Neyman variance estimate s2_y(1)/n1 + s2_y(0)/n0.
-
-    Accepts a whole sample (strata ignored) or one StratumSummary.
-    Raises TooFewUnits when either arm has fewer than two units.
-    """
-    if isinstance(x, StratumSummary):
-        if x.n_g1 < 2 or x.n_g0 < 2:
-            raise TooFewUnits(f"need at least 2 units per arm in stratum {x.g!r}")
-        assert x.s2_y1 is not None and x.s2_y0 is not None
-        return x.s2_y1 / x.n_g1 + x.s2_y0 / x.n_g0
-    return variance_components(x).var_itt_hat
-
-
 def _se(rows: Rows, field: str) -> float:
     rows.raise_first("se_errors")
     return float(getattr(rows, field)[0])
-
-
-def _pooled_rows(sample: ObservedSample) -> Rows:
-    return ratio_rows(ObservedBlock.of(sample).pooled, np.ones((1, 1), dtype=bool))
-
-
-def se_bloom_unstrat(sample: ObservedSample) -> float:
-    """Bloom standard error: sqrt(var_itt_neyman) / |f_hat|.
-
-    Raises TooFewUnits when either arm cannot support a variance estimate
-    and ZeroCompliance when f_hat is exactly zero.
-    """
-    return _se(_pooled_rows(sample), "se_bloom")
-
-
-def se_delta_unstrat(sample: ObservedSample) -> float:
-    """Delta-method standard error of the unstratified IV ratio.
-
-    var = var(itt)/f^2 + itt^2 var(f)/f^4 - 2 itt cov(itt, f)/f^3, evaluated
-    in the factored form (1/f^2)[var(itt) + c^2 var(f) - 2 c cov] with
-    c = itt/f: se_delta_ps on one stratum. The bracket is the Neyman
-    variance of y - c d, so it is nonnegative.
-    """
-    return _se(_pooled_rows(sample), "se_delta")
 
 
 def _kept_mask(sample: ObservedSample, kept_strata: Iterable[Hashable] | None) -> np.ndarray:
@@ -299,14 +214,3 @@ def se_delta_ps(
     cace = None if cace_hat is None else np.array([cace_hat], dtype=np.float64)
     return _se(ratio_rows(m, _kept_mask(sample, kept_strata), cace), "se_delta")
 
-
-def se_pwiv(sample: ObservedSample) -> float:
-    """Standard error of the precision-weighted IV estimate: sqrt(1 / Z).
-
-    Z sums f_g^2 / var(itt_g) over strata with nonzero f_g; see pwiv_rows
-    for the preconditions and the errors they raise.
-    """
-    block = ObservedBlock.of(sample)
-    rows = pwiv_rows(block.moments, block.present)
-    rows.raise_first()
-    return float(rows.se_bloom[0])

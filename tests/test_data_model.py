@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,18 +15,17 @@ from ivstrat import (
     NoCompliers,
     ObservedSample,
     ScienceTable,
+    analyze,
+    estimate,
     science_to_observed,
-    stratum_summaries,
-    summarize_stratum,
+    stratum_report,
     validate,
 )
 from ivstrat.data_model import (
     EmptyArm,
     NonBinary,
     NonFinite,
-    ObservedUnit,
     TooFewUnits,
-    UnknownStratum,
     stratum_moments,
 )
 from helpers import random_sample, sample_a, sample_two_strata
@@ -44,17 +46,6 @@ def test_default_single_stratum():
     s = sample_a()
     assert s.num_strata == 1
     assert s.n == 4 and s.n1 == 2 and s.n0 == 2
-
-
-def test_from_units_round_trip():
-    s = sample_two_strata()
-    units = list(s.units)
-    assert units[0] == ObservedUnit(1, 1, 3.0, "x")
-    s2 = ObservedSample.from_units(units)
-    assert np.array_equal(s2.z, s.z)
-    assert np.array_equal(s2.d, s.d)
-    assert np.array_equal(s2.y, s.y)
-    assert s2.stratum_labels == s.stratum_labels
 
 
 def test_validate_accepts_valid_sample():
@@ -188,21 +179,25 @@ def test_stratum_moments_match_direct_computation():
             )
 
 
-def test_stratum_moments_cached_by_identity():
-    s = sample_a()
-    assert stratum_moments(s) is stratum_moments(s)
-    s2 = sample_a()  # equal content, distinct object: separate cache entry
-    assert stratum_moments(s2) is not stratum_moments(s)
+def test_samples_are_not_pinned_after_estimation():
+    # nothing keeps a sample (or its moments) alive once the caller drops it
+    s = sample_two_strata()
+    ref = weakref.ref(s)
+    stratum_moments(s)
+    estimate(s, "IV_W")
+    analyze(s)
+    stratum_report(s)
+    del s
+    gc.collect()
+    assert ref() is None
 
 
 def test_summarize_stratum_hand_values():
     s = sample_two_strata()
-    x = summarize_stratum(s, "x")
-    assert (x.itt_hat, x.f_hat, x.n_g) == (1.0, 0.5, 4)
-    w = summarize_stratum(s, "w")
-    assert (w.itt_hat, w.f_hat, w.n_g) == (2.0, 0.0, 4)
-    with pytest.raises(UnknownStratum):
-        summarize_stratum(s, "nope")
+    m = stratum_moments(s)
+    x, w = s.stratum_labels.index("x"), s.stratum_labels.index("w")
+    assert (m.itt_hat[x], m.f_hat[x], m.n_g[x]) == (1.0, 0.5, 4)
+    assert (m.itt_hat[w], m.f_hat[w], m.n_g[w]) == (2.0, 0.0, 4)
 
 
 def test_stratum_summaries_order_and_single_unit_arm():
@@ -212,10 +207,10 @@ def test_stratum_summaries_order_and_single_unit_arm():
         y=[3.0, 1.0, 2.0, 0.0, 5.0, 1.0],
         strata=["a", "a", "a", "a", "b", "b"],
     )
-    out = stratum_summaries(s)
-    assert [r.g for r in out] == ["a", "b"]
-    assert out[1].s2_y1 is None  # one unit per arm: no variance estimate
-    assert out[1].itt_hat == 4.0
+    m = stratum_moments(s)
+    assert s.stratum_labels == ("a", "b")
+    assert np.isnan(m.s2_y1[1])  # one unit per arm: no variance estimate
+    assert m.itt_hat[1] == 4.0
 
 
 def test_arrays_are_read_only():

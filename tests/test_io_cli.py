@@ -17,9 +17,11 @@ from ivstrat import (
     ReportRow,
     analyze,
     cli_main,
+    default_grid,
     load_csv,
     load_science_csv,
     read_metrics_csv,
+    run_grid,
     run_scenario,
     save_csv,
     stratum_report,
@@ -302,6 +304,18 @@ def test_stratum_report_zero_compliance_stratum():
     assert "w,4,0,undefined," in text
 
 
+def test_stratum_report_one_unit_arm_has_estimate_but_no_se():
+    s = ObservedSample.from_arrays(
+        z=[1, 1, 0, 0, 1, 0],
+        d=[1, 0, 0, 0, 1, 0],
+        y=[3.0, 1.0, 2.0, 0.0, 5.0, 1.0],
+        strata=["a", "a", "a", "a", "b", "b"],
+    )
+    a, b = stratum_report(s)
+    assert (a.cace, a.se_bloom) == (2.0, math.sqrt(2.0) / 0.5)
+    assert (b.n, b.pi_c_hat, b.cace, b.se_bloom) == (2, 1.0, 4.0, None)
+
+
 # ---------------------------------------------------------------- rendering
 
 
@@ -481,6 +495,13 @@ def test_cli_random_strata(tmp_path):
     with open(out) as fh:
         ids = {row["scenario_id"] for row in read_metrics_csv(fh)}
     assert ids == {"n24_pi0.2_pc0_py0_nt0_ht0_rk1", "n24_pi0.2_pc0_py0_nt0_ht0_rk2"}
+
+
+def test_cli_grid_writes_the_default_grid(capsys):
+    assert cli_main(["grid", "--replications", "2"]) == 0
+    expected = io.StringIO()
+    write_metrics_csv(run_grid(default_grid(replications=2)), expected)
+    assert capsys.readouterr().out == expected.getvalue()
 
 
 def test_cli_theory_matches_enumeration(tmp_path, capsys):

@@ -6,77 +6,84 @@ import pytest
 from ivstrat import (
     ObservedSample,
     ZeroCompliance,
-    arm_moments,
+    iv_pwiv,
+    iv_unstratified,
     se_bloom_ps,
-    se_bloom_unstrat,
     se_delta_ps,
-    se_delta_unstrat,
-    se_pwiv,
-    var_itt_neyman,
-    variance_components,
 )
 from ivstrat.data_model import (
     AllStrataDropped,
     DegenerateVariance,
-    TooFewUnits,
     UnknownStratum,
     stratum_moments,
-    summarize_stratum,
 )
 from helpers import random_sample, sample_a, sample_pwiv, sample_two_strata
 
 
+def _pooled(s: ObservedSample):
+    """Moments with every unit of s in one stratum."""
+    return stratum_moments(ObservedSample.from_arrays(s.z, s.d, s.y))
+
+
+def _components(m):
+    """Plug-in variances of (itt_hat, f_hat) and their covariance, per stratum."""
+    var_itt = m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0
+    var_f = m.s2_d1 / m.n_g1 + m.s2_d0 / m.n_g0
+    cov = m.s_yd1 / m.n_g1 + m.s_yd0 / m.n_g0
+    return var_itt, var_f, cov
+
+
 def test_arm_moments_hand_values():
-    m = arm_moments(sample_a())
-    assert (m["n1"], m["n0"]) == (2, 2)
-    assert (m["ybar1"], m["ybar0"]) == (2.0, 1.0)
-    assert (m["dbar1"], m["dbar0"]) == (0.5, 0.0)
-    assert (m["s2_y1"], m["s2_y0"]) == (2.0, 2.0)
-    assert (m["s2_d1"], m["s2_d0"]) == (0.5, 0.0)
-    assert (m["s_yd1"], m["s_yd0"]) == (1.0, 0.0)
+    m = stratum_moments(sample_a())
+    assert (m.n_g1[0], m.n_g0[0]) == (2, 2)
+    assert (m.ybar1[0], m.ybar0[0]) == (2.0, 1.0)
+    assert (m.dbar1[0], m.dbar0[0]) == (0.5, 0.0)
+    assert (m.s2_y1[0], m.s2_y0[0]) == (2.0, 2.0)
+    assert (m.s2_d1[0], m.s2_d0[0]) == (0.5, 0.0)
+    assert (m.s_yd1[0], m.s_yd0[0]) == (1.0, 0.0)
 
 
 def test_variance_components_hand_values():
-    c = variance_components(sample_a())
-    assert c.var_itt_hat == 2.0
-    assert c.var_f_hat == 0.25
-    assert c.cov_itt_f_hat == 0.5
+    var_itt, var_f, cov = _components(stratum_moments(sample_a()))
+    assert var_itt[0] == 2.0
+    assert var_f[0] == 0.25
+    assert cov[0] == 0.5
 
 
 def test_variance_components_cauchy_schwarz():
     for seed in range(25):
         s = random_sample(np.random.default_rng(seed), require_nonzero_f=False)
-        c = variance_components(s)
-        bound = math.sqrt(c.var_itt_hat * c.var_f_hat)
-        assert abs(c.cov_itt_f_hat) <= bound + 1e-12
+        var_itt, var_f, cov = _components(_pooled(s))
+        bound = math.sqrt(var_itt[0] * var_f[0])
+        assert abs(cov[0]) <= bound + 1e-12
 
 
 def test_var_itt_neyman_matches_components():
-    s = sample_a()
-    assert var_itt_neyman(s) == variance_components(s).var_itt_hat
-    summary = summarize_stratum(sample_two_strata(), "x")
-    assert var_itt_neyman(summary) == 2.0
+    s = sample_two_strata()
+    var_itt, _, _ = _components(stratum_moments(s))
+    assert var_itt[s.stratum_labels.index("x")] == 2.0
 
 
 def test_var_itt_neyman_requires_two_per_arm():
     s = ObservedSample.from_arrays(z=[1, 0, 0, 0], d=[0] * 4, y=[1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(TooFewUnits):
-        var_itt_neyman(s)
+    var_itt, _, _ = _components(stratum_moments(s))
+    assert np.isnan(var_itt[0])
 
 
 def test_bloom_se_hand_value():
-    assert se_bloom_unstrat(sample_a()) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+    se = iv_unstratified(sample_a()).se_bloom
+    assert se == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
 
 
 def test_delta_se_hand_value():
     # bracket = 2 + 4*0.25 - 2*2*0.5 = 1, se = sqrt(1)/0.5
-    assert se_delta_unstrat(sample_a()) == pytest.approx(2.0, rel=1e-15)
+    assert iv_unstratified(sample_a()).se_delta == pytest.approx(2.0, rel=1e-15)
 
 
 def test_bloom_se_rejects_zero_compliance():
     s = ObservedSample.from_arrays(z=[1, 1, 0, 0], d=[0] * 4, y=[3.0, 1.0, 2.0, 0.0])
     with pytest.raises(ZeroCompliance):
-        se_bloom_unstrat(s)
+        iv_unstratified(s)
 
 
 def test_delta_equals_bloom_when_uptake_follows_assignment():
@@ -87,14 +94,16 @@ def test_delta_equals_bloom_when_uptake_follows_assignment():
         z[rng.permutation(n)[: n // 2]] = 1
         y = rng.normal(0, 1, n)
         s = ObservedSample.from_arrays(z=z, d=z.copy(), y=y)
-        assert se_delta_unstrat(s) == se_bloom_unstrat(s)  # bitwise
+        r = iv_unstratified(s)
+        assert r.se_delta == r.se_bloom  # bitwise
 
 
 def test_ps_se_collapse_single_stratum():
     for seed in range(20):
         s = random_sample(np.random.default_rng(seed), g_range=(1, 1))
-        assert se_bloom_ps(s) == se_bloom_unstrat(s)  # bitwise
-        assert se_delta_ps(s) == se_delta_unstrat(s)  # bitwise
+        r = iv_unstratified(s)
+        assert se_bloom_ps(s) == r.se_bloom  # bitwise
+        assert se_delta_ps(s) == r.se_delta  # bitwise
 
 
 def test_ps_bloom_kept_subset_matches_subsample():
@@ -102,7 +111,7 @@ def test_ps_bloom_kept_subset_matches_subsample():
     sub = ObservedSample.from_arrays(
         z=[1, 1, 0, 0], d=[1, 0, 0, 0], y=[3.0, 1.0, 2.0, 0.0]
     )
-    assert se_bloom_ps(s, kept_strata=["x"]) == se_bloom_unstrat(sub)
+    assert se_bloom_ps(s, kept_strata=["x"]) == iv_unstratified(sub).se_bloom
 
 
 def test_ps_bloom_hand_value_two_strata():
@@ -136,7 +145,7 @@ def test_ps_se_unknown_and_empty_kept():
 
 
 def test_pwiv_se_hand_value():
-    assert se_pwiv(sample_pwiv()) == pytest.approx(math.sqrt(1.0 / 0.75), rel=1e-15)
+    assert iv_pwiv(sample_pwiv()).se_bloom == pytest.approx(math.sqrt(1.0 / 0.75), rel=1e-15)
 
 
 def test_pwiv_se_degenerate_variance():
@@ -145,12 +154,12 @@ def test_pwiv_se_degenerate_variance():
         z=[1, 1, 0, 0], d=[1, 1, 0, 0], y=[1.0, 1.0, 0.0, 0.0]
     )
     with pytest.raises(DegenerateVariance):
-        se_pwiv(s)
+        iv_pwiv(s)
 
 
 def test_delta_se_nonnegative_and_finite():
     for seed in range(25):
         s = random_sample(np.random.default_rng(seed + 500))
-        for fn in (se_delta_unstrat, se_delta_ps, se_bloom_unstrat, se_bloom_ps):
-            v = fn(s)
+        r = iv_unstratified(s)
+        for v in (r.se_delta, se_delta_ps(s), r.se_bloom, se_bloom_ps(s)):
             assert math.isfinite(v) and v >= 0.0
