@@ -173,6 +173,17 @@ def _binary(a: np.ndarray) -> bool:
     return bool(((a == 0) | (a == 1)).all())
 
 
+def _int8(a, name: str) -> np.ndarray:
+    """a as int8 (an int8 array as is); NonBinary where the cast would
+    change a value, as 0.5 to 0 or 257 to 1, which no later check sees."""
+    a = np.asarray(a)
+    with np.errstate(invalid="ignore"):
+        out = np.asarray(a, dtype=np.int8)
+    if out is not a and not np.array_equal(out, a):
+        raise NonBinary(f"{name} must be 0 or 1")
+    return out
+
+
 def _dense_codes(strata) -> tuple[np.ndarray, tuple[Hashable, ...]]:
     """Map labels to 0..G-1 in order of first appearance."""
     if isinstance(strata, np.ndarray) and strata.ndim == 1 and strata.dtype.kind in "biu":
@@ -210,8 +221,7 @@ class ObservedSample:
 
     @classmethod
     def from_arrays(cls, z, d, y, strata=None) -> "ObservedSample":
-        z = np.asarray(z, dtype=np.int8)
-        d = np.asarray(d, dtype=np.int8)
+        z, d = _int8(z, "z"), _int8(d, "d")
         y = np.asarray(y, dtype=np.float64)
         if strata is None:
             strata = np.zeros(len(z), dtype=np.intp)
@@ -285,8 +295,7 @@ class ScienceTable:
     def from_arrays(cls, y0, y1, d0, d1, strata=None) -> "ScienceTable":
         y0 = np.asarray(y0, dtype=np.float64)
         y1 = np.asarray(y1, dtype=np.float64)
-        d0 = np.asarray(d0, dtype=np.int8)
-        d1 = np.asarray(d1, dtype=np.int8)
+        d0, d1 = _int8(d0, "d0"), _int8(d1, "d1")
         if strata is None:
             strata = np.zeros(len(y0), dtype=np.intp)
         if not (len(y0) == len(y1) == len(d0) == len(d1) == len(strata)):
@@ -406,7 +415,7 @@ def science_to_observed(table: ScienceTable, assignment) -> ObservedSample:
     y = z*y1 + (1-z)*y0 and d = z*d1 + (1-z)*d0, with strata carried over.
     The result is not validated; run validate before estimation.
     """
-    z = np.asarray(assignment, dtype=np.int8)
+    z = _int8(assignment, "assignment")
     if len(z) != table.n:
         raise LengthMismatch(f"assignment has length {len(z)}, table has {table.n}")
     if not _binary(z):
@@ -526,18 +535,20 @@ class ObservedBlock:
     Row r holds dense first-appearance stratum codes 0..num_strata[r]-1;
     its (R, G) moments pad the codes it lacks with empty cells, which
     `present` masks out. A single ObservedSample is the R = 1 case (of).
+    compliers, the (R, n) mask of true compliers, exists only where the
+    science table is known; the ORACLE kernel reads it.
     """
 
-    def __init__(self, z, d, y, strata, num_strata) -> None:
-        self.z, self.d, self.y, self.strata = z, d, y, strata
+    def __init__(self, z, d, y, strata, num_strata, compliers=None) -> None:
+        self.z, self.d, self.y, self.strata, self.compliers = z, d, y, strata, compliers
         self.num_strata = np.asarray(num_strata, dtype=np.intp)
         self.n = z.shape[1]
         self.present = np.arange(int(self.num_strata.max())) < self.num_strata[:, None]
 
     @classmethod
-    def of(cls, sample: ObservedSample) -> "ObservedBlock":
+    def of(cls, sample: ObservedSample, compliers=None) -> "ObservedBlock":
         return cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
-                   [sample.num_strata])
+                   [sample.num_strata], None if compliers is None else compliers[None])
 
     @functools.cached_property
     def moments(self) -> StratumMoments:
@@ -557,8 +568,7 @@ class EstimateReport:
     the sample is too small to compute them. For TSLS_DUMMY the se_bloom slot
     carries the conventional homoskedastic 2SLS standard error, and for
     ORACLE the Neyman SE of the complier difference in means; each is that
-    method's single nominal SE. p_value, when present, is the two-sided
-    normal tail of estimate / se_bloom.
+    method's single nominal SE.
     """
 
     method: str
@@ -568,4 +578,3 @@ class EstimateReport:
     strata_kept: frozenset
     se_bloom: float | None = None
     se_delta: float | None = None
-    p_value: float | None = None

@@ -16,10 +16,13 @@ oracle_complier_dim benchmarks against the infeasible difference in means
 among true compliers, and tsls_weighted / tsls_dummies are the two-stage
 least squares comparators.
 
-Every estimator is a row-wise kernel over an ObservedBlock of R samples
-(estimate_rows); estimate() and the iv_* / tsls_* functions are its R = 1
-call, and the simulation engine calls it once per block of replications.
-Kept sets are (R, G) code masks; labels appear only in EstimateReport.
+Every estimator, ORACLE included, is a row-wise kernel over an
+ObservedBlock of R samples (estimate_rows); estimate(), the iv_* / tsls_*
+functions and oracle_complier_dim are its R = 1 calls, and simulate and
+enumerate_expectation call it once per block. ORACLE reads the block's
+true-complier mask, which only a science table has, so METHODS and
+estimate() leave it out. Kept sets are (R, G) code masks; labels appear
+only in EstimateReport.
 """
 
 from __future__ import annotations
@@ -33,9 +36,7 @@ from .data_model import (
     AllStrataDropped,
     EstimateReport,
     EstimationError,
-    LengthMismatch,
     NoCompliersInArm,
-    NonBinary,
     ObservedBlock,
     ObservedSample,
     RankDeficient,
@@ -43,7 +44,7 @@ from .data_model import (
     StratumMoments,
     ZeroCompliance,
     MaskedRows,
-    _binary,
+    science_to_observed,
 )
 from .variance import Rows, pwiv_rows, ratio_rows
 
@@ -244,25 +245,24 @@ def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, floa
     return vbar - slope * xbar, slope
 
 
-def oracle_rows(
-    y1: np.ndarray, y0: np.ndarray, compliers: np.ndarray, z: np.ndarray, strata: np.ndarray,
-    num_strata: int,
-) -> Rows:
-    """Infeasible benchmark, row by row: the difference in observed means
-    among true compliers, with the Neyman SE. Rows are (R, n) science-table
-    columns, the complier mask, assignments and dense stratum codes; a row
-    keeps the strata that contain a complier."""
-    treated = compliers & (z == 1)
-    control = compliers & (z == 0)
+def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    """Infeasible benchmark: the difference in observed means among the
+    true compliers, with the Neyman SE; a row keeps the strata that contain
+    a complier."""
+    compliers = block.compliers
+    if compliers is None:
+        raise ValueError("ORACLE needs the true compliers, known only from a science table")
+    treated = compliers & (block.z == 1)
+    control = compliers & (block.z == 0)
     n1, n0 = treated.sum(axis=1), control.sum(axis=1)
-    mean1, var1 = MaskedRows(treated).mean_var(y1)
-    mean0, var0 = MaskedRows(control).mean_var(y0)
+    mean1, var1 = MaskedRows(treated).mean_var(block.y)
+    mean0, var0 = MaskedRows(control).mean_var(block.y)
     est = mean1 - mean0
     with np.errstate(invalid="ignore", divide="ignore"):
         se = np.sqrt(var1 / n1 + var0 / n0)
-    r = len(z)
-    cells = (strata + num_strata * np.arange(r)[:, None])[compliers]
-    kept = np.bincount(cells, minlength=r * num_strata).reshape(r, num_strata) > 0
+    r, g = block.present.shape
+    cells = (block.strata + g * np.arange(r)[:, None])[compliers]
+    kept = np.bincount(cells, minlength=r * g).reshape(r, g) > 0
     errors = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
     return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), errors, errors)
 
@@ -276,9 +276,10 @@ _KERNELS = {
     "PWIV": _pwiv_rows,
     "TSLS_DUMMY": _tsls_dummies_rows,
     "TSLS_WEIGHTED": _tsls_weighted_rows,
+    "ORACLE": _complier_dim_rows,
 }
 
-METHODS = tuple(_KERNELS)
+METHODS = tuple(tag for tag in _KERNELS if tag != "ORACLE")  # observed data suffices
 
 
 def estimate_rows(
@@ -313,8 +314,8 @@ def _report(rows: Rows, method: str, labels: tuple) -> EstimateReport:
 def estimate(
     sample: ObservedSample, method: str, config: EstimatorConfig = _DEFAULT_CONFIG
 ) -> EstimateReport:
-    """Run one estimator by tag. ORACLE needs the science table and is not
-    dispatchable from observed data."""
+    """Run one estimator by tag: one of METHODS. ORACLE needs the science
+    table and raises ValueError here."""
     rows = estimate_rows(ObservedBlock.of(sample), method, config)
     return _report(rows, method, sample.stratum_labels)
 
@@ -389,16 +390,8 @@ def oracle_complier_dim(table: ScienceTable, assignment) -> EstimateReport:
 
     Requires the science table, so it is available in simulations only.
     """
-    z = np.asarray(assignment)
-    if len(z) != table.n:
-        raise LengthMismatch(f"assignment has length {len(z)}, table has {table.n}")
-    if not _binary(z):
-        raise NonBinary("assignment must be 0 or 1")
-    rows = oracle_rows(
-        table.y1[None], table.y0[None], table.is_complier[None], z[None], table.strata[None],
-        table.num_strata,
-    )
-    return _report(rows, "ORACLE", table.stratum_labels)
+    block = ObservedBlock.of(science_to_observed(table, assignment), table.is_complier)
+    return _report(estimate_rows(block, "ORACLE"), "ORACLE", table.stratum_labels)
 
 
 def tsls_weighted(sample: ObservedSample) -> float:

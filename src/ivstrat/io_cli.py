@@ -578,13 +578,13 @@ def report_csv(table: ReportTable) -> str:
 
 
 def stratum_csv(rows: Iterable[StratumRow]) -> str:
-    out = ["stratum,n,pi_c_hat,cace,se_bloom"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["stratum", "n", "pi_c_hat", "cace", "se_bloom"])
     for r in rows:
         cace = "undefined" if r.cace is None else _fmt(r.cace)
-        out.append(
-            f"{r.stratum},{r.n},{_fmt(r.pi_c_hat)},{cace},{_fmt(r.se_bloom)}"
-        )
-    return "\n".join(out) + "\n"
+        writer.writerow([r.stratum, r.n, _fmt(r.pi_c_hat), cace, _fmt(r.se_bloom)])
+    return out.getvalue()
 
 
 def _clean(x: float | None) -> float | None:

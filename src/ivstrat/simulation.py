@@ -42,15 +42,9 @@ from .data_model import (
     first_appearance,
     reveal,
 )
-from .estimators import METHODS, EstimatorConfig, estimate_rows, oracle_rows
+from .estimators import METHODS, EstimatorConfig, estimate_rows
 
 _VALID_TAGS = frozenset(METHODS) | {"ORACLE"}
-
-
-def _check_tags(tags: Sequence[str]) -> None:
-    unknown = [t for t in tags if t not in _VALID_TAGS]
-    if unknown:
-        raise ValueError(f"unknown estimator tags: {unknown}")
 
 __all__ = [
     "RNG_FAMILY",
@@ -98,6 +92,20 @@ def _check_treated_count(n: int, p_treat: float) -> int:
     return n1
 
 
+def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
+    """The checks both config types share."""
+    if config.n < 4:
+        raise ValueError("n must be at least 4")
+    _check_treated_count(config.n, config.p_treat)
+    if config.replications < 1:
+        raise ValueError("replications must be at least 1")
+    if not 0.0 <= config.outcome_r2 < 1.0:
+        raise ValueError("outcome_r2 must lie in [0, 1)")
+    unknown = [t for t in config.estimators if t not in _VALID_TAGS]
+    if unknown:
+        raise ValueError(f"unknown estimator tags: {unknown}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One cell of the factorial simulation design.
@@ -126,20 +134,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.target_pi_c < 1.0:
             raise ValueError("target_pi_c must lie in (0, 1)")
-        if self.n < 4:
-            raise ValueError("n must be at least 4")
-        _check_treated_count(self.n, self.p_treat)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        _check_run(self)
         if self.num_strata < 1:
             raise ValueError("num_strata must be at least 1")
         if not 0.0 < self.compliance_ratio <= 1.0:
             raise ValueError("compliance_ratio must lie in (0, 1]")
-        if not 0.0 <= self.outcome_r2 < 1.0:
-            raise ValueError("outcome_r2 must lie in [0, 1)")
         if self.random_strata_k is not None and self.random_strata_k < 1:
             raise ValueError("random_strata_k must be at least 1")
-        _check_tags(self.estimators)
 
     @property
     def scenario_id(self) -> str:
@@ -183,10 +184,7 @@ class ConcentrationConfig:
             raise ValueError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        _check_treated_count(self.n, self.p_treat)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        _check_tags(self.estimators)
+        _check_run(self)
         self.base_rate  # fail construction on infeasible compliance
 
     @property
@@ -450,14 +448,9 @@ def _run_block(
     slots = reps.start + live
     store.truth[slots] = MaskedRows(compliers).mean_var(tables.y1 - tables.y0)[0][live]
     y, d = reveal(tables.y0, tables.y1, tables.d0, tables.d1, z)
-    block = ObservedBlock(z, d, y, tables.codes, tables.num_strata)
+    block = ObservedBlock(z, d, y, tables.codes, tables.num_strata, compliers)
     for tag in config.estimators:
-        if tag == "ORACLE":
-            rows = oracle_rows(
-                tables.y1, tables.y0, compliers, z, tables.codes, block.present.shape[1]
-            )
-        else:
-            rows = estimate_rows(block, tag, est_config)
+        rows = estimate_rows(block, tag, est_config)
         ok = ~rows.failed[live] & np.isfinite(rows.est[live])
         at, src = slots[ok], live[ok]
         store.est[tag][at] = rows.est[src]

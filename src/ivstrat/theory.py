@@ -44,7 +44,7 @@ from .data_model import (
     reveal,
     science_to_observed,
 )
-from .estimators import EstimatorConfig, estimate_rows, oracle_rows
+from .estimators import EstimatorConfig, estimate_rows
 
 __all__ = [
     "PopulationMoments",
@@ -215,22 +215,31 @@ def moments(table: ScienceTable, p: float) -> PopulationMoments:
     )
 
 
-def _zterm(coef: float, diff: float) -> float:
+def _zterm(coef, diff):
     # a formula term whose coefficient vanishes exactly when its group
     # mean is undefined; skip to avoid 0 * nan
-    return 0.0 if coef == 0.0 else coef * diff
+    return np.where(coef == 0.0, 0.0, coef * diff)
 
 
-def _cov_itt_f(m: PopulationMoments) -> float:
-    """Exact finite-population covariance of (itt_hat, f_hat)."""
-    n1 = m.n - 1.0
-    cov = _zterm(m.pi_n * m.pi_c / (m.p * n1), m.ybar_c1 - m.ybar_n0)
-    cov += _zterm(
-        m.pi_n * m.pi_a / (m.p * (1.0 - m.p) * n1), m.ybar_a1 - m.ybar_n0
-    )
-    cov += _zterm(m.pi_a * m.pi_c / ((1.0 - m.p) * n1), m.ybar_a1 - m.ybar_c0)
-    cov -= _zterm(m.pi_c * (1.0 - m.pi_c) / n1, m.cace)
+def _cov_itt_f(p, n, pi_c, pi_a, pi_n, ybar_c1, ybar_c0, ybar_a1, ybar_n0, cace):
+    """Exact finite-population covariance of (itt_hat, f_hat), elementwise:
+    on the per-stratum fields it gives the post-stratified blocks."""
+    n1 = n - 1.0
+    cov = _zterm(pi_n * pi_c / (p * n1), ybar_c1 - ybar_n0)
+    cov += _zterm(pi_n * pi_a / (p * (1.0 - p) * n1), ybar_a1 - ybar_n0)
+    cov += _zterm(pi_a * pi_c / ((1.0 - p) * n1), ybar_a1 - ybar_c0)
+    cov -= _zterm(pi_c * (1.0 - pi_c) / n1, cace)
     return cov
+
+
+def _first_order_var(w, n1, n0, n, s2, cov, tau, pi_c) -> float:
+    """(1/pi_c^2) sum w [var(itt_hat) + tau^2 var(f_hat) - 2 tau cov], each
+    variance the exact one of a difference in means with n1 of n units
+    treated; s2 holds the variances of y1, y0, y1 - y0, d1, d0, d1 - d0."""
+    var_itt = s2[0] / n1 + s2[1] / n0 - s2[2] / n
+    var_f = s2[3] / n1 + s2[4] / n0 - s2[5] / n
+    var = np.sum(w * var_itt) + tau * tau * np.sum(w * var_f) - 2.0 * tau * np.sum(w * cov)
+    return float(var) / (pi_c * pi_c)
 
 
 def asyvar_iv(m: PopulationMoments) -> float:
@@ -243,34 +252,11 @@ def asyvar_iv(m: PopulationMoments) -> float:
     """
     if m.pi_c == 0.0:
         raise NoCompliers("no compliers; the IV estimand is undefined")
-    n1, n0 = m.n1, m.n0
-    var_itt = m.s2_y1 / n1 + m.s2_y0 / n0 - m.s2_y01 / m.n
-    var_f = m.s2_d1 / n1 + m.s2_d0 / n0 - m.s2_d01 / m.n
-    tau = m.cace
-    var = var_itt + tau * tau * var_f - 2.0 * tau * _cov_itt_f(m)
-    return var / (m.pi_c * m.pi_c)
-
-
-def _zterm_vec(coef: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(coef)
-    nz = coef != 0.0
-    out[nz] = coef[nz] * diff[nz]
-    return out
-
-
-def _cov_itt_f_by_stratum(m: PopulationMoments) -> np.ndarray:
-    """Per-stratum exact covariance of (itt_hat_g, f_hat_g), the blocked
-    pieces of the post-stratified covariance."""
-    ngm1 = m.n_g - 1.0
-    cov = _zterm_vec(m.pi_gn * m.pi_gc / (m.p * ngm1), m.g_ybar_c1 - m.g_ybar_n0)
-    cov += _zterm_vec(
-        m.pi_gn * m.pi_ga / (m.p * (1.0 - m.p) * ngm1), m.g_ybar_a1 - m.g_ybar_n0
+    cov = _cov_itt_f(
+        m.p, m.n, m.pi_c, m.pi_a, m.pi_n, m.ybar_c1, m.ybar_c0, m.ybar_a1, m.ybar_n0, m.cace
     )
-    cov += _zterm_vec(
-        m.pi_ga * m.pi_gc / ((1.0 - m.p) * ngm1), m.g_ybar_a1 - m.g_ybar_c0
-    )
-    cov -= _zterm_vec(m.pi_gc * (1.0 - m.pi_gc) / ngm1, m.cace_g)
-    return cov
+    s2 = (m.s2_y1, m.s2_y0, m.s2_y01, m.s2_d1, m.s2_d0, m.s2_d01)
+    return _first_order_var(1, m.n1, m.n0, m.n, s2, cov, m.cace, m.pi_c)
 
 
 def asyvar_iv_ps(m: PopulationMoments, exact_factors: bool = False) -> float:
@@ -290,24 +276,13 @@ def asyvar_iv_ps(m: PopulationMoments, exact_factors: bool = False) -> float:
         w = share * (m.n_g - 1.0) / (m.n - 1.0)
     else:
         w = share * share
-    var_itt_g = (
-        m.g_s2_y1 / (m.p * m.n_g)
-        + m.g_s2_y0 / ((1.0 - m.p) * m.n_g)
-        - m.g_s2_y01 / m.n_g
+    cov_g = _cov_itt_f(
+        m.p, m.n_g, m.pi_gc, m.pi_ga, m.pi_gn, m.g_ybar_c1, m.g_ybar_c0, m.g_ybar_a1,
+        m.g_ybar_n0, m.cace_g,
     )
-    var_f_g = (
-        m.g_s2_d1 / (m.p * m.n_g)
-        + m.g_s2_d0 / ((1.0 - m.p) * m.n_g)
-        - m.g_s2_d01 / m.n_g
-    )
-    cov_g = _cov_itt_f_by_stratum(m)
-    tau = m.cace
-    var = float(
-        np.sum(w * var_itt_g)
-        + tau * tau * np.sum(w * var_f_g)
-        - 2.0 * tau * np.sum(w * cov_g)
-    )
-    return var / (m.pi_c * m.pi_c)
+    s2 = (m.g_s2_y1, m.g_s2_y0, m.g_s2_y01, m.g_s2_d1, m.g_s2_d0, m.g_s2_d01)
+    n1, n0 = m.p * m.n_g, (1.0 - m.p) * m.n_g
+    return _first_order_var(w, n1, n0, m.n_g, s2, cov_g, m.cace, m.pi_c)
 
 
 def _delta_naive(table: ScienceTable) -> float:
@@ -414,7 +389,7 @@ def bias_two_sided_taylor(m: PopulationMoments) -> float:
         m.pi_a * (p * m.pi_c + m.pi_n) / (p * (1.0 - p)),
         m.ybar_c1 - m.ybar_a1,
     )
-    return (t_never + t_always) / (m.pi_c * m.pi_c * (m.n - 1.0))
+    return float((t_never + t_always) / (m.pi_c * m.pi_c * (m.n - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -480,15 +455,10 @@ def _enumerate_rows(
     base = 0
     for z in _assignment_blocks(n, n1, max(1, BLOCK_UNITS // n)):
         r = len(z)
-        strata = np.broadcast_to(table.strata, (r, n))
-        if tag == "ORACLE":
-            y1, y0, compliers = (
-                np.broadcast_to(a, (r, n)) for a in (table.y1, table.y0, table.is_complier)
-            )
-            rows = oracle_rows(y1, y0, compliers, z, strata, g)
-        else:
-            y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
-            rows = estimate_rows(ObservedBlock(z, d, y, strata, np.full(r, g)), tag, config)
+        strata, compliers = (np.broadcast_to(a, (r, n)) for a in (table.strata, table.is_complier))
+        y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
+        block = ObservedBlock(z, d, y, strata, np.full(r, g), compliers)
+        rows = estimate_rows(block, tag, config)
         values[base : base + r] = np.where(rows.failed, np.nan, rows.est)
         base += r
     return values

@@ -88,7 +88,7 @@ def _var_itt(m: StratumMoments) -> np.ndarray:
     return m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0
 
 
-def ratio_rows(m: StratumMoments, kept: np.ndarray, cace: np.ndarray | None = None) -> Rows:
+def ratio_rows(m: StratumMoments, kept: np.ndarray) -> Rows:
     """Weighted-ITT ratio over each row's kept strata, with renormalized SEs.
 
     Evaluates sum(w_g itt_g) / sum(w_g f_g) with w_g = N_g / N_kept, which
@@ -96,8 +96,8 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray, cace: np.ndarray | None = No
     stays finite when some kept f_g are tiny. Bloom:
     var = (1/f_ps^2) sum_g w_g^2 [s2_yg(1)/N_g1 + s2_yg(0)/N_g0]. Delta: the
     bracket becomes var(itt_g) + c^2 var(f_g) - 2 c cov_g, the Neyman
-    variance of y - c d, with c the estimate unless cace overrides it. Both
-    SEs need two units per arm in every kept stratum.
+    variance of y - c d, with c the estimate. Both SEs need two units per
+    arm in every kept stratum.
     """
     ksum = MaskedRows(kept).sum
     n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
@@ -110,7 +110,7 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray, cace: np.ndarray | None = No
         var_f = m.s2_d1 / m.n_g1 + m.s2_d0 / m.n_g0
         cov = m.s_yd1 / m.n_g1 + m.s_yd0 / m.n_g0
         bloom = np.sqrt(ksum(w2 * var_itt) / (f_ps * f_ps))
-        c = (est if cace is None else cace)[:, None]
+        c = est[:, None]
         var = ksum(w2 * (var_itt + c * c * var_f - 2.0 * c * cov)) / (f_ps * f_ps)
         delta = np.sqrt(np.where(0.0 > var, 0.0, var))
     zero = f_ps == 0.0
@@ -199,18 +199,13 @@ def se_bloom_ps(sample: ObservedSample, kept_strata: Iterable[Hashable] | None =
     return _se(ratio_rows(m, _kept_mask(sample, kept_strata)), "se_bloom")
 
 
-def se_delta_ps(
-    sample: ObservedSample,
-    kept_strata: Iterable[Hashable] | None = None,
-    cace_hat: float | None = None,
-) -> float:
+def se_delta_ps(sample: ObservedSample, kept_strata: Iterable[Hashable] | None = None) -> float:
     """Post-stratified delta-method standard error over the kept strata.
 
     Per stratum the bracket is var(itt_g) + cace^2 var(f_g) - 2 cace cov_g,
-    i.e. the Neyman variance of y - cace * d, so each term is nonnegative.
-    cace_hat defaults to the post-stratified ratio over the kept strata.
+    i.e. the Neyman variance of y - cace * d, so each term is nonnegative;
+    cace is the post-stratified ratio over the kept strata.
     """
     m = ObservedBlock.of(sample).moments
-    cace = None if cace_hat is None else np.array([cace_hat], dtype=np.float64)
-    return _se(ratio_rows(m, _kept_mask(sample, kept_strata), cace), "se_delta")
+    return _se(ratio_rows(m, _kept_mask(sample, kept_strata)), "se_delta")
 

@@ -37,7 +37,7 @@ from ivstrat.data_model import (
     reveal,
     science_to_observed,
 )
-from ivstrat.estimators import estimate_rows, oracle_rows, tsls_dummies
+from ivstrat.estimators import estimate_rows, tsls_dummies
 from ivstrat import simulation
 from ivstrat.simulation import ConcentrationConfig, _run_reps
 from helpers import random_sample, tsls_dummies_lstsq
@@ -76,11 +76,9 @@ def test_block_rows_match_per_sample_estimates(seed, reps, n, k, pc, pa):
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
-    block = ObservedBlock(z, d, y, codes, num_strata)
-    width = block.present.shape[1]
     compliers = (d1 == 1) & (d0 == 0)
-    results = {tag: estimate_rows(block, tag) for tag in METHODS}
-    results["ORACLE"] = oracle_rows(y1, y0, compliers, z, codes, width)
+    block = ObservedBlock(z, d, y, codes, num_strata, compliers)
+    results = {tag: estimate_rows(block, tag) for tag in (*METHODS, "ORACLE")}
     for i in range(reps):
         table = ScienceTable.from_arrays(y0[i], y1[i], d0[i], d1[i], strata=labels[i])
         sample = science_to_observed(table, z[i])

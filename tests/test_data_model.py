@@ -23,6 +23,7 @@ from ivstrat import (
 )
 from ivstrat.data_model import (
     EmptyArm,
+    LengthMismatch,
     NonBinary,
     NonFinite,
     TooFewUnits,
@@ -63,6 +64,46 @@ def test_validate_rejects_nonbinary_d():
     s = ObservedSample.from_arrays(z=[1, 1, 0, 0], d=[3, 0, 0, 0], y=[0.0] * 4)
     with pytest.raises(NonBinary):
         validate(s)
+
+
+@pytest.mark.parametrize(
+    "z, d",
+    [
+        ([1, 0.5, 0, 0], [0, 0, 0, 0]),
+        ([1, 1, 0, 0], [0, 0.7, 0, 0]),
+        (np.array([1, 257, 0, 0]), [0, 0, 0, 0]),
+    ],
+)
+def test_nonbinary_values_are_not_cast_away(z, d):
+    # 0.5 and 0.7 would truncate to 0 and 257 would wrap to 1 in int8
+    with pytest.raises(NonBinary):
+        validate(ObservedSample.from_arrays(z=z, d=d, y=[0.0] * 4))
+
+
+def test_science_table_rejects_uptake_the_cast_would_change():
+    y = np.zeros(4)
+    with pytest.raises(NonBinary):
+        ScienceTable.from_arrays(y, y, np.zeros(4, dtype=int), np.array([1, 0, 257, 0]))
+    with pytest.raises(NonBinary):
+        ScienceTable.from_arrays(y, y, [0, 0, 0, 0], [1, 0, 0.5, 0])
+
+
+def test_science_to_observed_rejects_fractional_assignment():
+    t = ScienceTable.from_arrays(np.zeros(4), np.zeros(4), [0] * 4, [0] * 4)
+    with pytest.raises(NonBinary):
+        science_to_observed(t, [1, 0.5, 0, 1])
+
+
+def test_length_mismatch_at_every_constructor():
+    with pytest.raises(LengthMismatch):
+        ObservedSample.from_arrays(z=[1, 0, 1], d=[0, 0, 0, 0], y=[0.0] * 4)
+    with pytest.raises(LengthMismatch):
+        ObservedSample.from_arrays(z=[1, 0, 1, 0], d=[0] * 4, y=[0.0] * 4, strata=[0, 1])
+    with pytest.raises(LengthMismatch):
+        ScienceTable.from_arrays(np.zeros(4), np.zeros(3), [0] * 4, [0] * 4)
+    t = ScienceTable.from_arrays(np.zeros(4), np.zeros(4), [0] * 4, [0] * 4)
+    with pytest.raises(LengthMismatch):
+        science_to_observed(t, [1, 0, 1])
 
 
 def test_validate_rejects_nonfinite_y():

@@ -26,7 +26,9 @@ from ivstrat import (
 )
 from ivstrat.data_model import (
     AllStrataDropped,
+    LengthMismatch,
     NoCompliersInArm,
+    NonBinary,
     RankDeficient,
     stratum_moments,
 )
@@ -200,7 +202,11 @@ def test_oracle_complier_dim():
     assert r.f_hat == 1.0
     with pytest.raises(NoCompliersInArm):
         oracle_complier_dim(t, np.array([1, 1, 1, 1, 0, 0]))
-
+    with pytest.raises(LengthMismatch):
+        oracle_complier_dim(t, np.array([1, 1, 0, 0, 1]))
+    for z in ([1, 0.5, 0, 1, 0, 1], [1, 2, 0, 1, 0, 1]):
+        with pytest.raises(NonBinary):
+            oracle_complier_dim(t, z)
 
 def test_tsls_weighted_matches_iv_across():
     for seed in range(30):
@@ -237,6 +243,10 @@ def test_estimate_dispatcher_covers_all_methods():
         assert math.isfinite(r.estimate)
     with pytest.raises(ValueError):
         estimate(s, "NOPE")
+    # ORACLE needs the true compliers, which observed data lack
+    assert "ORACLE" not in METHODS
+    with pytest.raises(ValueError):
+        estimate(s, "ORACLE")
 
 
 def test_estimate_tsls_weighted_report_f_hat():

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -397,6 +398,22 @@ def test_cli_analyze_by_stratum_json(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert {m["method"] for m in obj["methods"]} >= {"UNSTRAT", "IV_W"}
     assert obj["strata"][0]["stratum"] == "a"
+
+
+def test_cli_analyze_by_stratum_csv_quotes_labels(tmp_path, capsys):
+    labels = ["north, upper", 'say "hi"']
+    lines = ["z,d,y,stratum"]
+    for label in labels:
+        quoted = '"' + label.replace('"', '""') + '"'
+        lines += [f"{z},{d},{y},{quoted}" for z, d, y in ((1, 1, 3.0), (1, 0, 1.0), (0, 0, 2.0),
+                                                          (0, 0, 0.0))]
+    path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+    assert cli_main(["analyze", "--data", path, "--by-stratum"]) == 0
+    strata_section = capsys.readouterr().out.split("\n\n")[1]
+    header, *rows = csv.reader(io.StringIO(strata_section))
+    assert header == ["stratum", "n", "pi_c_hat", "cace", "se_bloom"]
+    assert [len(r) for r in rows] == [5, 5]
+    assert [r[0] for r in rows] == labels
 
 
 def test_cli_analyze_input_errors(tmp_path, capsys):

@@ -69,6 +69,9 @@ def test_scenario_config_rejects(kw):
         dict(weights=(0.5, 0.5, 0.5)),
         dict(weights=(1.0, 0.0)),
         dict(estimators=("ORACLE", "nope")),
+        dict(outcome_r2=1.0),
+        dict(outcome_r2=-0.5),
+        dict(n=2),
     ],
 )
 def test_concentration_config_rejects(kw):
