@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
-from typing import IO, Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -198,89 +198,42 @@ def _parse_outcome(raw: str | None, col: str, line: int) -> float:
 # Each per-row parser's check as a mask over the floats it would return.
 _VALID = {_parse_binary: lambda v: (v == 0.0) | (v == 1.0), _parse_outcome: np.isfinite}
 
-# Rows parsed per chunk: each chunk's row lists are freed before the next
-# is read, which bounds peak memory and garbage-collector work.
-_CHUNK_ROWS = 4096
+_Columns = tuple[list[np.ndarray], list[tuple[list[str], np.ndarray]], list[int] | None]
+
+# np.loadtxt's reading of an RFC 4180 file after its header row
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, encoding="utf-8", ndmin=1)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
+def _midranks(values: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """1-based ranks of a nonempty float array, tied values sharing their
-    midpoint rank (scipy.stats.rankdata's "average" method)."""
+    midpoint rank (scipy.stats.rankdata's "average" method). With counts,
+    each values[i] stands for counts[i] tied copies of itself."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     new = np.r_[True, ordered[1:] != ordered[:-1]]
-    bounds = np.r_[np.flatnonzero(new), len(values)]  # each tie group's first slot, then n
+    slots = np.r_[0, np.cumsum(counts[order])] if counts is not None else np.arange(len(values) + 1)
+    bounds = slots[np.r_[np.flatnonzero(new), len(values)]]  # each tie group's first slot, then n
     group = np.cumsum(new) - 1
     ranks = np.empty(len(values))
     ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
     return ranks
 
 
-def _raise_first_error(
-    path: str, start: int, check: Callable[[list[str], int], None]
-) -> NoReturn:
-    """Re-read path and call check(row, line) on its data rows from the
-    start-th on, so that the first failing row raises. line is the row's
-    last physical line, csv.DictReader's line_num; blank lines are skipped."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in itertools.islice(filter(None, reader), start, None):
-            check(row, reader.line_num)
-    raise RuntimeError(f"{path}: no data row from {start} on fails its checks")
+def _levels(column: list[str]) -> tuple[list[str], np.ndarray]:
+    """A text column's distinct values in order of first appearance, and
+    each row's index into them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(column))}
+    return list(index), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
 
 
-def _read_columns(
-    path: str,
-    numeric: Sequence[tuple[str, Callable]],
-    text: Sequence[str],
-    refuse_blank: bool = False,
-) -> tuple[list[np.ndarray], list[tuple[list[str], np.ndarray]]]:
-    """Read a CSV with a header row column-wise, a chunk of rows at a time.
-
-    numeric holds (column, parser) pairs, the parser being _parse_binary or
-    _parse_outcome. Text columns stay strings, and with refuse_blank none
-    of them may be blank. Returns the numeric columns as float arrays and,
-    per text column, its distinct values in order of first appearance
-    with each row's index into them. A repeated header name means its
-    last column, as in csv.DictReader.
-
-    Rows are checked in this order: field count, the numeric columns, the
-    text columns. A chunk that fails a check is re-read row by row, so
-    that the first failing row raises with its line.
-    """
-    numbers: list[list[np.ndarray]] = [[] for _ in numeric]
-    levels: list[tuple[dict[str, int], list[np.ndarray]]] = [({}, []) for _ in text]
-
-    def check(row: list[str], line: int) -> None:
-        if len(row) != len(header):
-            raise MalformedRow(line, "wrong number of fields")
-        for (col, parse), i in zip(numeric, num_at):
-            parse(row[i], col, line)
-        for col, i in zip(text, text_at):
-            if refuse_blank and row[i].strip() == "":
-                raise MalformedRow(line, f"missing {col}")
-
-    def take(chunk: list[list[str]]) -> bool:
-        if set(map(len, chunk)) != {len(header)}:
-            return False
-        cols = list(zip(*chunk))
-        try:
-            arrays = [np.fromiter(map(float, cols[i]), np.float64, len(chunk)) for i in num_at]
-        except ValueError:
-            return False
-        if not all(_VALID[parse](a).all() for (_, parse), a in zip(numeric, arrays)):
-            return False
-        for (index, codes), i in zip(levels, text_at):
-            new = [v for v in dict.fromkeys(cols[i]) if v not in index]
-            if refuse_blank and any(v.strip() == "" for v in new):
-                return False
-            index.update(zip(new, itertools.count(len(index))))
-            codes.append(np.fromiter(map(index.__getitem__, cols[i]), np.intp, len(chunk)))
-        for parts, a in zip(numbers, arrays):
-            parts.append(a)
-        return True
-
+def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _Columns:
+    """Read a CSV one csv.reader row at a time: the ingest specification.
+    numeric holds (column, _parse_binary or _parse_outcome) pairs; text
+    columns, with refuse_blank, may not be blank. Returns the numeric columns
+    as float arrays, each text column's _levels and each row's last physical
+    line (csv.DictReader's line_num); a repeated header name means its last
+    column. Rows are checked, the first failure raising, by field count,
+    then numeric columns, then text columns."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -290,50 +243,103 @@ def _read_columns(
             if col not in header:
                 raise MissingColumn(col)
         pos = {name: i for i, name in enumerate(header)}
-        num_at = [pos[col] for col, _ in numeric]
-        text_at = [pos[col] for col in text]
-        rows = filter(None, reader)  # csv.DictReader skips blank lines too
-        n = 0
-        try:
-            while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-                if not take(chunk):
-                    _raise_first_error(path, n, check)
-                n += len(chunk)
-        except csv.Error:
-            _raise_first_error(path, n, check)
-    if n == 0:
+        numbers: list[list[float]] = [[] for _ in numeric]
+        strings: list[list[str]] = [[] for _ in text]
+        lines = []
+        for row in filter(None, reader):  # csv.DictReader skips blank lines too
+            line = reader.line_num
+            if len(row) != len(header):
+                raise MalformedRow(line, "wrong number of fields")
+            for (col, parse), out in zip(numeric, numbers):
+                out.append(parse(row[pos[col]], col, line))
+            for col, out in zip(text, strings):
+                if refuse_blank and row[pos[col]].strip() == "":
+                    raise MalformedRow(line, f"missing {col}")
+                out.append(row[pos[col]])
+            lines.append(line)
+    if not lines:
         raise EmptyFile(path)
-    return (
-        [np.concatenate(parts) for parts in numbers],
-        [(list(index), np.concatenate(codes)) for index, codes in levels],
-    )
+    return [np.array(a, dtype=np.float64) for a in numbers], list(map(_levels, strings)), lines
+
+
+def _read_columns(path: str, numeric, text, refuse_blank: bool, quantile) -> _Columns | None:
+    """_read_rows's result, lines aside, from one pass of numpy's C reader,
+    or None where it might differ; it may also raise where _read_rows would
+    not. The nonblank values of the quantile columns must be finite numbers."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)  # with no header, or a column missing, _read_rows reports it
+        rest = fh.read()
+    # loadtxt skips one physical line, also splits at a bare \r and reads \x1c-\x1f
+    # around a number as whitespace. csv.reader refuses \x00 before Python 3.11, and any
+    # field over its limit: a line that long holds an aligned half-limit block with no \n.
+    half = csv.field_size_limit() // 2
+    if (
+        reader.line_num != 1
+        or any(map(rest.__contains__, "\x00\x1c\x1d\x1e\x1f"))
+        or ("\r" in rest and rest.count("\r") != rest.count("\r\n"))
+        or not all(rest.find("\n", i, i + half) >= 0 for i in range(0, len(rest) - half + 1, half))
+    ):
+        return None
+    line_count = rest.count("\n") + (not rest.endswith("\n"))
+    del rest
+    pos = {name: i for i, name in enumerate(header)}
+    # Text is read as object, as a "U" field in a structured dtype comes back
+    # empty; other columns as U0, which counts the field and stores nothing.
+    kinds = {pos[col]: "f8" for col, _ in numeric} | {pos[col]: object for col in text}
+    dtype = [(f"f{i}", kinds.get(i, "U0")) for i in range(len(header))]
+    table = np.loadtxt(path, dtype, **_LOADTXT)
+    numbers = [np.ascontiguousarray(table[f"f{pos[col]}"]) for col, _ in numeric]
+    levels = [_levels(table[f"f{pos[col]}"].tolist()) for col in text]
+    ranked = [v for c, (vs, _) in zip(text, levels) if c in quantile for v in vs if v.strip()]
+    if (
+        len(table) != line_count  # a blank line, or a record over several lines
+        or not all(_VALID[parse](a).all() for (_, parse), a in zip(numeric, numbers))
+        or not np.isfinite(list(map(float, ranked))).all()
+        or (refuse_blank and any(v.strip() == "" for vs, _ in levels for v in vs))
+    ):
+        return None
+    return numbers, levels, None
+
+
+def _load(path: str, numeric, text: Sequence[str], refuse_blank: bool, quantile=()):
+    """_read_rows's result, from _read_columns unless that returns None,
+    raises or warns."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns = _read_columns(path, numeric, text, refuse_blank, quantile)
+        if columns is not None and not caught:
+            return columns
+    except Exception:  # noqa: BLE001 - _read_rows raises what is real
+        pass
+    return _read_rows(path, numeric, text, refuse_blank)
 
 
 def _quantile_levels(
-    path: str, col: str, values: list[str], codes: np.ndarray, k: int
+    col: str, values: list[str], codes: np.ndarray, k: int, lines: list[int] | None
 ) -> tuple[np.ndarray, list[str]]:
     """Rank-based k-quantile bins with midpoint tie ranks: each row's bin
     (k for a blank value, which stays out of the ranking) and the labels
-    q1..qk, "missing"."""
-    blank = np.array([v.strip() == "" for v in values], dtype=bool)
+    q1..qk, "missing". Distinct values are ranked, weighted by their row
+    counts. A value that is not a finite number raises on the line of its
+    first row (lines is None when every value is known to be one)."""
+    present = np.array([v.strip() != "" for v in values], dtype=bool)
     numbers = np.zeros(len(values))
-    for j in np.flatnonzero(~blank):  # in order of first appearance
+    for j in np.flatnonzero(present):  # in order of first appearance
         try:
             numbers[j] = _parse_outcome(values[j], col, 0)
-        except MalformedRow:
-            first = int(np.argmax(codes == j))  # the value's first row
-            _raise_first_error(
-                path, first, lambda row, line: _parse_outcome(values[j], col, line)
-            )
-    present = ~blank[codes]
-    level = np.full(len(codes), k)
+        except MalformedRow as exc:
+            raise MalformedRow(lines[int(np.argmax(codes == j))], exc.reason) from None
+    counts = np.bincount(codes, minlength=len(values))[present]
+    level = np.full(len(values), k)
     if present.any():
-        ranks = _midranks(numbers[codes[present]])
-        bins = np.ceil(ranks * k / len(ranks)).astype(int) - 1
+        ranks = _midranks(numbers[present], counts)
+        bins = np.ceil(ranks * k / counts.sum()).astype(int) - 1
         if len(np.unique(bins)) < k:
             raise EmptyBin(f"quantile({k}) on column {col!r} leaves an empty bin")
         level[present] = bins
-    return level, [f"q{b + 1}" for b in range(k)] + ["missing"]
+    return level[codes], [f"q{b + 1}" for b in range(k)] + ["missing"]
 
 
 def _strata(
@@ -373,20 +379,18 @@ def load_csv(path: str, schema: DatasetSchema) -> ObservedSample:
     "all" stratum.
     """
     cols = schema.strata_cols
-    numeric = [
-        (schema.z_col, _parse_binary),
-        (schema.d_col, _parse_binary),
-        (schema.y_col, _parse_outcome),
-    ]
+    numeric = [(schema.z_col, _parse_binary), (schema.d_col, _parse_binary)]
+    numeric += [(schema.y_col, _parse_outcome)]
+    quantile = [col for col in cols if schema.binning[col][0] == "quantile"]
     refuse_blank = schema.missing_policy == "error"
-    (z, d, y), levels = _read_columns(path, numeric, cols, refuse_blank)
+    (z, d, y), levels, lines = _load(path, numeric, cols, refuse_blank, quantile)
     if not cols:
         return _relabel(ObservedSample.from_arrays(z=z, d=d, y=y), ["all"])
     columns = []
     for col, (values, codes) in zip(cols, levels):
         kind, k = schema.binning[col]
         if kind == "quantile":
-            columns.append(_quantile_levels(path, col, values, codes, k))
+            columns.append(_quantile_levels(col, values, codes, k, lines))
         else:
             columns.append((codes, ["missing" if v.strip() == "" else v for v in values]))
     strata, names = _strata(cols, columns)
@@ -417,13 +421,9 @@ def load_science_csv(path: str) -> ScienceTable:
     """Parse a potential-outcome table CSV: y0,y1,d0,d1 plus optional stratum."""
     with open(path, encoding="utf-8", newline="") as fh:
         text = ("stratum",) if "stratum" in (next(csv.reader(fh), None) or ()) else ()
-    numeric = [
-        ("y0", _parse_outcome),
-        ("y1", _parse_outcome),
-        ("d0", _parse_binary),
-        ("d1", _parse_binary),
-    ]
-    (y0, y1, d0, d1), levels = _read_columns(path, numeric, text)
+    numeric = [("y0", _parse_outcome), ("y1", _parse_outcome)]
+    numeric += [("d0", _parse_binary), ("d1", _parse_binary)]
+    (y0, y1, d0, d1), levels, _ = _load(path, numeric, text, False)
     if not levels:
         return ScienceTable.from_arrays(y0=y0, y1=y1, d0=d0, d1=d1)
     ((values, codes),) = levels

@@ -1,6 +1,9 @@
-"""The columnar CSV loaders against the row-by-row oracles in helpers.py,
-the midpoint-rank helper against scipy, and the scipy-free import."""
+"""The CSV loaders against the row-by-row oracles in helpers.py, through
+both of their paths (numpy's C reader, and the per-row reader it falls
+back to) and on the inputs where the two readers part ways; the quantile
+bins and the midpoint-rank helper; and the scipy-free import."""
 
+import contextlib
 import csv
 import io
 import os
@@ -107,15 +110,26 @@ def _dataset_case(draw):
     return draw(_table(roles, extra)), schema
 
 
+def _both_paths():
+    """Contexts for a load as the loader picks its path, then for one with
+    the per-row reader forced."""
+    return (
+        contextlib.nullcontext(),
+        mock.patch.object(io_cli, "_read_columns", return_value=None),
+    )
+
+
 @settings(max_examples=400)
-@given(case=_dataset_case(), chunk=st.sampled_from([1, 3, 4096]))
-def test_load_csv_matches_rowwise_oracle(tmp_path_factory, case, chunk):
+@given(case=_dataset_case())
+def test_load_csv_matches_rowwise_oracle(tmp_path_factory, case):
     text, schema = case
     path = tmp_path_factory.getbasetemp() / "dataset.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(io_cli, "_CHUNK_ROWS", chunk):
-        new = _outcome(load_csv, str(path), schema)
-    _assert_same(new, _outcome(load_csv_rowwise, str(path), schema), ("z", "d", "y", "strata"))
+    old = _outcome(load_csv_rowwise, str(path), schema)
+    for loader_path in _both_paths():
+        with loader_path:
+            new = _outcome(load_csv, str(path), schema)
+        _assert_same(new, old, ("z", "d", "y", "strata"))
 
 
 @settings(max_examples=200)
@@ -128,16 +142,16 @@ def test_load_csv_matches_rowwise_oracle(tmp_path_factory, case, chunk):
             "d1": BINARY,
         },
         ["stratum", "x"],
-    ),
-    chunk=st.sampled_from([1, 3, 4096]),
+    )
 )
-def test_load_science_csv_matches_rowwise_oracle(tmp_path_factory, text, chunk):
+def test_load_science_csv_matches_rowwise_oracle(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "science.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(io_cli, "_CHUNK_ROWS", chunk):
-        new = _outcome(load_science_csv, str(path))
     old = _outcome(load_science_csv_rowwise, str(path))
-    _assert_same(new, old, ("y0", "y1", "d0", "d1", "strata"))
+    for loader_path in _both_paths():
+        with loader_path:
+            new = _outcome(load_science_csv, str(path))
+        _assert_same(new, old, ("y0", "y1", "d0", "d1", "strata"))
 
 
 def test_crossed_labels_that_read_the_same_share_a_stratum(tmp_path):
@@ -150,7 +164,7 @@ def test_crossed_labels_that_read_the_same_share_a_stratum(tmp_path):
     _assert_same(sample, load_csv_rowwise(str(path), schema), ("z", "d", "y", "strata"))
 
 
-def test_error_in_a_later_chunk_reports_its_physical_line(tmp_path):
+def test_error_deep_in_a_file_reports_its_physical_line(tmp_path):
     rows = ["1,0,1.0,a", "0,0,2.0,b", "", '1,1,"3.5",a'] * 5000
     rows[15_001] = '0,0,"x\ny",b'
     path = tmp_path / "d.csv"
@@ -162,6 +176,145 @@ def test_error_in_a_later_chunk_reports_its_physical_line(tmp_path):
         load_csv_rowwise(str(path), schema)
     assert (new.value.line, new.value.reason) == (old.value.line, old.value.reason)
     assert new.value.line == 15_004 and new.value.reason == "y='x\\ny' is not numeric"
+
+
+# Inputs on which numpy's C reader and csv.reader with float() disagree, or
+# which the fast path must refuse: each is compared with the oracle.
+TRAPS = {
+    "bare_cr": "z,d,y,s\r1,0,1.5,a\r0,1,2,b\r\r1,1,3,a\r0,0,4,b",
+    # the header's second physical line reads as a data row
+    "quoted_newline_in_header": 'z,d,y,s,"x\n1,0,1,a,b"\n0,1,2,c,d\n1,1,3,c,d\n',
+    "header_only": "z,d,y,s\n",
+    "header_and_blank_lines": "z,d,y,s\n\n\r\n",
+    "one_row": "z,d,y,s\n1,0,1.5,a\n",
+    "long_labels": "z,d,y,s\n1,0,1,abcdefghijklmnopqrstuvwxyz\n0,1,2,a label of 17 chars\n",
+    "spaced_labels": "z,d,y,s\n1,0,1,  a \n0,1,2,a\n1,1,3, a\n0,0,4,a \n",
+    "crlf_in_quoted_label": 'z,d,y,s\r\n1,0,1,"a\r\nb"\r\n0,1,2,"a\nb"\r\n1,1,3,a\r\n',
+    "cr_in_quoted_label": 'z,d,y,s\n1,0,1,"a\rb"\n0,1,2,"a\nb"\n',
+    # a bare \r and a quoted line break: as many records as "\n" line ends
+    "bare_cr_and_quoted_crlf": 'z,d,y,s\n1,0,1,a\r0,1,2,"b\r\nc"\n',
+    "bom": "\ufeffz,d,y,s\n1,0,1,a\n",
+    "bom_before_other_column": "\ufeffs,z,d,y\n\ufeffa,1,0,1\nb,0,1,2\n",
+    "hash_in_fields": "z,d,y,s\n1,0,1,#a\n0,1,2,b#c\n1,1,3,#\n",
+    "hash_in_y": "z,d,y,s\n1,0,1,a\n0,1,#2,b\n",
+    "separator_after_y": "z,d,y,s\n1,0,1,a\n0,1,2\x1c,b\n",
+    "infinite_stratum_value": "z,d,y,s\n1,0,1,1\n0,1,2,inf\n1,1,3,2\n0,0,4,3\n",
+    # loadtxt reads the header's second line and the first row as one record
+    "quoted_newline_in_header_hides_a_row": 'z,d,y,s,"x\n"\n0",0,1,a,b\n',
+    "nul_in_label": "z,d,y,s\n1,0,1,a\x00b\n0,1,2,b\n",
+    "blank_crlf_lines": "z,d,y,s\r\n1,0,1,a\r\n\r\n0,1,2,b\r\n\r\n",
+    # fields over csv.field_size_limit(): csv.reader refuses them, loadtxt does not
+    "huge_unread_field": "z,d,y,s,x\n1,0,1,a," + "w" * 140_000 + "\n0,1,2,b,c\n",
+    "huge_padded_number": "z,d,y,s\n1,0," + " " * 140_000 + "1,a\n0,1,2,b\n",
+    "huge_label": "z,d,y,s\n1,0,1," + "w" * 140_000 + "\n0,1,2,b\n",
+}
+ODD_NUMBERS = ["NaN", "Infinity", "+inf", "1_0", "0_0", "\u0661", "\u0660", "1\x1f"]
+
+
+@pytest.mark.parametrize("text", TRAPS.values(), ids=TRAPS.keys())
+@pytest.mark.parametrize("quantile", [False, True])
+def test_trap_inputs_load_as_the_oracle_does(tmp_path, text, quantile):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    schema = DatasetSchema(strata_cols=("s",), binning={"s": {"quantile": 2}} if quantile else {})
+    new = _outcome(load_csv, str(path), schema)
+    _assert_same(new, _outcome(load_csv_rowwise, str(path), schema), ("z", "d", "y", "strata"))
+
+
+@pytest.mark.parametrize("cell", ODD_NUMBERS)
+@pytest.mark.parametrize("col", range(3))
+def test_odd_numbers_in_z_d_y_load_as_the_oracle_does(tmp_path, cell, col):
+    rows = [["1", "0", "1.5", "a"], ["0", "1", "2", "b"], ["1", "1", "3", "a"]]
+    rows[1][col] = cell
+    path = tmp_path / "d.csv"
+    path.write_bytes(("z,d,y,s\n" + "".join(",".join(r) + "\n" for r in rows)).encode())
+    schema = DatasetSchema(strata_cols=("s",))
+    new = _outcome(load_csv, str(path), schema)
+    _assert_same(new, _outcome(load_csv_rowwise, str(path), schema), ("z", "d", "y", "strata"))
+
+
+@pytest.mark.parametrize("cell", ODD_NUMBERS)
+def test_odd_numbers_in_a_science_table_load_as_the_oracle_does(tmp_path, cell):
+    for col in range(4):
+        rows = [["1", "2", "0", "1", "a"], ["0.5", "0.5", "0", "0", "b"]]
+        rows[1][col] = cell
+        path = tmp_path / f"s{col}.csv"
+        path.write_bytes(("y0,y1,d0,d1,stratum\n" + "\n".join(map(",".join, rows))).encode())
+        new = _outcome(load_science_csv, str(path))
+        old = _outcome(load_science_csv_rowwise, str(path))
+        _assert_same(new, old, ("y0", "y1", "d0", "d1", "strata"))
+
+
+SCIENCE_TRAPS = {
+    "bare_cr": "y0,y1,d0,d1,stratum\r1,2,0,1,a\r0.5,1,0,0,b\r",
+    "crlf_in_quoted_label": 'y0,y1,d0,d1,stratum\r\n1,2,0,1,"a\r\nb"\r\n0.5,1,0,0,"a\nb"\r\n',
+    "quoted_newline_in_header": 'y0,y1,d0,d1,stratum,"x\n1,1,0,1,a,b"\n1,2,0,1,c,d\n',
+    "header_only": "y0,y1,d0,d1,stratum\n",
+}
+
+
+@pytest.mark.parametrize("text", SCIENCE_TRAPS.values(), ids=SCIENCE_TRAPS.keys())
+def test_science_trap_inputs_load_as_the_oracle_does(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    old = _outcome(load_science_csv_rowwise, str(path))
+    _assert_same(_outcome(load_science_csv, str(path)), old, ("y0", "y1", "d0", "d1", "strata"))
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_clean_files_load_without_the_per_row_reader(tmp_path, ending):
+    """An analyze-style CSV, with blank values, quoted labels and CRLF or LF
+    endings, is read by numpy's C reader alone; so is a science table."""
+    rng = np.random.default_rng(7)
+    rows = ["z,d,y,region,age"]
+    for i in range(300):
+        region = ["north", '"south, upper"', "", "a label of 17 chars"][i % 4]
+        age = "" if i % 37 == 0 else f"{rng.gamma(4.0, 10.0):.2f}"
+        rows.append(f"{i % 2},{int(rng.random() < 0.3) * (i % 2)},{rng.normal()!r},{region},{age}")
+    path = tmp_path / "d.csv"
+    path.write_bytes((ending.join(rows) + ending).encode())
+    schema = DatasetSchema(strata_cols=("region", "age"), binning={"age": {"quantile": 4}})
+    science = tmp_path / "s.csv"
+    science.write_bytes(ending.join(["y0,y1,d0,d1,stratum", "1,2,0,1,a", "0.5,5e-1,0,0,b"]).encode())
+    refuse = AssertionError("the per-row reader ran")
+    with mock.patch.object(io_cli, "_read_rows", side_effect=refuse):
+        sample = load_csv(str(path), schema)
+        table = load_science_csv(str(science))
+    _assert_same(sample, load_csv_rowwise(str(path), schema), ("z", "d", "y", "strata"))
+    old = load_science_csv_rowwise(str(science))
+    _assert_same(table, old, ("y0", "y1", "d0", "d1", "strata"))
+
+
+@given(
+    cells=st.lists(
+        st.one_of(
+            st.sampled_from(["1", "1.0", "0", "-0", "0.0", "2", "-3", "1e1", "", " ", "  "]),
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    k=st.sampled_from([2, 3, 4]),
+)
+def test_quantile_levels_from_distinct_values_equal_per_row_ranks(cells, k):
+    def per_row():
+        present = np.array([c.strip() != "" for c in cells])
+        level = np.full(len(cells), k)
+        if present.any():
+            ranks = _midranks(np.array([float(c) for c in cells if c.strip()]))
+            bins = np.ceil(ranks * k / len(ranks)).astype(int) - 1
+            if len(np.unique(bins)) < k:
+                raise io_cli.EmptyBin("empty")
+            level[present] = bins
+        return level
+
+    values, codes = io_cli._levels(cells)
+    new, old = _outcome(io_cli._quantile_levels, "a", values, codes, k, None), _outcome(per_row)
+    if isinstance(old, Exception):
+        assert isinstance(new, io_cli.EmptyBin)
+    else:
+        assert new[0].dtype == old.dtype and new[0].tobytes() == old.tobytes()
+        assert new[1] == [f"q{b + 1}" for b in range(k)] + ["missing"]
 
 
 @given(
