@@ -157,7 +157,7 @@ def first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         _, lab = np.unique(lab.ravel(), return_inverse=True)
         lab, lo, span = lab.reshape(r, n), 0, int(lab.max()) + 1
     rows = np.arange(r)[:, None]
-    key = (lab - lo + span * rows).ravel()  # (row, label) cell
+    key = np.subtract(lab, lo - span * rows).ravel()  # (row, label) cell
     first = np.full(r * span, r * n, dtype=np.intp)
     np.minimum.at(first, key, np.arange(r * n))
     # each row's cells by first appearance, as flat cell indices
@@ -166,7 +166,7 @@ def first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     rank[order.ravel()] = np.tile(np.arange(span), r)
     count = (first < r * n).reshape(r, span).sum(axis=1)
     firsts = np.minimum(first[order[:, : int(count.max())]] - n * rows, n)
-    return rank[key].reshape(r, n), count, firsts
+    return np.take(rank, key).reshape(r, n), count, firsts
 
 
 def _binary(a: np.ndarray) -> bool:
@@ -362,51 +362,88 @@ def check_science(y0: np.ndarray, y1: np.ndarray, d0: np.ndarray, d1: np.ndarray
 
 
 class MaskedRows:
-    """The masked entries of each row of (R, m) arrays, gathered into
-    contiguous blocks of the rows that have equally many entries.
+    """The entries of each row of (R, m) arrays at given positions, gathered
+    once into contiguous blocks of the rows that have equally many entries.
 
-    A row's entries keep their column order, so reducing a block along
-    axis 1 gives each row exactly the 1-D np.sum / np.mean / np.var of its
-    masked entries. Summing zero-padded rows, or a non-contiguous gather,
-    would change numpy's pairwise summation order once more than a few
-    entries are summed.
+    Layout: the rows are ordered (stably) by their entry count, and `index`
+    lists the flat positions of their entries in that order, each row's in
+    column order. `take` gathers every entry with that one index; the c
+    rows that have k entries each are then one contiguous (c, k) slice of
+    the result, and `counts` gives each row's k.
+
+    Each reduction runs on one such slice along axis 1, where numpy sums
+    every contiguous row pairwise on its own, so a row gets exactly the
+    1-D np.sum / np.mean / np.var of its entries. Reductions must stay per
+    row: zero-padded rows, a non-contiguous gather, or one reduction over
+    several stacked slices change the pairwise order, and with it the last
+    bits, once more than a few entries are summed.
     """
 
-    def __init__(self, mask: np.ndarray) -> None:
-        counts = mask.sum(axis=1)
-        self.groups = []
-        for k in np.unique(counts):
-            rows = np.flatnonzero(counts == k)
-            self.groups.append((rows, mask[rows], int(k)))
+    def __init__(self, positions: np.ndarray, shape: tuple[int, int]) -> None:
+        """positions: increasing flat positions into an array of `shape`."""
+        r, m = shape
+        self.counts = counts = np.bincount(positions // m, minlength=r)
+        self.order = order = counts.argsort(kind="stable")
+        self.sizes = sizes = counts[order]
+        ends = np.add.accumulate(sizes)
+        # each entry's offset from where its row starts in positions to
+        # where it starts in index
+        shift = np.repeat(np.add.accumulate(counts)[order] - ends, sizes)
+        self.index = positions[shift + np.arange(len(positions))]
+        cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), r]
+        starts = [0, *ends.tolist()]  # where each row, in count order, starts in index
+        # (first row, last row + 1, first entry, entries per row), in order
+        self.groups = [
+            (a, b, starts[a], (starts[b] - starts[a]) // (b - a))
+            for a, b in zip(cuts, cuts[1:])
+            if a < b
+        ]
 
-    def gather(self, values: np.ndarray):
-        """(rows, their masked entries as a (len(rows), k) array) per group."""
-        for rows, mask, k in self.groups:
-            yield rows, values[rows][mask].reshape(len(rows), k)
+    @classmethod
+    def of(cls, mask: np.ndarray) -> "MaskedRows":
+        """The entries where an (R, m) mask is set."""
+        return cls(np.flatnonzero(mask), mask.shape)
 
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty(len(values))
-        for rows, block in self.gather(values):
-            out[rows] = block.sum(axis=1)
+    def take(self, values: np.ndarray) -> np.ndarray:
+        """The entries of (R, m) values, in index order."""
+        return np.take(values, self.index)
+
+    def _reduce(self, entries: np.ndarray) -> np.ndarray:
+        """Each row's sum of entries, rows in count order."""
+        out = np.empty(len(self.sizes))
+        for a, b, lo, k in self.groups:
+            np.add.reduce(entries[lo : lo + (b - a) * k].reshape(b - a, k), axis=1, out=out[a:b])
         return out
 
-    def mean_var(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self, ordered: np.ndarray) -> np.ndarray:
+        """Per-row values in count order, put back in row order."""
+        out = np.empty_like(ordered)
+        out[self.order] = ordered
+        return out
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Each row's sum of the entries of (R, m) values."""
+        return self._rows(self._reduce(self.take(values)))
+
+    def mean_var(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row means (nan without entries) and sample variances (ddof 1;
-        nan with fewer than 2 entries)."""
-        mean, var = np.full(len(values), np.nan), np.full(len(values), np.nan)
-        for rows, block in self.gather(values):
-            if block.shape[1]:
-                mean[rows] = block.mean(axis=1)
-            if block.shape[1] >= 2:
-                var[rows] = block.var(axis=1, ddof=1)
-        return mean, var
+        nan with fewer than 2 entries) of entries in index order, as from
+        `take`. The variance runs np.var's steps: the sum divided by the
+        count, deviations, their squares, and the sum of those."""
+        sizes = self.sizes
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = self._reduce(entries) / sizes
+            dev = np.subtract(entries, np.repeat(mean, sizes))
+            var = self._reduce(np.square(dev, out=dev)) / (sizes - 1)
+        var[sizes < 2] = np.nan
+        return self._rows(mean), self._rows(var)
 
 
 def reveal(y0, y1, d0, d1, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Observed (y, d) under assignment z, elementwise over any shape."""
     treated = z == 1
     y = np.where(treated, y1, y0).astype(np.float64, copy=False)
-    return y, np.where(treated, d1, d0).astype(np.int8)
+    return y, np.where(treated, d1, d0).astype(np.int8, copy=False)
 
 
 def science_to_observed(table: ScienceTable, assignment) -> ObservedSample:
@@ -471,20 +508,28 @@ def block_moments(z, d, y, strata, num_strata: int) -> StratumMoments:
     terms do not suffer the cancellation of a sums-of-squares shortcut.
     """
     r, g = len(z), num_strata
-    cell = ((strata + g * np.arange(r)[:, None]) * 2 + z).ravel()
+    # full-size temporaries are built in place: a fresh (R, n) array costs
+    # more in page faults than the arithmetic that fills it
+    cell = np.add(strata, g * np.arange(r)[:, None], out=np.empty(z.shape, dtype=np.intp))
+    cell *= 2
+    cell += z
+    cell = cell.ravel()
     y, d = y.ravel(), d.ravel()
     ncells = 2 * g * r
     counts = np.bincount(cell, minlength=ncells).astype(np.float64)
     sum_y = np.bincount(cell, weights=y, minlength=ncells)
-    sum_d = np.bincount(cell, weights=d.astype(np.float64), minlength=ncells)
+    sum_d = np.bincount(cell, weights=d, minlength=ncells)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_y = sum_y / counts
         mean_d = sum_d / counts
-    ry = y - mean_y[cell]
-    rd = d - mean_d[cell]
-    ss_y = np.bincount(cell, weights=ry * ry, minlength=ncells)
-    ss_d = np.bincount(cell, weights=rd * rd, minlength=ncells)
-    ss_yd = np.bincount(cell, weights=ry * rd, minlength=ncells)
+    ry = np.take(mean_y, cell)
+    np.subtract(y, ry, out=ry)
+    rd = np.take(mean_d, cell)
+    np.subtract(d, rd, out=rd)
+    prod = ry * rd
+    ss_yd = np.bincount(cell, weights=prod, minlength=ncells)
+    ss_y = np.bincount(cell, weights=np.multiply(ry, ry, out=prod), minlength=ncells)
+    ss_d = np.bincount(cell, weights=np.multiply(rd, rd, out=prod), minlength=ncells)
     dof = counts - 1.0
     with np.errstate(invalid="ignore", divide="ignore"):
         s2_y = np.where(dof >= 1, ss_y / dof, np.nan)
@@ -536,7 +581,7 @@ class ObservedBlock:
     its (R, G) moments pad the codes it lacks with empty cells, which
     `present` masks out. A single ObservedSample is the R = 1 case (of).
     compliers, the (R, n) mask of true compliers, exists only where the
-    science table is known; the ORACLE kernel reads it.
+    science table is known; the ORACLE kernel reads its positions.
     """
 
     def __init__(self, z, d, y, strata, num_strata, compliers=None) -> None:
@@ -549,6 +594,11 @@ class ObservedBlock:
     def of(cls, sample: ObservedSample, compliers=None) -> "ObservedBlock":
         return cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
                    [sample.num_strata], None if compliers is None else compliers[None])
+
+    @functools.cached_property
+    def complier_positions(self) -> np.ndarray:
+        """Flat positions of the true compliers in the (R, n) layout."""
+        return np.flatnonzero(self.compliers)
 
     @functools.cached_property
     def moments(self) -> StratumMoments:

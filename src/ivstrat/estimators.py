@@ -166,7 +166,7 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     first-stage slope leaves a stage rank deficient.
     """
     m, present = block.moments, block.present
-    ksum = MaskedRows(present).sum
+    ksum = MaskedRows.of(present).sum
 
     def ss(s: np.ndarray, n: np.ndarray) -> np.ndarray:
         return np.where(n >= 2, (n - 1.0) * s, 0.0)
@@ -225,7 +225,7 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
             zero[i] = True
             continue
         est[i] = second[1]
-    f_ps = MaskedRows(present).sum((m.n_g / float(block.n)) * m.f_hat)
+    f_ps = MaskedRows.of(present).sum((m.n_g / float(block.n)) * m.f_hat)
     errors = [(zero, ZeroCompliance("fitted uptake does not vary; the second stage is undefined"))]
     nan = np.full(r, np.nan)
     return Rows(est, f_ps, np.full(r, block.n), present, nan, nan, errors, errors)
@@ -249,20 +249,21 @@ def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     """Infeasible benchmark: the difference in observed means among the
     true compliers, with the Neyman SE; a row keeps the strata that contain
     a complier."""
-    compliers = block.compliers
-    if compliers is None:
+    if block.compliers is None:
         raise ValueError("ORACLE needs the true compliers, known only from a science table")
-    treated = compliers & (block.z == 1)
-    control = compliers & (block.z == 0)
-    n1, n0 = treated.sum(axis=1), control.sum(axis=1)
-    mean1, var1 = MaskedRows(treated).mean_var(block.y)
-    mean0, var0 = MaskedRows(control).mean_var(block.y)
+    at = block.complier_positions
+    row, col = np.divmod(at, block.n)
+    in_treated = block.z[row, col] == 1  # z is 0 or 1
+    treated = MaskedRows(at[in_treated], block.z.shape)
+    control = MaskedRows(at[~in_treated], block.z.shape)
+    n1, n0 = treated.counts, control.counts
+    mean1, var1 = treated.mean_var(treated.take(block.y))
+    mean0, var0 = control.mean_var(control.take(block.y))
     est = mean1 - mean0
     with np.errstate(invalid="ignore", divide="ignore"):
         se = np.sqrt(var1 / n1 + var0 / n0)
     r, g = block.present.shape
-    cells = (block.strata + g * np.arange(r)[:, None])[compliers]
-    kept = np.bincount(cells, minlength=r * g).reshape(r, g) > 0
+    kept = np.bincount(block.strata[row, col] + g * row, minlength=r * g).reshape(r, g) > 0
     errors = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
     return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), errors, errors)
 

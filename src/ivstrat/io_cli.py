@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -868,6 +869,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ivstrat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

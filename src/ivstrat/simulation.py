@@ -35,6 +35,7 @@ from .data_model import (
     BLOCK_UNITS,
     InfeasibleCompliance,
     MaskedRows,
+    NonIntegralArm,
     ObservedBlock,
     ScienceTable,
     _frozen,
@@ -43,6 +44,7 @@ from .data_model import (
     reveal,
 )
 from .estimators import METHODS, EstimatorConfig, estimate_rows
+from .theory import _treated_count
 
 _VALID_TAGS = frozenset(METHODS) | {"ORACLE"}
 
@@ -82,21 +84,14 @@ def _pattern_scale(num_strata: int, between_var: float) -> float:
     return math.sqrt(between_var / spread)
 
 
-def _check_treated_count(n: int, p_treat: float) -> int:
-    n1 = p_treat * n
-    if not 0.0 < p_treat < 1.0 or abs(n1 - round(n1)) > 1e-9:
-        raise ValueError(f"p_treat * n = {n1} must be a whole number of treated units")
-    n1 = round(n1)
-    if not 0 < n1 < n:
-        raise ValueError("both arms must be nonempty")
-    return n1
-
-
 def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
     """The checks both config types share."""
     if config.n < 4:
         raise ValueError("n must be at least 4")
-    _check_treated_count(config.n, config.p_treat)
+    try:
+        _treated_count(config.n, config.p_treat)
+    except NonIntegralArm as exc:  # a config error like the others here
+        raise ValueError(str(exc)) from None
     if config.replications < 1:
         raise ValueError("replications must be at least 1")
     if not 0.0 <= config.outcome_r2 < 1.0:
@@ -227,7 +222,7 @@ class _Design:
     noise_sd: float
     never_taker_shift: float
     tau_g: np.ndarray
-    weights: tuple[float, ...] | None = None
+    weights: np.ndarray | None = None
     random_k: int | None = None
 
     @classmethod
@@ -235,7 +230,7 @@ class _Design:
         g = config.num_strata
         if isinstance(config, ConcentrationConfig):
             comp_prob = config.base_rate * config.r ** np.arange(g - 1, -1, -1, dtype=np.float64)
-            weights, random_k = config.weights, None
+            weights, random_k = np.asarray(config.weights), None
         else:
             weights, random_k = None, config.random_strata_k
             if config.predicts_compliance:
@@ -279,22 +274,28 @@ class _Design:
         if self.weights is None:
             draws["strata"][i] = rng.integers(0, g, size=n)
         else:
-            draws["strata"][i] = rng.choice(g, size=n, p=np.asarray(self.weights))
+            draws["strata"][i] = rng.choice(g, size=n, p=self.weights)
         rng.random(out=draws["u"][i])
         draws["noise"][i] = rng.normal(0.0, self.noise_sd, n)
         if self.random_k is not None:
             draws["labels"][i] = rng.integers(0, self.random_k, size=n)
 
     def assemble(self, draws: dict[str, np.ndarray]) -> "_Tables":
-        strata = draws["strata"]
-        is_complier = draws["u"] < self.comp_prob[strata]
-        mu = self.mu_g[strata] + self.never_taker_shift * (~is_complier)
-        y0 = mu + draws["noise"]
-        y1 = y0 + self.tau_g[strata] * is_complier
-        d1 = is_complier.astype(np.int8)
+        """The tables of a block of draws. It empties `draws`, so that each
+        buffer is freed once used and a block's peak memory stays low."""
+        strata = draws.pop("strata")
+        is_complier = draws.pop("u") < np.take(self.comp_prob, strata)
+        # y0 = mu + noise and y1 = y0 + tau * complier, built in place
+        y0 = np.take(self.mu_g, strata)
+        y0 += self.never_taker_shift * ~is_complier
+        y0 += draws.pop("noise")
+        y1 = np.take(self.tau_g, strata)
+        y1 *= is_complier
+        y1 += y0
+        d1 = is_complier.view(np.int8)
         d0 = np.zeros_like(d1)
         check_science(y0, y1, d0, d1)
-        labels = draws.get("labels", strata)
+        labels = draws.pop("labels", strata)
         codes, num_strata, firsts = first_appearance(labels)
         # each row's labels in code order (padding repeats the last unit's)
         values = np.take_along_axis(labels, np.minimum(firsts, self.n - 1), axis=1)
@@ -442,13 +443,16 @@ def _run_block(
         design.draw(draws, i, rng)
         z[i, rng.permutation(n)[:n1]] = 1
     tables = design.assemble(draws)
-    del draws
-    compliers = (tables.d1 == 1) & (tables.d0 == 0)
-    live = np.flatnonzero(compliers.any(axis=1))  # truth undefined elsewhere
-    slots = reps.start + live
-    store.truth[slots] = MaskedRows(compliers).mean_var(tables.y1 - tables.y0)[0][live]
     y, d = reveal(tables.y0, tables.y1, tables.d0, tables.d1, z)
-    block = ObservedBlock(z, d, y, tables.codes, tables.num_strata, compliers)
+    # binary uptake without defiers: a complier is a unit with d1 > d0
+    block = ObservedBlock(z, d, y, tables.codes, tables.num_strata, tables.d1 > tables.d0)
+    compliers = MaskedRows(block.complier_positions, z.shape)
+    live = np.flatnonzero(compliers.counts)  # truth undefined elsewhere
+    slots = reps.start + live
+    effects = compliers.take(tables.y1) - compliers.take(tables.y0)
+    store.truth[slots] = compliers.mean_var(effects)[0][live]
+    num_strata = tables.num_strata
+    del tables  # free the potential outcomes before the estimators run
     for tag in config.estimators:
         rows = estimate_rows(block, tag, est_config)
         ok = ~rows.failed[live] & np.isfinite(rows.est[live])
@@ -457,80 +461,51 @@ def _run_block(
         store.se_b[tag][at] = rows.se_bloom[src]
         store.se_d[tag][at] = rows.se_delta[src]
         store.n_used[tag][at] = rows.n_used[src]
-        store.dropped[tag][at] = rows.kept[src].sum(axis=1) < tables.num_strata[src]
-
-
-def _sd(x: np.ndarray) -> float:
-    return float(np.std(x, ddof=1)) if len(x) > 1 else float("nan")
-
-
-def _instability(se: np.ndarray, true_se: float) -> float:
-    se = se[np.isfinite(se)]
-    if len(se) < 2 or not math.isfinite(true_se) or true_se == 0.0:
-        return float("nan")
-    return _sd(se) / true_se
+        store.dropped[tag][at] = rows.kept[src].sum(axis=1) < num_strata[src]
 
 
 def _aggregate(
     store: _RepStore, tags: Sequence[str], reps: int
 ) -> tuple[EstimatorMetrics, ...]:
-    baseline_b = float("nan")
-    baseline_d = float("nan")
-    if "UNSTRAT" in tags:
-        est0 = store.est["UNSTRAT"]
-        ok0 = np.isfinite(est0)
-        se0 = _sd(est0[ok0])
-        baseline_b = _instability(store.se_b["UNSTRAT"][ok0], se0)
-        baseline_d = _instability(store.se_d["UNSTRAT"][ok0], se0)
-    rows = []
-    for tag in tags:
-        est = store.est[tag]
-        ok = np.isfinite(est)
-        n_ok = int(ok.sum())
-        fail_rate = 1.0 - n_ok / reps
-        if n_ok == 0:
-            nan = float("nan")
-            rows.append(
-                EstimatorMetrics(tag, nan, nan, nan, nan, nan, nan, nan, nan, 1.0, nan)
-            )
-            continue
-        err = est[ok] - store.truth[ok]
-        bias = float(np.mean(err))
-        true_se = _sd(est[ok])
-        rmse = math.sqrt(float(np.mean(err * err)))
+    """Each tag's metrics over the replications where its estimate is
+    finite. The tags are rows of (T, reps) arrays, and MaskedRows gives
+    every row the 1-D np.mean / np.std(ddof=1) of its entries, so each
+    metric is what those functions give on that tag's values alone."""
+    est, se_b, se_d, n_used, dropped = (
+        np.stack([getattr(store, name)[t] for t in tags])
+        for name in ("est", "se_b", "se_d", "n_used", "dropped")
+    )
+    ok = np.isfinite(est)
+    n_ok = ok.sum(axis=1)
+    used = MaskedRows.of(ok)
+    err = est - store.truth
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bias = used.sum(err) / n_ok
+        true_se = np.sqrt(used.mean_var(used.take(est))[1])
+        rmse = np.sqrt(used.sum(err * err) / n_ok)
         var_est = true_se * true_se
-        se_b = store.se_b[tag][ok]
-        se_d = store.se_d[tag][ok]
-        se_b = se_b[np.isfinite(se_b)]
-        se_d = se_d[np.isfinite(se_d)]
-        cal_b = (
-            math.sqrt(float(np.mean(se_b * se_b)) / var_est)
-            if len(se_b) and var_est > 0.0
-            else float("nan")
-        )
-        cal_d = (
-            math.sqrt(float(np.mean(se_d * se_d)) / var_est)
-            if len(se_d) and var_est > 0.0
-            else float("nan")
-        )
-        inst_b = _instability(store.se_b[tag][ok], true_se) / baseline_b
-        inst_d = _instability(store.se_d[tag][ok], true_se) / baseline_d
-        rows.append(
-            EstimatorMetrics(
-                estimator=tag,
-                bias=bias,
-                true_se=true_se,
-                rmse=rmse,
-                cal_bloom=cal_b,
-                cal_delta=cal_d,
-                rel_instab_bloom=inst_b,
-                rel_instab_delta=inst_d,
-                drop_rate=float(np.mean(store.dropped[tag][ok])),
-                fail_rate=fail_rate,
-                mean_n_used=float(np.mean(store.n_used[tag][ok])),
-            )
-        )
-    return tuple(rows)
+        cal, instability = [], []
+        for se in (se_b, se_d):
+            finite = ok & np.isfinite(se)
+            n_finite = finite.sum(axis=1)
+            rows = MaskedRows.of(finite)
+            mean_sq = rows.sum(se * se) / n_finite
+            defined = (n_finite > 0) & (var_est > 0.0)
+            cal.append(np.where(defined, np.sqrt(mean_sq / var_est), np.nan))
+            sd = np.sqrt(rows.mean_var(rows.take(se))[1])
+            defined = (n_finite >= 2) & np.isfinite(true_se) & (true_se != 0.0)
+            instability.append(np.where(defined, sd / true_se, np.nan))
+        # each instability relative to UNSTRAT's; nan without UNSTRAT
+        base = tags.index("UNSTRAT") if "UNSTRAT" in tags else None
+        for inst in instability:
+            inst /= np.nan if base is None else inst[base]
+        drop_rate = (dropped & ok).sum(axis=1) / n_ok
+        mean_n_used = used.sum(n_used) / n_ok
+    fail_rate = 1.0 - n_ok / reps
+    columns = (bias, true_se, rmse, *cal, *instability, drop_rate, fail_rate, mean_n_used)
+    return tuple(
+        EstimatorMetrics(tag, *(float(c[i]) for c in columns)) for i, tag in enumerate(tags)
+    )
 
 
 def _run_reps(config, threads: int) -> _RepStore:
@@ -538,7 +513,7 @@ def _run_reps(config, threads: int) -> _RepStore:
     fit in BLOCK_UNITS units. Blocks run on `threads` threads; each writes
     only its own slots."""
     reps = config.replications
-    n1 = _check_treated_count(config.n, config.p_treat)
+    n1 = _treated_count(config.n, config.p_treat)  # the config checked it
     design = _Design.of(config)
     est_config = EstimatorConfig()
     store = _RepStore.empty(config.estimators, reps)

@@ -99,7 +99,7 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray) -> Rows:
     variance of y - c d, with c the estimate. Both SEs need two units per
     arm in every kept stratum.
     """
-    ksum = MaskedRows(kept).sum
+    ksum = MaskedRows.of(kept).sum
     n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         w = m.n_g / n_kept[:, None].astype(np.float64)
@@ -140,7 +140,7 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
     (DegenerateVariance).
     """
     kept = (m.f_hat != 0.0) & present
-    ksum = MaskedRows(kept).sum
+    ksum = MaskedRows.of(kept).sum
     n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         var_itt = _var_itt(m)

@@ -9,6 +9,8 @@ against independent oracles.
 * Exact enumeration over blocks of assignments equals the loop that runs
   estimate() assignment by assignment.
 * The closed-form TSLS_DUMMY matches a least-squares 2SLS within 1e-12.
+* MaskedRows gives every row the bit-identical 1-D np.sum / np.mean /
+  np.var of its entries.
 """
 
 import math
@@ -29,6 +31,7 @@ from ivstrat import (
 )
 from ivstrat.data_model import (
     EstimationError,
+    MaskedRows,
     ObservedBlock,
     ObservedSample,
     RankDeficient,
@@ -211,3 +214,46 @@ def test_blocked_enumeration_matches_per_assignment_loop(seed, k, pa):
             continue
         blocked = enumerate_expectation(table, 0.5, tag, convention="condition")
         assert blocked == loop, tag
+
+
+# numpy sums up to 8 entries in a loop, then pairwise in blocks of 8 and
+# splits runs over 128 in halves: each count is on a side of a seam
+COUNTS = [0, 1, 2, 7, 8, 9, 128, 129, 300]
+
+
+def _hex(x: float) -> str:
+    return float.hex(float(x))
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.sampled_from(COUNTS), min_size=1, max_size=7),
+    shared=st.booleans(),
+    spare=st.integers(0, 40),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@example(seed=1, counts=[129], shared=False, spare=0, zeros=0.0)  # R = 1
+@example(seed=2, counts=[9, 0], shared=True, spare=5, zeros=0.0)  # one count, every row
+@example(seed=3, counts=[300, 7, 1, 2], shared=False, spare=3, zeros=1.0)  # all -0.0
+def test_masked_rows_match_one_dimensional_reductions(seed, counts, shared, spare, zeros):
+    rng = np.random.default_rng(seed)
+    if shared:
+        counts = [counts[0]] * len(counts)
+    m = max(counts) + spare
+    mask = np.zeros((len(counts), m), dtype=bool)
+    for i, k in enumerate(counts):
+        mask[i, rng.choice(m, size=k, replace=False)] = True
+    # magnitudes spread over 12 decades, so the order of a sum shows in its bits
+    values = rng.normal(size=mask.shape) * 10.0 ** rng.uniform(-6, 6, size=mask.shape)
+    values[rng.random(mask.shape) < zeros] = -0.0
+    for rows in (MaskedRows.of(mask), MaskedRows(np.flatnonzero(mask), mask.shape)):
+        total = rows.sum(values)
+        mean, var = rows.mean_var(rows.take(values))
+        assert np.array_equal(rows.counts, counts)
+        for i in range(len(counts)):
+            entries = values[i][mask[i]]
+            assert _hex(total[i]) == _hex(np.sum(entries)), i
+            assert _hex(mean[i]) == (_hex(np.mean(entries)) if len(entries) else "nan"), i
+            expected = _hex(np.var(entries, ddof=1)) if len(entries) >= 2 else "nan"
+            assert _hex(var[i]) == expected, i
