@@ -46,9 +46,7 @@ from .simulation import (
     ScenarioConfig,
     ScenarioMetrics,
     default_grid,
-    run_concentration,
     run_grid,
-    run_scenario,
 )
 from .theory import (
     asyvar_iv,
@@ -709,12 +707,6 @@ def _load_configs(path: str) -> list[ScenarioConfig | ConcentrationConfig]:
     return [_config_from_dict(o) for o in obj]
 
 
-def _run_one(config, threads: int) -> ScenarioMetrics:
-    if isinstance(config, ConcentrationConfig):
-        return run_concentration(config, threads=threads)
-    return run_scenario(config, threads=threads)
-
-
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -734,6 +726,13 @@ def _csv_floats(raw: str, flag: str) -> list[float]:
         return [float(s) for s in raw.split(",") if s.strip() != ""]
     except ValueError:
         raise ValueError(f"{flag} must be a comma-separated list of numbers") from None
+
+
+def _threads(raw: str) -> int:
+    count = int(raw)
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return count
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -758,8 +757,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     configs = _load_configs(args.config)
-    metrics = [_run_one(c, args.threads) for c in configs]
-    _write_text(args.out, _metrics_text(metrics))
+    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
     return 0
 
 
@@ -779,8 +777,7 @@ def _cmd_sweep_r(args: argparse.Namespace) -> int:
         )
         for i, r in enumerate(_csv_floats(args.r, "--r"))
     ]
-    metrics = [run_concentration(c, threads=args.threads) for c in configs]
-    _write_text(args.out, _metrics_text(metrics))
+    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
     return 0
 
 
@@ -796,8 +793,7 @@ def _cmd_random_strata(args: argparse.Namespace) -> int:
         )
         for i, k in enumerate(ks)
     ]
-    metrics = [run_scenario(c, threads=args.threads) for c in configs]
-    _write_text(args.out, _metrics_text(metrics))
+    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
     return 0
 
 
@@ -892,7 +888,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run scenarios from a JSON config")
     ps.add_argument("--config", required=True, help="scenario config JSON path")
     ps.add_argument("--out", default="-", help="metrics CSV path, - for stdout")
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=_threads, default=1)
     ps.set_defaults(func=_cmd_simulate)
 
     pr = sub.add_parser("sweep-r", help="compliance-concentration sweep")
@@ -906,7 +902,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--predicts-outcome", action="store_true")
     pr.add_argument("--nt-shift", type=float, default=0.0)
     pr.add_argument("--out", default="-")
-    pr.add_argument("--threads", type=int, default=1)
+    pr.add_argument("--threads", type=_threads, default=1)
     pr.set_defaults(func=_cmd_sweep_r)
 
     pk = sub.add_parser("random-strata", help="uninformative-strata study")
@@ -916,13 +912,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--replications", type=int, default=1000)
     pk.add_argument("--seed", type=int, default=0)
     pk.add_argument("--out", default="-")
-    pk.add_argument("--threads", type=int, default=1)
+    pk.add_argument("--threads", type=_threads, default=1)
     pk.set_defaults(func=_cmd_random_strata)
 
     pg = sub.add_parser("grid", help="the full factorial simulation grid (216 scenarios)")
     pg.add_argument("--replications", type=int, default=1000)
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--threads", type=int, default=1)
+    pg.add_argument("--threads", type=_threads, default=1)
     pg.add_argument(
         "--quick",
         action="store_true",

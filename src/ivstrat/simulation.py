@@ -8,26 +8,41 @@ total outcome variance. A concentration variant reparameterizes compliance
 as (p r^3, p r^2, p r, p) across four strata so a single knob r moves the
 design from uninformative (r = 1) to perfectly predictive (r = 0).
 
-The engine runs replications in blocks of about 64k units. Within a block
-each replication draws its table and assignment from its own stream; the
-block is then revealed, reduced to (R, G) moments in one pass and run
-through every estimator's row-wise kernel at once (estimators.estimate_rows),
-the same code that estimate() runs on one sample.
+The engine's unit of work is a segment, a range of one config's
+replications, and a block is a list of segments of about 64k units in
+all. Configs that share n and estimator tags fill blocks together, in
+config order, so a config smaller than a block shares one with the next.
+Within a block each replication draws its table and assignment from its
+own stream; the block is then revealed, reduced to (R, G) moments in one
+pass and run through every estimator's row-wise kernel at once
+(estimators.estimate_rows), the same code that estimate() runs on one
+sample. Each row's results go to its own config's slots, which are
+aggregated and freed once that config's last block is done.
+
+A replication's draws are, in order, what these numpy calls draw from its
+stream: integers(0, G, n) or choice(G, n, p=weights), random(n),
+normal(0, sd, n), with random strata integers(0, k, n), and
+permutation(n)[:n1] for the treated units. The engine makes the same bits
+with calls that skip per-call work: a searchsorted of random(n) into the
+weights' cdf, standard normals scaled once per segment, and an in-place
+shuffle of an arange row.
 
 Determinism contract: every replication draws from its own counter-based
 substream keyed by (seed, replication index) (Philox; Salmon et al., SC11),
 each row of a block is computed independently of the others, and
 aggregation reads preallocated per-replication slots in index order, so
-results are byte identical for any block partition and any thread count.
-Threads run whole blocks.
+results are byte identical for any block partition, any mix of configs in
+a block and any thread count: each config's metrics equal those it gets
+run alone. Threads run whole blocks.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,9 +225,9 @@ class _Design:
     """Everything one replication's population draw needs, per stratum.
 
     Each replication draws, from its own stream and in this order: stratum
-    labels (uniform, or by `weights`), compliance uniforms, outcome
+    labels (uniform, or by the weights' cdf), compliance uniforms, outcome
     normals, and with random_k the k random stratum labels that replace
-    the first ones. `assemble` turns a block of such draws into tables.
+    the first ones. `_assemble` turns a block of such draws into tables.
     """
 
     n: int
@@ -222,7 +237,7 @@ class _Design:
     noise_sd: float
     never_taker_shift: float
     tau_g: np.ndarray
-    weights: np.ndarray | None = None
+    cdf: np.ndarray | None = None
     random_k: int | None = None
 
     @classmethod
@@ -230,9 +245,11 @@ class _Design:
         g = config.num_strata
         if isinstance(config, ConcentrationConfig):
             comp_prob = config.base_rate * config.r ** np.arange(g - 1, -1, -1, dtype=np.float64)
-            weights, random_k = np.asarray(config.weights), None
+            # the cdf as Generator.choice builds it from p
+            cdf, random_k = np.asarray(config.weights, dtype=np.float64).cumsum(), None
+            cdf /= cdf[-1]
         else:
-            weights, random_k = None, config.random_strata_k
+            cdf, random_k = None, config.random_strata_k
             if config.predicts_compliance:
                 powers = config.compliance_ratio ** np.arange(g, dtype=np.float64)
                 base = g * config.target_pi_c / float(powers.sum())
@@ -257,49 +274,73 @@ class _Design:
             tau_g = np.full(g, config.tau)
         return cls(
             config.n, g, comp_prob, mu_g, noise_sd, config.never_taker_shift, tau_g,
-            weights, random_k,
+            cdf, random_k,
         )
 
-    def empty(self, reps: int) -> dict[str, np.ndarray]:
-        shape = (reps, self.n)
-        draws = {"strata": np.empty(shape, dtype=np.int64), "u": np.empty(shape),
-                 "noise": np.empty(shape)}
-        if self.random_k is not None:
-            draws["labels"] = np.empty(shape, dtype=np.int64)
-        return draws
-
     def draw(self, draws: dict[str, np.ndarray], i: int, rng: np.random.Generator) -> None:
-        """One replication's population draws into row i."""
-        g, n = self.num_strata, self.n
-        if self.weights is None:
-            draws["strata"][i] = rng.integers(0, g, size=n)
+        """One replication's population draws into row i: what
+        integers(0, G, n) or choice(G, n, p=weights), random(n),
+        normal(0, noise_sd, n) and, with random_k, integers(0, k, n) draw
+        in turn. choice is its own searchsorted of random(n) into the cdf,
+        without its per-call checks of p, and the normals are standard ones
+        that `outcomes` scales."""
+        n = self.n
+        if self.cdf is None:
+            draws["strata"][i] = rng.integers(0, self.num_strata, size=n)
         else:
-            draws["strata"][i] = rng.choice(g, size=n, p=self.weights)
+            draws["strata"][i] = self.cdf.searchsorted(rng.random(n), side="right")
         rng.random(out=draws["u"][i])
-        draws["noise"][i] = rng.normal(0.0, self.noise_sd, n)
+        rng.standard_normal(out=draws["noise"][i])
         if self.random_k is not None:
             draws["labels"][i] = rng.integers(0, self.random_k, size=n)
 
-    def assemble(self, draws: dict[str, np.ndarray]) -> "_Tables":
-        """The tables of a block of draws. It empties `draws`, so that each
-        buffer is freed once used and a block's peak memory stays low."""
-        strata = draws.pop("strata")
-        is_complier = draws.pop("u") < np.take(self.comp_prob, strata)
-        # y0 = mu + noise and y1 = y0 + tau * complier, built in place
+    def outcomes(self, strata, u, noise, complier) -> None:
+        """Rows drawn from this design, made tables in place: the complier
+        flags go into `complier`, y0 into `noise` and y1 into `u`."""
+        np.less(u, np.take(self.comp_prob, strata), out=complier)
+        if self.noise_sd != 1.0:
+            # normal(0, sd) draws 0 + sd * standard_normal: the same but for
+            # the sign of a zero, which y0 = noise + (mu + shift) does not keep
+            noise *= self.noise_sd
+        # y0 = mu + shift * never-taker + noise, y1 = tau * complier + y0
         y0 = np.take(self.mu_g, strata)
-        y0 += self.never_taker_shift * ~is_complier
-        y0 += draws.pop("noise")
-        y1 = np.take(self.tau_g, strata)
-        y1 *= is_complier
-        y1 += y0
-        d1 = is_complier.view(np.int8)
-        d0 = np.zeros_like(d1)
-        check_science(y0, y1, d0, d1)
-        labels = draws.pop("labels", strata)
-        codes, num_strata, firsts = first_appearance(labels)
-        # each row's labels in code order (padding repeats the last unit's)
-        values = np.take_along_axis(labels, np.minimum(firsts, self.n - 1), axis=1)
-        return _Tables(y0, y1, d0, d1, codes, num_strata, values)
+        y0 += self.never_taker_shift * ~complier
+        noise += y0
+        # mode "clip" fills `out` without a buffer; every code is below G
+        np.take(self.tau_g, strata, out=u, mode="clip")
+        u *= complier
+        u += noise
+
+
+def _buffers(reps: int, n: int, labels: bool) -> dict[str, np.ndarray]:
+    """Room for the population draws of `reps` replications."""
+    shape = (reps, n)
+    draws = {"strata": np.empty(shape, dtype=np.int64), "u": np.empty(shape),
+             "noise": np.empty(shape)}
+    if labels:
+        draws["labels"] = np.empty(shape, dtype=np.int64)
+    return draws
+
+
+def _assemble(draws: dict[str, np.ndarray], parts) -> "_Tables":
+    """The tables of a block of draws, each part (design, rows) made by its
+    own design. It empties `draws`, whose buffers become the tables, so a
+    block's peak memory stays low."""
+    strata, y1, y0 = draws.pop("strata"), draws.pop("u"), draws.pop("noise")
+    labels = draws.pop("labels", None)
+    is_complier = np.empty(strata.shape, dtype=bool)
+    for design, rows in parts:
+        design.outcomes(strata[rows], y1[rows], y0[rows], is_complier[rows])
+        if design.random_k is not None:
+            strata[rows] = labels[rows]
+    del labels
+    d1 = is_complier.view(np.int8)
+    d0 = np.zeros_like(d1)
+    check_science(y0, y1, d0, d1)
+    codes, num_strata, firsts = first_appearance(strata)
+    # each row's labels in code order (padding repeats the last unit's)
+    values = np.take_along_axis(strata, np.minimum(firsts, strata.shape[1] - 1), axis=1)
+    return _Tables(y0, y1, d0, d1, codes, num_strata, values)
 
 
 @dataclass(frozen=True)
@@ -325,9 +366,9 @@ class _Tables:
 
 def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
     design = _Design.of(config)
-    draws = design.empty(1)
+    draws = _buffers(1, design.n, design.random_k is not None)
     design.draw(draws, 0, rng)
-    return design.assemble(draws).table(0)
+    return _assemble(draws, [(design, slice(0, 1))]).table(0)
 
 
 def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> ScienceTable:
@@ -425,43 +466,69 @@ class _RepStore:
         )
 
 
-def _run_block(
-    store: _RepStore,
-    reps: range,
-    config,
-    design: _Design,
-    n1: int,
-    est_config: EstimatorConfig,
-) -> None:
-    """Replications reps[0]..reps[-1] as one block: draw each from its own
-    substream, then reveal, estimate and store them all at once."""
-    n, r = config.n, len(reps)
-    draws = design.empty(r)
+class _Segment(NamedTuple):
+    """The engine's unit of work: replications `reps` of one job, in rows
+    `rows` of the block that holds them."""
+
+    job: "_Job"
+    reps: range
+    rows: slice
+
+
+def _draw_block(block: list[_Segment]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """A block's population draws and its (R, n) assignments. Each
+    replication draws its population and then its assignment from its own
+    substream. Row i of `order` holds its units' flat positions in the
+    block, so `rng.shuffle` of it draws what permutation(n) does, and the
+    first n1 units of each row are treated."""
+    n = block[0].job.config.n
+    r = block[-1].rows.stop
+    draws = _buffers(r, n, any(s.job.design.random_k is not None for s in block))
+    order = np.arange(r * n).reshape(r, n)
+    i = 0
+    for job, reps, _ in block:
+        draw, seed = job.design.draw, job.config.seed
+        for rep in reps:
+            rng = _rep_rng(seed, rep)
+            draw(draws, i, rng)
+            rng.shuffle(order[i])
+            i += 1
     z = np.zeros((r, n), dtype=np.int8)
-    for i, rep in enumerate(reps):
-        rng = _rep_rng(config.seed, rep)
-        design.draw(draws, i, rng)
-        z[i, rng.permutation(n)[:n1]] = 1
-    tables = design.assemble(draws)
+    for job, _, rows in block:
+        z.reshape(-1)[order[rows, : job.n1]] = 1
+    return draws, z
+
+
+def _run_block(block: list[_Segment], est_config: EstimatorConfig) -> None:
+    """A block's segments: draw each replication from its own substream,
+    then reveal, estimate and store them all at once, each row in its own
+    job's slots."""
+    draws, z = _draw_block(block)
+    tables = _assemble(draws, [(s.job.design, s.rows) for s in block])
     y, d = reveal(tables.y0, tables.y1, tables.d0, tables.d1, z)
     # binary uptake without defiers: a complier is a unit with d1 > d0
-    block = ObservedBlock(z, d, y, tables.codes, tables.num_strata, tables.d1 > tables.d0)
-    compliers = MaskedRows(block.complier_positions, z.shape)
-    live = np.flatnonzero(compliers.counts)  # truth undefined elsewhere
-    slots = reps.start + live
+    obs = ObservedBlock(z, d, y, tables.codes, tables.num_strata, tables.d1 > tables.d0)
+    compliers = MaskedRows(obs.complier_positions, z.shape)
+    live = compliers.counts > 0  # truth undefined elsewhere
     effects = compliers.take(tables.y1) - compliers.take(tables.y0)
-    store.truth[slots] = compliers.mean_var(effects)[0][live]
+    truth = compliers.mean_var(effects)[0]
     num_strata = tables.num_strata
     del tables  # free the potential outcomes before the estimators run
-    for tag in config.estimators:
-        rows = estimate_rows(block, tag, est_config)
-        ok = ~rows.failed[live] & np.isfinite(rows.est[live])
-        at, src = slots[ok], live[ok]
-        store.est[tag][at] = rows.est[src]
-        store.se_b[tag][at] = rows.se_bloom[src]
-        store.se_d[tag][at] = rows.se_delta[src]
-        store.n_used[tag][at] = rows.n_used[src]
-        store.dropped[tag][at] = rows.kept[src].sum(axis=1) < num_strata[src]
+    for job, reps, rows in block:
+        at = np.flatnonzero(live[rows])
+        job.store.truth[reps.start + at] = truth[rows.start + at]
+    for tag in block[0].job.config.estimators:
+        out = estimate_rows(obs, tag, est_config)
+        ok = live & ~out.failed & np.isfinite(out.est)
+        dropped = out.kept.sum(axis=1) < num_strata
+        for job, reps, rows in block:
+            at = np.flatnonzero(ok[rows])
+            slots, src, store = reps.start + at, rows.start + at, job.store
+            store.est[tag][slots] = out.est[src]
+            store.se_b[tag][slots] = out.se_bloom[src]
+            store.se_d[tag][slots] = out.se_delta[src]
+            store.n_used[tag][slots] = out.n_used[src]
+            store.dropped[tag][slots] = dropped[src]
 
 
 def _aggregate(
@@ -508,32 +575,85 @@ def _aggregate(
     )
 
 
-def _run_reps(config, threads: int) -> _RepStore:
-    """Every replication of a config, in blocks of as many replications as
-    fit in BLOCK_UNITS units. Blocks run on `threads` threads; each writes
-    only its own slots."""
-    reps = config.replications
-    n1 = _treated_count(config.n, config.p_treat)  # the config checked it
-    design = _Design.of(config)
-    est_config = EstimatorConfig()
-    store = _RepStore.empty(config.estimators, reps)
-    size = max(1, BLOCK_UNITS // config.n)
-    blocks = [range(a, min(a + size, reps)) for a in range(0, reps, size)]
+class _Job:
+    """One config's run: its design, the result slots its blocks write
+    while they run, and what `finish` made of the slots once they are done."""
 
-    def one(part: range) -> None:
-        _run_block(store, part, config, design, n1, est_config)
+    def __init__(self, config: "ScenarioConfig | ConcentrationConfig") -> None:
+        self.config = config
+        self.design = _Design.of(config)
+        self.n1 = _treated_count(config.n, config.p_treat)  # the config checked it
+        self.blocks = 0  # blocks holding some of its replications, not yet run
+        self.store: _RepStore | None = None
+        self.result = None
+
+
+def _plan(jobs: Sequence[_Job]) -> list[list[_Segment]]:
+    """Blocks of as many replications as fit in BLOCK_UNITS units, with
+    each job's count of them. The jobs that share n and estimator tags fill
+    blocks together, in job order, so a job's replications span
+    consecutive blocks."""
+    groups: dict[tuple, list[_Job]] = {}
+    for job in jobs:
+        groups.setdefault((job.config.n, job.config.estimators), []).append(job)
+    blocks = []
+    for (n, _), group in groups.items():
+        size = max(1, BLOCK_UNITS // n)
+        block, used = [], 0
+        for job in group:
+            start, reps = 0, job.config.replications
+            while start < reps:
+                stop = min(reps, start + size - used)
+                block.append(_Segment(job, range(start, stop), slice(used, used + stop - start)))
+                job.blocks += 1
+                used += stop - start
+                start = stop
+                if used == size:
+                    blocks.append(block)
+                    block, used = [], 0
+        if block:
+            blocks.append(block)
+    return blocks
+
+
+def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
+    """Every replication of every config, in blocks that `_plan` fills.
+    Blocks run on `threads` threads and each writes only its own slots. A
+    config's slots exist from the start of its first block to the end of
+    its last, when finish(config, slots) runs; its results come back in
+    config order."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    jobs = [_Job(c) for c in configs]
+    blocks = _plan(jobs)
+    est_config = EstimatorConfig()
+    lock = threading.Lock()
+
+    def run(block: list[_Segment]) -> None:
+        with lock:
+            for job, _, _ in block:
+                if job.store is None:
+                    job.store = _RepStore.empty(job.config.estimators, job.config.replications)
+        _run_block(block, est_config)
+        with lock:
+            done = []
+            for job, _, _ in block:
+                job.blocks -= 1
+                if not job.blocks:
+                    done.append(job)
+        for job in done:
+            job.result, job.store = finish(job.config, job.store), None
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, blocks))
+            list(pool.map(run, blocks))
     else:
-        for part in blocks:
-            one(part)
-    return store
+        for block in blocks:
+            run(block)
+    return [job.result for job in jobs]
 
 
-def _run(config, threads: int) -> ScenarioMetrics:
-    store = _run_reps(config, threads)
+def _metrics(config, store: _RepStore) -> ScenarioMetrics:
     concentration = isinstance(config, ConcentrationConfig)
     return ScenarioMetrics(
         scenario_id=config.scenario_id,
@@ -558,19 +678,22 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     fatal; bias and rmse are measured against each replication's own
     realized complier effect.
     """
-    return _run(config, threads)
+    return run_grid([config], threads)[0]
 
 
 def run_concentration(config: ConcentrationConfig, threads: int = 1) -> ScenarioMetrics:
     """Run one point of the compliance-concentration sweep."""
-    return _run(config, threads)
+    return run_grid([config], threads)[0]
 
 
 def run_grid(
-    configs: Sequence[ScenarioConfig], threads: int = 1
+    configs: Sequence[ScenarioConfig | ConcentrationConfig], threads: int = 1
 ) -> list[ScenarioMetrics]:
-    """Run a collection of scenarios; one ScenarioMetrics per config."""
-    return [run_scenario(c, threads=threads) for c in configs]
+    """Run a collection of scenarios of either config type; one
+    ScenarioMetrics per config, in order. Configs that share n and
+    estimator tags share blocks, and each config's metrics equal those it
+    gets run alone."""
+    return _run_reps(configs, threads, _metrics)
 
 
 def default_grid(

@@ -5,7 +5,8 @@ against independent oracles.
   bit-identical result (or the same exception) of estimate() /
   oracle_complier_dim on that sample alone.
 * The simulation's per-replication slots do not depend on how the
-  replications are cut into blocks or spread over threads.
+  replications are cut into blocks, which other configs share those
+  blocks, or how the blocks are spread over threads.
 * Exact enumeration over blocks of assignments equals the loop that runs
   estimate() assignment by assignment.
 * The closed-form TSLS_DUMMY matches a least-squares 2SLS within 1e-12.
@@ -132,28 +133,40 @@ CONFIGS = [
     ScenarioConfig(n=60, target_pi_c=0.3, random_strata_k=12, replications=23, seed=5),
     ScenarioConfig(n=200, target_pi_c=0.05, predicts_compliance=True, replications=23, seed=6),
     ConcentrationConfig(r=0.25, n=100, replications=23, seed=7),
+    # these share n with the ones above but not strata counts, treated
+    # counts, types or tags
+    ScenarioConfig(n=60, target_pi_c=0.2, num_strata=2, predicts_outcome=True,
+                   p_treat=0.25, replications=17, seed=8),
+    ConcentrationConfig(r=0.5, n=60, replications=11, seed=9),
+    ScenarioConfig(n=100, target_pi_c=0.3, heterogeneous_tau=True, replications=9, seed=10),
+    ScenarioConfig(n=60, target_pi_c=0.3, estimators=("IV_W", "UNSTRAT", "ORACLE"),
+                   replications=13, seed=11),
 ]
 
 
-@settings(max_examples=12)
+def _run_slots(configs, units: int, threads: int) -> list[dict]:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "BLOCK_UNITS", units)
+        return _run_reps(configs, threads, lambda config, store: _slots(store))
+
+
+@settings(max_examples=20)
 @given(
-    which=st.integers(0, len(CONFIGS) - 1),
-    block=st.integers(1, 23),
+    which=st.lists(st.integers(0, len(CONFIGS) - 1), min_size=1, unique=True),
+    units=st.integers(1, 3000),
     threads=st.sampled_from([1, 3]),
 )
-def test_rep_store_slots_do_not_depend_on_block_partition(which, block, threads):
-    config = CONFIGS[which]
-
-    def run(reps_per_block: int, threads: int) -> dict:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulation, "BLOCK_UNITS", reps_per_block * config.n)
-            return _slots(_run_reps(config, threads))
-
-    whole = run(config.replications, 1)
-    parts = run(block, threads)
-    assert whole.keys() == parts.keys()
-    for name, values in whole.items():
-        assert np.array_equal(values, parts[name], equal_nan=values.dtype.kind == "f"), name
+@example(which=list(range(len(CONFIGS))), units=1000, threads=3)
+@example(which=[3, 0, 6, 4], units=40 * 60, threads=1)
+def test_rep_store_slots_do_not_depend_on_block_partition(which, units, threads):
+    """Each config's slots, run with others in blocks of any size, equal
+    those it gets run alone in one block."""
+    configs = [CONFIGS[i] for i in which]
+    for config, parts in zip(configs, _run_slots(configs, units, threads)):
+        (whole,) = _run_slots([config], config.replications * config.n, 1)
+        assert whole.keys() == parts.keys()
+        for name, values in whole.items():
+            assert np.array_equal(values, parts[name], equal_nan=values.dtype.kind == "f"), name
 
 
 def _close(a: float, b: float) -> bool:

@@ -478,6 +478,24 @@ def test_cli_simulate_threads_reproduce_bytes(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "CONFIG"],
+        ["sweep-r", "--r", "0.5", "--n", "40", "--replications", "2"],
+        ["random-strata", "--k", "2", "--n", "24", "--replications", "2"],
+        ["grid", "--replications", "1"],
+    ],
+)
+def test_cli_rejects_threads_below_one(tmp_path, argv, threads):
+    cfg = write(tmp_path, "cfg.json", '{"n": 40, "target_pi_c": 0.3, "replications": 2}')
+    out = tmp_path / "metrics.csv"
+    argv = [cfg if a == "CONFIG" else a for a in argv]
+    assert cli_main([*argv, "--threads", threads, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_cli_simulate_error_codes(tmp_path, capsys):
     unknown = write(tmp_path, "u.json", '{"n": 40, "bogus": 1}')
     assert cli_main(["simulate", "--config", unknown]) == 1

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ivstrat import (
     run_scenario,
     write_metrics_csv,
 )
+from ivstrat import simulation
+from ivstrat.simulation import _Job, _draw_block, _plan, _rep_rng
 from helpers import stratified_table
 
 
@@ -271,3 +274,76 @@ def test_run_grid_order():
     configs = [make_config(seed=21, replications=5), make_config(seed=22, replications=5)]
     out = run_grid(configs)
     assert [m.seed for m in out] == [21, 22]
+
+
+def test_run_grid_rejects_threads_below_one():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            run_scenario(make_config(replications=2), threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            run_grid([make_config(replications=2)], threads=threads)
+
+
+DRAW_CONFIGS = {
+    "uniform strata": lambda **kw: ScenarioConfig(target_pi_c=0.3, **kw),
+    "noise_sd below 1": lambda **kw: ScenarioConfig(
+        target_pi_c=0.1, predicts_compliance=True, predicts_outcome=True, **kw
+    ),
+    "random strata": lambda **kw: ScenarioConfig(target_pi_c=0.3, random_strata_k=3, **kw),
+    "float weights": lambda **kw: ConcentrationConfig(r=0.5, predicts_outcome=True, **kw),
+    "integer weights": lambda **kw: ConcentrationConfig(weights=(1,), **kw),
+}
+
+
+@pytest.mark.parametrize("n", [4, 7, 500])
+@pytest.mark.parametrize("kind", sorted(DRAW_CONFIGS))
+def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
+    """Each replication's rows equal numpy's one-call draws on its
+    substream, and leave its generator in the same state."""
+    config = DRAW_CONFIGS[kind](n=n, p_treat=3 / 7 if n == 7 else 0.5, replications=4, seed=31)
+    made = []
+
+    def rep_rng(seed, rep):
+        made.append(_rep_rng(seed, rep))
+        return made[-1]
+
+    monkeypatch.setattr(simulation, "_rep_rng", rep_rng)
+    job = _Job(config)
+    (block,) = _plan([job])
+    draws, z = _draw_block(block)
+    sd, g = job.design.noise_sd, config.num_strata
+    assert len(made) == config.replications
+    for rep, rng in enumerate(made):
+        ref = _rep_rng(config.seed, rep)
+        if isinstance(config, ConcentrationConfig):
+            strata = ref.choice(g, size=n, p=config.weights)
+        else:
+            strata = ref.integers(0, g, size=n)
+        assert np.array_equal(draws["strata"][rep], strata)
+        assert np.array_equal(draws["u"][rep], ref.random(n))
+        # _assemble scales the standard normals by noise_sd
+        assert np.array_equal(draws["noise"][rep] * sd, ref.normal(0.0, sd, n))
+        if "labels" in draws:
+            assert np.array_equal(draws["labels"][rep], ref.integers(0, 3, size=n))
+        treated = np.zeros(n, dtype=np.int8)
+        treated[ref.permutation(n)[: job.n1]] = 1
+        assert np.array_equal(z[rep], treated)
+        assert rng.random() == ref.random()
+
+
+def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
+    # blocks of 100 replications, so that the slots set the peak; all 20
+    # configs' slots kept to the end would about quadruple it
+    monkeypatch.setattr(simulation, "BLOCK_UNITS", 100 * 60)
+
+    def peak(count: int) -> int:
+        configs = [make_config(n=60, replications=300, seed=s) for s in range(count)]
+        tracemalloc.start()
+        try:
+            run_grid(configs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # leave out allocations made only on a first call
+    assert peak(20) < 1.5 * peak(2)
