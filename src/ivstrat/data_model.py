@@ -48,10 +48,6 @@ class LengthMismatch(EstimationError):
     pass
 
 
-class UnknownStratum(EstimationError):
-    pass
-
-
 class DefierPresent(EstimationError):
     pass
 

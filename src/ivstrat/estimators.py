@@ -1,30 +1,31 @@
 """Point estimators of the complier average causal effect.
 
-All estimators consume a validated ObservedSample and return an
-EstimateReport. The stratified family shares one computational core, the
-weighted-ITT ratio sum(N_g itt_g) / sum(N_g f_g) over a kept set of strata
+Every estimator is selected by tag through one entry, estimate(sample,
+tag[, config]), which returns an EstimateReport; METHODS lists the tags.
+The stratified family shares one computational core, the weighted-ITT
+ratio sum(N_g itt_g) / sum(N_g f_g) over a kept set of strata
 (variance.ratio_rows); the estimators differ only in which strata they keep:
 
-* iv_within     keeps strata with f_g != 0 (zero-compliance strata carry no
+* UNSTRAT       pools every unit into one stratum,
+* IV_W          keeps strata with f_g != 0 (zero-compliance strata carry no
                 information about the effect and are dropped),
-* iv_across     keeps everything (ratio of post-stratified averages),
-* iv_dss        keeps strata with estimated compliance >= a threshold,
-* iv_dsf        keeps strata whose first-stage F statistic passes a cutoff,
-* iv_pwiv       precision-weights per-stratum IV estimates instead.
+* IV_A          keeps everything (ratio of post-stratified averages),
+* DSS           keeps strata with estimated compliance >= a threshold,
+* DSF           keeps strata whose first-stage F statistic passes a cutoff,
+* PWIV          precision-weights per-stratum IV estimates instead.
 
-oracle_complier_dim benchmarks against the infeasible difference in means
-among true compliers, and tsls_weighted / tsls_dummies are the two-stage
-least squares comparators.
+ORACLE benchmarks against the infeasible difference in means among true
+compliers, and TSLS_WEIGHTED / TSLS_DUMMY are the two-stage least squares
+comparators.
 
 Every estimator, ORACLE included, is a row-wise kernel over an
-ObservedBlock of R samples (estimate_rows); estimate(), the iv_* / tsls_*
-functions and oracle_complier_dim are its R = 1 calls, and simulate and
+ObservedBlock of R samples (estimate_rows); estimate() and
+oracle_complier_dim are its R = 1 calls, and simulate and
 enumerate_expectation call it once per block. ORACLE reads the block's
 true-complier mask, which only a science table has, so METHODS and
 estimate() leave it out. Kept sets are (R, G) code masks; labels appear
 only in EstimateReport.
 """
-
 from __future__ import annotations
 
 import math
@@ -51,19 +52,10 @@ from .variance import Rows, pwiv_rows, ratio_rows
 __all__ = [
     "EstimatorConfig",
     "METHODS",
-    "itt_hat",
-    "f_hat",
-    "iv_unstratified",
-    "iv_within",
-    "iv_across",
-    "iv_dss",
     "first_stage_f",
-    "iv_dsf",
-    "iv_pwiv",
     "oracle_complier_dim",
-    "tsls_weighted",
-    "tsls_dummies",
     "estimate",
+    "estimate_rows",
 ]
 
 
@@ -84,43 +76,38 @@ class EstimatorConfig:
 _DEFAULT_CONFIG = EstimatorConfig()
 
 
-def _pooled(sample: ObservedSample) -> StratumMoments:
-    return ObservedBlock.of(sample).pooled
-
-
-def itt_hat(sample: ObservedSample) -> float:
-    """Intent-to-treat estimate: difference of outcome means by arm."""
-    return float(_pooled(sample).itt_hat[0, 0])
-
-
-def f_hat(sample: ObservedSample) -> float:
-    """Estimated compliance: difference of uptake means by arm."""
-    return float(_pooled(sample).f_hat[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Row-wise kernels: each takes an ObservedBlock of R samples and returns the
-# estimator's Rows. The public functions below are their R = 1 calls.
+# estimator's Rows. estimate() below is their R = 1 call.
 
 
 def _unstratified_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
-    # the one-stratum case of the weighted-ITT ratio, on pooled moments
+    # UNSTRAT, the standard IV ratio itt_hat / f_hat ignoring strata: the
+    # one-stratum case of the weighted-ITT ratio, on pooled moments
     rows = ratio_rows(block.pooled, np.ones((len(block.present), 1), dtype=bool))
     rows.kept = block.present
     return rows
 
 
 def _within_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    """IV_W, the compliance-weighted average of per-stratum IV estimates.
+
+    Strata with f_g = 0 are dropped; negative-f_g strata are retained with
+    their negative weight so the ratio form stays algebraically equivalent.
+    """
     m = block.moments
     kept = (m.f_hat != 0.0) & block.present
     return _screened(m, kept, ZeroCompliance("every stratum has zero estimated compliance"))
 
 
 def _across_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    # IV_A, the ratio of post-stratified averages: never drops a stratum
     return ratio_rows(block.moments, block.present)
 
 
 def _dss_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    """DSS, drop small strata: keep strata with f_g >= dss_threshold. The
+    threshold comparison also removes negative-f_g strata."""
     m = block.moments
     kept = (m.f_hat >= config.dss_threshold) & block.present
     return _screened(
@@ -131,6 +118,9 @@ def _dss_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
 
 
 def _dsf_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    """DSF, drop small F: keep strata whose first-stage F >= dsf_f_min.
+    Strata too small for the F statistic (N_g < 3, F nan) are dropped along
+    with the failing ones."""
     m = block.moments
     with np.errstate(invalid="ignore"):
         kept = (first_stage_f(m) >= config.dsf_f_min) & block.present
@@ -148,6 +138,7 @@ def _screened(m: StratumMoments, kept: np.ndarray, none_kept: EstimationError) -
 
 
 def _pwiv_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
+    # PWIV needs two units per arm in every stratum, kept or not (pwiv_rows)
     return pwiv_rows(block.moments, block.present)
 
 
@@ -162,8 +153,9 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     sqrt(sigma2 / (pi^2 sum h_g)) with sigma2 = RSS / (N - G - 1) from the
     structural residuals (actual, not predicted, uptake); each stratum's
     RSS is its within-arm sum of squares of y - beta d plus
-    h_g (itt_g - beta f_g)^2. A zero sum h_g (no stratum varies z) or zero
-    first-stage slope leaves a stage rank deficient.
+    h_g (itt_g - beta f_g)^2. The SE rides in the se_bloom slot. A zero
+    sum h_g (no stratum varies z) or zero first-stage slope leaves a stage
+    rank deficient.
     """
     m, present = block.moments, block.present
     ksum = MaskedRows.of(present).sum
@@ -193,7 +185,7 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
         (sf == 0.0, RankDeficient("second-stage design matrix is rank deficient")),
     ]
     rows = Rows(beta, pi, np.full(len(beta), block.n), present, se, np.full(len(beta), np.nan),
-                errors, errors)
+                errors)
     failed = rows.failed
     rows.est = np.where(failed, np.nan, beta)
     rows.se_bloom = np.where(failed, np.nan, se)
@@ -201,10 +193,11 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
 
 
 def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
-    """Two weighted one-regressor least-squares stages on the units, row by
-    row. Unit weights (N_g / N_{g,z})(n_z / N) make the first-stage slope
-    the post-stratified compliance estimate and the second-stage slope
-    iv_across; kept as an independent cross-check of that identity."""
+    """TSLS_WEIGHTED: two weighted one-regressor least-squares stages on the
+    units, row by row. Unit weights (N_g / N_{g,z})(n_z / N) make the
+    first-stage slope the post-stratified compliance estimate and the
+    second-stage slope IV_A's estimate; kept as an independent cross-check
+    of that identity. It defines no SE."""
     m, present = block.moments, block.present
     r = len(present)
     est = np.full(r, np.nan)
@@ -228,7 +221,7 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     f_ps = MaskedRows.of(present).sum((m.n_g / float(block.n)) * m.f_hat)
     errors = [(zero, ZeroCompliance("fitted uptake does not vary; the second stage is undefined"))]
     nan = np.full(r, np.nan)
-    return Rows(est, f_ps, np.full(r, block.n), present, nan, nan, errors, errors)
+    return Rows(est, f_ps, np.full(r, block.n), present, nan, nan, errors)
 
 
 def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, float] | None:
@@ -265,7 +258,7 @@ def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     r, g = block.present.shape
     kept = np.bincount(block.strata[row, col] + g * row, minlength=r * g).reshape(r, g) > 0
     errors = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
-    return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), errors, errors)
+    return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), errors)
 
 
 _KERNELS = {
@@ -321,33 +314,6 @@ def estimate(
     return _report(rows, method, sample.stratum_labels)
 
 
-def iv_unstratified(sample: ObservedSample) -> EstimateReport:
-    """Standard IV ratio itt_hat / f_hat, ignoring strata."""
-    return estimate(sample, "UNSTRAT")
-
-
-def iv_within(sample: ObservedSample) -> EstimateReport:
-    """Compliance-weighted average of per-stratum IV estimates.
-
-    Strata with f_g = 0 are dropped; negative f_g strata are retained with
-    their negative weight so the ratio form stays algebraically equivalent.
-    """
-    return estimate(sample, "IV_W")
-
-
-def iv_across(sample: ObservedSample) -> EstimateReport:
-    """Ratio of post-stratified averages; never drops strata."""
-    return estimate(sample, "IV_A")
-
-
-def iv_dss(sample: ObservedSample, config: EstimatorConfig = _DEFAULT_CONFIG) -> EstimateReport:
-    """Drop-small-strata: keep strata with f_g >= dss_threshold.
-
-    The threshold comparison also removes negative-f_g strata.
-    """
-    return estimate(sample, "DSS", config)
-
-
 def first_stage_f(m: StratumMoments) -> np.ndarray:
     """Homoskedastic one-regressor OLS F for d ~ z within each stratum.
 
@@ -367,25 +333,6 @@ def first_stage_f(m: StratumMoments) -> np.ndarray:
     return np.where(m.n_g < 3, np.nan, stat)
 
 
-def iv_dsf(sample: ObservedSample, config: EstimatorConfig = _DEFAULT_CONFIG) -> EstimateReport:
-    """Drop-small-F: keep strata whose first-stage F >= dsf_f_min.
-
-    Strata too small for the F statistic (N_g < 3) are dropped along with
-    the failing ones.
-    """
-    return estimate(sample, "DSF", config)
-
-
-def iv_pwiv(sample: ObservedSample) -> EstimateReport:
-    """Precision-weighted IV: average stratum IV estimates with weights
-    f_g^2 / var(itt_g), the reciprocal per-stratum Bloom variances.
-
-    Strata with f_g = 0 get zero weight (their IV estimate is undefined).
-    Every stratum still needs two units per arm so its weight is defined.
-    """
-    return estimate(sample, "PWIV")
-
-
 def oracle_complier_dim(table: ScienceTable, assignment) -> EstimateReport:
     """Infeasible benchmark: difference in observed means among compliers.
 
@@ -393,19 +340,3 @@ def oracle_complier_dim(table: ScienceTable, assignment) -> EstimateReport:
     """
     block = ObservedBlock.of(science_to_observed(table, assignment), table.is_complier)
     return _report(estimate_rows(block, "ORACLE"), "ORACLE", table.stratum_labels)
-
-
-def tsls_weighted(sample: ObservedSample) -> float:
-    """Two-stage least squares with the post-stratification unit weights;
-    numerically equal to iv_across (see _tsls_weighted_rows)."""
-    return estimate(sample, "TSLS_WEIGHTED").estimate
-
-
-def tsls_dummies(sample: ObservedSample) -> EstimateReport:
-    """Conventional 2SLS with an intercept and G-1 stratum indicators.
-
-    The reported standard error is the homoskedastic 2SLS one, built from
-    structural residuals that use actual (not predicted) uptake; it rides
-    in the se_bloom slot. See _tsls_dummies_rows for the closed form.
-    """
-    return estimate(sample, "TSLS_DUMMY")

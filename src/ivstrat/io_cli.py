@@ -859,10 +859,10 @@ def _cmd_theory(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are input errors: print help to stderr and exit 1
+    # usage problems are input errors: print usage and reason to stderr, exit 1
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -948,10 +948,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (MalformedRow, MissingColumn, EmptyFile, EmptyBin) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (MalformedRow, MissingColumn, EmptyFile, EmptyBin, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

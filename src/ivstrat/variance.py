@@ -14,15 +14,14 @@ form is its one-stratum case, evaluated on moments that pool every unit.
 The work happens row-wise on (R, G) moments (see data_model.block_moments),
 with each row's sums over its kept strata taken by data_model.MaskedRows:
 `ratio_rows` forms the weighted-ITT ratio and both SEs for R samples at
-once, `pwiv_rows` the precision-weighted combination. The public se_*_ps
-functions are their R = 1 calls on one sample; the unstratified and
-precision-weighted SEs come with the UNSTRAT and PWIV estimate() reports.
+once, `pwiv_rows` the precision-weighted combination. Every SE comes with
+its estimator's report: estimate(sample, "IV_A").se_bloom is the
+post-stratified Bloom SE over all strata, and UNSTRAT's the unstratified one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -31,15 +30,12 @@ from .data_model import (
     DegenerateVariance,
     EstimationError,
     MaskedRows,
-    ObservedBlock,
-    ObservedSample,
     StratumMoments,
     TooFewUnits,
-    UnknownStratum,
     ZeroCompliance,
 )
 
-__all__ = ["se_bloom_ps", "se_delta_ps"]
+__all__ = ["Rows", "ratio_rows", "pwiv_rows"]
 
 
 @dataclass
@@ -49,8 +45,7 @@ class Rows:
     est, f_hat, n_used and kept (an (R, G) mask) describe each row's
     estimate; se_bloom / se_delta are nan where undefined. errors lists
     (row mask, exception) pairs in the order the checks run: a row fails
-    with the first exception whose mask holds it. se_errors likewise says
-    why a row's SEs are undefined.
+    with the first exception whose mask holds it.
     """
 
     est: np.ndarray
@@ -60,7 +55,6 @@ class Rows:
     se_bloom: np.ndarray
     se_delta: np.ndarray
     errors: list[tuple[np.ndarray, EstimationError]]
-    se_errors: list[tuple[np.ndarray, EstimationError]]
 
     @property
     def failed(self) -> np.ndarray:
@@ -69,19 +63,15 @@ class Rows:
             out |= mask
         return out
 
-    def raise_first(self, which: str = "errors") -> None:
+    def raise_first(self) -> None:
         """Raise the first failure of row 0 (the R = 1 case)."""
-        for mask, exc in getattr(self, which):
+        for mask, exc in self.errors:
             if mask[0]:
                 raise exc
 
 
 def _two_per_arm(m: StratumMoments) -> np.ndarray:
     return (m.n_g1 >= 2) & (m.n_g0 >= 2)
-
-
-def _too_few(rows: np.ndarray) -> tuple[np.ndarray, EstimationError]:
-    return rows, TooFewUnits("need at least 2 units per arm in every kept stratum")
 
 
 def _var_itt(m: StratumMoments) -> np.ndarray:
@@ -114,9 +104,7 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray) -> Rows:
         var = ksum(w2 * (var_itt + c * c * var_f - 2.0 * c * cov)) / (f_ps * f_ps)
         delta = np.sqrt(np.where(0.0 > var, 0.0, var))
     zero = f_ps == 0.0
-    errors = [(zero, ZeroCompliance("kept strata have zero combined compliance"))]
-    se_errors = [_too_few(np.any(kept & ~_two_per_arm(m), axis=1))] + errors
-    undefined = se_errors[0][0] | zero
+    undefined = np.any(kept & ~_two_per_arm(m), axis=1) | zero
     return Rows(
         est=np.where(zero, np.nan, est),
         f_hat=f_ps,
@@ -124,8 +112,7 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray) -> Rows:
         kept=kept,
         se_bloom=np.where(undefined, np.nan, bloom),
         se_delta=np.where(undefined, np.nan, delta),
-        errors=errors,
-        se_errors=se_errors,
+        errors=[(zero, ZeroCompliance("kept strata have zero combined compliance"))],
     )
 
 
@@ -150,62 +137,18 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
         se = np.sqrt(1.0 / z_total)
         f_ps = ksum((m.n_g / n_kept[:, None].astype(np.float64)) * m.f_hat)
     errors = [
-        _too_few(np.any(present & ~_two_per_arm(m), axis=1)),
+        (
+            np.any(present & ~_two_per_arm(m), axis=1),
+            TooFewUnits("need at least 2 units per arm in every kept stratum"),
+        ),
         (~kept.any(axis=1), AllStrataDropped("every stratum has zero estimated compliance")),
         (
             np.any(kept & (var_itt == 0.0), axis=1),
             DegenerateVariance("a stratum with nonzero f_hat has zero outcome variance"),
         ),
     ]
-    rows = Rows(est, f_ps, n_kept, kept, se, np.full(len(est), np.nan), errors, errors)
+    rows = Rows(est, f_ps, n_kept, kept, se, np.full(len(est), np.nan), errors)
     failed = rows.failed
     rows.est = np.where(failed, np.nan, est)
     rows.se_bloom = np.where(failed, np.nan, se)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# One sample: the R = 1 calls.
-
-
-def _se(rows: Rows, field: str) -> float:
-    rows.raise_first("se_errors")
-    return float(getattr(rows, field)[0])
-
-
-def _kept_mask(sample: ObservedSample, kept_strata: Iterable[Hashable] | None) -> np.ndarray:
-    """The (1, G) kept-strata mask of one sample from labels (None keeps all)."""
-    kept = np.zeros((1, sample.num_strata), dtype=bool)
-    if kept_strata is None:
-        kept[:] = True
-        return kept
-    codes = {label: g for g, label in enumerate(sample.stratum_labels)}
-    for label in kept_strata:
-        if label not in codes:
-            raise UnknownStratum(f"stratum {label!r} is not a stratum of this sample")
-        kept[0, codes[label]] = True
-    if not kept.any():
-        raise AllStrataDropped("kept_strata is empty")
-    return kept
-
-
-def se_bloom_ps(sample: ObservedSample, kept_strata: Iterable[Hashable] | None = None) -> float:
-    """Post-stratified Bloom standard error over the kept strata.
-
-    var = (1/f_ps^2) sum_g (N_g/N)^2 [s2_yg(1)/N_g1 + s2_yg(0)/N_g0] with N
-    and f_ps renormalized to the kept units. kept_strata of None keeps all.
-    """
-    m = ObservedBlock.of(sample).moments
-    return _se(ratio_rows(m, _kept_mask(sample, kept_strata)), "se_bloom")
-
-
-def se_delta_ps(sample: ObservedSample, kept_strata: Iterable[Hashable] | None = None) -> float:
-    """Post-stratified delta-method standard error over the kept strata.
-
-    Per stratum the bracket is var(itt_g) + cace^2 var(f_g) - 2 cace cov_g,
-    i.e. the Neyman variance of y - cace * d, so each term is nonnegative;
-    cace is the post-stratified ratio over the kept strata.
-    """
-    m = ObservedBlock.of(sample).moments
-    return _se(ratio_rows(m, _kept_mask(sample, kept_strata)), "se_delta")
-

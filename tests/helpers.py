@@ -9,8 +9,22 @@ import numpy as np
 from scipy.stats import rankdata
 
 from ivstrat import ObservedSample, ScienceTable
-from ivstrat.data_model import EmptyBin, EmptyFile, MalformedRow, MissingColumn, RankDeficient
+from ivstrat.data_model import (
+    EmptyBin,
+    EmptyFile,
+    MalformedRow,
+    MissingColumn,
+    RankDeficient,
+    StratumMoments,
+    stratum_moments,
+)
 from ivstrat.io_cli import DatasetSchema, _parse_binary, _parse_outcome
+
+
+def pooled_moments(s: ObservedSample) -> StratumMoments:
+    """Moments with every unit of s in one stratum: itt_hat[0] and f_hat[0]
+    are the unstratified ITT and compliance estimates."""
+    return stratum_moments(ObservedSample.from_arrays(s.z, s.d, s.y))
 
 
 def sample_a() -> ObservedSample:

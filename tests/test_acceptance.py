@@ -32,20 +32,16 @@ from ivstrat import (
     asyvar_iv_ps,
     cli_main,
     enumerate_expectation,
-    itt_hat,
-    iv_across,
-    iv_unstratified,
-    iv_within,
+    estimate,
     load_csv,
     moments,
     run_concentration,
     run_scenario,
     science_to_observed,
     stratum_report,
-    tsls_weighted,
 )
 from ivstrat.io_cli import report_csv, stratum_csv
-from helpers import one_sided_table, random_sample, stratified_table
+from helpers import one_sided_table, pooled_moments, random_sample, stratified_table
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -58,9 +54,9 @@ def test_01_weighted_and_across_forms_agree():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         sample = random_sample(rng, require_nonzero_f=True)
-        w = iv_within(sample).estimate
-        a = iv_across(sample).estimate
-        t = tsls_weighted(sample)
+        w = estimate(sample, "IV_W").estimate
+        a = estimate(sample, "IV_A").estimate
+        t = estimate(sample, "TSLS_WEIGHTED").estimate
         assert abs(w - a) <= 1e-10 * (1.0 + abs(a))
         assert abs(t - a) <= 1e-9 * (1.0 + abs(a))
     assert time.time() - start < 10.0
@@ -74,9 +70,9 @@ def test_02_single_stratum_and_perfect_uptake_collapse_exactly():
     rng = np.random.default_rng(22)
     for _ in range(10):
         sample = random_sample(rng, g_range=(1, 1))
-        u = iv_unstratified(sample)
-        for fn in (iv_within, iv_across):
-            r = fn(sample)
+        u = estimate(sample, "UNSTRAT")
+        for tag in ("IV_W", "IV_A"):
+            r = estimate(sample, tag)
             assert r.estimate == u.estimate
             assert r.se_bloom == u.se_bloom
             assert r.se_delta == u.se_delta
@@ -88,9 +84,9 @@ def test_02_single_stratum_and_perfect_uptake_collapse_exactly():
                 base.stratum_labels[g] for g in base.strata
             ]
         )
-        r = iv_unstratified(full)
+        r = estimate(full, "UNSTRAT")
         assert r.se_delta == r.se_bloom
-        assert r.estimate == itt_hat(full)
+        assert r.estimate == pooled_moments(full).itt_hat[0]
 
 
 def test_03_exact_bias_oracle_and_its_sign():
@@ -176,7 +172,7 @@ def test_05_post_stratified_variance_formula_tracks_randomization():
     for i in range(estimates.size):
         z = np.zeros(table.n, dtype=np.int8)
         z[rng.permutation(table.n)[:half]] = 1
-        estimates[i] = iv_across(science_to_observed(table, z)).estimate
+        estimates[i] = estimate(science_to_observed(table, z), "IV_A").estimate
     ratio = estimates.var(ddof=1) / target
     assert 0.90 <= ratio <= 1.10
     assert time.time() - start < 120.0

@@ -41,7 +41,7 @@ from ivstrat.data_model import (
     reveal,
     science_to_observed,
 )
-from ivstrat.estimators import estimate_rows, tsls_dummies
+from ivstrat.estimators import estimate_rows
 from ivstrat import simulation
 from ivstrat.simulation import ConcentrationConfig, _run_reps
 from helpers import random_sample, tsls_dummies_lstsq
@@ -184,9 +184,9 @@ def test_closed_form_tsls_dummy_matches_least_squares(seed, g_max):
         est, pi, se = tsls_dummies_lstsq(sample)
     except RankDeficient:
         with pytest.raises(RankDeficient):
-            tsls_dummies(sample)
+            estimate(sample, "TSLS_DUMMY")
         return
-    report = tsls_dummies(sample)
+    report = estimate(sample, "TSLS_DUMMY")
     assert _close(report.estimate, est)
     assert _close(report.f_hat, pi)
     assert se is not None and _close(report.se_bloom, se)
@@ -208,7 +208,7 @@ def test_closed_form_tsls_dummy_rank_deficient_like_least_squares(z, d):
     with pytest.raises(RankDeficient):
         tsls_dummies_lstsq(sample)
     with pytest.raises(RankDeficient):
-        tsls_dummies(sample)
+        estimate(sample, "TSLS_DUMMY")
 
 
 @settings(max_examples=15)

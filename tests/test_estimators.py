@@ -12,17 +12,7 @@ from ivstrat import (
     ZeroCompliance,
     estimate,
     first_stage_f,
-    f_hat,
-    itt_hat,
-    iv_across,
-    iv_dsf,
-    iv_dss,
-    iv_pwiv,
-    iv_unstratified,
-    iv_within,
     oracle_complier_dim,
-    tsls_dummies,
-    tsls_weighted,
 )
 from ivstrat.data_model import (
     AllStrataDropped,
@@ -32,13 +22,13 @@ from ivstrat.data_model import (
     RankDeficient,
     stratum_moments,
 )
-from helpers import random_sample, sample_a, sample_pwiv, sample_two_strata
+from helpers import pooled_moments, random_sample, sample_a, sample_pwiv, sample_two_strata
 
 RNG = np.random.default_rng(77)
 
 
 def test_unstratified_hand_values():
-    r = iv_unstratified(sample_a())
+    r = estimate(sample_a(), "UNSTRAT")
     assert r.estimate == 2.0
     assert r.f_hat == 0.5
     assert r.n_used == 4
@@ -47,23 +37,23 @@ def test_unstratified_hand_values():
 
 
 def test_itt_and_f_hat():
-    s = sample_a()
-    assert itt_hat(s) == 1.0
-    assert f_hat(s) == 0.5
+    m = pooled_moments(sample_a())
+    assert m.itt_hat[0] == 1.0
+    assert m.f_hat[0] == 0.5
 
 
 def test_unstratified_zero_compliance():
     s = ObservedSample.from_arrays(z=[1, 1, 0, 0], d=[0] * 4, y=[3.0, 1.0, 2.0, 0.0])
     with pytest.raises(ZeroCompliance):
-        iv_unstratified(s)
+        estimate(s, "UNSTRAT")
 
 
 def test_single_stratum_collapse_bitwise():
     for seed in range(20):
         s = random_sample(np.random.default_rng(seed), g_range=(1, 1))
-        base = iv_unstratified(s)
-        for fn in (iv_within, iv_across, iv_dss):
-            r = fn(s)
+        base = estimate(s, "UNSTRAT")
+        for tag in ("IV_W", "IV_A", "DSS"):
+            r = estimate(s, tag)
             assert r.estimate == base.estimate
             assert r.se_bloom == base.se_bloom
             assert r.se_delta == base.se_delta
@@ -73,7 +63,7 @@ def test_within_across_all_strata_kept_bitwise():
     # with every f_hat_g nonzero, IV-w and IV-a run the identical expression
     for seed in range(20):
         s = random_sample(np.random.default_rng(seed + 40))
-        w, a = iv_within(s), iv_across(s)
+        w, a = estimate(s, "IV_W"), estimate(s, "IV_A")
         assert w.estimate == a.estimate
         assert w.se_bloom == a.se_bloom
         assert w.strata_kept == a.strata_kept
@@ -81,11 +71,11 @@ def test_within_across_all_strata_kept_bitwise():
 
 def test_within_vs_across_with_zero_compliance_stratum():
     s = sample_two_strata()
-    w = iv_within(s)
+    w = estimate(s, "IV_W")
     assert w.estimate == 2.0
     assert w.n_used == 4
     assert w.strata_kept == frozenset({"x"})
-    a = iv_across(s)
+    a = estimate(s, "IV_A")
     assert a.estimate == 6.0  # ITT_ps 1.5 over f_ps 0.25
     assert a.f_hat == 0.25
     assert a.n_used == 8
@@ -100,26 +90,26 @@ def test_within_keeps_negative_compliance_strata():
         y=[3.0, 1.0, 2.0, 0.0, 1.0, 0.0, 2.0, 1.0],
         strata=["a", "a", "a", "a", "b", "b", "b", "b"],
     )
-    w = iv_within(s)
+    w = estimate(s, "IV_W")
     assert w.strata_kept == frozenset({"a", "b"})
-    d = iv_dss(s)
+    d = estimate(s, "DSS")
     assert d.strata_kept == frozenset({"a"})
     assert d.estimate == 2.0
 
 
 def test_dss_threshold_is_inclusive():
     s = sample_two_strata()  # stratum f_hats are 0.5 and 0.0
-    r = iv_dss(s, EstimatorConfig(dss_threshold=0.5))
+    r = estimate(s, "DSS", EstimatorConfig(dss_threshold=0.5))
     assert r.strata_kept == frozenset({"x"})
     with pytest.raises(AllStrataDropped):
-        iv_dss(s, EstimatorConfig(dss_threshold=0.500001))
+        estimate(s, "DSS", EstimatorConfig(dss_threshold=0.500001))
 
 
 def test_dss_tiny_threshold_equals_iv_within_one_sided():
     cfg = EstimatorConfig(dss_threshold=1e-12)
     for seed in range(15):
         s = random_sample(np.random.default_rng(seed + 80), one_sided=True)
-        assert iv_dss(s, cfg).estimate == iv_within(s).estimate
+        assert estimate(s, "DSS", cfg).estimate == estimate(s, "IV_W").estimate
 
 
 def test_first_stage_f_hand_value():
@@ -155,15 +145,15 @@ def test_dsf_keeps_only_strong_strata():
         y=[3.0, 1.0, 2.0, 0.0, 3.0, 1.0, 2.0, 0.0],
         strata=[0, 0, 0, 0, 1, 1, 1, 1],
     )
-    r = iv_dsf(s)
+    r = estimate(s, "DSF")
     assert r.strata_kept == frozenset({0})
     assert r.estimate == 1.0  # d == z, so the stratum IV is its ITT
     with pytest.raises(AllStrataDropped):
-        iv_dsf(sample_a())
+        estimate(sample_a(), "DSF")
 
 
 def test_pwiv_hand_values():
-    r = iv_pwiv(sample_pwiv())
+    r = estimate(sample_pwiv(), "PWIV")
     assert r.estimate == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert r.se_bloom == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-15)
     assert r.se_delta is None
@@ -171,7 +161,7 @@ def test_pwiv_hand_values():
 
 def test_pwiv_skips_zero_compliance_strata():
     s = sample_two_strata()
-    r = iv_pwiv(s)
+    r = estimate(s, "PWIV")
     assert r.strata_kept == frozenset({"x"})
     assert r.estimate == 2.0
     assert r.n_used == 4
@@ -185,7 +175,7 @@ def test_pwiv_equal_strata_symmetric_reduction():
         y=[3.0, 1.0, 2.0, 0.0] * 2,
         strata=[0] * 4 + [1] * 4,
     )
-    assert iv_pwiv(s).estimate == pytest.approx(2.0, rel=1e-15)
+    assert estimate(s, "PWIV").estimate == pytest.approx(2.0, rel=1e-15)
 
 
 def test_oracle_complier_dim():
@@ -211,16 +201,16 @@ def test_oracle_complier_dim():
 def test_tsls_weighted_matches_iv_across():
     for seed in range(30):
         s = random_sample(np.random.default_rng(seed + 200))
-        a = iv_across(s).estimate
-        t = tsls_weighted(s)
+        a = estimate(s, "IV_A").estimate
+        t = estimate(s, "TSLS_WEIGHTED").estimate
         assert t == pytest.approx(a, rel=1e-11, abs=1e-11)
 
 
 def test_tsls_dummies_single_stratum_is_wald():
     for seed in range(10):
         s = random_sample(np.random.default_rng(seed + 300), g_range=(1, 1))
-        r = tsls_dummies(s)
-        assert r.estimate == pytest.approx(iv_unstratified(s).estimate, rel=1e-11)
+        r = estimate(s, "TSLS_DUMMY")
+        assert r.estimate == pytest.approx(estimate(s, "UNSTRAT").estimate, rel=1e-11)
         assert r.se_bloom is not None and r.se_bloom > 0.0
 
 
@@ -232,7 +222,7 @@ def test_tsls_dummies_rank_deficient():
         strata=[0] * 4 + [1] * 4,
     )
     with pytest.raises(RankDeficient):
-        tsls_dummies(s)
+        estimate(s, "TSLS_DUMMY")
 
 
 def test_estimate_dispatcher_covers_all_methods():

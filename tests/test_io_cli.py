@@ -572,6 +572,22 @@ def test_cli_usage_errors(capsys):
     assert cli_main([]) == 1
     assert cli_main(["frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err
+    # the usage line, then the reason argparse gave
+    for argv, reason in [
+        (
+            ["simulate", "--config", "c.json", "--threads", "0"],
+            "ivstrat simulate: error: argument --threads: must be at least 1",
+        ),
+        (["simulate"], "ivstrat simulate: error: the following arguments are required: --config"),
+        (
+            ["analyze", "--data", "x.csv", "--se", "nope"],
+            "ivstrat analyze: error: argument --se: invalid choice: 'nope'",
+        ),
+    ]:
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ivstrat {argv[0]} ")
+        assert err.splitlines()[-1].startswith(reason)
 
 
 def test_cli_help_exits_zero(capsys):

@@ -14,13 +14,11 @@ from ivstrat import (
     bias_one_sided_taylor,
     bias_two_sided_taylor,
     enumerate_expectation,
-    f_hat,
-    itt_hat,
-    iv_unstratified,
+    estimate,
     moments,
 )
 from ivstrat.data_model import NonIntegralArm, TooFewUnits, TwoSidedInput
-from helpers import one_sided_table, stratified_table
+from helpers import one_sided_table, pooled_moments, stratified_table
 
 RNG = np.random.default_rng(20240818)
 
@@ -118,9 +116,12 @@ def test_first_order_variance_matches_enumeration_exactly():
         t = random_two_sided_table(np.random.default_rng(seed + 30))
         tau = t.cace
         m = moments(t, 0.5)
-        mod = enumerate_expectation(
-            t, 0.5, lambda s: itt_hat(s) - tau * f_hat(s)
-        )
+
+        def linear(s):
+            pooled = pooled_moments(s)
+            return pooled.itt_hat[0] - tau * pooled.f_hat[0]
+
+        mod = enumerate_expectation(t, 0.5, linear)
         assert m.pi_c**2 * asyvar_iv(m) == pytest.approx(
             mod.variance, rel=1e-10, abs=1e-13
         )
@@ -261,7 +262,7 @@ def test_enumeration_fast_and_generic_paths_agree():
     t = random_two_sided_table(np.random.default_rng(4))
     fast = enumerate_expectation(t, 0.5, "UNSTRAT", convention="condition")
     slow = enumerate_expectation(
-        t, 0.5, lambda s: iv_unstratified(s).estimate, convention="condition"
+        t, 0.5, lambda s: estimate(s, "UNSTRAT").estimate, convention="condition"
     )
     assert fast.mean == pytest.approx(slow.mean, rel=1e-13)
     assert fast.variance == pytest.approx(slow.variance, rel=1e-13)

@@ -3,26 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ivstrat import (
-    ObservedSample,
-    ZeroCompliance,
-    iv_pwiv,
-    iv_unstratified,
-    se_bloom_ps,
-    se_delta_ps,
-)
-from ivstrat.data_model import (
-    AllStrataDropped,
-    DegenerateVariance,
-    UnknownStratum,
-    stratum_moments,
-)
-from helpers import random_sample, sample_a, sample_pwiv, sample_two_strata
-
-
-def _pooled(s: ObservedSample):
-    """Moments with every unit of s in one stratum."""
-    return stratum_moments(ObservedSample.from_arrays(s.z, s.d, s.y))
+from ivstrat import ObservedSample, ZeroCompliance, estimate
+from ivstrat.data_model import DegenerateVariance, ObservedBlock, stratum_moments
+from ivstrat.variance import ratio_rows
+from helpers import pooled_moments, random_sample, sample_a, sample_pwiv, sample_two_strata
 
 
 def _components(m):
@@ -53,7 +37,7 @@ def test_variance_components_hand_values():
 def test_variance_components_cauchy_schwarz():
     for seed in range(25):
         s = random_sample(np.random.default_rng(seed), require_nonzero_f=False)
-        var_itt, var_f, cov = _components(_pooled(s))
+        var_itt, var_f, cov = _components(pooled_moments(s))
         bound = math.sqrt(var_itt[0] * var_f[0])
         assert abs(cov[0]) <= bound + 1e-12
 
@@ -71,19 +55,19 @@ def test_var_itt_neyman_requires_two_per_arm():
 
 
 def test_bloom_se_hand_value():
-    se = iv_unstratified(sample_a()).se_bloom
+    se = estimate(sample_a(), "UNSTRAT").se_bloom
     assert se == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
 
 
 def test_delta_se_hand_value():
     # bracket = 2 + 4*0.25 - 2*2*0.5 = 1, se = sqrt(1)/0.5
-    assert iv_unstratified(sample_a()).se_delta == pytest.approx(2.0, rel=1e-15)
+    assert estimate(sample_a(), "UNSTRAT").se_delta == pytest.approx(2.0, rel=1e-15)
 
 
 def test_bloom_se_rejects_zero_compliance():
     s = ObservedSample.from_arrays(z=[1, 1, 0, 0], d=[0] * 4, y=[3.0, 1.0, 2.0, 0.0])
     with pytest.raises(ZeroCompliance):
-        iv_unstratified(s)
+        estimate(s, "UNSTRAT")
 
 
 def test_delta_equals_bloom_when_uptake_follows_assignment():
@@ -94,16 +78,17 @@ def test_delta_equals_bloom_when_uptake_follows_assignment():
         z[rng.permutation(n)[: n // 2]] = 1
         y = rng.normal(0, 1, n)
         s = ObservedSample.from_arrays(z=z, d=z.copy(), y=y)
-        r = iv_unstratified(s)
+        r = estimate(s, "UNSTRAT")
         assert r.se_delta == r.se_bloom  # bitwise
 
 
 def test_ps_se_collapse_single_stratum():
     for seed in range(20):
         s = random_sample(np.random.default_rng(seed), g_range=(1, 1))
-        r = iv_unstratified(s)
-        assert se_bloom_ps(s) == r.se_bloom  # bitwise
-        assert se_delta_ps(s) == r.se_delta  # bitwise
+        r, ps = estimate(s, "UNSTRAT"), estimate(s, "IV_A")
+        assert ps.se_bloom is not None and ps.se_delta is not None  # both defined
+        assert ps.se_bloom == r.se_bloom  # bitwise
+        assert ps.se_delta == r.se_delta  # bitwise
 
 
 def test_ps_bloom_kept_subset_matches_subsample():
@@ -111,12 +96,14 @@ def test_ps_bloom_kept_subset_matches_subsample():
     sub = ObservedSample.from_arrays(
         z=[1, 1, 0, 0], d=[1, 0, 0, 0], y=[3.0, 1.0, 2.0, 0.0]
     )
-    assert se_bloom_ps(s, kept_strata=["x"]) == iv_unstratified(sub).se_bloom
+    kept = np.array([[label == "x" for label in s.stratum_labels]])
+    rows = ratio_rows(ObservedBlock.of(s).moments, kept)
+    assert rows.se_bloom[0] == estimate(sub, "UNSTRAT").se_bloom
 
 
 def test_ps_bloom_hand_value_two_strata():
     # equal stratum shares, f_ps = 1: sqrt(0.25*2 + 0.25*4)
-    assert se_bloom_ps(sample_pwiv()) == pytest.approx(math.sqrt(1.5), rel=1e-15)
+    assert estimate(sample_pwiv(), "IV_A").se_bloom == pytest.approx(math.sqrt(1.5), rel=1e-15)
 
 
 def test_ps_delta_matches_direct_formula():
@@ -133,19 +120,12 @@ def test_ps_delta_matches_direct_formula():
         c = float(np.sum(w * m.itt_hat)) / f_ps
         var = float(np.sum(w * w * (var_itt + c * c * var_f - 2.0 * c * cov)))
         expect = math.sqrt(max(var, 0.0)) / abs(f_ps)
-        assert se_delta_ps(s) == pytest.approx(expect, rel=1e-12)
-
-
-def test_ps_se_unknown_and_empty_kept():
-    s = sample_two_strata()
-    with pytest.raises(UnknownStratum):
-        se_bloom_ps(s, kept_strata=["zzz"])
-    with pytest.raises(AllStrataDropped):
-        se_bloom_ps(s, kept_strata=[])
+        assert estimate(s, "IV_A").se_delta == pytest.approx(expect, rel=1e-12)
 
 
 def test_pwiv_se_hand_value():
-    assert iv_pwiv(sample_pwiv()).se_bloom == pytest.approx(math.sqrt(1.0 / 0.75), rel=1e-15)
+    se = estimate(sample_pwiv(), "PWIV").se_bloom
+    assert se == pytest.approx(math.sqrt(1.0 / 0.75), rel=1e-15)
 
 
 def test_pwiv_se_degenerate_variance():
@@ -154,12 +134,12 @@ def test_pwiv_se_degenerate_variance():
         z=[1, 1, 0, 0], d=[1, 1, 0, 0], y=[1.0, 1.0, 0.0, 0.0]
     )
     with pytest.raises(DegenerateVariance):
-        iv_pwiv(s)
+        estimate(s, "PWIV")
 
 
 def test_delta_se_nonnegative_and_finite():
     for seed in range(25):
         s = random_sample(np.random.default_rng(seed + 500))
-        r = iv_unstratified(s)
-        for v in (r.se_delta, se_delta_ps(s), r.se_bloom, se_bloom_ps(s)):
+        r, ps = estimate(s, "UNSTRAT"), estimate(s, "IV_A")
+        for v in (r.se_delta, ps.se_delta, r.se_bloom, ps.se_bloom):
             assert math.isfinite(v) and v >= 0.0
