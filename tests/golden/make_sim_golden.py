@@ -5,17 +5,26 @@ Each file holds the metrics CSV of one group of small simulate configs, as
 four predictive strata with every default estimator, twelve random strata
 (at n=60 some replications have fewer than twelve present strata and
 arms with one unit or none), and a compliance-concentration point with
-the ORACLE benchmark. Run from the repository root:
+the ORACLE benchmark. grid_quick_metrics.csv is `ivstrat grid --quick
+--seed 3`: 72 n=500 configs that the engine runs on shared blocks. Run
+from the repository root:
 
     PYTHONPATH=src python3 tests/golden/make_sim_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import pathlib
 
-from ivstrat import ConcentrationConfig, ScenarioConfig, run_concentration, run_scenario
+from ivstrat import (
+    ConcentrationConfig,
+    ScenarioConfig,
+    cli_main,
+    run_concentration,
+    run_scenario,
+)
 from ivstrat.io_cli import write_metrics_csv
 
 HERE = pathlib.Path(__file__).parent
@@ -57,9 +66,21 @@ def metrics_text(configs, threads: int = 1) -> str:
     return buf.getvalue()
 
 
+GRID_QUICK = "grid_quick_metrics.csv"
+
+
+def grid_quick_text(threads: int = 1) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(["grid", "--quick", "--seed", "3", "--threads", str(threads)])
+    assert code == 0, code
+    return buf.getvalue()
+
+
 def main() -> None:
     for name, configs in CONFIGS.items():
         (HERE / name).write_text(metrics_text(configs))
+    (HERE / GRID_QUICK).write_text(grid_quick_text())
 
 
 if __name__ == "__main__":
