@@ -8,7 +8,12 @@ that averages an estimator over every possible assignment.
 
 All variances are variances of the estimators themselves (the 1/n factors
 live inside the expressions), so they compare directly with Monte Carlo
-variances over assignments.
+variances over assignments. The first-order variance of the IV ratio,
+[var(itt_hat) + cace^2 var(f_hat) - 2 cace cov(itt_hat, f_hat)] / pi_c^2,
+is by bilinearity the exact (Neyman) variance of the difference in means
+of the modified outcome u = y - cace * d, S2(u1)/n1 + S2(u0)/n0 -
+S2(u1 - u0)/N, over pi_c^2 (Imbens & Rubin 2015, ch. 6); the
+post-stratified one is a weighted sum of that form over strata.
 
 A note on the f_hat moments used by the bias functions: under complete
 randomization of a one-sided population, n1 * f_hat is the hypergeometric
@@ -66,11 +71,15 @@ ENUMERATION_CAP = 1_000_000
 class PopulationMoments:
     """Every population quantity the variance and bias formulas consume.
 
-    Scalars are whole-population values; *_g arrays are indexed by dense
-    stratum code. Group means (ybar_c1 = mean of Y(1) over compliers, etc.)
-    are nan when the group is empty, as are per-stratum (co)variances of
-    single-unit strata; formulas guard those terms by their zero
-    coefficients.
+    The bias formulas read the compliance-type shares and four group means
+    (ybar_c1 = mean of Y(1) over compliers, etc.; nan when the group is
+    empty, where the formulas guard the term by its zero coefficient).
+
+    The first-order variances read only the sample variances (divisor
+    n - 1) of the modified outcomes u1 = y1 - cace * d1 and
+    u0 = y0 - cace * d0 and of u1 - u0: pooled in s2_u*, and by dense
+    stratum code in g_s2_u* (nan for a single-unit stratum). With no
+    complier, cace and so all six are nan.
     """
 
     n: int
@@ -79,36 +88,17 @@ class PopulationMoments:
     pi_c: float
     pi_a: float
     pi_n: float
-    pi_gc: np.ndarray
-    pi_ga: np.ndarray
-    pi_gn: np.ndarray
     ybar_c1: float
     ybar_c0: float
     ybar_a1: float
-    ybar_a0: float
-    ybar_n1: float
     ybar_n0: float
-    g_ybar_c1: np.ndarray
-    g_ybar_c0: np.ndarray
-    g_ybar_a1: np.ndarray
-    g_ybar_a0: np.ndarray
-    g_ybar_n1: np.ndarray
-    g_ybar_n0: np.ndarray
-    s2_y1: float
-    s2_y0: float
-    s2_y01: float
-    s2_d1: float
-    s2_d0: float
-    s2_d01: float
-    g_s2_y1: np.ndarray
-    g_s2_y0: np.ndarray
-    g_s2_y01: np.ndarray
-    g_s2_d1: np.ndarray
-    g_s2_d0: np.ndarray
-    g_s2_d01: np.ndarray
-    itt: float
     cace: float
-    cace_g: np.ndarray
+    s2_u1: float
+    s2_u0: float
+    s2_u01: float
+    g_s2_u1: np.ndarray
+    g_s2_u0: np.ndarray
+    g_s2_u01: np.ndarray
 
     @property
     def n1(self) -> int:
@@ -131,10 +121,6 @@ def _treated_count(n: int, p: float) -> int:
     return n1
 
 
-def _s2(values: np.ndarray) -> float:
-    return float(np.var(values, ddof=1)) if len(values) > 1 else float("nan")
-
-
 def _s2_by_stratum(strata: np.ndarray, n_g: np.ndarray, values: np.ndarray) -> np.ndarray:
     g = len(n_g)
     mean = np.bincount(strata, weights=values, minlength=g) / n_g
@@ -148,33 +134,21 @@ def _group_mean(mask: np.ndarray, values: np.ndarray) -> float:
     return float(np.mean(values[mask])) if mask.any() else float("nan")
 
 
-def _group_mean_by_stratum(
-    strata: np.ndarray, g: int, mask: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    counts = np.bincount(strata[mask], minlength=g)
-    sums = np.bincount(strata[mask], weights=values[mask], minlength=g)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(counts > 0, sums / counts, np.nan)
-
-
 def moments(table: ScienceTable, p: float) -> PopulationMoments:
     """All population moments of a science table under complete
-    randomization of pN units.
-
-    (Co)variance fields are direct definitional sums; the closed forms for
-    the uptake variances in terms of the compliance shares are algebraic
-    identities checked in tests rather than used here.
-    """
+    randomization of pN units."""
     n = table.n
     _treated_count(n, p)
-    g = table.num_strata
     strata = table.strata
-    n_g = np.bincount(strata, minlength=g).astype(np.float64)
+    n_g = np.bincount(strata, minlength=table.num_strata).astype(np.float64)
     ctype = table.compliance_type
     is_c, is_a, is_n = ctype == COMPLIER, ctype == ALWAYS_TAKER, ctype == NEVER_TAKER
-    d1 = table.d1.astype(np.float64)
-    d0 = table.d0.astype(np.float64)
-    cace_g = _group_mean_by_stratum(strata, g, is_c, table.y1 - table.y0)
+    cace = table.cace if is_c.any() else float("nan")
+    u1 = table.y1 - cace * table.d1
+    u0 = table.y0 - cace * table.d0
+    us = (u1, u0, u1 - u0)
+    pooled = [_s2_by_stratum(np.zeros(n, np.intp), np.array([float(n)]), u)[0] for u in us]
+    g_s2 = [_s2_by_stratum(strata, n_g, u) for u in us]
     return PopulationMoments(
         n=n,
         p=p,
@@ -182,36 +156,17 @@ def moments(table: ScienceTable, p: float) -> PopulationMoments:
         pi_c=float(np.mean(is_c)),
         pi_a=float(np.mean(is_a)),
         pi_n=float(np.mean(is_n)),
-        pi_gc=np.bincount(strata[is_c], minlength=g) / n_g,
-        pi_ga=np.bincount(strata[is_a], minlength=g) / n_g,
-        pi_gn=np.bincount(strata[is_n], minlength=g) / n_g,
         ybar_c1=_group_mean(is_c, table.y1),
         ybar_c0=_group_mean(is_c, table.y0),
         ybar_a1=_group_mean(is_a, table.y1),
-        ybar_a0=_group_mean(is_a, table.y0),
-        ybar_n1=_group_mean(is_n, table.y1),
         ybar_n0=_group_mean(is_n, table.y0),
-        g_ybar_c1=_group_mean_by_stratum(strata, g, is_c, table.y1),
-        g_ybar_c0=_group_mean_by_stratum(strata, g, is_c, table.y0),
-        g_ybar_a1=_group_mean_by_stratum(strata, g, is_a, table.y1),
-        g_ybar_a0=_group_mean_by_stratum(strata, g, is_a, table.y0),
-        g_ybar_n1=_group_mean_by_stratum(strata, g, is_n, table.y1),
-        g_ybar_n0=_group_mean_by_stratum(strata, g, is_n, table.y0),
-        s2_y1=_s2(table.y1),
-        s2_y0=_s2(table.y0),
-        s2_y01=_s2(table.y1 - table.y0),
-        s2_d1=_s2(d1),
-        s2_d0=_s2(d0),
-        s2_d01=_s2(d1 - d0),
-        g_s2_y1=_s2_by_stratum(strata, n_g, table.y1),
-        g_s2_y0=_s2_by_stratum(strata, n_g, table.y0),
-        g_s2_y01=_s2_by_stratum(strata, n_g, table.y1 - table.y0),
-        g_s2_d1=_s2_by_stratum(strata, n_g, d1),
-        g_s2_d0=_s2_by_stratum(strata, n_g, d0),
-        g_s2_d01=_s2_by_stratum(strata, n_g, d1 - d0),
-        itt=table.itt,
-        cace=table.cace if is_c.any() else float("nan"),
-        cace_g=cace_g,
+        cace=cace,
+        s2_u1=float(pooled[0]),
+        s2_u0=float(pooled[1]),
+        s2_u01=float(pooled[2]),
+        g_s2_u1=g_s2[0],
+        g_s2_u0=g_s2[1],
+        g_s2_u01=g_s2[2],
     )
 
 
@@ -221,51 +176,32 @@ def _zterm(coef, diff):
     return np.where(coef == 0.0, 0.0, coef * diff)
 
 
-def _cov_itt_f(p, n, pi_c, pi_a, pi_n, ybar_c1, ybar_c0, ybar_a1, ybar_n0, cace):
-    """Exact finite-population covariance of (itt_hat, f_hat), elementwise:
-    on the per-stratum fields it gives the post-stratified blocks."""
-    n1 = n - 1.0
-    cov = _zterm(pi_n * pi_c / (p * n1), ybar_c1 - ybar_n0)
-    cov += _zterm(pi_n * pi_a / (p * (1.0 - p) * n1), ybar_a1 - ybar_n0)
-    cov += _zterm(pi_a * pi_c / ((1.0 - p) * n1), ybar_a1 - ybar_c0)
-    cov -= _zterm(pi_c * (1.0 - pi_c) / n1, cace)
-    return cov
-
-
-def _first_order_var(w, n1, n0, n, s2, cov, tau, pi_c) -> float:
-    """(1/pi_c^2) sum w [var(itt_hat) + tau^2 var(f_hat) - 2 tau cov], each
-    variance the exact one of a difference in means with n1 of n units
-    treated; s2 holds the variances of y1, y0, y1 - y0, d1, d0, d1 - d0."""
-    var_itt = s2[0] / n1 + s2[1] / n0 - s2[2] / n
-    var_f = s2[3] / n1 + s2[4] / n0 - s2[5] / n
-    var = np.sum(w * var_itt) + tau * tau * np.sum(w * var_f) - 2.0 * tau * np.sum(w * cov)
+def _neyman_var(w, n1, n0, n, s2_u1, s2_u0, s2_u01, pi_c) -> float:
+    """(1/pi_c^2) sum w [S2(u1)/n1 + S2(u0)/n0 - S2(u1 - u0)/N]: the
+    weighted exact complete-randomization variances of the difference in
+    means of u = y - cace * d with n1 of N units treated."""
+    var = np.sum(w * (s2_u1 / n1 + s2_u0 / n0 - s2_u01 / n))
     return float(var) / (pi_c * pi_c)
 
 
 def asyvar_iv(m: PopulationMoments) -> float:
-    """Variance of the unstratified IV estimator, to first order.
-
-    (1/pi_c^2) [var(itt_hat) + cace^2 var(f_hat) - 2 cace cov(itt_hat,
-    f_hat)] with the exact complete-randomization variance of each
-    difference-in-means and the exact covariance. Identical to the
-    post-stratified variance of the modified outcomes y - cace * d.
-    """
+    """Variance of the unstratified IV estimator, to first order: (1/pi_c^2)
+    [var(itt_hat) + cace^2 var(f_hat) - 2 cace cov(itt_hat, f_hat)], each
+    term exact, computed as the variance of the difference in means of
+    u = y - cace * d (see the module docstring)."""
     if m.pi_c == 0.0:
         raise NoCompliers("no compliers; the IV estimand is undefined")
-    cov = _cov_itt_f(
-        m.p, m.n, m.pi_c, m.pi_a, m.pi_n, m.ybar_c1, m.ybar_c0, m.ybar_a1, m.ybar_n0, m.cace
-    )
-    s2 = (m.s2_y1, m.s2_y0, m.s2_y01, m.s2_d1, m.s2_d0, m.s2_d01)
-    return _first_order_var(1, m.n1, m.n0, m.n, s2, cov, m.cace, m.pi_c)
+    return _neyman_var(1.0, m.n1, m.n0, m.n, m.s2_u1, m.s2_u0, m.s2_u01, m.pi_c)
 
 
 def asyvar_iv_ps(m: PopulationMoments, exact_factors: bool = False) -> float:
     """Variance of the post-stratified IV estimator, to first order.
 
-    Same three-term shape as asyvar_iv with each component replaced by a
-    weighted sum of its per-stratum analogue. The default weights are the
+    asyvar_iv's variance of the difference in means of u = y - cace * d
+    (cace the population value), taken in each stratum with p N_g of its
+    N_g units treated, as a weighted sum. The default weights are the
     large-N (N_g/N)^2 form; exact_factors=True uses (N_g/N)(N_g-1)/(N-1),
-    which makes the single-stratum case collapse to asyvar_iv exactly.
+    which makes the single-stratum case collapse to asyvar_iv.
     """
     if m.pi_c == 0.0:
         raise NoCompliers("no compliers; the IV estimand is undefined")
@@ -276,20 +212,8 @@ def asyvar_iv_ps(m: PopulationMoments, exact_factors: bool = False) -> float:
         w = share * (m.n_g - 1.0) / (m.n - 1.0)
     else:
         w = share * share
-    cov_g = _cov_itt_f(
-        m.p, m.n_g, m.pi_gc, m.pi_ga, m.pi_gn, m.g_ybar_c1, m.g_ybar_c0, m.g_ybar_a1,
-        m.g_ybar_n0, m.cace_g,
-    )
-    s2 = (m.g_s2_y1, m.g_s2_y0, m.g_s2_y01, m.g_s2_d1, m.g_s2_d0, m.g_s2_d01)
     n1, n0 = m.p * m.n_g, (1.0 - m.p) * m.n_g
-    return _first_order_var(w, n1, n0, m.n_g, s2, cov_g, m.cace, m.pi_c)
-
-
-def _delta_naive(table: ScienceTable) -> float:
-    """Ybar_c(0) - Ybar_n(0): the control-mean gap driving one-sided bias."""
-    is_c = table.compliance_type == COMPLIER
-    is_n = table.compliance_type == NEVER_TAKER
-    return float(np.mean(table.y0[is_c]) - np.mean(table.y0[is_n]))
+    return _neyman_var(w, n1, n0, m.n_g, m.g_s2_u1, m.g_s2_u0, m.g_s2_u01, m.pi_c)
 
 
 def _require_one_sided(table: ScienceTable) -> None:
@@ -318,7 +242,9 @@ def bias_one_sided_exact(
         raise ValueError(f"unknown convention {convention!r}")
     n = table.n
     n1 = _treated_count(n, p)
-    n_c = int(np.sum(table.compliance_type == COMPLIER))
+    ctype = table.compliance_type
+    is_c, is_n = ctype == COMPLIER, ctype == NEVER_TAKER
+    n_c = int(np.sum(is_c))
     if n_c == 0:
         raise NoCompliers("no compliers; the IV estimand is undefined")
     if n_c == n:
@@ -337,7 +263,8 @@ def bias_one_sided_exact(
     if k_min == 0:
         e_inv /= 1.0 - float(hypergeom.pmf(0, n, n_c, n1))
     pi_c = n_c / n
-    return (1.0 - pi_c * e_inv) * _delta_naive(table) / (1.0 - p)
+    delta = _group_mean(is_c, table.y0) - _group_mean(is_n, table.y0)
+    return (1.0 - pi_c * e_inv) * delta / (1.0 - p)
 
 
 def bias_one_sided_taylor(

@@ -139,7 +139,7 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
     errors = [
         (
             np.any(present & ~_two_per_arm(m), axis=1),
-            TooFewUnits("need at least 2 units per arm in every kept stratum"),
+            TooFewUnits("need at least 2 units per arm in every stratum"),
         ),
         (~kept.any(axis=1), AllStrataDropped("every stratum has zero estimated compliance")),
         (

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.stats import rankdata
 
 from ivstrat import ObservedSample, ScienceTable
 from ivstrat.data_model import (
+    ALWAYS_TAKER,
+    COMPLIER,
+    NEVER_TAKER,
     EmptyBin,
     EmptyFile,
     MalformedRow,
@@ -153,6 +157,26 @@ def stratified_table(
     )
 
 
+def random_science_table(rng: np.random.Generator, one_sided: bool) -> ScienceTable:
+    """A science table of 8 to 120 units (a multiple of 4) in 1 to 4 strata
+    of at least 2 units each, with at least one complier; always-takers
+    appear only when one_sided is False. Outcomes are continuous, so no
+    variance vanishes."""
+    g = int(rng.integers(1, 5))
+    n = 4 * int(rng.integers(2, 31))
+    strata = np.concatenate([np.repeat(np.arange(g), 2), rng.integers(0, g, n - 2 * g)])
+    pa = 0.0 if one_sided else rng.uniform(0.0, 0.4)
+    pc = pa + rng.uniform(0.1, 0.6)
+    u = rng.random(n)
+    ctype = np.where(u < pa, ALWAYS_TAKER, np.where(u < pc, COMPLIER, NEVER_TAKER))
+    ctype[0] = COMPLIER
+    y0 = rng.normal(0.3 * strata, 1.0)
+    y1 = y0 + (ctype == COMPLIER) * rng.normal(0.8, 0.5, n)
+    return ScienceTable.from_arrays(
+        y0=y0, y1=y1, d0=ctype == ALWAYS_TAKER, d1=ctype != NEVER_TAKER, strata=strata
+    )
+
+
 def tsls_dummies_lstsq(sample: ObservedSample) -> tuple[float, float, float | None]:
     """Independent oracle for TSLS_DUMMY: 2SLS by least squares on the
     n x (G+1) designs [1, stratum indicators 1..G-1, regressor].
@@ -185,6 +209,120 @@ def tsls_dummies_lstsq(sample: ObservedSample) -> tuple[float, float, float | No
         cov = float(resid @ resid) / dof * np.linalg.inv(x2.T @ x2)
         se = math.sqrt(max(float(cov[g, g]), 0.0))
     return float(beta2[g]), float(beta1[g]), se
+
+
+def _s2(values: np.ndarray) -> float:
+    return float(np.var(values, ddof=1)) if len(values) > 1 else float("nan")
+
+
+def _s2_by_stratum(strata: np.ndarray, n_g: np.ndarray, values: np.ndarray) -> np.ndarray:
+    g = len(n_g)
+    mean = np.bincount(strata, weights=values, minlength=g) / n_g
+    resid = values - mean[strata]
+    ss = np.bincount(strata, weights=resid * resid, minlength=g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(n_g > 1, ss / (n_g - 1.0), np.nan)
+
+
+def _group_mean(mask: np.ndarray, values: np.ndarray) -> float:
+    return float(np.mean(values[mask])) if mask.any() else float("nan")
+
+
+def _group_mean_by_stratum(
+    strata: np.ndarray, g: int, mask: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    counts = np.bincount(strata[mask], minlength=g)
+    sums = np.bincount(strata[mask], weights=values[mask], minlength=g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(counts > 0, sums / counts, np.nan)
+
+
+def reference_moments(table: ScienceTable, p: float) -> SimpleNamespace:
+    """Independent oracle for theory.moments, in the three-part form of the
+    first-order variance: compliance-type shares and group means, pooled
+    and per stratum (g_* and *_g fields), and the variances of y1, y0,
+    y1 - y0, d1, d0 and d1 - d0. The fields the bias formulas read are
+    computed as theory.moments computes them, so those formulas accept
+    either."""
+    n, g, strata = table.n, table.num_strata, table.strata
+    n_g = np.bincount(strata, minlength=g).astype(np.float64)
+    ctype = table.compliance_type
+    is_c, is_a, is_n = ctype == COMPLIER, ctype == ALWAYS_TAKER, ctype == NEVER_TAKER
+    y1, y0 = table.y1, table.y0
+    d1, d0 = table.d1.astype(np.float64), table.d0.astype(np.float64)
+    outcomes = {"y1": y1, "y0": y0, "y01": y1 - y0, "d1": d1, "d0": d0, "d01": d1 - d0}
+    groups = {"c": is_c, "a": is_a, "n": is_n}
+    m = SimpleNamespace(
+        n=n,
+        p=p,
+        n1=round(p * n),
+        n0=n - round(p * n),
+        n_g=n_g,
+        pi_c=float(np.mean(is_c)),
+        pi_a=float(np.mean(is_a)),
+        pi_n=float(np.mean(is_n)),
+        pi_gc=np.bincount(strata[is_c], minlength=g) / n_g,
+        pi_ga=np.bincount(strata[is_a], minlength=g) / n_g,
+        pi_gn=np.bincount(strata[is_n], minlength=g) / n_g,
+        cace=table.cace if is_c.any() else float("nan"),
+        cace_g=_group_mean_by_stratum(strata, g, is_c, y1 - y0),
+    )
+    for k, mask in groups.items():
+        for arm, y in (("1", y1), ("0", y0)):
+            setattr(m, f"ybar_{k}{arm}", _group_mean(mask, y))
+            setattr(m, f"g_ybar_{k}{arm}", _group_mean_by_stratum(strata, g, mask, y))
+    for name, v in outcomes.items():
+        setattr(m, f"s2_{name}", _s2(v))
+        setattr(m, f"g_s2_{name}", _s2_by_stratum(strata, n_g, v))
+    return m
+
+
+def _zterm(coef, diff):
+    return np.where(coef == 0.0, 0.0, coef * diff)
+
+
+def reference_cov_itt_f(p, n, pi_c, pi_a, pi_n, ybar_c1, ybar_c0, ybar_a1, ybar_n0, cace):
+    """Exact finite-population covariance of (itt_hat, f_hat) in closed
+    form, elementwise: on the per-stratum fields it gives each stratum's."""
+    n1 = n - 1.0
+    cov = _zterm(pi_n * pi_c / (p * n1), ybar_c1 - ybar_n0)
+    cov += _zterm(pi_n * pi_a / (p * (1.0 - p) * n1), ybar_a1 - ybar_n0)
+    cov += _zterm(pi_a * pi_c / ((1.0 - p) * n1), ybar_a1 - ybar_c0)
+    cov -= _zterm(pi_c * (1.0 - pi_c) / n1, cace)
+    return cov
+
+
+def reference_first_order_var(w, n1, n0, n, s2, cov, tau, pi_c) -> float:
+    """(1/pi_c^2) sum w [var(itt_hat) + tau^2 var(f_hat) - 2 tau cov], each
+    variance the exact one of a difference in means with n1 of n units
+    treated; s2 holds the variances of y1, y0, y1 - y0, d1, d0, d1 - d0."""
+    var_itt = s2[0] / n1 + s2[1] / n0 - s2[2] / n
+    var_f = s2[3] / n1 + s2[4] / n0 - s2[5] / n
+    var = np.sum(w * var_itt) + tau * tau * np.sum(w * var_f) - 2.0 * tau * np.sum(w * cov)
+    return float(var) / (pi_c * pi_c)
+
+
+def reference_asyvar_iv(m: SimpleNamespace) -> float:
+    """theory.asyvar_iv from reference_moments, by the three-term form."""
+    cov = reference_cov_itt_f(
+        m.p, m.n, m.pi_c, m.pi_a, m.pi_n, m.ybar_c1, m.ybar_c0, m.ybar_a1, m.ybar_n0, m.cace
+    )
+    s2 = (m.s2_y1, m.s2_y0, m.s2_y01, m.s2_d1, m.s2_d0, m.s2_d01)
+    return reference_first_order_var(1, m.n1, m.n0, m.n, s2, cov, m.cace, m.pi_c)
+
+
+def reference_asyvar_iv_ps(m: SimpleNamespace, exact_factors: bool = False) -> float:
+    """theory.asyvar_iv_ps from reference_moments, by the three-term form
+    in each stratum."""
+    share = m.n_g / m.n
+    w = share * (m.n_g - 1.0) / (m.n - 1.0) if exact_factors else share * share
+    cov_g = reference_cov_itt_f(
+        m.p, m.n_g, m.pi_gc, m.pi_ga, m.pi_gn, m.g_ybar_c1, m.g_ybar_c0, m.g_ybar_a1,
+        m.g_ybar_n0, m.cace_g,
+    )
+    s2 = (m.g_s2_y1, m.g_s2_y0, m.g_s2_y01, m.g_s2_d1, m.g_s2_d0, m.g_s2_d01)
+    n1, n0 = m.p * m.n_g, (1.0 - m.p) * m.n_g
+    return reference_first_order_var(w, n1, n0, m.n_g, s2, cov_g, m.cace, m.pi_c)
 
 
 def _quantile_labels_rowwise(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ivstrat import (
     ENUMERATION_CAP,
@@ -18,7 +20,15 @@ from ivstrat import (
     moments,
 )
 from ivstrat.data_model import NonIntegralArm, TooFewUnits, TwoSidedInput
-from helpers import one_sided_table, pooled_moments, stratified_table
+from helpers import (
+    one_sided_table,
+    pooled_moments,
+    random_science_table,
+    reference_asyvar_iv,
+    reference_asyvar_iv_ps,
+    reference_moments,
+    stratified_table,
+)
 
 RNG = np.random.default_rng(20240818)
 
@@ -46,8 +56,9 @@ def test_moments_shares_and_uptake_variance():
     m = moments(t, 0.5)
     assert m.pi_c == 0.5 and m.pi_n == 0.5 and m.pi_a == 0.0
     # S2 of a binary vector with mean 1/2 on 4 units: 4*(1/4)/3
-    assert m.s2_d1 == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert m.s2_d01 == pytest.approx(1.0 / 3.0, rel=1e-15)
+    ref = reference_moments(t, 0.5)
+    assert ref.s2_d1 == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert ref.s2_d01 == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_moments_group_means():
@@ -68,7 +79,7 @@ def test_uptake_variance_closed_form_matches_shares():
     # S2_D(1) = N pi(1-pi)/(N-1) for binary uptake
     for seed in range(10):
         t = random_two_sided_table(np.random.default_rng(seed))
-        m = moments(t, 0.5)
+        m = reference_moments(t, 0.5)
         pi1 = m.pi_c + m.pi_a
         assert m.s2_d1 == pytest.approx(t.n * pi1 * (1 - pi1) / (t.n - 1), rel=1e-12)
         assert m.s2_d01 == pytest.approx(
@@ -91,7 +102,7 @@ def test_enumeration_variances_match_population_formulas():
     # the plug-free finite-population variance formulas are exact
     for seed in range(6):
         t = random_two_sided_table(np.random.default_rng(seed + 10))
-        m = moments(t, 0.5)
+        m = reference_moments(t, 0.5)
         itt = enumerate_expectation(t, 0.5, "ITT")
         assert itt.variance == pytest.approx(var_itt_direct(m), rel=1e-11, abs=1e-13)
         fh = enumerate_expectation(t, 0.5, "F_HAT")
@@ -102,7 +113,7 @@ def test_one_sided_uptake_variance_closed_form():
     # var(f_hat) = pi_c (1 - pi_c)(1 - p) / (p (N - 1)) under one-sided uptake
     t = one_sided_table(n=8, n_c=3, delta=1.0)
     for p in (0.25, 0.5, 0.75):
-        m = moments(t, p)
+        m = reference_moments(t, p)
         closed = m.pi_c * (1 - m.pi_c) * (1 - p) / (p * (t.n - 1))
         fh = enumerate_expectation(t, p, "F_HAT")
         assert fh.variance == pytest.approx(closed, rel=1e-11)
@@ -138,10 +149,34 @@ def test_first_order_variance_modified_outcome_route():
         y0=t.y0 - tau * t.d0, y1=t.y1 - tau * t.d1, d0=t.d0, d1=t.d1,
         strata=t.strata,
     )
-    m_mod = moments(t_mod, 0.5)
+    m_mod = reference_moments(t_mod, 0.5)
     assert asyvar_iv(m) == pytest.approx(
         var_itt_direct(m_mod) / m.pi_c**2, rel=1e-10
     )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    one_sided=st.booleans(),
+    p=st.sampled_from([0.25, 0.5, 0.75]),
+)
+def test_first_order_variances_match_three_term_oracle(seed, one_sided, p):
+    # the Neyman variance of y - cace * d against the shares, group means
+    # and closed-form covariance it replaced; the bias formulas read only
+    # fields computed the same way in both, so they agree bit for bit
+    t = random_science_table(np.random.default_rng(seed), one_sided)
+    m, ref = moments(t, p), reference_moments(t, p)
+    pairs = [
+        (asyvar_iv(m), reference_asyvar_iv(ref)),
+        (asyvar_iv_ps(m), reference_asyvar_iv_ps(ref)),
+        (asyvar_iv_ps(m, exact_factors=True), reference_asyvar_iv_ps(ref, exact_factors=True)),
+    ]
+    for got, want in pairs:
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (got, want)
+    assert bias_two_sided_taylor(m) == bias_two_sided_taylor(ref)
+    if one_sided:
+        for variant in ("hypergeometric", "binomial"):
+            assert bias_one_sided_taylor(m, variant) == bias_one_sided_taylor(ref, variant)
 
 
 def test_ps_variance_collapses_to_unstratified():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ivstrat import ObservedSample, ZeroCompliance, estimate
-from ivstrat.data_model import DegenerateVariance, ObservedBlock, stratum_moments
+from ivstrat.data_model import DegenerateVariance, ObservedBlock, TooFewUnits, stratum_moments
 from ivstrat.variance import ratio_rows
 from helpers import pooled_moments, random_sample, sample_a, sample_pwiv, sample_two_strata
 
@@ -135,6 +135,23 @@ def test_pwiv_se_degenerate_variance():
     )
     with pytest.raises(DegenerateVariance):
         estimate(s, "PWIV")
+
+
+def test_pwiv_needs_two_per_arm_in_strata_it_drops():
+    # stratum "b" has one treated unit and zero uptake: IV_W drops it, but
+    # PWIV's two-per-arm check covers every stratum, kept or not
+    a = sample_a()
+    s = ObservedSample.from_arrays(
+        z=[*a.z, 1, 0, 0],
+        d=[*a.d, 0, 0, 0],
+        y=[*a.y, 1.0, 0.0, 2.0],
+        strata=["a"] * 4 + ["b"] * 3,
+    )
+    with pytest.raises(TooFewUnits, match="^need at least 2 units per arm in every stratum$"):
+        estimate(s, "PWIV")
+    r = estimate(s, "IV_W")
+    assert r.estimate == 2.0 and r.strata_kept == frozenset({"a"})
+    assert r.se_bloom is not None and r.se_delta is not None
 
 
 def test_delta_se_nonnegative_and_finite():
