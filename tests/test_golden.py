@@ -6,6 +6,8 @@ from the raw CSV with plain csv/math, no package code involved.
 """
 
 import csv
+import importlib.util
+import json
 import math
 import pathlib
 
@@ -122,14 +124,15 @@ def test_spotlight_screens_drop_expected_strata():
     assert 0.0 < float(west["pi_c_hat"]) < 0.02
 
 
-def test_make_golden_is_reproducible(tmp_path, monkeypatch):
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "make_golden", GOLDEN / "make_golden.py"
-    )
+def _load_golden_script(name):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def test_make_golden_is_reproducible(tmp_path, monkeypatch):
+    mod = _load_golden_script("make_golden")
     monkeypatch.setattr(mod, "HERE", tmp_path)
     mod.main()
     for name in (
@@ -144,38 +147,26 @@ def test_make_golden_is_reproducible(tmp_path, monkeypatch):
 
 
 # the first-order variances may move in the last bits when their formula is
-# rearranged; every other theory output is frozen exactly
-THEORY_REL = {"asyvar_iv": 1e-12, "asyvar_iv_ps": 1e-12}
-
-
-def _load_make_theory_golden():
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "make_theory_golden", GOLDEN / "make_theory_golden.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+# rearranged (measured: about 1e-15 relative); every other theory output is
+# frozen exactly
+THEORY_TOLERANT = ("asyvar_iv", "asyvar_iv_ps")
 
 
 @pytest.mark.parametrize("name", ["theory_one_sided", "theory_two_sided"])
 def test_theory_json_matches_frozen(name):
-    import json
-
-    mod = _load_make_theory_golden()
+    mod = _load_golden_script("make_theory_golden")
     _, p = mod.CASES[name]
     fresh = json.loads(mod.theory_json(GOLDEN / f"{name}.csv", p))
     frozen = json.loads((GOLDEN / f"{name}.json").read_text())
     assert list(fresh) == list(frozen)
     for key, old in frozen.items():
-        if key in THEORY_REL:
-            assert math.isclose(fresh[key], old, rel_tol=THEORY_REL[key], abs_tol=0.0), key
+        if key in THEORY_TOLERANT:
+            assert math.isclose(fresh[key], old, rel_tol=1e-12, abs_tol=0.0), key
         else:
             assert fresh[key] == old, key
 
 
 def test_make_theory_golden_tables_are_reproducible():
-    mod = _load_make_theory_golden()
+    mod = _load_golden_script("make_theory_golden")
     for name, (make_csv, _) in mod.CASES.items():
         assert make_csv() == (GOLDEN / f"{name}.csv").read_text()
