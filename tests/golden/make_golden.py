@@ -1,20 +1,23 @@
 """Regenerate the golden fixtures in this directory.
 
 Byte-stable by construction: fixed seeds, fixed-order writes, repr/4g
-formatting. Run from the repository root:
+formatting. Besides the datasets and their reports, CLI_CASES freezes what
+`ivstrat` prints for a JSON and a CSV report and for small sweep-r and
+random-strata runs. Run from the repository root:
 
-    python3 tests/golden/make_golden.py
+    PYTHONPATH=src python3 tests/golden/make_golden.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import pathlib
 
 import numpy as np
 
-from ivstrat import DatasetSchema, ObservedSample, analyze, load_csv, stratum_report
+from ivstrat import DatasetSchema, ObservedSample, analyze, cli_main, load_csv, stratum_report
 from ivstrat.io_cli import report_csv, stratum_csv
 
 HERE = pathlib.Path(__file__).parent
@@ -76,6 +79,37 @@ def make_spotlight() -> str:
     return "\n".join(lines) + "\n"
 
 
+# output file -> the argv that prints it, given the directory of the datasets
+CLI_CASES = {
+    "gotv_like_analyze.json": lambda here: [
+        "analyze",
+        "--data", str(here / "gotv_like.csv"),
+        "--schema", str(here / "gotv_like_schema.json"),
+        "--out", "json", "--by-stratum", "--se", "both",
+    ],
+    "spotlight_like_analyze_delta.csv": lambda here: [
+        "analyze", "--data", str(here / "spotlight_like.csv"), "--se", "delta", "--by-stratum",
+    ],
+    "sweep_r_metrics.csv": lambda here: [
+        "sweep-r", "--r", "0.25,1", "--target-p", "0.2", "--n", "200",
+        "--replications", "30", "--seed", "7", "--het-tau", "--nt-shift", "0.5",
+    ],
+    "random_strata_metrics.csv": lambda here: [
+        "random-strata", "--k", "1,3", "--n", "100", "--pi-c", "0.2",
+        "--replications", "30", "--seed", "4",
+    ],
+}
+
+
+def cli_text(name: str, here: pathlib.Path) -> str:
+    """What `ivstrat` prints for CLI_CASES[name], reading datasets in here."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(CLI_CASES[name](here))
+    assert code == 0, code
+    return buf.getvalue()
+
+
 def main() -> None:
     gotv = make_gotv()
     (HERE / "gotv_like.csv").write_text(gotv)
@@ -93,6 +127,9 @@ def main() -> None:
     (HERE / "spotlight_like_strata.csv").write_text(
         stratum_csv(stratum_report(sample))
     )
+
+    for name in CLI_CASES:
+        (HERE / name).write_text(cli_text(name, HERE))
 
 
 if __name__ == "__main__":

@@ -146,6 +146,12 @@ def test_make_golden_is_reproducible(tmp_path, monkeypatch):
         assert (tmp_path / name).read_text() == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(_load_golden_script("make_golden").CLI_CASES))
+def test_cli_output_matches_frozen(name):
+    mod = _load_golden_script("make_golden")
+    assert mod.cli_text(name, GOLDEN) == (GOLDEN / name).read_text()
+
+
 # the first-order variances may move in the last bits when their formula is
 # rearranged (measured: about 1e-15 relative); every other theory output is
 # frozen exactly
