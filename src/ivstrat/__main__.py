@@ -1,0 +1,6 @@
+"""`python -m ivstrat`: the ivstrat command line."""
+
+from .io_cli import main
+
+if __name__ == "__main__":
+    main()

@@ -21,8 +21,8 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import IO, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -41,8 +41,9 @@ from .data_model import (
 )
 from .estimators import METHODS, EstimatorConfig, _report, estimate_rows
 from .simulation import (
-    RNG_FAMILY,
+    DEFAULT_ESTIMATORS,
     ConcentrationConfig,
+    EstimatorMetrics,
     ScenarioConfig,
     ScenarioMetrics,
     default_grid,
@@ -76,15 +77,7 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_REPORT_ESTIMATORS = (
-    "UNSTRAT",
-    "IV_W",
-    "IV_A",
-    "DSS",
-    "DSF",
-    "PWIV",
-    "TSLS_DUMMY",
-)
+DEFAULT_REPORT_ESTIMATORS = tuple(t for t in DEFAULT_ESTIMATORS if t != "ORACLE")
 
 METRICS_COLUMNS = (
     "scenario_id",
@@ -142,6 +135,8 @@ class DatasetSchema:
     missing_policy: str = "own-stratum"
 
     def __post_init__(self) -> None:
+        if isinstance(self.strata_cols, str):
+            raise ValueError(f"strata_cols must list column names, got {self.strata_cols!r}")
         self.strata_cols = tuple(self.strata_cols)
         names = (self.z_col, self.d_col, self.y_col) + self.strata_cols
         if len(set(names)) != len(names):
@@ -557,22 +552,13 @@ def _fmt(x: float | int | str | None) -> str:
     return f"{x:.4g}"
 
 
-def _report_columns(se_kind: str) -> list[tuple[str, str]]:
-    cols = [("method", "method"), ("pi_c_hat", "pi_c_hat"), ("estimate", "estimate")]
-    if se_kind in ("bloom", "both"):
-        cols.append(("se_bloom", "se_bloom"))
-    if se_kind in ("delta", "both"):
-        cols.append(("se_delta", "se_delta"))
-    cols += [("pct_se", "pct_se"), ("n", "n"), ("p_value", "p_value")]
-    return cols
-
-
 def report_csv(table: ReportTable) -> str:
-    """Fixed-format CSV rendering: 4 significant digits, byte-stable."""
-    cols = _report_columns(table.se_kind)
-    out = [",".join(name for name, _ in cols)]
-    for row in table.rows:
-        out.append(",".join(_fmt(getattr(row, attr)) for _, attr in cols))
+    """Fixed-format CSV rendering: 4 significant digits, byte-stable. The
+    columns are ReportRow's fields but the SE that se_kind leaves out."""
+    unused = {"bloom": "se_delta", "delta": "se_bloom"}.get(table.se_kind)
+    cols = [f.name for f in fields(ReportRow) if f.name != unused]
+    out = [",".join(cols)]
+    out += [",".join(_fmt(getattr(row, col)) for col in cols) for row in table.rows]
     return "\n".join(out) + "\n"
 
 
@@ -592,75 +578,46 @@ def _clean(x: float | None) -> float | None:
     return float(x)
 
 
+def _json_record(row: ReportRow | StratumRow) -> dict:
+    return {k: _clean(v) if isinstance(v, float) else v for k, v in asdict(row).items()}
+
+
 def report_json(table: ReportTable, strata: Iterable[StratumRow] | None = None) -> str:
-    obj: dict = {
-        "methods": [
-            {
-                "method": r.method,
-                "pi_c_hat": _clean(r.pi_c_hat),
-                "estimate": _clean(r.estimate),
-                "se_bloom": _clean(r.se_bloom),
-                "se_delta": _clean(r.se_delta),
-                "pct_se": _clean(r.pct_se),
-                "n": r.n,
-                "p_value": _clean(r.p_value),
-            }
-            for r in table.rows
-        ]
-    }
+    """JSON rendering: each row's fields in order, non-finite floats null."""
+    obj: dict = {"methods": [_json_record(r) for r in table.rows]}
     if strata is not None:
-        obj["strata"] = [
-            {
-                "stratum": r.stratum,
-                "n": r.n,
-                "pi_c_hat": _clean(r.pi_c_hat),
-                "cace": _clean(r.cace),
-                "se_bloom": _clean(r.se_bloom),
-            }
-            for r in strata
-        ]
+        obj["strata"] = [_json_record(r) for r in strata]
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _shortest(x: float) -> str:
-    return repr(float(x))
+# Each metrics column is the EstimatorMetrics or ScenarioMetrics field of its
+# name, and that field's declared type gives the column's (format, parse)
+# pair: floats as shortest round-trip decimals, so parsing the file back
+# reproduces exact values, and flags as 0/1.
+_CODECS = {
+    float: (lambda v: repr(float(v)), float),
+    bool: (lambda v: str(int(v)), int),
+    int: (str, int),
+    str: (str, str),
+}
+_ROW_TYPES = get_type_hints(EstimatorMetrics)
+_METRICS_TYPES = get_type_hints(ScenarioMetrics) | _ROW_TYPES
+_METRICS_CODECS = {col: _CODECS[_METRICS_TYPES[col]] for col in METRICS_COLUMNS}
 
 
 def write_metrics_csv(metrics: Iterable[ScenarioMetrics], fh: IO[str]) -> None:
-    """Machine-facing metrics table; floats use shortest round-trip decimals
-    so parsing the file back reproduces exact values."""
+    """Machine-facing metrics table: one line per estimator row of each
+    scenario, in METRICS_COLUMNS."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
-    for m in metrics:
-        for row in m.rows:
-            writer.writerow(
-                [
-                    m.scenario_id,
-                    m.n,
-                    _shortest(m.pi_c_target),
-                    int(m.predicts_c),
-                    int(m.predicts_y),
-                    _shortest(m.nt_shift),
-                    int(m.het_tau),
-                    row.estimator,
-                    _shortest(row.bias),
-                    _shortest(row.true_se),
-                    _shortest(row.rmse),
-                    _shortest(row.cal_bloom),
-                    _shortest(row.cal_delta),
-                    _shortest(row.rel_instab_bloom),
-                    _shortest(row.rel_instab_delta),
-                    _shortest(row.drop_rate),
-                    _shortest(row.fail_rate),
-                    _shortest(row.mean_n_used),
-                    m.seed,
-                    m.rng_family,
-                ]
-            )
-
-
-_METRICS_INT = {"n", "predicts_c", "predicts_y", "het_tau", "seed"}
-_METRICS_STR = {"scenario_id", "estimator", "rng_family"}
+    writer.writerows(
+        [
+            fmt(getattr(row if col in _ROW_TYPES else m, col))
+            for col, (fmt, _) in _METRICS_CODECS.items()
+        ]
+        for m in metrics
+        for row in m.rows
+    )
 
 
 def read_metrics_csv(fh: IO[str]) -> list[dict]:
@@ -669,19 +626,7 @@ def read_metrics_csv(fh: IO[str]) -> list[dict]:
         raise EmptyFile("metrics stream")
     if tuple(reader.fieldnames) != METRICS_COLUMNS:
         raise MissingColumn(f"expected metrics columns, got {reader.fieldnames}")
-    rows = []
-    for raw in reader:
-        row: dict = {}
-        for col in METRICS_COLUMNS:
-            v = raw[col]
-            if col in _METRICS_STR:
-                row[col] = v
-            elif col in _METRICS_INT:
-                row[col] = int(v)
-            else:
-                row[col] = float(v)
-        rows.append(row)
-    return rows
+    return [{col: parse(raw[col]) for col, (_, parse) in _METRICS_CODECS.items()} for raw in reader]
 
 
 def _config_from_dict(obj: Mapping) -> ScenarioConfig | ConcentrationConfig:
@@ -756,14 +701,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    configs = _load_configs(args.config)
-    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
+    """Every simulate command: run the configs its builder makes from args."""
+    _write_text(args.out, _metrics_text(run_grid(args.configs(args), threads=args.threads)))
     return 0
 
 
-def _cmd_sweep_r(args: argparse.Namespace) -> int:
+def _sweep_r_configs(args: argparse.Namespace) -> list[ConcentrationConfig]:
     weights = tuple(_csv_floats(args.weights, "--weights"))
-    configs = [
+    return [
         ConcentrationConfig(
             r=r,
             target_p=args.target_p,
@@ -777,33 +722,28 @@ def _cmd_sweep_r(args: argparse.Namespace) -> int:
         )
         for i, r in enumerate(_csv_floats(args.r, "--r"))
     ]
-    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
-    return 0
 
 
-def _cmd_random_strata(args: argparse.Namespace) -> int:
-    ks = [int(k) for k in _csv_floats(args.k, "--k")]
-    configs = [
+def _random_strata_configs(args: argparse.Namespace) -> list[ScenarioConfig]:
+    ks = _csv_floats(args.k, "--k")
+    if not all(k.is_integer() for k in ks):
+        raise ValueError("--k must be a comma-separated list of whole numbers")
+    return [
         ScenarioConfig(
             n=args.n,
             target_pi_c=args.pi_c,
             replications=args.replications,
             seed=args.seed + i,
-            random_strata_k=k,
+            random_strata_k=int(k),
         )
         for i, k in enumerate(ks)
     ]
-    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
-    return 0
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
+def _grid_configs(args: argparse.Namespace) -> list[ScenarioConfig]:
     if args.quick:
-        configs = default_grid(replications=100, seed=args.seed, n_values=(500,))
-    else:
-        configs = default_grid(replications=args.replications, seed=args.seed)
-    _write_text(args.out, _metrics_text(run_grid(configs, threads=args.threads)))
-    return 0
+        return default_grid(replications=100, seed=args.seed, n_values=(500,))
+    return default_grid(replications=args.replications, seed=args.seed)
 
 
 def _cmd_theory(args: argparse.Namespace) -> int:
@@ -885,47 +825,45 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--by-stratum", action="store_true", help="append per-stratum table")
     pa.set_defaults(func=_cmd_analyze)
 
-    ps = sub.add_parser("simulate", help="run scenarios from a JSON config")
-    ps.add_argument("--config", required=True, help="scenario config JSON path")
-    ps.add_argument("--out", default="-", help="metrics CSV path, - for stdout")
-    ps.add_argument("--threads", type=_threads, default=1)
-    ps.set_defaults(func=_cmd_simulate)
+    # the simulate commands: each builds configs from its flags, and
+    # _cmd_simulate runs them and writes their metrics
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", default="-", help="metrics CSV path, - for stdout")
+    run.add_argument("--threads", type=_threads, default=1)
+    run.set_defaults(func=_cmd_simulate)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--replications", type=int, default=1000)
+    seeded.add_argument("--seed", type=int, default=0)
 
-    pr = sub.add_parser("sweep-r", help="compliance-concentration sweep")
+    ps = sub.add_parser("simulate", parents=[run], help="run scenarios from a JSON config")
+    ps.add_argument("--config", required=True, help="scenario config JSON path")
+    ps.set_defaults(configs=lambda args: _load_configs(args.config))
+
+    pr = sub.add_parser("sweep-r", parents=[run, seeded], help="compliance-concentration sweep")
     pr.add_argument("--r", default="0,0.05,0.1,0.15,0.2,0.25,0.5,0.75,1")
     pr.add_argument("--target-p", type=float, default=0.15)
     pr.add_argument("--weights", default="0.35,0.30,0.20,0.15")
     pr.add_argument("--n", type=int, default=2000)
-    pr.add_argument("--replications", type=int, default=1000)
-    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--het-tau", action="store_true")
     pr.add_argument("--predicts-outcome", action="store_true")
     pr.add_argument("--nt-shift", type=float, default=0.0)
-    pr.add_argument("--out", default="-")
-    pr.add_argument("--threads", type=_threads, default=1)
-    pr.set_defaults(func=_cmd_sweep_r)
+    pr.set_defaults(configs=_sweep_r_configs)
 
-    pk = sub.add_parser("random-strata", help="uninformative-strata study")
+    pk = sub.add_parser("random-strata", parents=[run, seeded], help="uninformative-strata study")
     pk.add_argument("--k", default="1,2,3,6,12")
     pk.add_argument("--n", type=int, default=500)
     pk.add_argument("--pi-c", type=float, default=0.05)
-    pk.add_argument("--replications", type=int, default=1000)
-    pk.add_argument("--seed", type=int, default=0)
-    pk.add_argument("--out", default="-")
-    pk.add_argument("--threads", type=_threads, default=1)
-    pk.set_defaults(func=_cmd_random_strata)
+    pk.set_defaults(configs=_random_strata_configs)
 
-    pg = sub.add_parser("grid", help="the full factorial simulation grid (216 scenarios)")
-    pg.add_argument("--replications", type=int, default=1000)
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--threads", type=_threads, default=1)
+    pg = sub.add_parser(
+        "grid", parents=[run, seeded], help="the full factorial simulation grid (216 scenarios)"
+    )
     pg.add_argument(
         "--quick",
         action="store_true",
         help="n=500 only, 100 replications, for a fast end-to-end check",
     )
-    pg.add_argument("--out", default="-")
-    pg.set_defaults(func=_cmd_grid)
+    pg.set_defaults(configs=_grid_configs)
 
     pt = sub.add_parser(
         "theory", help="analytic bias/variance oracles for a potential-outcome table"

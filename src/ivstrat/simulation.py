@@ -53,7 +53,6 @@ from .data_model import (
     NonIntegralArm,
     ObservedBlock,
     ScienceTable,
-    _frozen,
     check_science,
     first_appearance,
     reveal,
@@ -322,10 +321,11 @@ def _buffers(reps: int, n: int, labels: bool) -> dict[str, np.ndarray]:
     return draws
 
 
-def _assemble(draws: dict[str, np.ndarray], parts) -> "_Tables":
-    """The tables of a block of draws, each part (design, rows) made by its
-    own design. It empties `draws`, whose buffers become the tables, so a
-    block's peak memory stays low."""
+def _assemble(draws: dict[str, np.ndarray], parts) -> tuple[np.ndarray, ...]:
+    """The tables (y0, y1, d0, d1, strata) of a block of draws, one per
+    row, each part (design, rows) made by its own design. It empties
+    `draws`, whose buffers become the tables, so a block's peak memory
+    stays low."""
     strata, y1, y0 = draws.pop("strata"), draws.pop("u"), draws.pop("noise")
     labels = draws.pop("labels", None)
     is_complier = np.empty(strata.shape, dtype=bool)
@@ -337,38 +337,14 @@ def _assemble(draws: dict[str, np.ndarray], parts) -> "_Tables":
     d1 = is_complier.view(np.int8)
     d0 = np.zeros_like(d1)
     check_science(y0, y1, d0, d1)
-    codes, num_strata, firsts = first_appearance(strata)
-    # each row's labels in code order (padding repeats the last unit's)
-    values = np.take_along_axis(strata, np.minimum(firsts, strata.shape[1] - 1), axis=1)
-    return _Tables(y0, y1, d0, d1, codes, num_strata, values)
-
-
-@dataclass(frozen=True)
-class _Tables:
-    """A block of population tables, one per row, with dense stratum codes;
-    labels[i, g] is the label row i codes as g."""
-
-    y0: np.ndarray
-    y1: np.ndarray
-    d0: np.ndarray
-    d1: np.ndarray
-    codes: np.ndarray
-    num_strata: np.ndarray
-    labels: np.ndarray
-
-    def table(self, i: int) -> ScienceTable:
-        labels = tuple(self.labels[i][: self.num_strata[i]])
-        y0, y1, d0, d1, codes = (
-            _frozen(a[i]) for a in (self.y0, self.y1, self.d0, self.d1, self.codes)
-        )
-        return ScienceTable(y0, y1, d0, d1, codes, labels)
+    return y0, y1, d0, d1, strata
 
 
 def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
     design = _Design.of(config)
     draws = _buffers(1, design.n, design.random_k is not None)
     design.draw(draws, 0, rng)
-    return _assemble(draws, [(design, slice(0, 1))]).table(0)
+    return ScienceTable.from_arrays(*(a[0] for a in _assemble(draws, [(design, slice(0, 1))])))
 
 
 def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> ScienceTable:
@@ -504,16 +480,17 @@ def _run_block(block: list[_Segment], est_config: EstimatorConfig) -> None:
     then reveal, estimate and store them all at once, each row in its own
     job's slots."""
     draws, z = _draw_block(block)
-    tables = _assemble(draws, [(s.job.design, s.rows) for s in block])
-    y, d = reveal(tables.y0, tables.y1, tables.d0, tables.d1, z)
+    y0, y1, d0, d1, strata = _assemble(draws, [(s.job.design, s.rows) for s in block])
+    codes, num_strata, _ = first_appearance(strata)
+    del strata
+    y, d = reveal(y0, y1, d0, d1, z)
     # binary uptake without defiers: a complier is a unit with d1 > d0
-    obs = ObservedBlock(z, d, y, tables.codes, tables.num_strata, tables.d1 > tables.d0)
+    obs = ObservedBlock(z, d, y, codes, num_strata, d1 > d0)
     compliers = MaskedRows(obs.complier_positions, z.shape)
     live = compliers.counts > 0  # truth undefined elsewhere
-    effects = compliers.take(tables.y1) - compliers.take(tables.y0)
+    effects = compliers.take(y1) - compliers.take(y0)
     truth = compliers.mean_var(effects)[0]
-    num_strata = tables.num_strata
-    del tables  # free the potential outcomes before the estimators run
+    del y0, y1, d0, d1  # free the potential outcomes before the estimators run
     for job, reps, rows in block:
         at = np.flatnonzero(live[rows])
         job.store.truth[reps.start + at] = truth[rows.start + at]

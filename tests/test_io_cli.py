@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,7 @@ def test_schema_accepts_both_quantile_spellings():
         dict(strata_cols=("age",), binning={"age": {"quantile": 1}}),
         dict(strata_cols=("age",), binning={"age": {"quantile": 2.5}}),
         dict(strata_cols=("age",), binning={"age": "histogram"}),
+        dict(strata_cols="region"),  # one name, not a list of its letters
     ],
 )
 def test_schema_rejects(kw):
@@ -530,6 +534,39 @@ def test_cli_random_strata(tmp_path):
     with open(out) as fh:
         ids = {row["scenario_id"] for row in read_metrics_csv(fh)}
     assert ids == {"n24_pi0.2_pc0_py0_nt0_ht0_rk1", "n24_pi0.2_pc0_py0_nt0_ht0_rk2"}
+
+
+@pytest.mark.parametrize("k", ["2.5", "1,inf", "nan"])
+def test_cli_random_strata_rejects_k_not_whole(tmp_path, capsys, k):
+    out = tmp_path / "rk.csv"
+    argv = ["random-strata", "--k", k, "--n", "24", "--replications", "2", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert "--k must be a comma-separated list of whole numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_csv_formats_columns_by_declared_type(tmp_path):
+    # an integer never_taker_shift read from JSON still prints as a float
+    cfg = write(
+        tmp_path,
+        "cfg.json",
+        '{"n": 40, "target_pi_c": 0.3, "replications": 3, "never_taker_shift": 0}',
+    )
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert (row["n"], row["nt_shift"], row["predicts_c"], row["seed"]) == ("40", "0.0", "0", "0")
+
+
+def test_python_m_ivstrat_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ivstrat", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "random-strata" in proc.stdout
 
 
 def test_cli_grid_writes_the_default_grid(capsys):
