@@ -94,6 +94,20 @@ class NonIntegralArm(EstimationError):
     pass
 
 
+def _treated_count(n: int, p: float) -> int:
+    """The number of treated units, round(p * n), refused unless p * n is
+    whole and leaves both arms nonempty."""
+    if not 0.0 < p < 1.0:
+        raise NonIntegralArm(f"treatment proportion {p} must lie in (0, 1)")
+    n1 = p * n
+    if abs(n1 - round(n1)) > 1e-9:
+        raise NonIntegralArm(f"p*N = {n1} is not a whole number of treated units")
+    n1 = round(n1)
+    if not 0 < n1 < n:
+        raise NonIntegralArm("both arms must be nonempty")
+    return n1
+
+
 class Infeasible(EstimationError):
     pass
 

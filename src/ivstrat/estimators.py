@@ -52,6 +52,7 @@ from .variance import Rows, pwiv_rows, ratio_rows
 __all__ = [
     "EstimatorConfig",
     "METHODS",
+    "DEFAULT_ESTIMATORS",
     "first_stage_f",
     "oracle_complier_dim",
     "estimate",
@@ -274,6 +275,18 @@ _KERNELS = {
 }
 
 METHODS = tuple(tag for tag in _KERNELS if tag != "ORACLE")  # observed data suffices
+
+# the estimators a simulation config runs unless it names its own
+DEFAULT_ESTIMATORS = (
+    "UNSTRAT",
+    "IV_W",
+    "IV_A",
+    "DSS",
+    "DSF",
+    "PWIV",
+    "TSLS_DUMMY",
+    "ORACLE",
+)
 
 
 def estimate_rows(

@@ -36,28 +36,14 @@ from .data_model import (
     ObservedBlock,
     ObservedSample,
     ScienceTable,
+    first_appearance,
     stratum_moments,
     validate,
 )
-from .estimators import METHODS, EstimatorConfig, _report, estimate_rows
-from .simulation import (
-    DEFAULT_ESTIMATORS,
-    ConcentrationConfig,
-    EstimatorMetrics,
-    ScenarioConfig,
-    ScenarioMetrics,
-    default_grid,
-    run_grid,
-)
-from .theory import (
-    asyvar_iv,
-    asyvar_iv_ps,
-    bias_one_sided_exact,
-    bias_one_sided_taylor,
-    bias_two_sided_taylor,
-    enumerate_expectation,
-    moments,
-)
+from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, _report, estimate_rows
+
+# simulation and theory are imported by the functions that run them, so that
+# loading this module for `ivstrat analyze` loads neither
 
 __all__ = [
     "DatasetSchema",
@@ -344,8 +330,7 @@ def _strata(
     for several. Rows whose labels read the same share a stratum."""
     key = np.zeros(len(columns[0][0]), dtype=np.intp)
     for codes, labels in columns:  # re-densified after each column
-        key = key * len(labels) + codes
-        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        (key,), _, (first,) = first_appearance((key * len(labels) + codes)[None, :])
     if len(columns) == 1:
         ((codes, labels),) = columns
         names = [labels[c] for c in codes[first]]
@@ -600,21 +585,27 @@ _CODECS = {
     int: (str, int),
     str: (str, str),
 }
-_ROW_TYPES = get_type_hints(EstimatorMetrics)
-_METRICS_TYPES = get_type_hints(ScenarioMetrics) | _ROW_TYPES
-_METRICS_CODECS = {col: _CODECS[_METRICS_TYPES[col]] for col in METRICS_COLUMNS}
+
+
+@functools.cache
+def _metrics_codecs() -> dict[str, tuple]:
+    """Each metrics column's (format, parse, whether an EstimatorMetrics
+    row holds it rather than its ScenarioMetrics)."""
+    from .simulation import EstimatorMetrics, ScenarioMetrics
+
+    row_types = get_type_hints(EstimatorMetrics)
+    types = get_type_hints(ScenarioMetrics) | row_types
+    return {col: (*_CODECS[types[col]], col in row_types) for col in METRICS_COLUMNS}
 
 
 def write_metrics_csv(metrics: Iterable[ScenarioMetrics], fh: IO[str]) -> None:
     """Machine-facing metrics table: one line per estimator row of each
     scenario, in METRICS_COLUMNS."""
+    codecs = _metrics_codecs()
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(METRICS_COLUMNS)
     writer.writerows(
-        [
-            fmt(getattr(row if col in _ROW_TYPES else m, col))
-            for col, (fmt, _) in _METRICS_CODECS.items()
-        ]
+        [fmt(getattr(row if on_row else m, col)) for col, (fmt, _, on_row) in codecs.items()]
         for m in metrics
         for row in m.rows
     )
@@ -626,10 +617,13 @@ def read_metrics_csv(fh: IO[str]) -> list[dict]:
         raise EmptyFile("metrics stream")
     if tuple(reader.fieldnames) != METRICS_COLUMNS:
         raise MissingColumn(f"expected metrics columns, got {reader.fieldnames}")
-    return [{col: parse(raw[col]) for col, (_, parse) in _METRICS_CODECS.items()} for raw in reader]
+    codecs = _metrics_codecs()
+    return [{col: parse(raw[col]) for col, (_, parse, _) in codecs.items()} for raw in reader]
 
 
 def _config_from_dict(obj: Mapping) -> ScenarioConfig | ConcentrationConfig:
+    from .simulation import ConcentrationConfig, ScenarioConfig
+
     cls = ConcentrationConfig if ("r" in obj or "target_p" in obj) else ScenarioConfig
     known = {f.name for f in fields(cls)}
     unknown = set(obj) - known
@@ -668,9 +662,12 @@ def _metrics_text(metrics: Iterable[ScenarioMetrics]) -> str:
 
 def _csv_floats(raw: str, flag: str) -> list[float]:
     try:
-        return [float(s) for s in raw.split(",") if s.strip() != ""]
+        values = [float(s) for s in raw.split(",") if s.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} must be a comma-separated list of numbers") from None
+        values = []
+    if not values:  # an entry that is not a number, or no entries at all
+        raise ValueError(f"{flag} must be a comma-separated list of numbers")
+    return values
 
 
 def _threads(raw: str) -> int:
@@ -702,11 +699,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Every simulate command: run the configs its builder makes from args."""
+    from .simulation import run_grid
+
     _write_text(args.out, _metrics_text(run_grid(args.configs(args), threads=args.threads)))
     return 0
 
 
 def _sweep_r_configs(args: argparse.Namespace) -> list[ConcentrationConfig]:
+    from .simulation import ConcentrationConfig
+
     weights = tuple(_csv_floats(args.weights, "--weights"))
     return [
         ConcentrationConfig(
@@ -725,6 +726,8 @@ def _sweep_r_configs(args: argparse.Namespace) -> list[ConcentrationConfig]:
 
 
 def _random_strata_configs(args: argparse.Namespace) -> list[ScenarioConfig]:
+    from .simulation import ScenarioConfig
+
     ks = _csv_floats(args.k, "--k")
     if not all(k.is_integer() for k in ks):
         raise ValueError("--k must be a comma-separated list of whole numbers")
@@ -741,12 +744,24 @@ def _random_strata_configs(args: argparse.Namespace) -> list[ScenarioConfig]:
 
 
 def _grid_configs(args: argparse.Namespace) -> list[ScenarioConfig]:
+    from .simulation import default_grid
+
     if args.quick:
         return default_grid(replications=100, seed=args.seed, n_values=(500,))
     return default_grid(replications=args.replications, seed=args.seed)
 
 
 def _cmd_theory(args: argparse.Namespace) -> int:
+    from .theory import (
+        asyvar_iv,
+        asyvar_iv_ps,
+        bias_one_sided_exact,
+        bias_one_sided_taylor,
+        bias_two_sided_taylor,
+        enumerate_expectation,
+        moments,
+    )
+
     table = load_science_csv(args.science_table)
     p = args.p
     m = moments(table, p)

@@ -53,12 +53,12 @@ from .data_model import (
     NonIntegralArm,
     ObservedBlock,
     ScienceTable,
+    _treated_count,
     check_science,
     first_appearance,
     reveal,
 )
-from .estimators import METHODS, EstimatorConfig, estimate_rows
-from .theory import _treated_count
+from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, estimate_rows
 
 _VALID_TAGS = frozenset(METHODS) | {"ORACLE"}
 
@@ -79,17 +79,6 @@ __all__ = [
 ]
 
 RNG_FAMILY = "philox4x64"
-
-DEFAULT_ESTIMATORS = (
-    "UNSTRAT",
-    "IV_W",
-    "IV_A",
-    "DSS",
-    "DSF",
-    "PWIV",
-    "TSLS_DUMMY",
-    "ORACLE",
-)
 
 # stratum pattern scale: between-stratum variance of centered consecutive
 # integers 0..G-1 over equal strata is (G^2 - 1) / 12

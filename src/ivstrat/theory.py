@@ -41,11 +41,11 @@ from .data_model import (
     Infeasible,
     NEVER_TAKER,
     NoCompliers,
-    NonIntegralArm,
     ObservedBlock,
     ScienceTable,
     TooFewUnits,
     TwoSidedInput,
+    _treated_count,
     reveal,
     science_to_observed,
 )
@@ -107,18 +107,6 @@ class PopulationMoments:
     @property
     def n0(self) -> int:
         return self.n - self.n1
-
-
-def _treated_count(n: int, p: float) -> int:
-    if not 0.0 < p < 1.0:
-        raise NonIntegralArm(f"treatment proportion {p} must lie in (0, 1)")
-    n1 = p * n
-    if abs(n1 - round(n1)) > 1e-9:
-        raise NonIntegralArm(f"p*N = {n1} is not a whole number of treated units")
-    n1 = round(n1)
-    if not 0 < n1 < n:
-        raise NonIntegralArm("both arms must be nonempty")
-    return n1
 
 
 def _s2_by_stratum(strata: np.ndarray, n_g: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +27,23 @@ from ivstrat.data_model import (
     stratum_moments,
 )
 from ivstrat.io_cli import DatasetSchema, _parse_binary, _parse_outcome
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code: str) -> str:
+    """The stdout of code run by a new interpreter that imports ivstrat
+    from this checkout's src/."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    return proc.stdout
 
 
 def pooled_moments(s: ObservedSample) -> StratumMoments:
@@ -407,6 +428,27 @@ def load_csv_rowwise(path: str, schema: DatasetSchema) -> ObservedSample:
             for i in range(len(z))
         ]
     return ObservedSample.from_arrays(z=z, d=d, y=y, strata=strata)
+
+
+def strata_by_sorting(cols, columns) -> tuple[np.ndarray, list[str]]:
+    """Oracle for io_cli._strata: the same crossing, re-densified after
+    each column by sorting with np.unique, so codes come in key order
+    rather than in order of first appearance."""
+    key = np.zeros(len(columns[0][0]), dtype=np.intp)
+    for codes, labels in columns:
+        key = key * len(labels) + codes
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    if len(columns) == 1:
+        ((codes, labels),) = columns
+        names = [labels[c] for c in codes[first]]
+    else:
+        names = [
+            "|".join(f"{col}={labels[codes[i]]}" for col, (codes, labels) in zip(cols, columns))
+            for i in first
+        ]
+    index: dict[str, int] = {}
+    merged = np.array([index.setdefault(s, len(index)) for s in names], dtype=np.intp)
+    return merged[key], list(index)
 
 
 def load_science_csv_rowwise(path: str) -> ScienceTable:

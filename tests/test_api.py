@@ -1,6 +1,6 @@
 """The public API: every name a module exports resolves, the package
-exports exactly the public names its __init__ binds, and every name the
-benchmark imports from the package exists."""
+exports exactly the public names it binds or resolves on first use, and
+every name the benchmark imports from the package exists."""
 
 import ast
 import importlib
@@ -11,6 +11,7 @@ import types
 import pytest
 
 import ivstrat
+from helpers import fresh_python
 
 MODULES = [ivstrat] + [
     importlib.import_module(f"ivstrat.{info.name}")
@@ -26,12 +27,27 @@ def test_every_exported_name_resolves(module):
 
 
 def test_package_exports_exactly_what_it_binds():
+    # dir() lists the names the package resolves on first use, too
     bound = {
         name
-        for name, value in vars(ivstrat).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(ivstrat)
+        if not name.startswith("_") and not isinstance(getattr(ivstrat, name), types.ModuleType)
     }
     assert sorted(ivstrat.__all__) == sorted(bound)
+
+
+def test_star_import_binds_every_exported_name():
+    code = "from ivstrat import *\nimport ivstrat\nprint([n for n in ivstrat.__all__ if n not in globals()])"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_bare_import_resolves_the_lazy_modules():
+    code = (
+        "import sys, ivstrat\n"
+        "print('ivstrat.simulation' in sys.modules, ivstrat.simulation.run_grid is ivstrat.run_grid,"
+        " 'ivstrat.theory' in sys.modules, ivstrat.theory.moments is ivstrat.moments)"
+    )
+    assert fresh_python(code).split() == ["False", "True", "False", "True"]
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"

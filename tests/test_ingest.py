@@ -1,14 +1,12 @@
 """The CSV loaders against the row-by-row oracles in helpers.py, through
 both of their paths (numpy's C reader, and the per-row reader it falls
 back to) and on the inputs where the two readers part ways; the quantile
-bins and the midpoint-rank helper; and the scipy-free import."""
+bins and the midpoint-rank helper; and which modules a fresh import and a
+CLI run load."""
 
 import contextlib
 import csv
 import io
-import os
-import subprocess
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -18,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from ivstrat import io_cli
+from ivstrat import ObservedSample, io_cli
 from ivstrat.io_cli import DatasetSchema, _midranks, load_csv, load_science_csv
-from helpers import load_csv_rowwise, load_science_csv_rowwise
+from helpers import fresh_python, load_csv_rowwise, load_science_csv_rowwise, strata_by_sorting
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BINARY = ["0", "1"] * 6 + ["-0", "1e0", "1.0", " 1", "+0", "0.0"]
 OUTCOME = ["0.5", "-3", "2", "1e0", "1_0", "-0", " 4.25 ", "1e300", "0.1", "7"]
@@ -382,13 +380,66 @@ def test_import_leaves_scipy_unloaded():
         "import sys, ivstrat, ivstrat.io_cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
+    assert fresh_python(code).strip() == "[]"
+
+
+# what a fresh interpreter has loaded of ivstrat, scipy and concurrent.futures
+LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] in {'ivstrat', 'scipy', 'concurrent'}))"
+
+
+def test_cli_analyze_loads_only_the_kernel_and_its_driver():
+    argv = [
+        "analyze",
+        "--data", str(GOLDEN / "gotv_like.csv"),
+        "--schema", str(GOLDEN / "gotv_like_schema.json"),
+    ]  # fmt: skip
+    code = (
+        "import contextlib, io, sys, ivstrat, ivstrat.io_cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert ivstrat.io_cli.cli_main({argv!r}) == 0\n"
+        f"assert out.getvalue() == {(GOLDEN / 'gotv_like_report.csv').read_text()!r}\n" + LOADED
     )
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code).strip() == str(
+        ["ivstrat", "ivstrat.data_model", "ivstrat.estimators", "ivstrat.io_cli", "ivstrat.variance"]
+    )
+
+
+def test_cli_simulate_leaves_theory_unloaded(tmp_path):
+    argv = ["sweep-r", "--r", "1", "--n", "40", "--replications", "2", "--out", str(tmp_path / "m.csv")]
+    code = (
+        f"import sys, ivstrat, ivstrat.io_cli\nassert ivstrat.cli_main({argv!r}) == 0\n"
+        "print('ivstrat.simulation' in sys.modules, 'ivstrat.theory' in sys.modules)"
+    )
+    assert fresh_python(code).split() == ["True", "False"]
+
+
+LABEL_POOL = ["x", "y", "c", "x|b=y", "y|b=c", "b=c", "missing"]
+
+
+@st.composite
+def _crossed_columns(draw):
+    """Per-column (row codes, code labels) as load_csv hands them to
+    _strata; a column's labels may repeat (a blank and a literal "missing"
+    both read "missing"), and crossed names may read the same."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = draw(st.lists(st.sampled_from(LABEL_POOL), min_size=1, max_size=6))
+        codes = draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
+        columns.append((np.array(codes, dtype=np.intp), labels))
+    return ("a", "b", "c")[: len(columns)], columns
+
+
+@settings(max_examples=300)
+@given(case=_crossed_columns())
+def test_strata_match_the_sorting_oracle(case):
+    """_strata numbers strata by first appearance and the oracle by sorted
+    key; the loaded sample, which re-codes by first appearance, is the same."""
+    cols, columns = case
+    n = len(columns[0][0])
+    z = np.arange(n) % 2
+    samples = []
+    for strata, names in (io_cli._strata(cols, columns), strata_by_sorting(cols, columns)):
+        sample = ObservedSample.from_arrays(z=z, d=z, y=np.zeros(n), strata=strata)
+        samples.append(io_cli._relabel(sample, names))
+    _assert_same(*samples, ("z", "d", "y", "strata"))

@@ -545,6 +545,23 @@ def test_cli_random_strata_rejects_k_not_whole(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-r", "--r", ","],
+        ["sweep-r", "--r", ""],
+        ["sweep-r", "--weights", " , "],
+        ["random-strata", "--k", ""],
+        ["random-strata", "--k", ",,"],
+    ],
+)
+def test_cli_refuses_an_empty_number_list(tmp_path, capsys, argv):
+    out = tmp_path / "m.csv"
+    assert cli_main([*argv, "--replications", "2", "--out", str(out)]) == 1
+    assert f"error: {argv[1]} must be a comma-separated list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metrics_csv_formats_columns_by_declared_type(tmp_path):
     # an integer never_taker_shift read from JSON still prints as a float
     cfg = write(
