@@ -836,7 +836,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--dss-threshold", type=float, default=0.02)
     pa.add_argument("--dsf-fmin", type=float, default=10.0)
     pa.add_argument("--se", choices=("bloom", "delta", "both"), default="bloom")
-    pa.add_argument("--out", choices=("csv", "json"), default="csv")
+    pa.add_argument(
+        "--out",
+        choices=("csv", "json"),
+        default="csv",
+        help="report format; the report goes to stdout",
+    )
     pa.add_argument("--by-stratum", action="store_true", help="append per-stratum table")
     pa.set_defaults(func=_cmd_analyze)
 

@@ -20,20 +20,26 @@ sample. Each row's results go to its own config's slots, which are
 aggregated and freed once that config's last block is done.
 
 A replication's draws are, in order, what these numpy calls draw from its
-stream: integers(0, G, n) or choice(G, n, p=weights), random(n),
+stream, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))):
+integers(0, G, n) or choice(G, n, p=weights), random(n),
 normal(0, sd, n), with random strata integers(0, k, n), and
 permutation(n)[:n1] for the treated units. The engine makes the same bits
-with calls that skip per-call work: a searchsorted of random(n) into the
-weights' cdf, standard normals scaled once per segment, and an in-place
-shuffle of an arange row.
+with less per-replication work: it derives the Philox keys of a config's
+replications once per config, resets one generator per block to each
+replication's key, and draws with calls that skip per-call work (a
+searchsorted of random(n) into the weights' cdf, standard normals scaled
+once per segment, and an in-place shuffle of an arange row).
 
 Determinism contract: every replication draws from its own counter-based
-substream keyed by (seed, replication index) (Philox; Salmon et al., SC11),
-each row of a block is computed independently of the others, and
-aggregation reads preallocated per-replication slots in index order, so
-results are byte identical for any block partition, any mix of configs in
-a block and any thread count: each config's metrics equal those it gets
-run alone. Threads run whole blocks.
+substream keyed by (seed, replication index) (Philox; Salmon et al., SC11).
+Its key is numpy's SeedSequence(entropy=seed, spawn_key=(rep,)) key,
+derived once per config, and the block's one generator is reset to that
+key, counter 0 and an empty buffer before the replication draws. Each row
+of a block is computed independently of the others, and aggregation reads
+preallocated per-replication slots in index order, so results are byte
+identical for any block partition, any mix of configs in a block and any
+thread count: each config's metrics equal those it gets run alone.
+Threads run whole blocks.
 """
 
 from __future__ import annotations
@@ -97,6 +103,9 @@ def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
         raise ValueError(str(exc)) from None
     if config.replications < 1:
         raise ValueError("replications must be at least 1")
+    seed = config.seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if not 0.0 <= config.outcome_r2 < 1.0:
         raise ValueError("outcome_r2 must lie in [0, 1)")
     unknown = [t for t in config.estimators if t not in _VALID_TAGS]
@@ -400,9 +409,67 @@ class ScenarioMetrics:
     rows: tuple[EstimatorMetrics, ...]
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-    return np.random.Generator(np.random.Philox(ss))
+# numpy's SeedSequence hash on 32-bit words, with the constants of
+# numpy/random/bit_generator.pyx. Each function takes ints or uint32 arrays.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(word, const: int, mult: int = _MULT_A):
+    """A word hashed with the constant `const`, and the constant after it."""
+    after = const * mult & _MASK32
+    word = (word ^ const) * after & _MASK32
+    return word ^ word >> 16, after
+
+
+def _mix(x, y):
+    word = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return word ^ word >> 16
+
+
+def _mix_in(pool: list, word, const: int) -> int:
+    """One entropy word mixed into every pool word; the constant after it."""
+    for dst in range(_POOL_SIZE):
+        hashed, const = _hashmix(word, const)
+        pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
+def _philox_keys(seed: int, reps: range) -> np.ndarray:
+    """The (len(reps), 2) Philox keys of replications `reps` of `seed`:
+    row i is SeedSequence(entropy=seed, spawn_key=(reps[i],))
+    .generate_state(2, np.uint64). What the hash mixes before the spawn
+    word depends on the seed alone, so it runs once; the rest runs on all
+    the replications' words at once."""
+    ends = (reps[0], reps[-1]) if reps else (0, 0)
+    if min(ends) < 0 or max(ends) > _MASK32:
+        raise ValueError("replication indices must lie in [0, 2**32)")
+    # the seed's 32-bit words, low first, padded to the pool size as
+    # SeedSequence pads an entropy that has a spawn key
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        const = _mix_in(pool, word, const)
+    rep_words = np.arange(reps.start, reps.stop, reps.step, dtype=np.int64).astype(np.uint32)
+    _mix_in(pool, rep_words, const)
+    # generate_state: four words hashed out of the pool, paired low first
+    const, out = _INIT_B, []
+    for word in pool:
+        word, const = _hashmix(word, const, _MULT_B)
+        out.append(word)
+    return np.stack(out, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass
@@ -443,18 +510,25 @@ class _Segment(NamedTuple):
 def _draw_block(block: list[_Segment]) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """A block's population draws and its (R, n) assignments. Each
     replication draws its population and then its assignment from its own
-    substream. Row i of `order` holds its units' flat positions in the
-    block, so `rng.shuffle` of it draws what permutation(n) does, and the
-    first n1 units of each row are treated."""
+    substream: the block's one generator, reset to the replication's key.
+    Row i of `order` holds its units' flat positions in the block, so
+    `rng.shuffle` of it draws what permutation(n) does, and the first n1
+    units of each row are treated."""
     n = block[0].job.config.n
     r = block[-1].rows.stop
     draws = _buffers(r, n, any(s.job.design.random_k is not None for s in block))
     order = np.arange(r * n).reshape(r, n)
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    # a fresh Philox's state: counter 0, an empty buffer and no spare
+    # 32-bit word; each replication starts from it with its own key
+    state = bit_generator.state
     i = 0
     for job, reps, _ in block:
-        draw, seed = job.design.draw, job.config.seed
-        for rep in reps:
-            rng = _rep_rng(seed, rep)
+        draw = job.design.draw
+        for key in job.keys[reps.start : reps.stop].tolist():
+            state["state"]["key"] = key
+            bit_generator.state = state
             draw(draws, i, rng)
             rng.shuffle(order[i])
             i += 1
@@ -549,6 +623,8 @@ class _Job:
         self.config = config
         self.design = _Design.of(config)
         self.n1 = _treated_count(config.n, config.p_treat)  # the config checked it
+        # row i: replication i's Philox key
+        self.keys = _philox_keys(int(config.seed), range(config.replications))
         self.blocks = 0  # blocks holding some of its replications, not yet run
         self.store: _RepStore | None = None
         self.result = None

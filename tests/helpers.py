@@ -46,6 +46,13 @@ def fresh_python(code: str) -> str:
     return proc.stdout
 
 
+def rep_rng(seed: int, rep: int) -> np.random.Generator:
+    """Replication rep's stream as numpy builds it: a Philox generator
+    seeded by SeedSequence(entropy=seed, spawn_key=(rep,))."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 def pooled_moments(s: ObservedSample) -> StratumMoments:
     """Moments with every unit of s in one stratum: itt_hat[0] and f_hat[0]
     are the unstratified ITT and compliance estimates."""

@@ -510,6 +510,20 @@ def test_cli_simulate_error_codes(tmp_path, capsys):
     assert "InfeasibleCompliance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "true"])
+@pytest.mark.parametrize(
+    "config",
+    ['"n": 40, "target_pi_c": 0.3', '"r": 0.5, "n": 40'],
+    ids=["scenario", "concentration"],
+)
+def test_cli_simulate_refuses_a_bad_seed(tmp_path, capsys, config, seed):
+    cfg = write(tmp_path, "cfg.json", f'{{{config}, "replications": 2, "seed": {seed}}}')
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_r(tmp_path):
     out = str(tmp_path / "sweep.csv")
     code = cli_main(

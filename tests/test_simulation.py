@@ -1,9 +1,12 @@
 import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ivstrat import (
     ConcentrationConfig,
@@ -20,8 +23,8 @@ from ivstrat import (
     write_metrics_csv,
 )
 from ivstrat import simulation
-from ivstrat.simulation import _Job, _draw_block, _plan, _rep_rng
-from helpers import stratified_table
+from ivstrat.simulation import _Job, _draw_block, _philox_keys, _plan
+from helpers import rep_rng, stratified_table
 
 
 def make_config(**kw):
@@ -82,6 +85,17 @@ def test_concentration_config_rejects(kw):
     base.update(kw)
     with pytest.raises(ValueError):
         ConcentrationConfig(**base)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+@pytest.mark.parametrize(
+    "make",
+    [make_config, lambda **kw: ConcentrationConfig(n=40, **kw)],
+    ids=["scenario", "concentration"],
+)
+def test_configs_refuse_a_seed_not_a_non_negative_integer(make, seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        make(seed=seed)
 
 
 def test_concentration_infeasible_target():
@@ -295,26 +309,79 @@ DRAW_CONFIGS = {
 }
 
 
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 3]
+
+
+@given(
+    seed=st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**200)),
+    first=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 40),
+)
+@example(seed=0, first=2**32 - 1, count=1)
+@example(seed=2**32 - 1, first=0, count=40)
+@example(seed=2**32, first=2**31, count=5)
+@example(seed=2**64 + 1, first=2**32 - 3, count=3)
+@example(seed=2**130 + 3, first=0, count=40)
+def test_philox_keys_equal_seed_sequence_keys(seed, first, count):
+    reps = range(first, min(first + count, 2**32))
+    expected = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(2, np.uint64)
+        for rep in reps
+    ]
+    keys = _philox_keys(seed, reps)
+    assert keys.dtype == np.uint64 and keys.shape == (len(reps), 2)
+    assert np.array_equal(keys, np.reshape(expected, (len(reps), 2)))
+
+
+@pytest.mark.parametrize(
+    "reps", [range(2**32 - 1, 2**32 + 1), range(2**40, 2**40 + 1), range(-1, 2)]
+)
+def test_philox_keys_refuse_indices_past_32_bits(reps):
+    with pytest.raises(ValueError, match=r"replication indices must lie in \[0, 2\*\*32\)"):
+        _philox_keys(5, reps)
+
+
 @pytest.mark.parametrize("n", [4, 7, 500])
 @pytest.mark.parametrize("kind", sorted(DRAW_CONFIGS))
 def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
     """Each replication's rows equal numpy's one-call draws on its
-    substream, and leave its generator in the same state."""
+    substream, and leave the block's generator in the state they leave
+    that substream's generator."""
     config = DRAW_CONFIGS[kind](n=n, p_treat=3 / 7 if n == 7 else 0.5, replications=4, seed=31)
-    made = []
+    numpy_philox = np.random.Philox
+    made, states = [], []  # the block's generators; their states before each reset
 
-    def rep_rng(seed, rep):
-        made.append(_rep_rng(seed, rep))
-        return made[-1]
+    class Philox(numpy_philox):  # its state names its class, so it keeps numpy's name
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
 
-    monkeypatch.setattr(simulation, "_rep_rng", rep_rng)
+        @property
+        def state(self):
+            return super().state
+
+        @state.setter
+        def state(self, value):
+            states.append(self.state)
+            numpy_philox.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "Philox", Philox)
     job = _Job(config)
     (block,) = _plan([job])
     draws, z = _draw_block(block)
+    monkeypatch.undo()
+    (bit_generator,) = made
+    # each replication's state after its draws: the one its successor's
+    # reset replaced, and for the last, the one the block left
+    ends = states[1:] + [bit_generator.state]
+    assert len(ends) == config.replications
+
+    def plain(state: dict) -> str:
+        return json.dumps(state, default=np.ndarray.tolist, sort_keys=True)
+
     sd, g = job.design.noise_sd, config.num_strata
-    assert len(made) == config.replications
-    for rep, rng in enumerate(made):
-        ref = _rep_rng(config.seed, rep)
+    for rep, end in enumerate(ends):
+        ref = rep_rng(config.seed, rep)
         if isinstance(config, ConcentrationConfig):
             strata = ref.choice(g, size=n, p=config.weights)
         else:
@@ -328,7 +395,7 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
         treated = np.zeros(n, dtype=np.int8)
         treated[ref.permutation(n)[: job.n1]] = 1
         assert np.array_equal(z[rep], treated)
-        assert rng.random() == ref.random()
+        assert plain(end) == plain(ref.bit_generator.state)
 
 
 def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
