@@ -591,7 +591,9 @@ class ObservedBlock:
     its (R, G) moments pad the codes it lacks with empty cells, which
     `present` masks out. A single ObservedSample is the R = 1 case (of).
     compliers, the (R, n) mask of true compliers, exists only where the
-    science table is known; the ORACLE kernel reads its positions.
+    science table is known; the ORACLE kernel reads its positions. ORACLE is
+    the only kernel that reads the units; every other one reads `moments`
+    or `pooled`.
     """
 
     def __init__(self, z, d, y, strata, num_strata, compliers=None) -> None:

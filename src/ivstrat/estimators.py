@@ -16,15 +16,17 @@ ratio sum(N_g itt_g) / sum(N_g f_g) over a kept set of strata
 
 ORACLE benchmarks against the infeasible difference in means among true
 compliers, and TSLS_WEIGHTED / TSLS_DUMMY are the two-stage least squares
-comparators.
+comparators. TSLS_WEIGHTED is a ratio of post-stratified arm means, each
+arm averaged over the strata that have units in it; it equals IV_A when
+every present stratum has both arms.
 
 Every estimator, ORACLE included, is a row-wise kernel over an
 ObservedBlock of R samples (estimate_rows); estimate() and
 oracle_complier_dim are its R = 1 calls, and simulate and
-enumerate_expectation call it once per block. ORACLE reads the block's
-true-complier mask, which only a science table has, so METHODS and
-estimate() leave it out. Kept sets are (R, G) code masks; labels appear
-only in EstimateReport.
+enumerate_expectation call it once per block. Every kernel but ORACLE reads
+only the block's stratum moments. ORACLE reads the block's true-complier
+mask, which only a science table has, so METHODS and estimate() leave it
+out. Kept sets are (R, G) code masks; labels appear only in EstimateReport.
 """
 from __future__ import annotations
 
@@ -194,49 +196,32 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
 
 
 def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
-    """TSLS_WEIGHTED: two weighted one-regressor least-squares stages on the
-    units, row by row. Unit weights (N_g / N_{g,z})(n_z / N) make the
-    first-stage slope the post-stratified compliance estimate and the
-    second-stage slope IV_A's estimate; kept as an independent cross-check
-    of that identity. It defines no SE."""
+    """TSLS_WEIGHTED: two-stage least squares with unit weights
+    (N_g / N_{g,z})(n_z / N), in closed form on the stratum moments.
+
+    z is binary, so each stage's slope is a difference of weighted arm
+    means, and arm z's weighted mean of v is sum N_g vbar_gz / sum N_g over
+    the present strata with units in arm z. The first stage D1 - D0 is the
+    reported f_hat and the estimate is (Y1 - Y0) / (D1 - D0): a difference
+    of sums where IV_A takes a sum of differences, so the two agree when
+    every present stratum has both arms. It defines no SE.
+    """
     m, present = block.moments, block.present
-    r = len(present)
-    est = np.full(r, np.nan)
-    zero = np.zeros(r, dtype=bool)
-    for i in range(r):
-        codes, z = block.strata[i], block.z[i]
-        treated = z == 1
-        n_gz = np.where(treated, m.n_g1[i][codes], m.n_g0[i][codes]).astype(np.float64)
-        n_z = np.where(treated, int(treated.sum()), int((z == 0).sum())).astype(np.float64)
-        w = (m.n_g[i][codes] / n_gz) * (n_z / block.n)
-        zf = z.astype(np.float64)
-        first = _wls_slope(w, zf, block.d[i].astype(np.float64))
-        if first is None or first[1] == 0.0:
-            zero[i] = True
-            continue
-        second = _wls_slope(w, first[0] + first[1] * zf, block.y[i])
-        if second is None:  # the slope is too small to move the fitted uptake
-            zero[i] = True
-            continue
-        est[i] = second[1]
-    f_ps = MaskedRows.of(present).sum((m.n_g / float(block.n)) * m.f_hat)
-    errors = [(zero, ZeroCompliance("fitted uptake does not vary; the second stage is undefined"))]
-    nan = np.full(r, np.nan)
-    return Rows(est, f_ps, np.full(r, block.n), present, nan, nan, errors)
 
+    def arm_means(n_gz: np.ndarray, ybar: np.ndarray, dbar: np.ndarray):
+        ksum = MaskedRows.of(present & (n_gz > 0)).sum
+        n_arm = ksum(m.n_g)  # 0 when the arm is empty, which makes both means nan
+        return ksum(m.n_g * ybar) / n_arm, ksum(m.n_g * dbar) / n_arm
 
-def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, float] | None:
-    """Weighted least squares of v on x with an intercept: (intercept,
-    slope), or None when x has no weighted spread."""
-    sw = float(np.sum(w))
-    xbar = float(np.sum(w * x)) / sw
-    vbar = float(np.sum(w * v)) / sw
-    sxx = float(np.sum(w * (x - xbar) ** 2))
-    if sxx == 0.0:
-        return None
-    sxv = float(np.sum(w * (x - xbar) * (v - vbar)))
-    slope = sxv / sxx
-    return vbar - slope * xbar, slope
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y1, d1 = arm_means(m.n_g1, m.ybar1, m.dbar1)
+        y0, d0 = arm_means(m.n_g0, m.ybar0, m.dbar0)
+        first = d1 - d0
+        zero = (first == 0.0) | np.isnan(first)  # nan: an arm is empty
+        est = np.where(zero, np.nan, (y1 - y0) / first)
+    errors = [(zero, ZeroCompliance("the first stage is zero or an arm is empty"))]
+    nan = np.full(len(est), np.nan)
+    return Rows(est, first, np.full(len(est), block.n), present, nan, nan, errors)
 
 
 def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:

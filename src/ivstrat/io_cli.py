@@ -41,6 +41,7 @@ from .data_model import (
     validate,
 )
 from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, _report, estimate_rows
+from .variance import _two_per_arm, _var_itt
 
 # simulation and theory are imported by the functions that run them, so that
 # loading this module for `ivstrat analyze` loads neither
@@ -513,8 +514,8 @@ def stratum_report(sample: ObservedSample) -> tuple[StratumRow, ...]:
     f = m.f_hat
     with np.errstate(divide="ignore", invalid="ignore"):
         cace = m.itt_hat / f
-        se = np.sqrt(m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0) / np.abs(f)
-    two_per_arm = (m.n_g1 >= 2) & (m.n_g0 >= 2)
+        se = np.sqrt(_var_itt(m)) / np.abs(f)
+    two_per_arm = _two_per_arm(m)
     return tuple(
         StratumRow(
             stratum=str(label),

@@ -93,16 +93,23 @@ def _pattern_scale(num_strata: int, between_var: float) -> float:
     return math.sqrt(between_var / spread)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer (a bool is not one) or is
+    below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
     """The checks both config types share."""
-    if config.n < 4:
-        raise ValueError("n must be at least 4")
+    _check_count("n", config.n, 4)
     try:
         _treated_count(config.n, config.p_treat)
     except NonIntegralArm as exc:  # a config error like the others here
         raise ValueError(str(exc)) from None
-    if config.replications < 1:
-        raise ValueError("replications must be at least 1")
+    _check_count("replications", config.replications, 1)
     seed = config.seed
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -142,12 +149,11 @@ class ScenarioConfig:
         if not 0.0 < self.target_pi_c < 1.0:
             raise ValueError("target_pi_c must lie in (0, 1)")
         _check_run(self)
-        if self.num_strata < 1:
-            raise ValueError("num_strata must be at least 1")
+        _check_count("num_strata", self.num_strata, 1)
         if not 0.0 < self.compliance_ratio <= 1.0:
             raise ValueError("compliance_ratio must lie in (0, 1]")
-        if self.random_strata_k is not None and self.random_strata_k < 1:
-            raise ValueError("random_strata_k must be at least 1")
+        if self.random_strata_k is not None:
+            _check_count("random_strata_k", self.random_strata_k, 1)
 
     @property
     def scenario_id(self) -> str:

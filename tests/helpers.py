@@ -239,6 +239,46 @@ def tsls_dummies_lstsq(sample: ObservedSample) -> tuple[float, float, float | No
     return float(beta2[g]), float(beta1[g]), se
 
 
+def tsls_weighted_units(sample: ObservedSample) -> tuple[float, float] | None:
+    """Independent oracle for TSLS_WEIGHTED: two weighted one-regressor
+    least-squares stages on the units, with unit weights
+    (N_g / N_{g,z})(n_z / N).
+
+    Returns (estimate, first-stage slope), or None when a stage is
+    undefined: an arm is empty, the first-stage slope is 0, or the slope is
+    too small to move the fitted uptake.
+    """
+    z, codes = sample.z, sample.strata
+    treated = z == 1
+    n_g = np.bincount(codes, minlength=sample.num_strata)
+    n_g1 = np.bincount(codes[treated], minlength=sample.num_strata)
+    n_gz = np.where(treated, n_g1[codes], (n_g - n_g1)[codes]).astype(np.float64)
+    n_z = np.where(treated, int(treated.sum()), int((~treated).sum())).astype(np.float64)
+    w = (n_g[codes] / n_gz) * (n_z / sample.n)
+    zf = z.astype(np.float64)
+    first = _wls_slope(w, zf, sample.d.astype(np.float64))
+    if first is None or first[1] == 0.0:
+        return None
+    second = _wls_slope(w, first[0] + first[1] * zf, sample.y)
+    if second is None:
+        return None
+    return second[1], first[1]
+
+
+def _wls_slope(w: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[float, float] | None:
+    """Weighted least squares of v on x with an intercept: (intercept,
+    slope), or None when x has no weighted spread."""
+    sw = float(np.sum(w))
+    xbar = float(np.sum(w * x)) / sw
+    vbar = float(np.sum(w * v)) / sw
+    sxx = float(np.sum(w * (x - xbar) ** 2))
+    if sxx == 0.0:
+        return None
+    sxv = float(np.sum(w * (x - xbar) * (v - vbar)))
+    slope = sxv / sxx
+    return vbar - slope * xbar, slope
+
+
 def _s2(values: np.ndarray) -> float:
     return float(np.var(values, ddof=1)) if len(values) > 1 else float("nan")
 

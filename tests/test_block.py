@@ -107,6 +107,33 @@ def test_block_rows_match_per_sample_estimates(seed, reps, n, k, pc, pa):
                 assert _same(math.nan if se is None else se, row_se[i]), (tag, i)
 
 
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reps=st.integers(1, 6),
+    n=st.integers(4, 48),
+    k=st.integers(1, 12),
+    pc=st.sampled_from([0.0, 0.3, 0.9]),
+)
+def test_methods_read_only_the_moments(seed, reps, n, k, pc):
+    """Every method but ORACLE is a function of the block's moments: with
+    moments and pooled cached and the unit arrays gone, each gives the
+    bits of an untouched block."""
+    labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
+    codes, num_strata, _ = first_appearance(labels)
+    y, d = reveal(y0, y1, d0, d1, z)
+    bare = ObservedBlock(z, d, y, codes, num_strata)
+    bare.moments, bare.pooled  # fill both caches
+    bare.z = bare.d = bare.y = bare.strata = None
+    for tag in METHODS:
+        want = estimate_rows(ObservedBlock(z, d, y, codes, num_strata), tag)
+        got = estimate_rows(bare, tag)
+        for field in ("est", "f_hat", "n_used", "kept", "se_bloom", "se_delta"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), (
+                tag, field)
+        assert [m.tolist() for m, _ in got.errors] == [m.tolist() for m, _ in want.errors], tag
+
+
 @settings(max_examples=25)
 @given(
     labels=st.lists(st.integers(-3, 40), min_size=1, max_size=60),

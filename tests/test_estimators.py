@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ivstrat import (
     METHODS,
@@ -22,7 +24,14 @@ from ivstrat.data_model import (
     RankDeficient,
     stratum_moments,
 )
-from helpers import pooled_moments, random_sample, sample_a, sample_pwiv, sample_two_strata
+from helpers import (
+    pooled_moments,
+    random_sample,
+    sample_a,
+    sample_pwiv,
+    sample_two_strata,
+    tsls_weighted_units,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -244,6 +253,109 @@ def test_estimate_tsls_weighted_report_f_hat():
     r = estimate(s, "TSLS_WEIGHTED")
     assert r.f_hat == 0.25  # population-share-weighted compliance
     assert r.estimate == pytest.approx(6.0, rel=1e-12)
+
+
+_UNITS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # z
+        st.integers(0, 1),  # d
+        st.floats(-10.0, 10.0, allow_nan=False),  # y
+        st.integers(0, 4),  # stratum
+    ),
+    min_size=2,
+    max_size=40,
+)
+
+
+@settings(max_examples=300)
+@given(units=_UNITS)
+# stratum 1 has no control unit
+@example(units=[(1, 1, 2.0, 0), (0, 0, 1.0, 0), (1, 0, 3.0, 0), (0, 1, 0.5, 0), (1, 1, 4.0, 1)])
+# no control unit at all
+@example(units=[(1, 1, 2.0, 0), (1, 0, 1.0, 0), (1, 1, 3.0, 1)])
+def test_tsls_weighted_matches_unit_fit(units):
+    """The moments kernel equals the two weighted least-squares stages on the
+    units wherever the first-stage slope is at least 1e-6 in size, and fails
+    with ZeroCompliance where an arm is empty."""
+    z, d, y, strata = (list(c) for c in zip(*units))
+    s = ObservedSample.from_arrays(z=z, d=d, y=y, strata=strata)
+    unit = tsls_weighted_units(s)
+    if len(set(z)) == 1:
+        assert unit is None
+        with pytest.raises(ZeroCompliance):
+            estimate(s, "TSLS_WEIGHTED")
+        return
+    if unit is None or abs(unit[1]) < 1e-6:
+        return
+    est, first = unit
+    r = estimate(s, "TSLS_WEIGHTED")
+    assert abs(r.f_hat - first) <= 1e-11
+    assert abs(r.estimate - est) <= 1e-11 * (1.0 + abs(est))
+    assert r.n_used == s.n
+    assert r.strata_kept == frozenset(s.stratum_labels)
+    assert r.se_bloom is None and r.se_delta is None
+
+
+def test_tsls_weighted_exact_zero_first_stage_fails():
+    """The arm means 4/11 and 4/11 give a first stage of exactly 0, which
+    fails the row; the unit fit's first-stage slope is 3e-17 instead, and
+    its estimate about -1e16."""
+    s = ObservedSample.from_arrays(
+        z=[1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1],
+        d=[1, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0],
+        y=np.arange(11.0),
+        strata=[1, 0, 0, 2, 0, 0, 1, 1, 1, 0, 2],
+    )
+    est, first = tsls_weighted_units(s)
+    assert 0.0 < abs(first) < 1e-16 and abs(est) > 1e15
+    with pytest.raises(ZeroCompliance):
+        estimate(s, "TSLS_WEIGHTED")
+
+
+def _permuted_within_cells(s: ObservedSample, rng: np.random.Generator) -> ObservedSample:
+    """s with (d, y) shuffled among the units of each (stratum, arm) cell."""
+    order = np.arange(s.n)
+    for cell in np.unique(2 * s.strata + s.z):
+        at = np.flatnonzero(2 * s.strata + s.z == cell)
+        order[at] = rng.permutation(at)
+    labels = [s.stratum_labels[g] for g in s.strata]
+    return ObservedSample.from_arrays(z=s.z, d=s.d[order], y=s.y[order], strata=labels)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), nonzero_f=st.booleans())
+@example(seed=81669, nonzero_f=True)
+def test_reports_are_invariant_to_permutation_within_cells(seed, nonzero_f):
+    """Every method reads only per-cell moments, so reordering the units of
+    a (stratum, arm) cell moves each figure by rounding only: within
+    1e-9 * (1 + |x|), with the same failure, kept set and n_used. DSF is
+    skipped when a stratum's F lies within that tolerance of the cutoff,
+    where rounding alone decides the screen (F = 10 exactly at seed 81669)."""
+    rng = np.random.default_rng(seed)
+    s = random_sample(rng, n_range=(8, 80), require_nonzero_f=nonzero_f)
+    t = _permuted_within_cells(s, rng)
+    assert np.array_equal(s.strata, t.strata)
+    f_min = EstimatorConfig().dsf_f_min
+    tied = np.any(np.abs(first_stage_f(stratum_moments(s)) - f_min) <= 1e-9 * f_min)
+
+    def close(a: float | None, b: float | None) -> bool:
+        if a is None or b is None:
+            return a is b
+        return abs(a - b) <= 1e-9 * (1.0 + abs(a))
+
+    for tag in METHODS:
+        if tag == "DSF" and tied:
+            continue
+        try:
+            r0 = estimate(s, tag)
+        except EstimationError as exc:
+            with pytest.raises(type(exc)):
+                estimate(t, tag)
+            continue
+        r1 = estimate(t, tag)
+        assert (r1.n_used, r1.strata_kept) == (r0.n_used, r0.strata_kept), tag
+        for field in ("estimate", "f_hat", "se_bloom", "se_delta"):
+            assert close(getattr(r0, field), getattr(r1, field)), (tag, field)
 
 
 def test_affine_equivariance_of_estimates():

@@ -524,6 +524,26 @@ def test_cli_simulate_refuses_a_bad_seed(tmp_path, capsys, config, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ('"n": 40.0, "target_pi_c": 0.3, "replications": 2', "n"),
+        ('"n": 40, "target_pi_c": 0.3, "replications": 2.5', "replications"),
+        ('"n": 40, "target_pi_c": 0.3, "replications": 2, "num_strata": 2.5', "num_strata"),
+        ('"n": 40, "target_pi_c": 0.3, "replications": 2, "random_strata_k": 2.5',
+         "random_strata_k"),
+        ('"r": 0.5, "n": 40.0, "replications": 2', "n"),
+        ('"r": 0.5, "n": 40, "replications": true', "replications"),
+    ],
+)
+def test_cli_simulate_refuses_a_count_not_an_integer(tmp_path, capsys, config, field):
+    cfg = write(tmp_path, "cfg.json", f"{{{config}}}")
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_r(tmp_path):
     out = str(tmp_path / "sweep.csv")
     code = cli_main(

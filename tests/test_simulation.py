@@ -98,6 +98,30 @@ def test_configs_refuse_a_seed_not_a_non_negative_integer(make, seed):
         make(seed=seed)
 
 
+_COUNTS = [
+    (field, value)
+    for field in ("n", "replications")
+    for value in (40.0, 2.5, True, "40")
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    _COUNTS + [(f, v) for f in ("num_strata", "random_strata_k") for v in (2.0, 2.5, True)],
+)
+def test_scenario_config_refuses_a_count_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        make_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", _COUNTS)
+def test_concentration_config_refuses_a_count_not_an_integer(field, value):
+    kw = dict(n=40, replications=2)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ConcentrationConfig(**kw)
+
+
 def test_concentration_infeasible_target():
     # all compliers would have to sit in the last stratum at rate > 1
     with pytest.raises(InfeasibleCompliance):
