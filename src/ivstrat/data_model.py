@@ -38,10 +38,12 @@ class NonFinite(EstimationError):
 
 
 class EmptyArm(EstimationError):
-    def __init__(self, stratum: Hashable, z: int):
+    def __init__(self, stratum: Hashable = None, z: int | None = None):
+        # without z: the label-free form that a row-wise kernel raises
         self.stratum = stratum
         self.z = z
-        super().__init__(f"stratum {stratum!r} has no units with z={z}")
+        where = "a kept stratum" if z is None else f"stratum {stratum!r}"
+        super().__init__(f"{where} has no units " + ("in one arm" if z is None else f"with z={z}"))
 
 
 class LengthMismatch(EstimationError):

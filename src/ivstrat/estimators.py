@@ -27,6 +27,8 @@ enumerate_expectation call it once per block. Every kernel but ORACLE reads
 only the block's stratum moments. ORACLE reads the block's true-complier
 mask, which only a science table has, so METHODS and estimate() leave it
 out. Kept sets are (R, G) code masks; labels appear only in EstimateReport.
+Failures are data: Rows.code[r] indexes row r's exception in Rows.causes
+(-1: none), and exactly the failed rows have a nan estimate.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ import numpy as np
 from .data_model import (
     AllStrataDropped,
     EstimateReport,
-    EstimationError,
     NoCompliersInArm,
     ObservedBlock,
     ObservedSample,
@@ -100,7 +101,7 @@ def _within_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     """
     m = block.moments
     kept = (m.f_hat != 0.0) & block.present
-    return _screened(m, kept, ZeroCompliance("every stratum has zero estimated compliance"))
+    return ratio_rows(m, kept, ZeroCompliance("every stratum has zero estimated compliance"))
 
 
 def _across_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
@@ -113,10 +114,8 @@ def _dss_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     threshold comparison also removes negative-f_g strata."""
     m = block.moments
     kept = (m.f_hat >= config.dss_threshold) & block.present
-    return _screened(
-        m,
-        kept,
-        AllStrataDropped(f"no stratum has estimated compliance >= {config.dss_threshold}"),
+    return ratio_rows(
+        m, kept, AllStrataDropped(f"no stratum has estimated compliance >= {config.dss_threshold}")
     )
 
 
@@ -127,17 +126,9 @@ def _dsf_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     m = block.moments
     with np.errstate(invalid="ignore"):
         kept = (first_stage_f(m) >= config.dsf_f_min) & block.present
-    return _screened(
+    return ratio_rows(
         m, kept, AllStrataDropped(f"no stratum has first-stage F >= {config.dsf_f_min}")
     )
-
-
-def _screened(m: StratumMoments, kept: np.ndarray, none_kept: EstimationError) -> Rows:
-    """The weighted-ITT ratio over a screened kept set; rows that keep no
-    stratum fail with none_kept first."""
-    rows = ratio_rows(m, kept)
-    rows.errors.insert(0, (~kept.any(axis=1), none_kept))
-    return rows
 
 
 def _pwiv_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
@@ -183,16 +174,12 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
         dof = block.n - (block.num_strata + 1)
         var = ksum(np.where(present, within + between, 0.0)) / dof / (pi * pi * h_sum)
         se = np.where(dof >= 1, np.sqrt(np.where(0.0 > var, 0.0, var)), np.nan)
-    errors = [
+    checks = [
         (h_sum == 0.0, RankDeficient("first-stage design matrix is rank deficient")),
         (sf == 0.0, RankDeficient("second-stage design matrix is rank deficient")),
     ]
-    rows = Rows(beta, pi, np.full(len(beta), block.n), present, se, np.full(len(beta), np.nan),
-                errors)
-    failed = rows.failed
-    rows.est = np.where(failed, np.nan, beta)
-    rows.se_bloom = np.where(failed, np.nan, se)
-    return rows
+    nan = np.full(len(beta), np.nan)
+    return Rows(beta, pi, np.full(len(beta), block.n), present, se, nan, checks)
 
 
 def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
@@ -217,11 +204,11 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
         y1, d1 = arm_means(m.n_g1, m.ybar1, m.dbar1)
         y0, d0 = arm_means(m.n_g0, m.ybar0, m.dbar0)
         first = d1 - d0
-        zero = (first == 0.0) | np.isnan(first)  # nan: an arm is empty
-        est = np.where(zero, np.nan, (y1 - y0) / first)
-    errors = [(zero, ZeroCompliance("the first stage is zero or an arm is empty"))]
+        est = (y1 - y0) / first
+    zero = (first == 0.0) | np.isnan(first)  # nan: an arm is empty
+    checks = [(zero, ZeroCompliance("the first stage is zero or an arm is empty"))]
     nan = np.full(len(est), np.nan)
-    return Rows(est, first, np.full(len(est), block.n), present, nan, nan, errors)
+    return Rows(est, first, np.full(len(est), block.n), present, nan, nan, checks)
 
 
 def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
@@ -243,8 +230,8 @@ def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
         se = np.sqrt(var1 / n1 + var0 / n0)
     r, g = block.present.shape
     kept = np.bincount(block.strata[row, col] + g * row, minlength=r * g).reshape(r, g) > 0
-    errors = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
-    return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), errors)
+    checks = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
+    return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), checks)
 
 
 _KERNELS = {
@@ -286,7 +273,7 @@ def estimate_rows(
 
 
 def _report(rows: Rows, method: str, labels: tuple) -> EstimateReport:
-    """The R = 1 result as an EstimateReport, or the row's first error."""
+    """The R = 1 result as an EstimateReport, or the row's failure."""
     rows.raise_first()
 
     def opt(x: float) -> float | None:
@@ -315,20 +302,22 @@ def estimate(
 def first_stage_f(m: StratumMoments) -> np.ndarray:
     """Homoskedastic one-regressor OLS F for d ~ z within each stratum.
 
-    F = (N_g - 2) ESS / RSS with ESS = (N_g1 N_g0 / N_g) f_g^2 and RSS the
-    within-arm residual sum of squares (a one-unit arm contributes 0).
-    Elementwise over moments of any shape: 0.0 where f_g = 0, +inf where
-    the fit is perfect (RSS = 0), and nan where a stratum has N_g < 3.
+    d is binary, so F depends only on the arm sizes N_g1, N_g0 and uptake
+    counts D_gz = N_gz dbar_gz: F = (N_g - 2)(D_g1 N_g0 - D_g0 N_g1)^2 /
+    (N_g N_g1 N_g0 RSS) with RSS = sum_z D_gz (N_gz - D_gz) / N_gz (0 for an
+    empty arm), one division of integers that no unit order moves across a
+    cutoff. Elementwise: 0.0 where f_g = 0, +inf where RSS = 0, and nan
+    where N_g < 3, or an arm is empty and RSS > 0.
     """
-    f = m.f_hat
+    n, n1, n0 = m.n_g, m.n_g1, m.n_g0
     with np.errstate(invalid="ignore", divide="ignore"):
-        ess = m.n_g1 * m.n_g0 / m.n_g * f * f
-        rss = np.where(m.n_g1 >= 2, (m.n_g1 - 1.0) * m.s2_d1, 0.0)
-        rss = rss + np.where(m.n_g0 >= 2, (m.n_g0 - 1.0) * m.s2_d0, 0.0)
-        stat = np.where(
-            f == 0.0, 0.0, np.where(rss == 0.0, np.inf, (m.n_g - 2.0) * ess / rss)
-        )
-    return np.where(m.n_g < 3, np.nan, stat)
+        d1, d0 = np.rint(m.dbar1 * n1), np.rint(m.dbar0 * n0)  # nan for an empty arm
+        ss1 = np.where(n1 > 0, d1 * (n1 - d1), 0.0)  # N_g1 times arm 1's RSS term
+        ss0 = np.where(n0 > 0, d0 * (n0 - d0), 0.0)
+        diff = d1 * n0 - d0 * n1  # N_g1 N_g0 f_g
+        f = (n - 2) * diff * diff / (n * (ss1 * n0 + ss0 * n1))
+        stat = np.where(diff == 0.0, 0.0, np.where(ss1 + ss0 == 0.0, np.inf, f))
+    return np.where(n < 3, np.nan, stat)
 
 
 def oracle_complier_dim(table: ScienceTable, assignment) -> EstimateReport:

@@ -565,7 +565,7 @@ def _run_block(block: list[_Segment], est_config: EstimatorConfig) -> None:
         job.store.truth[reps.start + at] = truth[rows.start + at]
     for tag in block[0].job.config.estimators:
         out = estimate_rows(obs, tag, est_config)
-        ok = live & ~out.failed & np.isfinite(out.est)
+        ok = live & ~out.failed
         dropped = out.kept.sum(axis=1) < num_strata
         for job, reps, rows in block:
             at = np.flatnonzero(ok[rows])

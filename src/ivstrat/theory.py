@@ -374,7 +374,7 @@ def _enumerate_rows(
         y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
         block = ObservedBlock(z, d, y, strata, np.full(r, g), compliers)
         rows = estimate_rows(block, tag, config)
-        values[base : base + r] = np.where(rows.failed, np.nan, rows.est)
+        values[base : base + r] = rows.est  # nan exactly where the row failed
         base += r
     return values
 

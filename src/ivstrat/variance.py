@@ -14,20 +14,24 @@ form is its one-stratum case, evaluated on moments that pool every unit.
 The work happens row-wise on (R, G) moments (see data_model.block_moments),
 with each row's sums over its kept strata taken by data_model.MaskedRows:
 `ratio_rows` forms the weighted-ITT ratio and both SEs for R samples at
-once, `pwiv_rows` the precision-weighted combination. Every SE comes with
-its estimator's report: estimate(sample, "IV_A").se_bloom is the
-post-stratified Bloom SE over all strata, and UNSTRAT's the unstratified one.
+once, `pwiv_rows` the precision-weighted combination. Each returns Rows,
+whose `code` indexes every row's failure in its `causes` (-1: none).
+Every SE comes with its estimator's report: estimate(sample,
+"IV_A").se_bloom is the post-stratified Bloom SE over all strata, and
+UNSTRAT's the unstratified one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .data_model import (
     AllStrataDropped,
     DegenerateVariance,
+    EmptyArm,
     EstimationError,
     MaskedRows,
     StratumMoments,
@@ -43,9 +47,10 @@ class Rows:
     """One estimator's results for R samples, indexed by row.
 
     est, f_hat, n_used and kept (an (R, G) mask) describe each row's
-    estimate; se_bloom / se_delta are nan where undefined. errors lists
-    (row mask, exception) pairs in the order the checks run: a row fails
-    with the first exception whose mask holds it.
+    estimate; se_bloom / se_delta are nan where undefined. checks are
+    (row mask, exception) pairs in the order they run; code[r] indexes in
+    causes the first exception whose mask holds row r, or is -1, and a
+    failed row's est and SEs are nan (an unfailed row's est is finite).
     """
 
     est: np.ndarray
@@ -54,20 +59,26 @@ class Rows:
     kept: np.ndarray
     se_bloom: np.ndarray
     se_delta: np.ndarray
-    errors: list[tuple[np.ndarray, EstimationError]]
+    checks: InitVar[Sequence[tuple[np.ndarray, EstimationError]]]
+    code: np.ndarray = field(init=False)
+    causes: tuple[EstimationError, ...] = field(init=False)
+
+    def __post_init__(self, checks) -> None:
+        masks, self.causes = zip(*checks)
+        self.code = np.full(len(self.est), -1)
+        for i in reversed(range(len(masks))):  # the first check that holds wins
+            self.code[masks[i]] = i
+        for name in ("est", "se_bloom", "se_delta"):  # a failed row has no estimate
+            setattr(self, name, np.where(self.failed, np.nan, getattr(self, name)))
 
     @property
     def failed(self) -> np.ndarray:
-        out = np.zeros(len(self.est), dtype=bool)
-        for mask, _ in self.errors:
-            out |= mask
-        return out
+        return self.code >= 0
 
     def raise_first(self) -> None:
-        """Raise the first failure of row 0 (the R = 1 case)."""
-        for mask, exc in self.errors:
-            if mask[0]:
-                raise exc
+        """Raise the failure of row 0 (the R = 1 case), if it failed."""
+        if self.code[0] >= 0:
+            raise self.causes[self.code[0]]
 
 
 def _two_per_arm(m: StratumMoments) -> np.ndarray:
@@ -78,7 +89,9 @@ def _var_itt(m: StratumMoments) -> np.ndarray:
     return m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0
 
 
-def ratio_rows(m: StratumMoments, kept: np.ndarray) -> Rows:
+def ratio_rows(
+    m: StratumMoments, kept: np.ndarray, none_kept: EstimationError | None = None
+) -> Rows:
     """Weighted-ITT ratio over each row's kept strata, with renormalized SEs.
 
     Evaluates sum(w_g itt_g) / sum(w_g f_g) with w_g = N_g / N_kept, which
@@ -87,7 +100,9 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray) -> Rows:
     var = (1/f_ps^2) sum_g w_g^2 [s2_yg(1)/N_g1 + s2_yg(0)/N_g0]. Delta: the
     bracket becomes var(itt_g) + c^2 var(f_g) - 2 c cov_g, the Neyman
     variance of y - c d, with c the estimate. Both SEs need two units per
-    arm in every kept stratum.
+    arm in every kept stratum. A row fails with none_kept (a screen's
+    error) if it keeps no stratum, then EmptyArm if a kept stratum lacks an
+    arm, then ZeroCompliance if f_ps = 0.
     """
     ksum = MaskedRows.of(kept).sum
     n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
@@ -103,17 +118,14 @@ def ratio_rows(m: StratumMoments, kept: np.ndarray) -> Rows:
         c = est[:, None]
         var = ksum(w2 * (var_itt + c * c * var_f - 2.0 * c * cov)) / (f_ps * f_ps)
         delta = np.sqrt(np.where(0.0 > var, 0.0, var))
-    zero = f_ps == 0.0
-    undefined = np.any(kept & ~_two_per_arm(m), axis=1) | zero
-    return Rows(
-        est=np.where(zero, np.nan, est),
-        f_hat=f_ps,
-        n_used=n_kept,
-        kept=kept,
-        se_bloom=np.where(undefined, np.nan, bloom),
-        se_delta=np.where(undefined, np.nan, delta),
-        errors=[(zero, ZeroCompliance("kept strata have zero combined compliance"))],
-    )
+    undefined = np.any(kept & ~_two_per_arm(m), axis=1)
+    checks = [] if none_kept is None else [(~kept.any(axis=1), none_kept)]
+    checks += [
+        (np.isnan(f_ps), EmptyArm()),  # a kept stratum without an arm has f_g nan
+        (f_ps == 0.0, ZeroCompliance("kept strata have zero combined compliance")),
+    ]
+    se = (np.where(undefined, np.nan, a) for a in (bloom, delta))
+    return Rows(est, f_ps, n_kept, kept, *se, checks)
 
 
 def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
@@ -136,7 +148,7 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
         est = ksum(weights * (m.itt_hat / m.f_hat)) / z_total
         se = np.sqrt(1.0 / z_total)
         f_ps = ksum((m.n_g / n_kept[:, None].astype(np.float64)) * m.f_hat)
-    errors = [
+    checks = [
         (
             np.any(present & ~_two_per_arm(m), axis=1),
             TooFewUnits("need at least 2 units per arm in every stratum"),
@@ -147,8 +159,4 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
             DegenerateVariance("a stratum with nonzero f_hat has zero outcome variance"),
         ),
     ]
-    rows = Rows(est, f_ps, n_kept, kept, se, np.full(len(est), np.nan), errors)
-    failed = rows.failed
-    rows.est = np.where(failed, np.nan, est)
-    rows.se_bloom = np.where(failed, np.nan, se)
-    return rows
+    return Rows(est, f_ps, n_kept, kept, se, np.full(len(est), np.nan), checks)

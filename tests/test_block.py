@@ -88,16 +88,16 @@ def test_block_rows_match_per_sample_estimates(seed, reps, n, k, pc, pa):
         sample = science_to_observed(table, z[i])
         assert np.array_equal(sample.strata, codes[i])
         for tag, rows in results.items():
-            failures = [type(exc) for mask, exc in rows.errors if mask[i]]
+            code = rows.code[i]
             try:
                 if tag == "ORACLE":
                     report = oracle_complier_dim(table, z[i])
                 else:
                     report = estimate(sample, tag)
             except EstimationError as exc:
-                assert failures and failures[0] is type(exc), (tag, i)
+                assert code >= 0 and type(rows.causes[code]) is type(exc), (tag, i)
                 continue
-            assert not failures, (tag, i)
+            assert code == -1, (tag, i)
             assert _same(report.estimate, rows.est[i]), (tag, i)
             assert _same(report.f_hat, rows.f_hat[i]), (tag, i)
             assert report.n_used == rows.n_used[i]
@@ -105,6 +105,29 @@ def test_block_rows_match_per_sample_estimates(seed, reps, n, k, pc, pa):
             assert report.strata_kept == kept, (tag, i)
             for se, row_se in ((report.se_bloom, rows.se_bloom), (report.se_delta, rows.se_delta)):
                 assert _same(math.nan if se is None else se, row_se[i]), (tag, i)
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reps=st.integers(1, 6),
+    n=st.integers(4, 48),
+    k=st.integers(1, 12),
+    pc=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+    pa=st.sampled_from([0.0, 0.1]),
+)
+def test_a_row_has_no_estimate_exactly_when_it_failed(seed, reps, n, k, pc, pa):
+    """On finite data every unfailed row's estimate is finite and every
+    failed row's is nan, so `failed` alone says which rows are defined."""
+    labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
+    codes, num_strata, _ = first_appearance(labels)
+    y, d = reveal(y0, y1, d0, d1, z)
+    block = ObservedBlock(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
+    for tag in (*METHODS, "ORACLE"):
+        rows = estimate_rows(block, tag)
+        assert ((-1 <= rows.code) & (rows.code < len(rows.causes))).all(), tag
+        assert np.array_equal(np.isnan(rows.est), rows.failed), tag
+        assert np.isfinite(rows.est[~rows.failed]).all(), tag
 
 
 @settings(max_examples=30)
@@ -118,7 +141,7 @@ def test_block_rows_match_per_sample_estimates(seed, reps, n, k, pc, pa):
 def test_methods_read_only_the_moments(seed, reps, n, k, pc):
     """Every method but ORACLE is a function of the block's moments: with
     moments and pooled cached and the unit arrays gone, each gives the
-    bits of an untouched block."""
+    bits and failure codes of an untouched block."""
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
@@ -131,7 +154,9 @@ def test_methods_read_only_the_moments(seed, reps, n, k, pc):
         for field in ("est", "f_hat", "n_used", "kept", "se_bloom", "se_delta"):
             assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), (
                 tag, field)
-        assert [m.tolist() for m, _ in got.errors] == [m.tolist() for m, _ in want.errors], tag
+        assert np.array_equal(got.code, want.code), tag
+        assert [(type(e), str(e)) for e in got.causes] == [
+            (type(e), str(e)) for e in want.causes], tag
 
 
 @settings(max_examples=25)

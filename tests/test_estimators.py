@@ -18,6 +18,7 @@ from ivstrat import (
 )
 from ivstrat.data_model import (
     AllStrataDropped,
+    EmptyArm,
     LengthMismatch,
     NoCompliersInArm,
     NonBinary,
@@ -144,6 +145,55 @@ def test_first_stage_f_too_small():
                                    strata=["a", "a", "b", "b"])
     # two units: too few for the F statistic
     assert np.isnan(first_stage_f(stratum_moments(s))).all()
+
+
+def test_first_stage_f_exact_cutoff_in_any_unit_order():
+    """14 treated units (8 take up) and 28 controls (4 take up) give
+    F = 40 * 168^2 / (42 * 2688) = 10 exactly. The two-pass arm variances
+    put F at 10.000000000000004 with the takers first in each arm and at
+    9.999999999999998 with them last; the integer counts put it at 10 in
+    both orders, so DSF keeps the stratum in both."""
+    for takers in ([1] * 8 + [0] * 6 + [1] * 4 + [0] * 24, [0] * 6 + [1] * 8 + [0] * 24 + [1] * 4):
+        s = ObservedSample.from_arrays(z=[1] * 14 + [0] * 28, d=takers, y=np.arange(42.0))
+        assert first_stage_f(stratum_moments(s))[0] == 10.0
+        assert estimate(s, "DSF").strata_kept == frozenset({0})
+
+
+def test_first_stage_f_empty_arm():
+    # an empty arm: +inf where the other arm's uptake is constant, else nan
+    s = ObservedSample.from_arrays(
+        z=[1, 1, 1, 1, 1, 1, 0, 0, 0], d=[1, 1, 1, 1, 0, 1, 0, 1, 0], y=np.zeros(9),
+        strata=[0, 0, 0, 1, 1, 1, 2, 2, 2],
+    )
+    f = first_stage_f(stratum_moments(s))
+    assert f[0] == math.inf and np.isnan(f[1:]).all()
+
+
+def test_a_kept_stratum_without_an_arm_raises_empty_arm():
+    """Each of these returned an estimate of nan, raising nothing: a kept
+    stratum (or the pooled sample) lacks an arm, so its f_g is nan."""
+    # stratum 1 has no control unit; UNSTRAT and TSLS_WEIGHTED need none
+    s = ObservedSample.from_arrays(
+        z=[1, 0, 1, 0, 1], d=[1, 0, 0, 1, 1], y=[2.0, 1.0, 3.0, 0.5, 4.0], strata=[0, 0, 0, 0, 1]
+    )
+    for tag in ("IV_A", "IV_W"):
+        with pytest.raises(EmptyArm):
+            estimate(s, tag)
+    assert estimate(s, "UNSTRAT").estimate == pytest.approx(13.5, rel=1e-12)
+    assert estimate(s, "TSLS_WEIGHTED").estimate == pytest.approx(20.5, rel=1e-12)
+    # stratum 1 is all treated with constant uptake: F = inf, so DSF keeps it
+    s = ObservedSample.from_arrays(
+        z=[1, 0, 1, 0, 1, 0, 1, 1, 1], d=[1, 0, 1, 1, 0, 0, 1, 1, 1], y=np.arange(9.0),
+        strata=[0, 0, 0, 0, 0, 0, 1, 1, 1],
+    )
+    assert first_stage_f(stratum_moments(s)).tolist() == [0.5, math.inf]
+    with pytest.raises(EmptyArm):
+        estimate(s, "DSF")
+    # every unit treated
+    s = ObservedSample.from_arrays(z=[1] * 4, d=[1, 0, 1, 1], y=[1.0, 2.0, 3.0, 4.0])
+    for tag in ("UNSTRAT", "IV_A"):
+        with pytest.raises(EmptyArm):
+            estimate(s, tag)
 
 
 def test_dsf_keeps_only_strong_strata():
@@ -328,15 +378,13 @@ def _permuted_within_cells(s: ObservedSample, rng: np.random.Generator) -> Obser
 def test_reports_are_invariant_to_permutation_within_cells(seed, nonzero_f):
     """Every method reads only per-cell moments, so reordering the units of
     a (stratum, arm) cell moves each figure by rounding only: within
-    1e-9 * (1 + |x|), with the same failure, kept set and n_used. DSF is
-    skipped when a stratum's F lies within that tolerance of the cutoff,
-    where rounding alone decides the screen (F = 10 exactly at seed 81669)."""
+    1e-9 * (1 + |x|), with the same failure, kept set and n_used. DSF's
+    screen reads integer counts, so it keeps the same strata even where a
+    stratum's F equals the cutoff (F = 10 exactly at seed 81669)."""
     rng = np.random.default_rng(seed)
     s = random_sample(rng, n_range=(8, 80), require_nonzero_f=nonzero_f)
     t = _permuted_within_cells(s, rng)
     assert np.array_equal(s.strata, t.strata)
-    f_min = EstimatorConfig().dsf_f_min
-    tied = np.any(np.abs(first_stage_f(stratum_moments(s)) - f_min) <= 1e-9 * f_min)
 
     def close(a: float | None, b: float | None) -> bool:
         if a is None or b is None:
@@ -344,8 +392,6 @@ def test_reports_are_invariant_to_permutation_within_cells(seed, nonzero_f):
         return abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
     for tag in METHODS:
-        if tag == "DSF" and tied:
-            continue
         try:
             r0 = estimate(s, tag)
         except EstimationError as exc:

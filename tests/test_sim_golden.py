@@ -1,6 +1,7 @@
 """Frozen simulation metrics: the engine must reproduce the committed
 metrics CSVs at any thread count, for single configs and for the quick
-grid, whose configs share blocks.
+grid, whose configs share blocks. Every failed replication in them has a
+cause: a named failure code or the absence of compliers.
 
 Every row must match byte for byte except TSLS_DUMMY's, whose floats may
 differ from the frozen ones by at most 1e-12 relative: its closed-form
@@ -14,7 +15,11 @@ import math
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from ivstrat import ConcentrationConfig, run_concentration, run_scenario, simulation
+from ivstrat.estimators import estimate_rows
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent / "golden"))
 from make_sim_golden import CONFIGS, GRID_QUICK, grid_quick_text, metrics_text  # noqa: E402
@@ -57,3 +62,36 @@ def test_simulation_metrics_match_frozen_bytes(name, threads):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_quick_grid_metrics_match_frozen_bytes(threads):
     _assert_matches((GOLDEN / GRID_QUICK).read_text(), grid_quick_text(threads=threads))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_failure_codes_count_every_failed_replication(name, monkeypatch):
+    """For each frozen row, one bincount of the estimator's failure codes
+    over the replications with a complier, plus the replications without
+    one, is fail_rate * replications exactly."""
+    calls = []
+
+    def recording(block, tag, config):
+        rows = estimate_rows(block, tag, config)
+        calls.append((tag, rows, block.compliers.any(axis=1)))
+        return rows
+
+    monkeypatch.setattr(simulation, "estimate_rows", recording)
+    frozen = {
+        (row["scenario_id"], row["estimator"]): float(row["fail_rate"])
+        for row in csv.DictReader(io.StringIO((GOLDEN / name).read_text()))
+    }
+    for config in CONFIGS[name]:
+        calls.clear()
+        run = run_concentration if isinstance(config, ConcentrationConfig) else run_scenario
+        scenario_id = run(config).scenario_id
+        reps = config.replications
+        for tag in config.estimators:
+            ran = [(rows, live) for t, rows, live in calls if t == tag]
+            assert sum(len(live) for _, live in ran) == reps
+            codes = np.concatenate([rows.code[live] for rows, live in ran])
+            no_complier = sum(int((~live).sum()) for _, live in ran)
+            failures = int(np.bincount(codes[codes >= 0]).sum()) + no_complier
+            assert frozen[scenario_id, tag] == 1.0 - (reps - failures) / reps, tag
+            for rows, live in ran:
+                assert np.isfinite(rows.est[live & ~rows.failed]).all(), tag
