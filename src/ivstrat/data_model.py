@@ -74,10 +74,6 @@ class DegenerateVariance(EstimationError):
     pass
 
 
-class RankDeficient(EstimationError):
-    pass
-
-
 class NoCompliers(EstimationError):
     pass
 

@@ -28,7 +28,9 @@ only the block's stratum moments. ORACLE reads the block's true-complier
 mask, which only a science table has, so METHODS and estimate() leave it
 out. Kept sets are (R, G) code masks; labels appear only in EstimateReport.
 Failures are data: Rows.code[r] indexes row r's exception in Rows.causes
-(-1: none), and exactly the failed rows have a nan estimate.
+(-1: none), and exactly the failed rows have a nan estimate. Past a DSS or
+DSF screen (AllStrataDropped), every ratio kernel and both TSLS fail by
+variance.first_stage_checks on their f_hat.
 """
 from __future__ import annotations
 
@@ -43,14 +45,12 @@ from .data_model import (
     NoCompliersInArm,
     ObservedBlock,
     ObservedSample,
-    RankDeficient,
     ScienceTable,
     StratumMoments,
-    ZeroCompliance,
     MaskedRows,
     science_to_observed,
 )
-from .variance import Rows, pwiv_rows, ratio_rows
+from .variance import Rows, first_stage_checks, pwiv_rows, ratio_rows
 
 __all__ = [
     "EstimatorConfig",
@@ -98,10 +98,10 @@ def _within_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
 
     Strata with f_g = 0 are dropped; negative-f_g strata are retained with
     their negative weight so the ratio form stays algebraically equivalent.
+    With nothing kept, f_ps is the empty sum 0: ZeroCompliance.
     """
     m = block.moments
-    kept = (m.f_hat != 0.0) & block.present
-    return ratio_rows(m, kept, ZeroCompliance("every stratum has zero estimated compliance"))
+    return ratio_rows(m, (m.f_hat != 0.0) & block.present)
 
 
 def _across_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
@@ -147,9 +147,9 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     sqrt(sigma2 / (pi^2 sum h_g)) with sigma2 = RSS / (N - G - 1) from the
     structural residuals (actual, not predicted, uptake); each stratum's
     RSS is its within-arm sum of squares of y - beta d plus
-    h_g (itt_g - beta f_g)^2. The SE rides in the se_bloom slot. A zero
-    sum h_g (no stratum varies z) or zero first-stage slope leaves a stage
-    rank deficient.
+    h_g (itt_g - beta f_g)^2. The SE rides in the se_bloom slot. If no
+    stratum varies z, the first stage is rank deficient and pi = 0/0 (nan);
+    if sum h_g f_g = 0, the second stage is, and pi = 0.
     """
     m, present = block.moments, block.present
     ksum = MaskedRows.of(present).sum
@@ -174,12 +174,8 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
         dof = block.n - (block.num_strata + 1)
         var = ksum(np.where(present, within + between, 0.0)) / dof / (pi * pi * h_sum)
         se = np.where(dof >= 1, np.sqrt(np.where(0.0 > var, 0.0, var)), np.nan)
-    checks = [
-        (h_sum == 0.0, RankDeficient("first-stage design matrix is rank deficient")),
-        (sf == 0.0, RankDeficient("second-stage design matrix is rank deficient")),
-    ]
     nan = np.full(len(beta), np.nan)
-    return Rows(beta, pi, np.full(len(beta), block.n), present, se, nan, checks)
+    return Rows(beta, pi, np.full(len(beta), block.n), present, se, nan, first_stage_checks(pi))
 
 
 def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
@@ -191,7 +187,7 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     the present strata with units in arm z. The first stage D1 - D0 is the
     reported f_hat and the estimate is (Y1 - Y0) / (D1 - D0): a difference
     of sums where IV_A takes a sum of differences, so the two agree when
-    every present stratum has both arms. It defines no SE.
+    every present stratum has both arms (an empty arm makes D1 - D0 nan); no SE.
     """
     m, present = block.moments, block.present
 
@@ -205,9 +201,8 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
         y0, d0 = arm_means(m.n_g0, m.ybar0, m.dbar0)
         first = d1 - d0
         est = (y1 - y0) / first
-    zero = (first == 0.0) | np.isnan(first)  # nan: an arm is empty
-    checks = [(zero, ZeroCompliance("the first stage is zero or an arm is empty"))]
     nan = np.full(len(est), np.nan)
+    checks = first_stage_checks(first)
     return Rows(est, first, np.full(len(est), block.n), present, nan, nan, checks)
 
 

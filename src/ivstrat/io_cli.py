@@ -617,7 +617,7 @@ def read_metrics_csv(fh: IO[str]) -> list[dict]:
     if reader.fieldnames is None:
         raise EmptyFile("metrics stream")
     if tuple(reader.fieldnames) != METRICS_COLUMNS:
-        raise MissingColumn(f"expected metrics columns, got {reader.fieldnames}")
+        raise MalformedRow(1, f"expected header {list(METRICS_COLUMNS)}, got {reader.fieldnames}")
     codecs = _metrics_codecs()
     return [{col: parse(raw[col]) for col, (_, parse, _) in codecs.items()} for raw in reader]
 

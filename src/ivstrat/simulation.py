@@ -44,6 +44,7 @@ Threads run whole blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -154,6 +155,23 @@ class ScenarioConfig:
             raise ValueError("compliance_ratio must lie in (0, 1]")
         if self.random_strata_k is not None:
             _check_count("random_strata_k", self.random_strata_k, 1)
+        self.comp_prob  # fail construction on infeasible compliance
+
+    @functools.cached_property
+    def comp_prob(self) -> np.ndarray:
+        """Stratum g's compliance rate: target_pi_c, or with predicts_compliance
+        base * compliance_ratio^g averaging target_pi_c, refused if base > 1."""
+        g = self.num_strata
+        if not self.predicts_compliance:
+            return np.full(g, self.target_pi_c)
+        powers = self.compliance_ratio ** np.arange(g, dtype=np.float64)
+        base = g * self.target_pi_c / float(powers.sum())
+        if base > 1.0:
+            raise InfeasibleCompliance(
+                f"target_pi_c={self.target_pi_c} needs top-stratum compliance "
+                f"{base:.4g} > 1 under ratio {self.compliance_ratio}"
+            )
+        return base * powers
 
     @property
     def scenario_id(self) -> str:
@@ -198,25 +216,24 @@ class ConcentrationConfig:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         _check_run(self)
-        self.base_rate  # fail construction on infeasible compliance
+        self.comp_prob  # fail construction on infeasible compliance
 
     @property
     def num_strata(self) -> int:
         return len(self.weights)
 
-    @property
-    def base_rate(self) -> float:
-        """Top-stratum compliance rate p solving the overall-rate equation."""
-        g = self.num_strata
-        powers = self.r ** np.arange(g - 1, -1, -1, dtype=np.float64)
-        denom = float(np.dot(self.weights, powers))
-        p = self.target_p / denom
+    @functools.cached_property
+    def comp_prob(self) -> np.ndarray:
+        """Each stratum's compliance rate p * r^(G-1-g), with the top rate p
+        solving the overall-rate equation, refused unless p lies in (0, 1]."""
+        powers = self.r ** np.arange(self.num_strata - 1, -1, -1, dtype=np.float64)
+        p = self.target_p / float(np.dot(self.weights, powers))
         if not 0.0 < p <= 1.0:
             raise InfeasibleCompliance(
                 f"target_p={self.target_p} with r={self.r} needs top-stratum "
                 f"compliance {p:.4g} outside (0, 1]"
             )
-        return p
+        return p * powers
 
     @property
     def scenario_id(self) -> str:
@@ -247,23 +264,11 @@ class _Design:
     def of(cls, config: "ScenarioConfig | ConcentrationConfig") -> "_Design":
         g = config.num_strata
         if isinstance(config, ConcentrationConfig):
-            comp_prob = config.base_rate * config.r ** np.arange(g - 1, -1, -1, dtype=np.float64)
             # the cdf as Generator.choice builds it from p
             cdf, random_k = np.asarray(config.weights, dtype=np.float64).cumsum(), None
             cdf /= cdf[-1]
         else:
             cdf, random_k = None, config.random_strata_k
-            if config.predicts_compliance:
-                powers = config.compliance_ratio ** np.arange(g, dtype=np.float64)
-                base = g * config.target_pi_c / float(powers.sum())
-                comp_prob = base * powers
-                if base > 1.0:
-                    raise InfeasibleCompliance(
-                        f"target_pi_c={config.target_pi_c} needs top-stratum compliance "
-                        f"{base:.4g} > 1 under ratio {config.compliance_ratio}"
-                    )
-            else:
-                comp_prob = np.full(g, config.target_pi_c)
         if config.predicts_outcome:
             scale = _pattern_scale(g, config.outcome_r2)
             mu_g = scale * (np.arange(g) - (g - 1) / 2.0)
@@ -276,7 +281,7 @@ class _Design:
         else:
             tau_g = np.full(g, config.tau)
         return cls(
-            config.n, g, comp_prob, mu_g, noise_sd, config.never_taker_shift, tau_g,
+            config.n, g, config.comp_prob, mu_g, noise_sd, config.never_taker_shift, tau_g,
             cdf, random_k,
         )
 
@@ -352,13 +357,9 @@ def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
 
 
 def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> ScienceTable:
-    """Draw one population table for a factorial-grid scenario.
-
-    With predicts_compliance, stratum g's compliance rate is p * ratio^g,
-    rescaled so the expected overall rate stays at target_pi_c; otherwise
-    every unit complies with probability target_pi_c. With random_strata_k
-    the table is relabeled as generate_random_strata does.
-    """
+    """Draw one population table for a factorial-grid scenario, with the
+    compliance rates config.comp_prob. With random_strata_k the table is
+    relabeled as generate_random_strata does."""
     return _draw_table(config, rng)
 
 

@@ -218,15 +218,15 @@ def bias_one_sided_exact(
     n1 * f_hat is a hypergeometric complier count, so E[1/f_hat] is an
     exact finite sum over its support; no sampling is involved at any N.
     Assignments with f_hat = 0 make the estimator undefined: by default
-    (or convention="error-if-positive-mass") any such probability mass
-    raises Infeasible, while convention="condition" renormalizes E[1/f_hat]
-    over f_hat > 0, in which case the result is exactly the conditional
-    bias E[itt_hat/f_hat | f_hat > 0] - cace.
+    (convention=None) any such probability mass raises Infeasible, while
+    convention="condition" renormalizes E[1/f_hat] over f_hat > 0, in which
+    case the result is exactly the conditional bias
+    E[itt_hat/f_hat | f_hat > 0] - cace.
     """
     from scipy.stats import hypergeom  # scipy stays off the import path of ivstrat
 
     _require_one_sided(table)
-    if convention not in (None, "condition", "error-if-positive-mass"):
+    if convention not in (None, "condition"):
         raise ValueError(f"unknown convention {convention!r}")
     n = table.n
     n1 = _treated_count(n, p)
@@ -403,12 +403,12 @@ def enumerate_expectation(
     estimator is a tag ("ITT", "F_HAT", "ORACLE", or any estimate() tag)
     or a callable taking the revealed ObservedSample. Assignments where the
     estimator raises an estimation error or returns a non-finite value
-    count as undefined; by default any undefined mass raises Infeasible,
-    while convention="condition" averages over the defined assignments.
+    count as undefined; by default (None) any undefined mass raises
+    Infeasible, while convention="condition" averages over the defined ones.
     The revealed samples are used as-is (no validation), so per-estimator
     preconditions decide definedness assignment by assignment.
     """
-    if convention not in (None, "condition", "error-if-positive-mass"):
+    if convention not in (None, "condition"):
         raise ValueError(f"unknown convention {convention!r}")
     n = table.n
     n1 = _treated_count(n, p)

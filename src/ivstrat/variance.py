@@ -15,7 +15,8 @@ The work happens row-wise on (R, G) moments (see data_model.block_moments),
 with each row's sums over its kept strata taken by data_model.MaskedRows:
 `ratio_rows` forms the weighted-ITT ratio and both SEs for R samples at
 once, `pwiv_rows` the precision-weighted combination. Each returns Rows,
-whose `code` indexes every row's failure in its `causes` (-1: none).
+whose `code` indexes every row's failure in its `causes` (-1: none);
+`first_stage_checks` is every ratio estimator's first-stage failure rule.
 Every SE comes with its estimator's report: estimate(sample,
 "IV_A").se_bloom is the post-stratified Bloom SE over all strata, and
 UNSTRAT's the unstratified one.
@@ -29,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .data_model import (
-    AllStrataDropped,
     DegenerateVariance,
     EmptyArm,
     EstimationError,
@@ -39,7 +39,7 @@ from .data_model import (
     ZeroCompliance,
 )
 
-__all__ = ["Rows", "ratio_rows", "pwiv_rows"]
+__all__ = ["Rows", "first_stage_checks", "ratio_rows", "pwiv_rows"]
 
 
 @dataclass
@@ -49,8 +49,9 @@ class Rows:
     est, f_hat, n_used and kept (an (R, G) mask) describe each row's
     estimate; se_bloom / se_delta are nan where undefined. checks are
     (row mask, exception) pairs in the order they run; code[r] indexes in
-    causes the first exception whose mask holds row r, or is -1, and a
-    failed row's est and SEs are nan (an unfailed row's est is finite).
+    causes the first exception whose mask holds row r, or is -1. A failed
+    row's est and SEs are nan (an unfailed row's est is finite); its f_hat
+    stays, so a first_stage_checks failure can be read off it.
     """
 
     est: np.ndarray
@@ -89,6 +90,15 @@ def _var_itt(m: StratumMoments) -> np.ndarray:
     return m.s2_y1 / m.n_g1 + m.s2_y0 / m.n_g0
 
 
+def first_stage_checks(first: np.ndarray) -> list[tuple[np.ndarray, EstimationError]]:
+    """A ratio estimator's first-stage (f_ps, pi or D1 - D0) failure rule, as
+    Rows checks: EmptyArm where it is nan (an arm is empty), then ZeroCompliance where 0."""
+    return [
+        (np.isnan(first), EmptyArm()),
+        (first == 0.0, ZeroCompliance("the first stage is zero")),
+    ]
+
+
 def ratio_rows(
     m: StratumMoments, kept: np.ndarray, none_kept: EstimationError | None = None
 ) -> Rows:
@@ -101,8 +111,8 @@ def ratio_rows(
     bracket becomes var(itt_g) + c^2 var(f_g) - 2 c cov_g, the Neyman
     variance of y - c d, with c the estimate. Both SEs need two units per
     arm in every kept stratum. A row fails with none_kept (a screen's
-    error) if it keeps no stratum, then EmptyArm if a kept stratum lacks an
-    arm, then ZeroCompliance if f_ps = 0.
+    error) if it keeps no stratum, then by first_stage_checks(f_ps): a
+    kept stratum without an arm has f_g nan, and keeping none makes f_ps 0.
     """
     ksum = MaskedRows.of(kept).sum
     n_kept = np.where(kept, m.n_g, 0).sum(axis=1)
@@ -120,10 +130,7 @@ def ratio_rows(
         delta = np.sqrt(np.where(0.0 > var, 0.0, var))
     undefined = np.any(kept & ~_two_per_arm(m), axis=1)
     checks = [] if none_kept is None else [(~kept.any(axis=1), none_kept)]
-    checks += [
-        (np.isnan(f_ps), EmptyArm()),  # a kept stratum without an arm has f_g nan
-        (f_ps == 0.0, ZeroCompliance("kept strata have zero combined compliance")),
-    ]
+    checks += first_stage_checks(f_ps)
     se = (np.where(undefined, np.nan, a) for a in (bloom, delta))
     return Rows(est, f_ps, n_kept, kept, *se, checks)
 
@@ -134,9 +141,9 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
     SE sqrt(1 / Z) with Z the sum of the weights.
 
     Strata with f_g = 0 get zero weight. Every stratum needs two units per
-    arm (TooFewUnits), at least one must have nonzero f_g
-    (AllStrataDropped), and each weighted one a positive var(itt_g)
-    (DegenerateVariance).
+    arm (TooFewUnits), at least one must have nonzero f_g (ZeroCompliance,
+    the class IV_W fails with when no f_g is nonzero), and each weighted
+    one a positive var(itt_g) (DegenerateVariance).
     """
     kept = (m.f_hat != 0.0) & present
     ksum = MaskedRows.of(kept).sum
@@ -153,7 +160,7 @@ def pwiv_rows(m: StratumMoments, present: np.ndarray) -> Rows:
             np.any(present & ~_two_per_arm(m), axis=1),
             TooFewUnits("need at least 2 units per arm in every stratum"),
         ),
-        (~kept.any(axis=1), AllStrataDropped("every stratum has zero estimated compliance")),
+        (~kept.any(axis=1), ZeroCompliance("every stratum has zero estimated compliance")),
         (
             np.any(kept & (var_itt == 0.0), axis=1),
             DegenerateVariance("a stratum with nonzero f_hat has zero outcome variance"),

@@ -22,7 +22,6 @@ from ivstrat.data_model import (
     EmptyFile,
     MalformedRow,
     MissingColumn,
-    RankDeficient,
     StratumMoments,
     stratum_moments,
 )
@@ -205,12 +204,20 @@ def random_science_table(rng: np.random.Generator, one_sided: bool) -> ScienceTa
     )
 
 
+class StageRankDeficient(Exception):
+    """A least-squares stage (1 or 2) whose design matrix is rank deficient."""
+
+    def __init__(self, stage: int):
+        self.stage = stage
+        super().__init__(f"stage {stage} design matrix is rank deficient")
+
+
 def tsls_dummies_lstsq(sample: ObservedSample) -> tuple[float, float, float | None]:
     """Independent oracle for TSLS_DUMMY: 2SLS by least squares on the
     n x (G+1) designs [1, stratum indicators 1..G-1, regressor].
 
     Returns (estimate, first-stage slope, homoskedastic SE or None when
-    N - G - 1 < 1); raises RankDeficient when a stage's design is.
+    N - G - 1 < 1); raises StageRankDeficient when a stage's design is.
     """
     n, g = sample.n, sample.num_strata
 
@@ -225,11 +232,11 @@ def tsls_dummies_lstsq(sample: ObservedSample) -> tuple[float, float, float | No
     x1 = design(sample.z.astype(np.float64))
     beta1, _, rank1, _ = np.linalg.lstsq(x1, sample.d.astype(np.float64), rcond=None)
     if rank1 < g + 1:
-        raise RankDeficient("first-stage design matrix is rank deficient")
+        raise StageRankDeficient(1)
     x2 = design(x1 @ beta1)
     beta2, _, rank2, _ = np.linalg.lstsq(x2, sample.y, rcond=None)
     if rank2 < g + 1:
-        raise RankDeficient("second-stage design matrix is rank deficient")
+        raise StageRankDeficient(2)
     se = None
     dof = n - (g + 1)
     if dof >= 1:

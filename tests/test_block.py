@@ -23,19 +23,21 @@ from hypothesis import strategies as st
 
 from ivstrat import (
     METHODS,
+    AllStrataDropped,
     Infeasible,
     ScenarioConfig,
     ScienceTable,
+    ZeroCompliance,
     enumerate_expectation,
     estimate,
     oracle_complier_dim,
 )
 from ivstrat.data_model import (
+    EmptyArm,
     EstimationError,
     MaskedRows,
     ObservedBlock,
     ObservedSample,
-    RankDeficient,
     _dense_codes,
     first_appearance,
     reveal,
@@ -44,7 +46,7 @@ from ivstrat.data_model import (
 from ivstrat.estimators import estimate_rows
 from ivstrat import simulation
 from ivstrat.simulation import ConcentrationConfig, _run_reps
-from helpers import random_sample, tsls_dummies_lstsq
+from helpers import StageRankDeficient, random_sample, tsls_dummies_lstsq
 
 
 def _same(a: float, b: float) -> bool:
@@ -128,6 +130,47 @@ def test_a_row_has_no_estimate_exactly_when_it_failed(seed, reps, n, k, pc, pa):
         assert ((-1 <= rows.code) & (rows.code < len(rows.causes))).all(), tag
         assert np.array_equal(np.isnan(rows.est), rows.failed), tag
         assert np.isfinite(rows.est[~rows.failed]).all(), tag
+
+
+RATIO_TAGS = ("UNSTRAT", "IV_W", "IV_A", "DSS", "DSF", "TSLS_DUMMY", "TSLS_WEIGHTED")
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reps=st.integers(1, 6),
+    n=st.integers(4, 48),
+    k=st.integers(1, 12),
+    pc=st.sampled_from([0.0, 0.05, 0.3]),
+    pa=st.sampled_from([0.0, 0.1]),
+)
+def test_ratio_kernels_share_one_first_stage_rule(seed, reps, n, k, pc, pa):
+    """On every row that no screen failed, each ratio kernel fails with
+    EmptyArm exactly where its reported f_hat is nan, and with
+    ZeroCompliance exactly where it is 0."""
+    labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
+    codes, num_strata, _ = first_appearance(labels)
+    y, d = reveal(y0, y1, d0, d1, z)
+    block = ObservedBlock(z, d, y, codes, num_strata)
+    for tag in RATIO_TAGS:
+        rows = estimate_rows(block, tag)
+        cause = [type(rows.causes[c]) if c >= 0 else None for c in rows.code]
+        unscreened = np.array([c is not AllStrataDropped for c in cause])
+        for cls, holds in ((EmptyArm, np.isnan(rows.f_hat)), (ZeroCompliance, rows.f_hat == 0)):
+            got = np.array([c is cls for c in cause])
+            assert np.array_equal(got[unscreened], holds[unscreened]), (tag, cls.__name__)
+
+
+def test_no_uptake_fails_iv_w_and_pwiv_alike():
+    """With no uptake anywhere, IV_W and PWIV keep no stratum and fail with
+    the same class."""
+    sample = ObservedSample.from_arrays(
+        z=[1, 1, 0, 0] * 2, d=[0] * 8, y=[3.0, 1.0, 2.0, 0.0, 4.0, 2.0, 1.0, 1.0],
+        strata=[0] * 4 + [1] * 4,
+    )
+    for tag in ("IV_W", "PWIV"):
+        with pytest.raises(ZeroCompliance):
+            estimate(sample, tag)
 
 
 @settings(max_examples=30)
@@ -225,17 +268,23 @@ def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-14)
 
 
+# the kernel's failure where a least-squares stage is rank deficient
+STAGE_FAILURE = {1: EmptyArm, 2: ZeroCompliance}
+
+
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), g_max=st.integers(1, 8))
-@example(seed=67615, g_max=2)  # one stratum with f_hat = 0: both raise RankDeficient
+@example(seed=67615, g_max=2)  # one stratum with f_hat = 0: stage 2, ZeroCompliance
 def test_closed_form_tsls_dummy_matches_least_squares(seed, g_max):
+    """The kernel fails with EmptyArm exactly where the first stage's design
+    is rank deficient, and with ZeroCompliance exactly where the second's is."""
     sample = random_sample(
         np.random.default_rng(seed), g_range=(1, g_max), require_nonzero_f=False
     )
     try:
         est, pi, se = tsls_dummies_lstsq(sample)
-    except RankDeficient:
-        with pytest.raises(RankDeficient):
+    except StageRankDeficient as exc:
+        with pytest.raises(STAGE_FAILURE[exc.stage]):
             estimate(sample, "TSLS_DUMMY")
         return
     report = estimate(sample, "TSLS_DUMMY")
@@ -248,8 +297,10 @@ def test_closed_form_tsls_dummy_matches_least_squares(seed, g_max):
     "z, d",
     [
         # no uptake anywhere: the second stage has no regressor variation
+        # (ZeroCompliance)
         ([1, 1, 0, 0, 1, 1, 0, 0], [0] * 8),
         # z constant within every stratum: the first stage is rank deficient
+        # (EmptyArm)
         ([1, 1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0]),
     ],
 )
@@ -257,9 +308,10 @@ def test_closed_form_tsls_dummy_rank_deficient_like_least_squares(z, d):
     sample = ObservedSample.from_arrays(
         z=z, d=d, y=[3.0, 1.0, 2.0, 0.0, 4.0, 2.0, 1.0, 1.0], strata=[0] * 4 + [1] * 4
     )
-    with pytest.raises(RankDeficient):
+    with pytest.raises(StageRankDeficient) as exc:
         tsls_dummies_lstsq(sample)
-    with pytest.raises(RankDeficient):
+    assert exc.value.stage == (2 if sum(d) == 0 else 1)
+    with pytest.raises(STAGE_FAILURE[exc.value.stage]):
         estimate(sample, "TSLS_DUMMY")
 
 

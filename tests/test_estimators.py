@@ -22,7 +22,6 @@ from ivstrat.data_model import (
     LengthMismatch,
     NoCompliersInArm,
     NonBinary,
-    RankDeficient,
     stratum_moments,
 )
 from helpers import (
@@ -274,13 +273,14 @@ def test_tsls_dummies_single_stratum_is_wald():
 
 
 def test_tsls_dummies_rank_deficient():
+    # no uptake: the first-stage slope pi is 0
     s = ObservedSample.from_arrays(
         z=[1, 1, 0, 0, 1, 1, 0, 0],
         d=[0] * 8,
         y=[3.0, 1.0, 2.0, 0.0, 4.0, 2.0, 1.0, 1.0],
         strata=[0] * 4 + [1] * 4,
     )
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ZeroCompliance):
         estimate(s, "TSLS_DUMMY")
 
 
@@ -326,13 +326,13 @@ _UNITS = st.lists(
 def test_tsls_weighted_matches_unit_fit(units):
     """The moments kernel equals the two weighted least-squares stages on the
     units wherever the first-stage slope is at least 1e-6 in size, and fails
-    with ZeroCompliance where an arm is empty."""
+    with EmptyArm where an arm is empty."""
     z, d, y, strata = (list(c) for c in zip(*units))
     s = ObservedSample.from_arrays(z=z, d=d, y=y, strata=strata)
     unit = tsls_weighted_units(s)
     if len(set(z)) == 1:
         assert unit is None
-        with pytest.raises(ZeroCompliance):
+        with pytest.raises(EmptyArm):
             estimate(s, "TSLS_WEIGHTED")
         return
     if unit is None or abs(unit[1]) < 1e-6:

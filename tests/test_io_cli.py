@@ -32,7 +32,7 @@ from ivstrat import (
     write_metrics_csv,
 )
 from ivstrat import ScenarioConfig
-from ivstrat.io_cli import report_csv, report_json, stratum_csv
+from ivstrat.io_cli import METRICS_COLUMNS, report_csv, report_json, stratum_csv
 from helpers import sample_a, sample_two_strata
 
 DATA_A = "z,d,y\n1,1,3.0\n1,0,1.0\n0,0,2.0\n0,0,0.0\n"
@@ -371,8 +371,12 @@ def test_metrics_csv_round_trip_is_exact():
 
 
 def test_read_metrics_csv_rejects_other_headers():
-    with pytest.raises(MissingColumn):
-        read_metrics_csv(io.StringIO("a,b,c\n1,2,3\n"))
+    with pytest.raises(MalformedRow) as exc:
+        read_metrics_csv(io.StringIO("a,b\n1,2\n"))
+    assert exc.value.line == 1
+    assert str(exc.value) == f"line 1: expected header {list(METRICS_COLUMNS)}, got ['a', 'b']"
+    with pytest.raises(MalformedRow, match=r"got \['scenario_id',"):  # one column short
+        read_metrics_csv(io.StringIO(",".join(METRICS_COLUMNS[:-1]) + "\n"))
     with pytest.raises(EmptyFile):
         read_metrics_csv(io.StringIO(""))
 
@@ -508,6 +512,17 @@ def test_cli_simulate_error_codes(tmp_path, capsys):
     )
     assert cli_main(["simulate", "--config", infeasible]) == 2
     assert "InfeasibleCompliance" in capsys.readouterr().err
+
+
+def test_cli_simulate_refuses_infeasible_scenario_compliance(tmp_path, capsys):
+    cfg = write(
+        tmp_path, "cfg.json",
+        '{"n": 40, "replications": 2, "target_pi_c": 0.5, "predicts_compliance": true}',
+    )
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "InfeasibleCompliance: target_pi_c=0.5 needs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", "1.5", "true"])

@@ -129,10 +129,11 @@ def test_concentration_infeasible_target():
 
 
 def test_base_rate_boundaries():
+    # the top stratum's rate, comp_prob[-1], is the base rate p
     flat = ConcentrationConfig(r=1.0, target_p=0.15, n=200, replications=1, seed=0)
-    assert flat.base_rate == pytest.approx(0.15, rel=1e-12)
+    assert flat.comp_prob == pytest.approx([0.15] * 4, rel=1e-12)
     point = ConcentrationConfig(r=0.0, target_p=0.15, n=200, replications=1, seed=0)
-    assert point.base_rate == 1.0  # 0.15 / 0.15, exactly
+    assert point.comp_prob.tolist() == [0.0, 0.0, 0.0, 1.0]  # 0.15 / 0.15, exactly
 
 
 def test_scenario_ids():
@@ -170,9 +171,9 @@ def test_geometric_compliance_table():
 
 
 def test_geometric_compliance_infeasible():
-    cfg = make_config(target_pi_c=0.5, predicts_compliance=True)
-    with pytest.raises(InfeasibleCompliance):
-        generate_science_table(cfg, np.random.default_rng(0))
+    # refused at construction, as ConcentrationConfig refuses its own
+    with pytest.raises(InfeasibleCompliance, match="compliance 1.8 > 1"):
+        make_config(target_pi_c=0.5, predicts_compliance=True)
 
 
 def test_outcome_pattern_variance_split():

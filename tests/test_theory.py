@@ -221,8 +221,11 @@ def test_exact_bias_positive_mass_conventions():
     with pytest.raises(Infeasible):
         bias_one_sided_exact(t, 0.5)
     assert math.isfinite(bias_one_sided_exact(t, 0.5, convention="condition"))
-    with pytest.raises(ValueError):
-        bias_one_sided_exact(t, 0.5, convention="bogus")
+    for bogus in ("bogus", "error-if-positive-mass"):  # the second was an alias of None
+        with pytest.raises(ValueError, match="unknown convention"):
+            bias_one_sided_exact(t, 0.5, convention=bogus)
+        with pytest.raises(ValueError, match="unknown convention"):
+            enumerate_expectation(t, 0.5, "UNSTRAT", convention=bogus)
 
 
 def test_exact_bias_all_compliers_is_zero():
