@@ -22,7 +22,6 @@ from .data_model import (
     EstimationError,
     ExclusionViolation,
     Infeasible,
-    InfeasibleCompliance,
     MalformedRow,
     MissingColumn,
     NoCompliers,
@@ -98,7 +97,6 @@ __all__ = [
     "EstimationError",
     "ExclusionViolation",
     "Infeasible",
-    "InfeasibleCompliance",
     "MalformedRow",
     "MissingColumn",
     "NoCompliers",

@@ -26,7 +26,8 @@ import numpy as np
 
 
 class EstimationError(Exception):
-    """Base class for all data and estimation failures in this package."""
+    """A cause in the data: an estimate, table or run that the data cannot
+    support (the CLI exits 2). A caller's mistake is a ValueError (exit 1)."""
 
 
 class NonBinary(EstimationError):
@@ -44,10 +45,6 @@ class EmptyArm(EstimationError):
         self.z = z
         where = "a kept stratum" if z is None else f"stratum {stratum!r}"
         super().__init__(f"{where} has no units " + ("in one arm" if z is None else f"with z={z}"))
-
-
-class LengthMismatch(EstimationError):
-    pass
 
 
 class DefierPresent(EstimationError):
@@ -88,50 +85,43 @@ class TwoSidedInput(EstimationError):
     pass
 
 
-class NonIntegralArm(EstimationError):
-    pass
-
-
 def _treated_count(n: int, p: float) -> int:
     """The number of treated units, round(p * n), refused unless p * n is
     whole and leaves both arms nonempty."""
     if not 0.0 < p < 1.0:
-        raise NonIntegralArm(f"treatment proportion {p} must lie in (0, 1)")
+        raise ValueError(f"treatment proportion {p} must lie in (0, 1)")
     n1 = p * n
     if abs(n1 - round(n1)) > 1e-9:
-        raise NonIntegralArm(f"p*N = {n1} is not a whole number of treated units")
+        raise ValueError(f"p*N = {n1} is not a whole number of treated units")
     n1 = round(n1)
     if not 0 < n1 < n:
-        raise NonIntegralArm("both arms must be nonempty")
+        raise ValueError("both arms must be nonempty")
     return n1
 
 
 class Infeasible(EstimationError):
-    pass
+    """A request refused as a whole: an enumeration too large or undefined
+    somewhere, or a simulated compliance profile with a rate outside (0, 1]."""
 
 
-class InfeasibleCompliance(EstimationError):
-    pass
-
-
-class MalformedRow(EstimationError):
+class MalformedRow(ValueError):
     def __init__(self, line: int, reason: str):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
 
 
-class MissingColumn(EstimationError):
+class MissingColumn(ValueError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"missing column {name!r}")
 
 
-class EmptyFile(EstimationError):
+class EmptyFile(ValueError):
     pass
 
 
-class EmptyBin(EstimationError):
+class EmptyBin(ValueError):
     pass
 
 
@@ -192,21 +182,19 @@ def _int8(a, name: str) -> np.ndarray:
     return out
 
 
+def _levels(column) -> tuple[list, np.ndarray]:
+    """Hashable labels' distinct values by first appearance (equal ones, as
+    1, 1.0 and True, share the first's level) and each item's index."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(column))}
+    return list(index), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+
+
 def _dense_codes(strata) -> tuple[np.ndarray, tuple[Hashable, ...]]:
     """Map labels to 0..G-1 in order of first appearance."""
     if isinstance(strata, np.ndarray) and strata.ndim == 1 and strata.dtype.kind in "biu":
         codes, _, firsts = first_appearance(strata[None, :])
         return codes[0], tuple(strata[firsts[0]])
-    labels: list[Hashable] = []
-    index: dict[Hashable, int] = {}
-    codes = np.empty(len(strata), dtype=np.intp)
-    for i, s in enumerate(strata):
-        code = index.get(s)
-        if code is None:
-            code = len(labels)
-            index[s] = code
-            labels.append(s)
-        codes[i] = code
+    labels, codes = _levels(strata)
     return codes, tuple(labels)
 
 
@@ -234,7 +222,7 @@ class ObservedSample:
         if strata is None:
             strata = np.zeros(len(z), dtype=np.intp)
         if not (len(z) == len(d) == len(y) == len(strata)):
-            raise LengthMismatch("z, d, y, strata must have equal length")
+            raise ValueError("z, d, y, strata must have equal length")
         codes, labels = _dense_codes(strata)
         return cls(_frozen(z), _frozen(d), _frozen(y), _frozen(codes), labels)
 
@@ -307,7 +295,7 @@ class ScienceTable:
         if strata is None:
             strata = np.zeros(len(y0), dtype=np.intp)
         if not (len(y0) == len(y1) == len(d0) == len(d1) == len(strata)):
-            raise LengthMismatch("y0, y1, d0, d1, strata must have equal length")
+            raise ValueError("y0, y1, d0, d1, strata must have equal length")
         check_science(y0, y1, d0, d1)
         codes, labels = _dense_codes(strata)
         return cls(_frozen(y0), _frozen(y1), _frozen(d0), _frozen(d1), _frozen(codes), labels)
@@ -462,7 +450,7 @@ def science_to_observed(table: ScienceTable, assignment) -> ObservedSample:
     """
     z = _int8(assignment, "assignment")
     if len(z) != table.n:
-        raise LengthMismatch(f"assignment has length {len(z)}, table has {table.n}")
+        raise ValueError(f"assignment has length {len(z)}, table has {table.n}")
     if not _binary(z):
         raise NonBinary("assignment must be 0 or 1")
     y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)

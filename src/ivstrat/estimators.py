@@ -256,6 +256,18 @@ DEFAULT_ESTIMATORS = (
 )
 
 
+def check_tags(tags, valid=METHODS) -> None:
+    """Refuse a list of estimator tags that is a bare string, is empty,
+    names a tag outside valid or repeats one."""
+    if isinstance(tags, str) or not tags:
+        raise ValueError(f"estimators must be a non-empty list of tags, got {tags!r}")
+    unknown = [t for t in tags if t not in valid]
+    if unknown:
+        raise ValueError(f"unknown estimator tags: {unknown}")
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"estimators repeat a tag: {list(tags)}")
+
+
 def estimate_rows(
     block: ObservedBlock, method: str, config: EstimatorConfig = _DEFAULT_CONFIG
 ) -> Rows:

@@ -36,11 +36,12 @@ from .data_model import (
     ObservedBlock,
     ObservedSample,
     ScienceTable,
+    _levels,
     first_appearance,
     stratum_moments,
     validate,
 )
-from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, _report, estimate_rows
+from .estimators import DEFAULT_ESTIMATORS, EstimatorConfig, _report, check_tags, estimate_rows
 from .variance import _two_per_arm, _var_itt
 
 # simulation and theory are imported by the functions that run them, so that
@@ -104,6 +105,37 @@ def _normalize_rule(rule) -> tuple[str, int | None]:
     return ("quantile", k)
 
 
+# A JSON value's check, by the exact types json.load makes (so a bool is no
+# number, and NaN is refused), and what it must be, for each declared field
+# type whose constructor does not check the type itself (counts and seeds do).
+_JSON_TYPES = {
+    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    str: (lambda v: type(v) is str, "a string"),
+    tuple[float, ...]: (lambda v: type(v) is list and all(map(_JSON_TYPES[float][0], v)),
+                        "a list of finite numbers"),
+    tuple[str, ...]: (lambda v: type(v) is list and {*map(type, v)} <= {str}, "a list of strings"),
+    Mapping[str, object] | None: (lambda v: v is None or type(v) is dict, "an object"),
+}
+
+
+def _json_kwargs(cls, obj, what: str) -> dict:
+    """A JSON object as keyword arguments of the dataclass cls, lists made
+    tuples. A ValueError names what is refused: a key that is not a field
+    of cls, or a value whose type does not fit its field's declared type."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{what} JSON must be an object, got {obj!r}")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    types = get_type_hints(cls)
+    for key, value in obj.items():
+        check, kind = _JSON_TYPES.get(types[key], (lambda v: True, ""))
+        if not check(value):
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in obj.items()}
+
+
 @dataclass
 class DatasetSchema:
     """Column layout of an input CSV: z/d/y names plus stratum covariates.
@@ -140,11 +172,7 @@ class DatasetSchema:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DatasetSchema":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown schema keys: {sorted(unknown)}")
-        return cls(**obj)
+        return cls(**_json_kwargs(cls, obj, "schema"))
 
     @classmethod
     def from_json_file(cls, path: str) -> "DatasetSchema":
@@ -198,13 +226,6 @@ def _midranks(values: np.ndarray, counts: np.ndarray | None = None) -> np.ndarra
     ranks = np.empty(len(values))
     ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
     return ranks
-
-
-def _levels(column: list[str]) -> tuple[list[str], np.ndarray]:
-    """A text column's distinct values in order of first appearance, and
-    each row's index into them."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(column))}
-    return list(index), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
 
 
 def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _Columns:
@@ -340,9 +361,8 @@ def _strata(
             "|".join(f"{col}={labels[codes[i]]}" for col, (codes, labels) in zip(cols, columns))
             for i in first
         ]
-    index: dict[str, int] = {}
-    merged = np.array([index.setdefault(s, len(index)) for s in names], dtype=np.intp)
-    return merged[key], list(index)
+    labels, merged = _levels(names)
+    return merged[key], labels
 
 
 def _relabel(obj, names: list[str]):
@@ -463,9 +483,7 @@ def analyze(
     """
     if se not in ("bloom", "delta", "both"):
         raise ValueError(f"se must be bloom, delta, or both, got {se!r}")
-    unknown = [t for t in estimators if t not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown estimator names: {unknown}")
+    check_tags(estimators)
     config = config or EstimatorConfig()
     block = ObservedBlock.of(sample)
 
@@ -626,24 +644,15 @@ def _config_from_dict(obj: Mapping) -> ScenarioConfig | ConcentrationConfig:
     from .simulation import ConcentrationConfig, ScenarioConfig
 
     cls = ConcentrationConfig if ("r" in obj or "target_p" in obj) else ScenarioConfig
-    known = {f.name for f in fields(cls)}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = dict(obj)
-    for key in ("estimators", "weights"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return cls(**kwargs)
+    return cls(**_json_kwargs(cls, obj, cls.__name__))
 
 
 def _load_configs(path: str) -> list[ScenarioConfig | ConcentrationConfig]:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if isinstance(obj, Mapping):
-        obj = [obj]
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("config JSON must be an object or a non-empty array")
+    obj = [obj] if isinstance(obj, dict) else obj
+    if not isinstance(obj, list) or not obj or not all(isinstance(o, dict) for o in obj):
+        raise ValueError("config JSON must be an object or a non-empty array of objects")
     return [_config_from_dict(o) for o in obj]
 
 
@@ -898,8 +907,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    """Entry point returning an exit code: 0 success, 1 input error,
-    2 estimation infeasibility."""
+    """Entry point returning an exit code: 0 on success, 1 for a ValueError
+    or OSError (the caller's mistake), 2 for an EstimationError."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -907,7 +916,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (MalformedRow, MissingColumn, EmptyFile, EmptyBin, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EstimationError as exc:

@@ -55,9 +55,8 @@ import numpy as np
 
 from .data_model import (
     BLOCK_UNITS,
-    InfeasibleCompliance,
+    Infeasible,
     MaskedRows,
-    NonIntegralArm,
     ObservedBlock,
     ScienceTable,
     _treated_count,
@@ -65,9 +64,7 @@ from .data_model import (
     first_appearance,
     reveal,
 )
-from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, estimate_rows
-
-_VALID_TAGS = frozenset(METHODS) | {"ORACLE"}
+from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, check_tags, estimate_rows
 
 __all__ = [
     "RNG_FAMILY",
@@ -106,19 +103,14 @@ def _check_count(name: str, value, least: int) -> None:
 def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
     """The checks both config types share."""
     _check_count("n", config.n, 4)
-    try:
-        _treated_count(config.n, config.p_treat)
-    except NonIntegralArm as exc:  # a config error like the others here
-        raise ValueError(str(exc)) from None
+    _treated_count(config.n, config.p_treat)
     _check_count("replications", config.replications, 1)
     seed = config.seed
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if not 0.0 <= config.outcome_r2 < 1.0:
         raise ValueError("outcome_r2 must lie in [0, 1)")
-    unknown = [t for t in config.estimators if t not in _VALID_TAGS]
-    if unknown:
-        raise ValueError(f"unknown estimator tags: {unknown}")
+    check_tags(config.estimators, (*METHODS, "ORACLE"))
 
 
 @dataclass(frozen=True)
@@ -167,7 +159,7 @@ class ScenarioConfig:
         powers = self.compliance_ratio ** np.arange(g, dtype=np.float64)
         base = g * self.target_pi_c / float(powers.sum())
         if base > 1.0:
-            raise InfeasibleCompliance(
+            raise Infeasible(
                 f"target_pi_c={self.target_pi_c} needs top-stratum compliance "
                 f"{base:.4g} > 1 under ratio {self.compliance_ratio}"
             )
@@ -229,7 +221,7 @@ class ConcentrationConfig:
         powers = self.r ** np.arange(self.num_strata - 1, -1, -1, dtype=np.float64)
         p = self.target_p / float(np.dot(self.weights, powers))
         if not 0.0 < p <= 1.0:
-            raise InfeasibleCompliance(
+            raise Infeasible(
                 f"target_p={self.target_p} with r={self.r} needs top-stratum "
                 f"compliance {p:.4g} outside (0, 1]"
             )

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.stats import rankdata
 
-from ivstrat import ObservedSample, ScienceTable
+from ivstrat import ObservedSample, ScienceTable, data_model
 from ivstrat.data_model import (
     ALWAYS_TAKER,
     COMPLIER,
@@ -28,6 +28,12 @@ from ivstrat.data_model import (
 from ivstrat.io_cli import DatasetSchema, _parse_binary, _parse_outcome
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every exception class that data_model defines
+ERROR_CLASSES = [
+    c for c in vars(data_model).values()
+    if isinstance(c, type) and issubclass(c, Exception) and c.__module__ == data_model.__name__
+]
 
 
 def fresh_python(code: str) -> str:

@@ -23,13 +23,18 @@ from ivstrat import (
 )
 from ivstrat.data_model import (
     EmptyArm,
-    LengthMismatch,
+    EmptyBin,
+    EmptyFile,
+    EstimationError,
+    MalformedRow,
+    MissingColumn,
     NonBinary,
     NonFinite,
     TooFewUnits,
+    _dense_codes,
     stratum_moments,
 )
-from helpers import random_sample, sample_a, sample_two_strata
+from helpers import ERROR_CLASSES, random_sample, sample_a, sample_two_strata
 
 RNG = np.random.default_rng(20240817)
 
@@ -95,14 +100,14 @@ def test_science_to_observed_rejects_fractional_assignment():
 
 
 def test_length_mismatch_at_every_constructor():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^z, d, y, strata must have equal length$"):
         ObservedSample.from_arrays(z=[1, 0, 1], d=[0, 0, 0, 0], y=[0.0] * 4)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^z, d, y, strata must have equal length$"):
         ObservedSample.from_arrays(z=[1, 0, 1, 0], d=[0] * 4, y=[0.0] * 4, strata=[0, 1])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^y0, y1, d0, d1, strata must have equal length$"):
         ScienceTable.from_arrays(np.zeros(4), np.zeros(3), [0] * 4, [0] * 4)
     t = ScienceTable.from_arrays(np.zeros(4), np.zeros(4), [0] * 4, [0] * 4)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^assignment has length 3, table has 4$"):
         science_to_observed(t, [1, 0, 1])
 
 
@@ -258,3 +263,46 @@ def test_arrays_are_read_only():
     s = sample_a()
     with pytest.raises(ValueError):
         s.z[0] = 0
+
+
+# an input file's line, column or quantile bin: the caller's to mend
+INPUT_ERRORS = {MalformedRow, MissingColumn, EmptyFile, EmptyBin}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_each_error_class_is_an_input_error_or_a_data_failure(cls):
+    assert issubclass(cls, ValueError) != issubclass(cls, EstimationError)
+    assert issubclass(cls, ValueError) == (cls in INPUT_ERRORS)
+
+
+def _first_appearance_loop(labels):
+    """Dense codes by a dict lookup per label: _dense_codes's own loop
+    before it called _levels."""
+    index, found, codes = {}, [], []
+    for s in labels:
+        if s not in index:
+            index[s] = len(found)
+            found.append(s)
+        codes.append(index[s])
+    return codes, found
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [1, 1.0, True, 2, 2.0, False, 0],  # equal labels share the first one's level
+        [NAN, NAN, float("nan"), "a"],  # one nan object is one label, another is not
+        list(np.array([NAN, 1.0, NAN])),  # numpy scalars: each nan its own label
+        ["b", "a", "b", ("a", 1), ("a", 1), None],
+        list(np.array(["x", "y", "x"])),
+    ],
+    ids=["equal", "nan", "np-nan", "mixed", "np-str"],
+)
+def test_dense_codes_of_hashable_labels_match_a_first_appearance_loop(labels):
+    codes, found = _dense_codes(labels)
+    want_codes, want = _first_appearance_loop(labels)
+    assert codes.tolist() == want_codes
+    assert len(found) == len(want) and all(a is b for a, b in zip(found, want))

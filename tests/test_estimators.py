@@ -19,7 +19,6 @@ from ivstrat import (
 from ivstrat.data_model import (
     AllStrataDropped,
     EmptyArm,
-    LengthMismatch,
     NoCompliersInArm,
     NonBinary,
     stratum_moments,
@@ -250,7 +249,7 @@ def test_oracle_complier_dim():
     assert r.f_hat == 1.0
     with pytest.raises(NoCompliersInArm):
         oracle_complier_dim(t, np.array([1, 1, 1, 1, 0, 0]))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^assignment has length 5, table has 6$"):
         oracle_complier_dim(t, np.array([1, 1, 0, 0, 1]))
     for z in ([1, 0.5, 0, 1, 0, 1], [1, 2, 0, 1, 0, 1]):
         with pytest.raises(NonBinary):

@@ -31,9 +31,12 @@ from ivstrat import (
     stratum_report,
     write_metrics_csv,
 )
-from ivstrat import ScenarioConfig
+from ivstrat import ConcentrationConfig, ScenarioConfig, io_cli
+from ivstrat.data_model import NoCompliersInArm
 from ivstrat.io_cli import METRICS_COLUMNS, report_csv, report_json, stratum_csv
-from helpers import sample_a, sample_two_strata
+from helpers import ERROR_CLASSES, sample_a, sample_two_strata
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 DATA_A = "z,d,y\n1,1,3.0\n1,0,1.0\n0,0,2.0\n0,0,0.0\n"
 
@@ -511,7 +514,7 @@ def test_cli_simulate_error_codes(tmp_path, capsys):
         tmp_path, "i.json", '{"r": 0.0, "target_p": 0.5, "n": 40, "replications": 2}'
     )
     assert cli_main(["simulate", "--config", infeasible]) == 2
-    assert "InfeasibleCompliance" in capsys.readouterr().err
+    assert "error: Infeasible: target_p=0.5 with r=0.0 needs" in capsys.readouterr().err
 
 
 def test_cli_simulate_refuses_infeasible_scenario_compliance(tmp_path, capsys):
@@ -521,8 +524,123 @@ def test_cli_simulate_refuses_infeasible_scenario_compliance(tmp_path, capsys):
     )
     out = tmp_path / "metrics.csv"
     assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert "InfeasibleCompliance: target_pi_c=0.5 needs" in capsys.readouterr().err
+    assert "error: Infeasible: target_pi_c=0.5 needs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_cli_exit_code_follows_the_error_class(monkeypatch, capsys, cls):
+    args = {MalformedRow: (3, "bad"), MissingColumn: ("y",), NoCompliersInArm: (1,)}
+    exc = cls(*args.get(cls, ()))
+
+    def fail(*_):
+        raise exc
+
+    monkeypatch.setattr(io_cli, "load_csv", fail)
+    code = cli_main(["analyze", "--data", "any.csv"])
+    err = capsys.readouterr().err
+    if issubclass(cls, ValueError):
+        assert (code, err) == (1, f"error: {exc}\n")
+    else:
+        assert (code, err) == (2, f"error: {cls.__name__}: {exc}\n")
+
+
+def test_cli_refuses_a_fractional_treated_count_alike(tmp_path, capsys):
+    argv = ["theory", "--science-table", str(GOLDEN / "theory_one_sided.csv"), "--p", "0.3"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: p*N = 4.8 is not a whole number of treated units\n"
+    cfg = write(tmp_path, "cfg.json", '{"n": 41, "target_pi_c": 0.3, "replications": 2}')
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: p*N = 20.5 is not a whole number of treated units\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"r": 0.5, "weights": 5}', "weights must be a list of finite numbers, got 5"),
+        ('{"r": 0.5, "weights": [0.5, "0.5"]}', "weights must be a list of finite numbers"),
+        ('{"r": 0.5, "weights": [NaN, 1.0]}', "weights must be a list of finite numbers"),
+        ('{"r": "0.5"}', "r must be a finite number, got '0.5'"),
+        ('{"r": 0.5, "het_tau": 1}', "unknown ConcentrationConfig keys: ['het_tau']"),
+        ('{"target_pi_c": "0.3"}', "target_pi_c must be a finite number, got '0.3'"),
+        ('{"target_pi_c": 0.3, "tau": "x"}', "tau must be a finite number, got 'x'"),
+        ('{"target_pi_c": 0.3, "tau": NaN}', "tau must be a finite number, got nan"),
+        ('{"target_pi_c": 0.3, "never_taker_shift": -Infinity}',
+         "never_taker_shift must be a finite number, got -inf"),
+        ('{"target_pi_c": 0.3, "predicts_compliance": 1}',
+         "predicts_compliance must be true or false, got 1"),
+        ('{"target_pi_c": 0.3, "estimators": "IV_W"}',
+         "estimators must be a list of strings, got 'IV_W'"),
+        ('{"target_pi_c": 0.3, "estimators": []}',
+         "estimators must be a non-empty list of tags, got ()"),
+        ('{"target_pi_c": 0.3, "estimators": ["IV_W", "DSS", "IV_W"]}',
+         "estimators repeat a tag: ['IV_W', 'DSS', 'IV_W']"),
+        ('{"target_pi_c": 0.3, "estimators": ["IV_W", "BOGUS"]}',
+         "unknown estimator tags: ['BOGUS']"),
+        ("[5]", "config JSON must be an object or a non-empty array of objects"),
+    ],
+    ids=["weights", "weight", "weight-nan", "r", "unknown", "pi_c", "tau", "tau-nan", "shift-inf",
+         "bool", "tags-str", "tags-empty", "tags-repeated", "tags-unknown", "array"],
+)
+def test_cli_simulate_refuses_a_value_of_the_wrong_type(tmp_path, capsys, config, message):
+    obj = json.loads(config)
+    if isinstance(obj, dict):
+        obj = {"n": 40, "replications": 2, **obj}
+    cfg = write(tmp_path, "cfg.json", json.dumps(obj))
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        ('{"strata_cols": 5}', "strata_cols must be a list of strings, got 5"),
+        ('{"strata_cols": "site"}', "strata_cols must be a list of strings, got 'site'"),
+        ('{"z_col": 1}', "z_col must be a string, got 1"),
+        ('{"binning": ["quantile", 4]}', "binning must be an object, got ['quantile', 4]"),
+        ('["site"]', "schema JSON must be an object, got ['site']"),
+    ],
+    ids=["strata_cols", "strata_cols-str", "z_col", "binning", "array"],
+)
+def test_cli_analyze_refuses_a_schema_value_of_the_wrong_type(tmp_path, capsys, schema, message):
+    path = write(tmp_path, "schema.json", schema)
+    argv = ["analyze", "--data", str(GOLDEN / "gotv_like.csv"), "--schema", path]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "tags, message",
+    [
+        ("", "estimators must be a non-empty list of tags, got ()"),
+        (" , ", "estimators must be a non-empty list of tags, got ()"),
+        ("IV_W,UNSTRAT,IV_W", "estimators repeat a tag: ['IV_W', 'UNSTRAT', 'IV_W']"),
+    ],
+    ids=["empty", "blank", "repeated"],
+)
+def test_cli_analyze_refuses_an_empty_or_repeated_estimator_list(capsys, tags, message):
+    data, schema = GOLDEN / "gotv_like.csv", GOLDEN / "gotv_like_schema.json"
+    argv = ["analyze", "--data", str(data), "--schema", str(schema), "--estimators", tags]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_estimator_lists_are_refused_alike_by_analyze_and_configs():
+    for tags, message in [
+        ((), r"^estimators must be a non-empty list of tags, got \(\)$"),
+        ("IV_W", r"^estimators must be a non-empty list of tags, got 'IV_W'$"),
+        (("IV_W", "IV_W"), r"^estimators repeat a tag: \['IV_W', 'IV_W'\]$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            analyze(sample_a(), tags)
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(n=40, replications=2, estimators=tags)
+        with pytest.raises(ValueError, match=message):
+            ConcentrationConfig(n=40, replications=2, estimators=tags)
 
 
 @pytest.mark.parametrize("seed", ["-1", "1.5", "true"])

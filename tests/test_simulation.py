@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ivstrat import (
     ConcentrationConfig,
-    InfeasibleCompliance,
+    Infeasible,
     RNG_FAMILY,
     ScenarioConfig,
     default_grid,
@@ -124,7 +124,7 @@ def test_concentration_config_refuses_a_count_not_an_integer(field, value):
 
 def test_concentration_infeasible_target():
     # all compliers would have to sit in the last stratum at rate > 1
-    with pytest.raises(InfeasibleCompliance):
+    with pytest.raises(Infeasible, match="^target_p=0.5 with r=0.0 needs top-stratum compliance"):
         ConcentrationConfig(r=0.0, target_p=0.5, n=200, replications=10, seed=1)
 
 
@@ -172,7 +172,7 @@ def test_geometric_compliance_table():
 
 def test_geometric_compliance_infeasible():
     # refused at construction, as ConcentrationConfig refuses its own
-    with pytest.raises(InfeasibleCompliance, match="compliance 1.8 > 1"):
+    with pytest.raises(Infeasible, match="compliance 1.8 > 1"):
         make_config(target_pi_c=0.5, predicts_compliance=True)
 
 

@@ -19,7 +19,7 @@ from ivstrat import (
     estimate,
     moments,
 )
-from ivstrat.data_model import NonIntegralArm, TooFewUnits, TwoSidedInput
+from ivstrat.data_model import TooFewUnits, TwoSidedInput
 from helpers import (
     one_sided_table,
     pooled_moments,
@@ -71,7 +71,7 @@ def test_moments_group_means():
 
 def test_moments_requires_integral_arms():
     t = one_sided_table(n=8, n_c=4, delta=1.0)
-    with pytest.raises(NonIntegralArm):
+    with pytest.raises(ValueError, match=r"^p\*N = 2.4 is not a whole number of treated units$"):
         moments(t, 0.3)
 
 
