@@ -16,8 +16,9 @@ Within a block each replication draws its table and assignment from its
 own stream; the block is then revealed, reduced to (R, G) moments in one
 pass and run through every estimator's row-wise kernel at once
 (estimators.estimate_rows), the same code that estimate() runs on one
-sample. Each row's results go to its own config's slots, which are
-aggregated and freed once that config's last block is done.
+sample. A block returns its rows' results and writes nothing else; the
+calling thread copies them into each config's slots in block order, and
+aggregates and frees a config's slots once its last block is written.
 
 A replication's draws are, in order, what these numpy calls draw from its
 stream, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))):
@@ -39,14 +40,14 @@ of a block is computed independently of the others, and aggregation reads
 preallocated per-replication slots in index order, so results are byte
 identical for any block partition, any mix of configs in a block and any
 thread count: each config's metrics equal those it gets run alone.
-Threads run whole blocks.
+Threads run whole blocks and share no state: each returns its block's
+rows, and the calling thread writes them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -110,6 +111,9 @@ def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
         raise ValueError("seed must be a non-negative integer")
     if not 0.0 <= config.outcome_r2 < 1.0:
         raise ValueError("outcome_r2 must lie in [0, 1)")
+    for name in ("tau", "never_taker_shift"):
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(config, name)!r}")
     check_tags(config.estimators, (*METHODS, "ORACLE"))
 
 
@@ -203,7 +207,7 @@ class ConcentrationConfig:
             raise ValueError("r must lie in [0, 1]")
         if not 0.0 < self.target_p < 1.0:
             raise ValueError("target_p must lie in (0, 1)")
-        if len(self.weights) < 1 or any(w <= 0 for w in self.weights):
+        if len(self.weights) < 1 or any(not w > 0 for w in self.weights):
             raise ValueError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
@@ -473,27 +477,23 @@ def _philox_keys(seed: int, reps: range) -> np.ndarray:
 
 @dataclass
 class _RepStore:
-    """Per-replication result slots, preallocated for index-order reads."""
+    """Per-replication results, as a block's rows or as a config's slots.
 
-    est: dict[str, np.ndarray]
-    se_b: dict[str, np.ndarray]
-    se_d: dict[str, np.ndarray]
-    n_used: dict[str, np.ndarray]
-    dropped: dict[str, np.ndarray]
+    values[0..3] are each tag's (T, reps) est, se_bloom, se_delta and
+    n_used, nan where a replication has no result (no complier, or the
+    estimator failed); dropped marks a result that left out some stratum,
+    and truth, nan without compliers, is the realized complier effect."""
+
+    values: np.ndarray
+    dropped: np.ndarray
     truth: np.ndarray
 
     @classmethod
-    def empty(cls, tags: Sequence[str], reps: int) -> "_RepStore":
-        def make() -> dict[str, np.ndarray]:
-            return {t: np.full(reps, np.nan) for t in tags}
-
+    def empty(cls, tags: int, reps: int) -> "_RepStore":
         return cls(
-            est=make(),
-            se_b=make(),
-            se_d=make(),
-            n_used=make(),
-            dropped={t: np.zeros(reps, dtype=bool) for t in tags},
-            truth=np.full(reps, np.nan),
+            np.full((4, tags, reps), np.nan),
+            np.zeros((tags, reps), dtype=bool),
+            np.full(reps, np.nan),
         )
 
 
@@ -537,10 +537,10 @@ def _draw_block(block: list[_Segment]) -> tuple[dict[str, np.ndarray], np.ndarra
     return draws, z
 
 
-def _run_block(block: list[_Segment], est_config: EstimatorConfig) -> None:
-    """A block's segments: draw each replication from its own substream,
-    then reveal, estimate and store them all at once, each row in its own
-    job's slots."""
+def _run_block(block: list[_Segment], est_config: EstimatorConfig) -> _RepStore:
+    """A block's rows: draw each replication from its own substream, then
+    reveal and estimate them all at once. It reads its jobs and writes
+    none of them."""
     draws, z = _draw_block(block)
     y0, y1, d0, d1, strata = _assemble(draws, [(s.job.design, s.rows) for s in block])
     codes, num_strata, _ = first_appearance(strata)
@@ -553,21 +553,17 @@ def _run_block(block: list[_Segment], est_config: EstimatorConfig) -> None:
     effects = compliers.take(y1) - compliers.take(y0)
     truth = compliers.mean_var(effects)[0]
     del y0, y1, d0, d1  # free the potential outcomes before the estimators run
-    for job, reps, rows in block:
-        at = np.flatnonzero(live[rows])
-        job.store.truth[reps.start + at] = truth[rows.start + at]
-    for tag in block[0].job.config.estimators:
+    tags = block[0].job.config.estimators
+    rows = _RepStore.empty(len(tags), len(live))
+    rows.truth[live] = truth[live]
+    for i, tag in enumerate(tags):
         out = estimate_rows(obs, tag, est_config)
         ok = live & ~out.failed
-        dropped = out.kept.sum(axis=1) < num_strata
-        for job, reps, rows in block:
-            at = np.flatnonzero(ok[rows])
-            slots, src, store = reps.start + at, rows.start + at, job.store
-            store.est[tag][slots] = out.est[src]
-            store.se_b[tag][slots] = out.se_bloom[src]
-            store.se_d[tag][slots] = out.se_delta[src]
-            store.n_used[tag][slots] = out.n_used[src]
-            store.dropped[tag][slots] = dropped[src]
+        results = (out.est, out.se_bloom, out.se_delta, out.n_used)
+        for field, result in zip(rows.values[:, i], results):
+            field[ok] = result[ok]
+        rows.dropped[i] = ok & (out.kept.sum(axis=1) < num_strata)
+    return rows
 
 
 def _aggregate(
@@ -577,10 +573,8 @@ def _aggregate(
     finite. The tags are rows of (T, reps) arrays, and MaskedRows gives
     every row the 1-D np.mean / np.std(ddof=1) of its entries, so each
     metric is what those functions give on that tag's values alone."""
-    est, se_b, se_d, n_used, dropped = (
-        np.stack([getattr(store, name)[t] for t in tags])
-        for name in ("est", "se_b", "se_d", "n_used", "dropped")
-    )
+    est, se_b, se_d, n_used = store.values
+    dropped = store.dropped
     ok = np.isfinite(est)
     n_ok = ok.sum(axis=1)
     used = MaskedRows.of(ok)
@@ -615,8 +609,8 @@ def _aggregate(
 
 
 class _Job:
-    """One config's run: its design, the result slots its blocks write
-    while they run, and what `finish` made of the slots once they are done."""
+    """One config's run: its design, the slots its blocks' rows are
+    written into, and what `finish` made of the slots once they are done."""
 
     def __init__(self, config: "ScenarioConfig | ConcentrationConfig") -> None:
         self.config = config
@@ -659,38 +653,30 @@ def _plan(jobs: Sequence[_Job]) -> list[list[_Segment]]:
 
 def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
     """Every replication of every config, in blocks that `_plan` fills.
-    Blocks run on `threads` threads and each writes only its own slots. A
-    config's slots exist from the start of its first block to the end of
-    its last, when finish(config, slots) runs; its results come back in
-    config order."""
+    Blocks run on `threads` threads and return their rows, which this
+    thread writes into each config's slots in block order. A config's
+    slots exist from its first block's rows to its last's, when
+    finish(config, slots) runs; its results come back in config order."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = [_Job(c) for c in configs]
     blocks = _plan(jobs)
-    est_config = EstimatorConfig()
-    lock = threading.Lock()
-
-    def run(block: list[_Segment]) -> None:
-        with lock:
-            for job, _, _ in block:
+    run = functools.partial(_run_block, est_config=EstimatorConfig())
+    # the pool starts no thread unless it maps
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parallel = threads > 1 and len(blocks) > 1
+        for block, rows in zip(blocks, (pool.map if parallel else map)(run, blocks)):
+            for job, reps, src in block:
                 if job.store is None:
-                    job.store = _RepStore.empty(job.config.estimators, job.config.replications)
-        _run_block(block, est_config)
-        with lock:
-            done = []
-            for job, _, _ in block:
+                    config = job.config
+                    job.store = _RepStore.empty(len(config.estimators), config.replications)
+                dst = slice(reps.start, reps.stop)
+                job.store.values[..., dst] = rows.values[..., src]
+                job.store.dropped[:, dst] = rows.dropped[:, src]
+                job.store.truth[dst] = rows.truth[src]
                 job.blocks -= 1
                 if not job.blocks:
-                    done.append(job)
-        for job in done:
-            job.result, job.store = finish(job.config, job.store), None
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
-    else:
-        for block in blocks:
-            run(block)
+                    job.result, job.store = finish(job.config, job.store), None
     return [job.result for job in jobs]
 
 

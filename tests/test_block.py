@@ -6,7 +6,8 @@ against independent oracles.
   oracle_complier_dim on that sample alone.
 * The simulation's per-replication slots do not depend on how the
   replications are cut into blocks, which other configs share those
-  blocks, or how the blocks are spread over threads.
+  blocks, or how the blocks are spread over threads. A block returns its
+  rows, in any order it runs, and writes nothing into the jobs it reads.
 * Exact enumeration over blocks of assignments equals the loop that runs
   estimate() assignment by assignment.
 * The closed-form TSLS_DUMMY matches a least-squares 2SLS within 1e-12.
@@ -43,7 +44,7 @@ from ivstrat.data_model import (
     reveal,
     science_to_observed,
 )
-from ivstrat.estimators import estimate_rows
+from ivstrat.estimators import EstimatorConfig, estimate_rows
 from ivstrat import simulation
 from ivstrat.simulation import ConcentrationConfig, _run_reps
 from helpers import StageRankDeficient, random_sample, tsls_dummies_lstsq
@@ -216,11 +217,12 @@ def test_vectorized_dense_codes_match_first_appearance_loop(labels, wide):
     assert all(type(a) is type(b) for a, b in zip(found, loop_labels))
 
 
-def _slots(store):
+def _slots(config, store):
     out = {"truth": store.truth}
-    for name in ("est", "se_b", "se_d", "n_used", "dropped"):
-        for tag, values in getattr(store, name).items():
+    for i, tag in enumerate(config.estimators):
+        for name, values in zip(("est", "se_b", "se_d", "n_used"), store.values[:, i]):
             out[f"{name}.{tag}"] = values
+        out[f"dropped.{tag}"] = store.dropped[i]
     return out
 
 
@@ -242,7 +244,7 @@ CONFIGS = [
 def _run_slots(configs, units: int, threads: int) -> list[dict]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "BLOCK_UNITS", units)
-        return _run_reps(configs, threads, lambda config, store: _slots(store))
+        return _run_reps(configs, threads, _slots)
 
 
 @settings(max_examples=20)
@@ -262,6 +264,36 @@ def test_rep_store_slots_do_not_depend_on_block_partition(which, units, threads)
         assert whole.keys() == parts.keys()
         for name, values in whole.items():
             assert np.array_equal(values, parts[name], equal_nan=values.dtype.kind == "f"), name
+
+
+def test_blocks_return_their_rows_and_write_no_job():
+    """Blocks run in reverse order return rows that, written into each
+    config's slots by hand, equal what _run_reps gives; no block touches
+    a job."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "BLOCK_UNITS", 1000)
+        jobs = [simulation._Job(config) for config in CONFIGS]
+        blocks = simulation._plan(jobs)
+    assert any(len({id(s.job) for s in block}) > 1 for block in blocks)
+    before = [dict(vars(job)) for job in jobs]
+    rows = [simulation._run_block(block, EstimatorConfig()) for block in reversed(blocks)]
+    for job, was in zip(jobs, before):
+        assert job.store is None
+        assert vars(job).keys() == was.keys()
+        assert all(vars(job)[name] is value for name, value in was.items())
+    stores = {job: simulation._RepStore.empty(len(job.config.estimators),
+                                              job.config.replications) for job in jobs}
+    for block, got in zip(blocks, reversed(rows)):
+        for job, reps, src in block:
+            store, dst = stores[job], slice(reps.start, reps.stop)
+            store.values[..., dst] = got.values[..., src]
+            store.dropped[:, dst] = got.dropped[:, src]
+            store.truth[dst] = got.truth[src]
+    for job, want in zip(jobs, _run_slots(CONFIGS, 1000, 1)):
+        got = _slots(job.config, stores[job])
+        assert got.keys() == want.keys()
+        for name, values in want.items():
+            assert np.array_equal(values, got[name], equal_nan=values.dtype.kind == "f"), name
 
 
 def _close(a: float, b: float) -> bool:

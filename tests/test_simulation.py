@@ -78,6 +78,7 @@ def test_scenario_config_rejects(kw):
         dict(outcome_r2=1.0),
         dict(outcome_r2=-0.5),
         dict(n=2),
+        dict(weights=(math.nan, 0.5, 0.5)),
     ],
 )
 def test_concentration_config_rejects(kw):
@@ -96,6 +97,18 @@ def test_concentration_config_rejects(kw):
 def test_configs_refuse_a_seed_not_a_non_negative_integer(make, seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         make(seed=seed)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["tau", "never_taker_shift"])
+@pytest.mark.parametrize(
+    "make",
+    [make_config, lambda **kw: ConcentrationConfig(n=40, **kw)],
+    ids=["scenario", "concentration"],
+)
+def test_configs_refuse_a_value_that_is_not_finite(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        make(**{field: value})
 
 
 _COUNTS = [
