@@ -446,13 +446,15 @@ def science_to_observed(table: ScienceTable, assignment) -> ObservedSample:
     """Reveal observed data under a binary assignment vector.
 
     y = z*y1 + (1-z)*y0 and d = z*d1 + (1-z)*d0, with strata carried over.
-    The result is not validated; run validate before estimation.
+    The result is not validated; run validate before estimation. An
+    assignment that is not all 0 or 1 is the caller's ValueError.
     """
-    z = _int8(assignment, "assignment")
+    z = np.asarray(assignment)
     if len(z) != table.n:
         raise ValueError(f"assignment has length {len(z)}, table has {table.n}")
     if not _binary(z):
-        raise NonBinary("assignment must be 0 or 1")
+        raise ValueError("assignment must be 0 or 1")
+    z = z.astype(np.int8, copy=False)
     y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
     return ObservedSample(_frozen(z), _frozen(d), _frozen(y), table.strata, table.stratum_labels)
 

@@ -180,34 +180,31 @@ class DatasetSchema:
             return cls.from_json(json.load(fh))
 
 
-def _parse_binary(raw: str | None, col: str, line: int) -> int:
+# Each numeric column kind's check, written with operators so that it takes a
+# Python float (at Python speed) or a float array alike, and the reason a
+# value that fails it is refused.
+_KINDS = {
+    "binary": (lambda v: (v == 0.0) | (v == 1.0), "must be 0 or 1"),
+    "outcome": (lambda v: abs(v) < math.inf, "is not finite"),  # False for nan too
+}
+
+
+def _parse(raw: str | None, col: str, kind: str, line: int) -> float:
+    """One cell of a numeric column of the given kind, or a MalformedRow
+    on line that names col and why raw is refused."""
     if raw is None or raw.strip() == "":
         raise MalformedRow(line, f"missing {col}")
     try:
         v = float(raw)
     except ValueError:
         raise MalformedRow(line, f"{col}={raw!r} is not numeric") from None
-    if v not in (0.0, 1.0):
-        raise MalformedRow(line, f"{col}={raw!r} must be 0 or 1")
-    return int(v)
-
-
-def _parse_outcome(raw: str | None, col: str, line: int) -> float:
-    if raw is None or raw.strip() == "":
-        raise MalformedRow(line, f"missing {col}")
-    try:
-        v = float(raw)
-    except ValueError:
-        raise MalformedRow(line, f"{col}={raw!r} is not numeric") from None
-    if not math.isfinite(v):
-        raise MalformedRow(line, f"{col}={raw!r} is not finite")
+    check, reason = _KINDS[kind]
+    if not check(v):
+        raise MalformedRow(line, f"{col}={raw!r} {reason}")
     return v
 
 
-# Each per-row parser's check as a mask over the floats it would return.
-_VALID = {_parse_binary: lambda v: (v == 0.0) | (v == 1.0), _parse_outcome: np.isfinite}
-
-_Columns = tuple[list[np.ndarray], list[tuple[list[str], np.ndarray]], list[int] | None]
+_Columns = tuple[list[np.ndarray], list[tuple[list[str], np.ndarray]], Sequence[int]]
 
 # np.loadtxt's reading of an RFC 4180 file after its header row
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, encoding="utf-8", ndmin=1)
@@ -230,9 +227,9 @@ def _midranks(values: np.ndarray, counts: np.ndarray | None = None) -> np.ndarra
 
 def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _Columns:
     """Read a CSV one csv.reader row at a time: the ingest specification.
-    numeric holds (column, _parse_binary or _parse_outcome) pairs; text
-    columns, with refuse_blank, may not be blank. Returns the numeric columns
-    as float arrays, each text column's _levels and each row's last physical
+    numeric holds (column, kind) pairs, kind a key of _KINDS; text columns,
+    with refuse_blank, may not be blank. Returns the numeric columns as
+    float arrays, each text column's _levels and each row's last physical
     line (csv.DictReader's line_num); a repeated header name means its last
     column. Rows are checked, the first failure raising, by field count,
     then numeric columns, then text columns."""
@@ -252,8 +249,8 @@ def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _
             line = reader.line_num
             if len(row) != len(header):
                 raise MalformedRow(line, "wrong number of fields")
-            for (col, parse), out in zip(numeric, numbers):
-                out.append(parse(row[pos[col]], col, line))
+            for (col, kind), out in zip(numeric, numbers):
+                out.append(_parse(row[pos[col]], col, kind, line))
             for col, out in zip(text, strings):
                 if refuse_blank and row[pos[col]].strip() == "":
                     raise MalformedRow(line, f"missing {col}")
@@ -264,10 +261,9 @@ def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _
     return [np.array(a, dtype=np.float64) for a in numbers], list(map(_levels, strings)), lines
 
 
-def _read_columns(path: str, numeric, text, refuse_blank: bool, quantile) -> _Columns | None:
-    """_read_rows's result, lines aside, from one pass of numpy's C reader,
-    or None where it might differ; it may also raise where _read_rows would
-    not. The nonblank values of the quantile columns must be finite numbers."""
+def _read_columns(path: str, numeric, text, refuse_blank: bool) -> _Columns | None:
+    """_read_rows's result from one pass of numpy's C reader, or None where
+    it might differ; it may also raise where _read_rows would not."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)  # with no header, or a column missing, _read_rows reports it
@@ -288,29 +284,27 @@ def _read_columns(path: str, numeric, text, refuse_blank: bool, quantile) -> _Co
     pos = {name: i for i, name in enumerate(header)}
     # Text is read as object, as a "U" field in a structured dtype comes back
     # empty; other columns as U0, which counts the field and stores nothing.
-    kinds = {pos[col]: "f8" for col, _ in numeric} | {pos[col]: object for col in text}
-    dtype = [(f"f{i}", kinds.get(i, "U0")) for i in range(len(header))]
+    dtypes = {pos[col]: "f8" for col, _ in numeric} | {pos[col]: object for col in text}
+    dtype = [(f"f{i}", dtypes.get(i, "U0")) for i in range(len(header))]
     table = np.loadtxt(path, dtype, **_LOADTXT)
     numbers = [np.ascontiguousarray(table[f"f{pos[col]}"]) for col, _ in numeric]
     levels = [_levels(table[f"f{pos[col]}"].tolist()) for col in text]
-    ranked = [v for c, (vs, _) in zip(text, levels) if c in quantile for v in vs if v.strip()]
     if (
         len(table) != line_count  # a blank line, or a record over several lines
-        or not all(_VALID[parse](a).all() for (_, parse), a in zip(numeric, numbers))
-        or not np.isfinite(list(map(float, ranked))).all()
+        or not all(_KINDS[kind][0](a).all() for (_, kind), a in zip(numeric, numbers))
         or (refuse_blank and any(v.strip() == "" for vs, _ in levels for v in vs))
     ):
         return None
-    return numbers, levels, None
+    return numbers, levels, range(2, len(table) + 2)  # one physical line per record
 
 
-def _load(path: str, numeric, text: Sequence[str], refuse_blank: bool, quantile=()):
+def _load(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _Columns:
     """_read_rows's result, from _read_columns unless that returns None,
     raises or warns."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            columns = _read_columns(path, numeric, text, refuse_blank, quantile)
+            columns = _read_columns(path, numeric, text, refuse_blank)
         if columns is not None and not caught:
             return columns
     except Exception:  # noqa: BLE001 - _read_rows raises what is real
@@ -319,18 +313,18 @@ def _load(path: str, numeric, text: Sequence[str], refuse_blank: bool, quantile=
 
 
 def _quantile_levels(
-    col: str, values: list[str], codes: np.ndarray, k: int, lines: list[int] | None
+    col: str, values: list[str], codes: np.ndarray, k: int, lines: Sequence[int]
 ) -> tuple[np.ndarray, list[str]]:
     """Rank-based k-quantile bins with midpoint tie ranks: each row's bin
     (k for a blank value, which stays out of the ranking) and the labels
     q1..qk, "missing". Distinct values are ranked, weighted by their row
     counts. A value that is not a finite number raises on the line of its
-    first row (lines is None when every value is known to be one)."""
+    first row."""
     present = np.array([v.strip() != "" for v in values], dtype=bool)
     numbers = np.zeros(len(values))
     for j in np.flatnonzero(present):  # in order of first appearance
         try:
-            numbers[j] = _parse_outcome(values[j], col, 0)
+            numbers[j] = _parse(values[j], col, "outcome", 0)
         except MalformedRow as exc:
             raise MalformedRow(lines[int(np.argmax(codes == j))], exc.reason) from None
     counts = np.bincount(codes, minlength=len(values))[present]
@@ -379,11 +373,8 @@ def load_csv(path: str, schema: DatasetSchema) -> ObservedSample:
     "all" stratum.
     """
     cols = schema.strata_cols
-    numeric = [(schema.z_col, _parse_binary), (schema.d_col, _parse_binary)]
-    numeric += [(schema.y_col, _parse_outcome)]
-    quantile = [col for col in cols if schema.binning[col][0] == "quantile"]
-    refuse_blank = schema.missing_policy == "error"
-    (z, d, y), levels, lines = _load(path, numeric, cols, refuse_blank, quantile)
+    numeric = [(schema.z_col, "binary"), (schema.d_col, "binary"), (schema.y_col, "outcome")]
+    (z, d, y), levels, lines = _load(path, numeric, cols, schema.missing_policy == "error")
     if not cols:
         return _relabel(ObservedSample.from_arrays(z=z, d=d, y=y), ["all"])
     columns = []
@@ -421,8 +412,7 @@ def load_science_csv(path: str) -> ScienceTable:
     """Parse a potential-outcome table CSV: y0,y1,d0,d1 plus optional stratum."""
     with open(path, encoding="utf-8", newline="") as fh:
         text = ("stratum",) if "stratum" in (next(csv.reader(fh), None) or ()) else ()
-    numeric = [("y0", _parse_outcome), ("y1", _parse_outcome)]
-    numeric += [("d0", _parse_binary), ("d1", _parse_binary)]
+    numeric = [("y0", "outcome"), ("y1", "outcome"), ("d0", "binary"), ("d1", "binary")]
     (y0, y1, d0, d1), levels, _ = _load(path, numeric, text, False)
     if not levels:
         return ScienceTable.from_arrays(y0=y0, y1=y1, d0=d0, d1=d1)

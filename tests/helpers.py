@@ -25,7 +25,7 @@ from ivstrat.data_model import (
     StratumMoments,
     stratum_moments,
 )
-from ivstrat.io_cli import DatasetSchema, _parse_binary, _parse_outcome
+from ivstrat.io_cli import DatasetSchema
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -404,6 +404,32 @@ def reference_asyvar_iv_ps(m: SimpleNamespace, exact_factors: bool = False) -> f
     s2 = (m.g_s2_y1, m.g_s2_y0, m.g_s2_y01, m.g_s2_d1, m.g_s2_d0, m.g_s2_d01)
     n1, n0 = m.p * m.n_g, (1.0 - m.p) * m.n_g
     return reference_first_order_var(w, n1, n0, m.n_g, s2, cov_g, m.cace, m.pi_c)
+
+
+def _parse_binary(raw: str | None, col: str, line: int) -> int:
+    """The oracle's z, d, d0 or d1 cell: a number that is exactly 0 or 1."""
+    if raw is None or raw.strip() == "":
+        raise MalformedRow(line, f"missing {col}")
+    try:
+        v = float(raw)
+    except ValueError:
+        raise MalformedRow(line, f"{col}={raw!r} is not numeric") from None
+    if v not in (0.0, 1.0):
+        raise MalformedRow(line, f"{col}={raw!r} must be 0 or 1")
+    return int(v)
+
+
+def _parse_outcome(raw: str | None, col: str, line: int) -> float:
+    """The oracle's y, y0 or y1 cell: a finite number."""
+    if raw is None or raw.strip() == "":
+        raise MalformedRow(line, f"missing {col}")
+    try:
+        v = float(raw)
+    except ValueError:
+        raise MalformedRow(line, f"{col}={raw!r} is not numeric") from None
+    if not math.isfinite(v):
+        raise MalformedRow(line, f"{col}={raw!r} is not finite")
+    return v
 
 
 def _quantile_labels_rowwise(

@@ -95,8 +95,9 @@ def test_science_table_rejects_uptake_the_cast_would_change():
 
 def test_science_to_observed_rejects_fractional_assignment():
     t = ScienceTable.from_arrays(np.zeros(4), np.zeros(4), [0] * 4, [0] * 4)
-    with pytest.raises(NonBinary):
-        science_to_observed(t, [1, 0.5, 0, 1])
+    for z in ([1, 0.5, 0, 1], [1, 2, 0, 1]):
+        with pytest.raises(ValueError, match="^assignment must be 0 or 1$"):
+            science_to_observed(t, z)
 
 
 def test_length_mismatch_at_every_constructor():

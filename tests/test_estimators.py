@@ -20,7 +20,6 @@ from ivstrat.data_model import (
     AllStrataDropped,
     EmptyArm,
     NoCompliersInArm,
-    NonBinary,
     stratum_moments,
 )
 from helpers import (
@@ -252,7 +251,7 @@ def test_oracle_complier_dim():
     with pytest.raises(ValueError, match="^assignment has length 5, table has 6$"):
         oracle_complier_dim(t, np.array([1, 1, 0, 0, 1]))
     for z in ([1, 0.5, 0, 1, 0, 1], [1, 2, 0, 1, 0, 1]):
-        with pytest.raises(NonBinary):
+        with pytest.raises(ValueError, match="^assignment must be 0 or 1$"):
             oracle_complier_dim(t, z)
 
 def test_tsls_weighted_matches_iv_across():

@@ -245,7 +245,7 @@ TRAPS = {
     "huge_padded_number": "z,d,y,s\n1,0," + " " * 140_000 + "1,a\n0,1,2,b\n",
     "huge_label": "z,d,y,s\n1,0,1," + "w" * 140_000 + "\n0,1,2,b\n",
 }
-ODD_NUMBERS = ["NaN", "Infinity", "+inf", "1_0", "0_0", "\u0661", "\u0660", "1\x1f"]
+ODD_NUMBERS = ["NaN", "Infinity", "+inf", "-inf", "1e999", "1_0", "0_0", "\u0661", "\u0660", "1\x1f"]
 
 
 @pytest.mark.parametrize("text", TRAPS.values(), ids=TRAPS.keys())
@@ -259,13 +259,14 @@ def test_trap_inputs_load_as_the_oracle_does(tmp_path, text, quantile):
 
 
 @pytest.mark.parametrize("cell", ODD_NUMBERS)
-@pytest.mark.parametrize("col", range(3))
+@pytest.mark.parametrize("col", range(4))
 def test_odd_numbers_in_z_d_y_load_as_the_oracle_does(tmp_path, cell, col):
-    rows = [["1", "0", "1.5", "a"], ["0", "1", "2", "b"], ["1", "1", "3", "a"]]
+    """The odd value in z, d, y, or (col 3) a quantile-binned stratum column."""
+    rows = [["1", "0", "1.5", "1"], ["0", "1", "2", "2"], ["1", "1", "3", "3"]]
     rows[1][col] = cell
     path = tmp_path / "d.csv"
     path.write_bytes(("z,d,y,s\n" + "".join(",".join(r) + "\n" for r in rows)).encode())
-    schema = DatasetSchema(strata_cols=("s",))
+    schema = DatasetSchema(strata_cols=("s",), binning={"s": {"quantile": 2}} if col == 3 else {})
     new = _outcome(load_csv, str(path), schema)
     _assert_same(new, _outcome(load_csv_rowwise, str(path), schema), ("z", "d", "y", "strata"))
 
@@ -322,6 +323,31 @@ def test_clean_files_load_without_the_per_row_reader(tmp_path, ending):
     _assert_same(table, old, ("y0", "y1", "d0", "d1", "strata"))
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("bad, why", [("4O.5", "not numeric"), ("inf", "not finite")])
+def test_a_bad_quantile_value_is_reported_from_the_first_read(tmp_path, ending, bad, why):
+    """In an otherwise clean file, a quantile value that is not numeric or
+    not finite is refused, on the oracle's line and with its reason, without
+    the per-row reader."""
+    rng = np.random.default_rng(11)
+    rows = ["z,d,y,region,age"]
+    for i in range(300):
+        age = "" if i % 37 == 0 else f"{rng.gamma(4.0, 10.0):.2f}"
+        rows.append(f"{i % 2},{int(i % 3 == 0)},{rng.normal()!r},{'north' if i % 4 else 'south'},{age}")
+    rows[251] = "1,1,0.5,north," + bad
+    rows[271] = "0,0,0.5,south,nan"  # a later bad value is not the one reported
+    path = tmp_path / "d.csv"
+    path.write_bytes((ending.join(rows) + ending).encode())
+    schema = DatasetSchema(strata_cols=("region", "age"), binning={"age": {"quantile": 4}})
+    with pytest.raises(io_cli.MalformedRow) as old:
+        load_csv_rowwise(str(path), schema)
+    with mock.patch.object(io_cli, "_read_rows", side_effect=AssertionError("the per-row reader ran")):
+        with pytest.raises(io_cli.MalformedRow) as new:
+            load_csv(str(path), schema)
+    assert (new.value.line, new.value.reason) == (old.value.line, old.value.reason)
+    assert (new.value.line, new.value.reason) == (252, f"age={bad!r} is {why}")
+
+
 @given(
     cells=st.lists(
         st.one_of(
@@ -346,7 +372,8 @@ def test_quantile_levels_from_distinct_values_equal_per_row_ranks(cells, k):
         return level
 
     values, codes = io_cli._levels(cells)
-    new, old = _outcome(io_cli._quantile_levels, "a", values, codes, k, None), _outcome(per_row)
+    lines = range(2, len(cells) + 2)
+    new, old = _outcome(io_cli._quantile_levels, "a", values, codes, k, lines), _outcome(per_row)
     if isinstance(old, Exception):
         assert isinstance(new, io_cli.EmptyBin)
     else:
