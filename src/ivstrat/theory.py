@@ -4,7 +4,11 @@ Everything here takes the full potential-outcome table as known and asks
 what a complete randomization of pN units would do: exact variances of the
 IV estimators (unstratified and post-stratified), Taylor approximations of
 the small-sample bias of the IV ratio, and a brute-force enumeration oracle
-that averages an estimator over every possible assignment.
+that averages an estimator, named by its tag, over every possible
+assignment. Both run on the engine's kernels: the population variances are
+data_model.block_moments' sample variances, and the oracle runs UNSTRAT by
+its arm-sum closed form and every other tag by the estimators' row-wise
+kernels, on blocks of assignments.
 
 All variances are variances of the estimators themselves (the 1/n factors
 live inside the expressions), so they compare directly with Monte Carlo
@@ -37,7 +41,6 @@ from .data_model import (
     ALWAYS_TAKER,
     BLOCK_UNITS,
     COMPLIER,
-    EstimationError,
     Infeasible,
     NEVER_TAKER,
     NoCompliers,
@@ -46,10 +49,10 @@ from .data_model import (
     TooFewUnits,
     TwoSidedInput,
     _treated_count,
+    block_moments,
     reveal,
-    science_to_observed,
 )
-from .estimators import EstimatorConfig, estimate_rows
+from .estimators import METHODS, EstimatorConfig, check_tags, estimate_rows
 
 __all__ = [
     "PopulationMoments",
@@ -109,15 +112,6 @@ class PopulationMoments:
         return self.n - self.n1
 
 
-def _s2_by_stratum(strata: np.ndarray, n_g: np.ndarray, values: np.ndarray) -> np.ndarray:
-    g = len(n_g)
-    mean = np.bincount(strata, weights=values, minlength=g) / n_g
-    resid = values - mean[strata]
-    ss = np.bincount(strata, weights=resid * resid, minlength=g)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(n_g > 1, ss / (n_g - 1.0), np.nan)
-
-
 def _group_mean(mask: np.ndarray, values: np.ndarray) -> float:
     return float(np.mean(values[mask])) if mask.any() else float("nan")
 
@@ -127,20 +121,22 @@ def moments(table: ScienceTable, p: float) -> PopulationMoments:
     randomization of pN units."""
     n = table.n
     _treated_count(n, p)
-    strata = table.strata
-    n_g = np.bincount(strata, minlength=table.num_strata).astype(np.float64)
     ctype = table.compliance_type
     is_c, is_a, is_n = ctype == COMPLIER, ctype == ALWAYS_TAKER, ctype == NEVER_TAKER
     cace = table.cace if is_c.any() else float("nan")
     u1 = table.y1 - cace * table.d1
     u0 = table.y0 - cace * table.d0
-    us = (u1, u0, u1 - u0)
-    pooled = [_s2_by_stratum(np.zeros(n, np.intp), np.array([float(n)]), u)[0] for u in us]
-    g_s2 = [_s2_by_stratum(strata, n_g, u) for u in us]
+    # one row per modified outcome, every unit in the treated arm: the
+    # engine's treated-arm s2_y1 is then each row's sample variance
+    u = np.stack((u1, u0, u1 - u0))
+    z, d = np.ones(u.shape, np.int8), np.zeros(u.shape)
+    by_stratum = block_moments(z, d, u, np.broadcast_to(table.strata, u.shape), table.num_strata)
+    pooled = block_moments(z, d, u, 0, 1).s2_y1[:, 0]
+    g_s2 = by_stratum.s2_y1
     return PopulationMoments(
         n=n,
         p=p,
-        n_g=n_g,
+        n_g=by_stratum.n_g[0].astype(np.float64),
         pi_c=float(np.mean(is_c)),
         pi_a=float(np.mean(is_a)),
         pi_n=float(np.mean(is_n)),
@@ -225,9 +221,9 @@ def bias_one_sided_exact(
     """
     from scipy.stats import hypergeom  # scipy stays off the import path of ivstrat
 
-    _require_one_sided(table)
     if convention not in (None, "condition"):
         raise ValueError(f"unknown convention {convention!r}")
+    _require_one_sided(table)
     n = table.n
     n1 = _treated_count(n, p)
     ctype = table.compliance_type
@@ -267,6 +263,8 @@ def bias_one_sided_taylor(
     variant="binomial" uses all four moments of Binomial(pN, pi_c)/pN,
     which inflates var(f_hat) by about 1/(1-p) and so overstates the bias.
     """
+    if variant not in ("hypergeometric", "binomial"):
+        raise ValueError(f"unknown variant {variant!r}")
     if m.pi_a > 0.0:
         raise TwoSidedInput("population has always-takers; this formula is one-sided only")
     if m.pi_c == 0.0:
@@ -278,14 +276,12 @@ def bias_one_sided_taylor(
         mu2 = pi_c * q * (1.0 - p) / (p * (m.n - 1.0))
         mu3 = mu2 * (1.0 - 2.0 * pi_c) * (1.0 - 2.0 * p) / (m.n - 2.0)
         e_inv = 1.0 / pi_c + mu2 / pi_c**3 - mu3 / pi_c**4
-    elif variant == "binomial":
+    else:
         draws = p * m.n
         mu2 = pi_c * q / draws
         mu3 = pi_c * q * (1.0 - 2.0 * pi_c) / draws**2
         mu4 = pi_c * q * (1.0 + (3.0 * draws - 6.0) * pi_c * q) / draws**3
         e_inv = 1.0 / pi_c + mu2 / pi_c**3 - mu3 / pi_c**4 + mu4 / pi_c**5
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     delta = m.ybar_c0 - m.ybar_n0
     return (1.0 - pi_c * e_inv) * delta / (1.0 - p)
 
@@ -318,111 +314,44 @@ class EnumerationResult:
     n_defined: int
 
 
-_FAST_TAGS = ("ITT", "F_HAT", "UNSTRAT")
-
-
-def _assignment_blocks(n: int, n1: int, chunk: int):
+def _assignment_blocks(n: int, n1: int):
     """Every assignment of n1 treated units out of n, in
-    itertools.combinations order, as int8 (R, n) blocks of at most chunk
-    rows."""
+    itertools.combinations order, as int8 (R, n) blocks of at most
+    BLOCK_UNITS // n rows."""
     combos = itertools.combinations(range(n), n1)
-    while idx := list(itertools.islice(combos, chunk)):
+    while idx := list(itertools.islice(combos, max(1, BLOCK_UNITS // n))):
         z = np.zeros((len(idx), n), dtype=np.int8)
         z[np.arange(len(idx))[:, None], np.array(idx, dtype=np.intp)] = 1
         yield z
 
 
-def _enumerate_fast(
-    table: ScienceTable, n1: int, total: int, tag: str
+def _block_values(
+    table: ScienceTable, z: np.ndarray, n1: int, tag: str, config: EstimatorConfig
 ) -> np.ndarray:
-    """Vectorized per-assignment values for the moment-only estimators."""
-    n = table.n
-    n0 = n - n1
-    y1, y0 = table.y1, table.y0
-    d1, d0 = table.d1.astype(np.float64), table.d0.astype(np.float64)
-    sum_y0, sum_d0 = float(y0.sum()), float(d0.sum())
-    values = np.empty(total)
-    base = 0
-    for block in _assignment_blocks(n, n1, 4096):
-        z = block.astype(np.float64)
-        itt = z @ y1 / n1 - (sum_y0 - z @ y0) / n0
-        if tag == "ITT":
-            vals = itt
-        else:
-            f = z @ d1 / n1 - (sum_d0 - z @ d0) / n0
-            if tag == "F_HAT":
-                vals = f
-            else:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    vals = np.where(f != 0.0, itt / f, np.nan)
-        values[base : base + len(z)] = vals
-        base += len(z)
-    return values
+    """Per-assignment values of an estimator tag on a block z of
+    assignments, nan where undefined."""
+    if tag == "UNSTRAT":
+        # the arm-sum closed form: each arm's sum over every row is one matmul
+        n0 = table.n - n1
+        y1, y0 = table.y1, table.y0
+        d1, d0 = table.d1.astype(np.float64), table.d0.astype(np.float64)
+        zf = z.astype(np.float64)
+        itt = zf @ y1 / n1 - (float(y0.sum()) - zf @ y0) / n0
+        f = zf @ d1 / n1 - (float(d0.sum()) - zf @ d0) / n0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(f != 0.0, itt / f, np.nan)
+    r, n = z.shape
+    strata, compliers = (np.broadcast_to(a, (r, n)) for a in (table.strata, table.is_complier))
+    y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
+    block = ObservedBlock(z, d, y, strata, np.full(r, table.num_strata), compliers)
+    return estimate_rows(block, tag, config).est  # nan exactly where the row failed
 
 
-def _enumerate_rows(
-    table: ScienceTable, n1: int, total: int, tag: str, config: EstimatorConfig
-) -> np.ndarray:
-    """Per-assignment values of an estimator tag (nan where undefined),
-    running the estimators' row-wise kernels on blocks of assignments."""
-    n, g = table.n, table.num_strata
-    values = np.empty(total)
-    base = 0
-    for z in _assignment_blocks(n, n1, max(1, BLOCK_UNITS // n)):
-        r = len(z)
-        strata, compliers = (np.broadcast_to(a, (r, n)) for a in (table.strata, table.is_complier))
-        y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
-        block = ObservedBlock(z, d, y, strata, np.full(r, g), compliers)
-        rows = estimate_rows(block, tag, config)
-        values[base : base + r] = rows.est  # nan exactly where the row failed
-        base += r
-    return values
-
-
-def _enumerate_callable(table: ScienceTable, n1: int, total: int, fn) -> np.ndarray:
-    values = np.empty(total)
-    rows = (z for block in _assignment_blocks(table.n, n1, 4096) for z in block)
-    for i, z in enumerate(rows):
-        try:
-            values[i] = fn(science_to_observed(table, z))
-        except EstimationError:
-            values[i] = np.nan
-    return values
-
-
-def enumerate_expectation(
-    table: ScienceTable,
-    p: float,
-    estimator,
-    convention: str | None = None,
-    config: EstimatorConfig = EstimatorConfig(),
-) -> EnumerationResult:
-    """Exact mean and variance of an estimator over every assignment of
-    pN treated units.
-
-    estimator is a tag ("ITT", "F_HAT", "ORACLE", or any estimate() tag)
-    or a callable taking the revealed ObservedSample. Assignments where the
-    estimator raises an estimation error or returns a non-finite value
-    count as undefined; by default (None) any undefined mass raises
-    Infeasible, while convention="condition" averages over the defined ones.
-    The revealed samples are used as-is (no validation), so per-estimator
-    preconditions decide definedness assignment by assignment.
-    """
-    if convention not in (None, "condition"):
-        raise ValueError(f"unknown convention {convention!r}")
-    n = table.n
-    n1 = _treated_count(n, p)
-    total = math.comb(n, n1)
-    if total > ENUMERATION_CAP:
-        raise Infeasible(
-            f"C({n}, {n1}) = {total} assignments exceeds the cap of {ENUMERATION_CAP}"
-        )
-    if callable(estimator):
-        values = _enumerate_callable(table, n1, total, estimator)
-    elif estimator in _FAST_TAGS:
-        values = _enumerate_fast(table, n1, total, estimator)
-    else:
-        values = _enumerate_rows(table, n1, total, estimator, config)
+def _summarize(values: np.ndarray, convention: str | None) -> EnumerationResult:
+    """Mean and variance (by math.fsum) of per-assignment values over the
+    defined (finite) ones. Undefined mass raises Infeasible unless
+    convention is "condition"; no defined value at all always does."""
+    total = len(values)
     defined = np.isfinite(values)
     n_defined = int(defined.sum())
     n_undefined = total - n_defined
@@ -443,3 +372,35 @@ def enumerate_expectation(
         n_assignments=total,
         n_defined=n_defined,
     )
+
+
+def enumerate_expectation(
+    table: ScienceTable,
+    p: float,
+    estimator: str,
+    convention: str | None = None,
+    config: EstimatorConfig = EstimatorConfig(),
+) -> EnumerationResult:
+    """Exact mean and variance of an estimator over every assignment of
+    pN treated units.
+
+    estimator is a tag: one of METHODS, or "ORACLE". UNSTRAT runs its
+    arm-sum closed form on blocks of assignments, and every other tag runs
+    the estimators' row-wise kernels on the revealed blocks, as simulate
+    does. The revealed samples are used as-is (no validation), so
+    per-estimator preconditions decide definedness assignment by
+    assignment. By default (None) any undefined mass raises Infeasible,
+    while convention="condition" averages over the defined assignments.
+    """
+    if convention not in (None, "condition"):
+        raise ValueError(f"unknown convention {convention!r}")
+    check_tags((estimator,), (*METHODS, "ORACLE"))
+    n = table.n
+    n1 = _treated_count(n, p)
+    total = math.comb(n, n1)
+    if total > ENUMERATION_CAP:
+        raise Infeasible(
+            f"C({n}, {n1}) = {total} assignments exceeds the cap of {ENUMERATION_CAP}"
+        )
+    values = [_block_values(table, z, n1, estimator, config) for z in _assignment_blocks(n, n1)]
+    return _summarize(np.concatenate(values), convention)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import subprocess
@@ -20,12 +21,16 @@ from ivstrat.data_model import (
     NEVER_TAKER,
     EmptyBin,
     EmptyFile,
+    EstimationError,
     MalformedRow,
     MissingColumn,
     StratumMoments,
+    _treated_count,
+    science_to_observed,
     stratum_moments,
 )
 from ivstrat.io_cli import DatasetSchema
+from ivstrat.theory import EnumerationResult, _summarize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -356,6 +361,23 @@ def reference_moments(table: ScienceTable, p: float) -> SimpleNamespace:
         setattr(m, f"s2_{name}", _s2(v))
         setattr(m, f"g_s2_{name}", _s2_by_stratum(strata, n_g, v))
     return m
+
+
+def enumerate_loop(table: ScienceTable, p: float, fn, convention=None) -> EnumerationResult:
+    """Independent oracle for theory.enumerate_expectation: fn on the
+    sample each assignment reveals, one assignment at a time in
+    itertools.combinations order (nan where fn raises an EstimationError),
+    summarized by the oracle's own rule."""
+    n = table.n
+    values = []
+    for treated in itertools.combinations(range(n), _treated_count(n, p)):
+        z = np.zeros(n, dtype=np.int8)
+        z[list(treated)] = 1
+        try:
+            values.append(fn(science_to_observed(table, z)))
+        except EstimationError:
+            values.append(math.nan)
+    return _summarize(np.array(values, dtype=np.float64), convention)
 
 
 def _zterm(coef, diff):

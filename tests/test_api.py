@@ -53,7 +53,7 @@ def test_bare_import_resolves_the_lazy_modules():
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("script", ["traced.py", "workloads.py"])
+@pytest.mark.parametrize("script", ["common.py", "traced.py", "workloads.py"])
 def test_benchmark_imports_resolve(script):
     tree = ast.parse((PERFBENCH / script).read_text(), filename=script)
     imported, missing = [], []

@@ -47,7 +47,7 @@ from ivstrat.data_model import (
 from ivstrat.estimators import EstimatorConfig, estimate_rows
 from ivstrat import simulation
 from ivstrat.simulation import ConcentrationConfig, _run_reps
-from helpers import StageRankDeficient, random_sample, tsls_dummies_lstsq
+from helpers import StageRankDeficient, enumerate_loop, random_sample, tsls_dummies_lstsq
 
 
 def _same(a: float, b: float) -> bool:
@@ -354,7 +354,7 @@ def test_blocked_enumeration_matches_per_assignment_loop(seed, k, pa):
     table = ScienceTable.from_arrays(y0[0], y1[0], d0[0], d1[0], strata=labels[0])
     for tag in (t for t in METHODS if t != "UNSTRAT"):  # UNSTRAT has its own closed form
         try:
-            loop = enumerate_expectation(
+            loop = enumerate_loop(
                 table, 0.5, lambda s, tag=tag: estimate(s, tag).estimate, convention="condition"
             )
         except Infeasible:

@@ -21,6 +21,8 @@ from ivstrat import (
 )
 from ivstrat.data_model import TooFewUnits, TwoSidedInput
 from helpers import (
+    _s2_by_stratum,
+    enumerate_loop,
     one_sided_table,
     pooled_moments,
     random_science_table,
@@ -31,6 +33,9 @@ from helpers import (
 )
 
 RNG = np.random.default_rng(20240818)
+TWO_SIDED = ScienceTable.from_arrays(
+    y0=[0.0, 1.0, 2.0, 3.0], y1=[0.5, 1.0, 2.0, 3.0], d0=[0, 1, 0, 0], d1=[1, 1, 0, 0]
+)
 
 
 def random_two_sided_table(rng, n=8):
@@ -41,6 +46,14 @@ def random_two_sided_table(rng, n=8):
     return ScienceTable.from_arrays(
         y0=y0, y1=y1, d0=(ctype == 2).astype(int), d1=(ctype != 0).astype(int)
     )
+
+
+def itt_hat(s):
+    return pooled_moments(s).itt_hat[0]
+
+
+def f_hat(s):
+    return pooled_moments(s).f_hat[0]
 
 
 def var_itt_direct(m):
@@ -91,10 +104,10 @@ def test_enumeration_reproduces_design_expectations():
     # complete-randomization identities: E[ITT_hat] = ITT, E[f_hat] = pi_c
     for seed, p in ((0, 0.5), (1, 0.25), (2, 0.75)):
         t = random_two_sided_table(np.random.default_rng(seed))
-        itt = enumerate_expectation(t, p, "ITT")
+        itt = enumerate_loop(t, p, itt_hat)
         assert itt.mean == pytest.approx(t.itt, rel=1e-13, abs=1e-13)
         assert itt.undefined_mass == 0.0
-        fh = enumerate_expectation(t, p, "F_HAT")
+        fh = enumerate_loop(t, p, f_hat)
         assert fh.mean == pytest.approx(t.pi_c, rel=1e-13, abs=1e-13)
 
 
@@ -103,9 +116,9 @@ def test_enumeration_variances_match_population_formulas():
     for seed in range(6):
         t = random_two_sided_table(np.random.default_rng(seed + 10))
         m = reference_moments(t, 0.5)
-        itt = enumerate_expectation(t, 0.5, "ITT")
+        itt = enumerate_loop(t, 0.5, itt_hat)
         assert itt.variance == pytest.approx(var_itt_direct(m), rel=1e-11, abs=1e-13)
-        fh = enumerate_expectation(t, 0.5, "F_HAT")
+        fh = enumerate_loop(t, 0.5, f_hat)
         assert fh.variance == pytest.approx(var_f_direct(m), rel=1e-11, abs=1e-13)
 
 
@@ -115,7 +128,7 @@ def test_one_sided_uptake_variance_closed_form():
     for p in (0.25, 0.5, 0.75):
         m = reference_moments(t, p)
         closed = m.pi_c * (1 - m.pi_c) * (1 - p) / (p * (t.n - 1))
-        fh = enumerate_expectation(t, p, "F_HAT")
+        fh = enumerate_loop(t, p, f_hat)
         assert fh.variance == pytest.approx(closed, rel=1e-11)
         assert var_f_direct(m) == pytest.approx(closed, rel=1e-12)
 
@@ -132,7 +145,7 @@ def test_first_order_variance_matches_enumeration_exactly():
             pooled = pooled_moments(s)
             return pooled.itt_hat[0] - tau * pooled.f_hat[0]
 
-        mod = enumerate_expectation(t, 0.5, linear)
+        mod = enumerate_loop(t, 0.5, linear)
         assert m.pi_c**2 * asyvar_iv(m) == pytest.approx(
             mod.variance, rel=1e-10, abs=1e-13
         )
@@ -166,6 +179,16 @@ def test_first_order_variances_match_three_term_oracle(seed, one_sided, p):
     # fields computed the same way in both, so they agree bit for bit
     t = random_science_table(np.random.default_rng(seed), one_sided)
     m, ref = moments(t, p), reference_moments(t, p)
+    # the six variance fields, bit for bit, against the bincount oracle on
+    # u = y - cace * d: by stratum, and with every unit in one stratum
+    u1, u0 = t.y1 - ref.cace * t.d1, t.y0 - ref.cace * t.d0
+    one_stratum = np.zeros(t.n, np.intp), np.array([float(t.n)])
+    assert np.array_equal(m.n_g, ref.n_g) and m.n_g.dtype == ref.n_g.dtype
+    for name, u in (("u1", u1), ("u0", u0), ("u01", u1 - u0)):
+        g_s2 = _s2_by_stratum(t.strata, ref.n_g, u)
+        assert np.array_equal(getattr(m, f"g_s2_{name}"), g_s2, equal_nan=True), name
+        s2 = _s2_by_stratum(*one_stratum, u)[0]
+        assert np.array_equal(getattr(m, f"s2_{name}"), s2, equal_nan=True), name
     pairs = [
         (asyvar_iv(m), reference_asyvar_iv(ref)),
         (asyvar_iv_ps(m), reference_asyvar_iv_ps(ref)),
@@ -234,14 +257,10 @@ def test_exact_bias_all_compliers_is_zero():
 
 
 def test_exact_bias_rejects_two_sided():
-    t = ScienceTable.from_arrays(
-        y0=[0.0, 1.0, 2.0, 3.0], y1=[0.5, 1.0, 2.0, 3.0],
-        d0=[0, 1, 0, 0], d1=[1, 1, 0, 0],
-    )
     with pytest.raises(TwoSidedInput):
-        bias_one_sided_exact(t, 0.5)
+        bias_one_sided_exact(TWO_SIDED, 0.5)
     with pytest.raises(TwoSidedInput):
-        bias_one_sided_taylor(moments(t, 0.5))
+        bias_one_sided_taylor(moments(TWO_SIDED, 0.5))
 
 
 def test_taylor_binomial_matches_series_written_directly():
@@ -299,9 +318,7 @@ def test_two_sided_bias_zero_when_groups_align():
 def test_enumeration_fast_and_generic_paths_agree():
     t = random_two_sided_table(np.random.default_rng(4))
     fast = enumerate_expectation(t, 0.5, "UNSTRAT", convention="condition")
-    slow = enumerate_expectation(
-        t, 0.5, lambda s: estimate(s, "UNSTRAT").estimate, convention="condition"
-    )
+    slow = enumerate_loop(t, 0.5, lambda s: estimate(s, "UNSTRAT").estimate, convention="condition")
     assert fast.mean == pytest.approx(slow.mean, rel=1e-13)
     assert fast.variance == pytest.approx(slow.variance, rel=1e-13)
     assert fast.undefined_mass == slow.undefined_mass
@@ -324,6 +341,49 @@ def test_enumeration_cap():
     assert math.comb(44, 22) > ENUMERATION_CAP
     with pytest.raises(Infeasible):
         enumerate_expectation(t, 0.5, "UNSTRAT")
+
+
+def _unknown_tag_cases():
+    tables = {"below-cap": (8, 4), "above-cap": (44, 10)}
+    tags = {"NOPE": "NOPE", "callable": f_hat, "ITT": "ITT", "F_HAT": "F_HAT"}
+    for where, (n, n_c) in tables.items():
+        for name, tag in tags.items():
+            yield pytest.param(
+                lambda n=n, n_c=n_c, tag=tag: enumerate_expectation(
+                    one_sided_table(n=n, n_c=n_c, delta=1.0), 0.5, tag, convention="condition"
+                ),
+                "unknown estimator tags",
+                id=f"enumerate-{name}-{where}",
+            )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *_unknown_tag_cases(),
+        pytest.param(
+            lambda: bias_one_sided_taylor(
+                moments(one_sided_table(n=8, n_c=8, delta=0.0), 0.5), variant="nonsense"
+            ),
+            "unknown variant",
+            id="taylor-variant-all-compliers",
+        ),
+        pytest.param(
+            lambda: bias_one_sided_taylor(moments(TWO_SIDED, 0.5), variant="nonsense"),
+            "unknown variant",
+            id="taylor-variant-two-sided",
+        ),
+        pytest.param(
+            lambda: bias_one_sided_exact(TWO_SIDED, 0.5, convention="nonsense"),
+            "unknown convention",
+            id="exact-convention-two-sided",
+        ),
+    ],
+)
+def test_argument_errors_come_before_data_errors(call, message):
+    # a caller's mistake is refused as such, whatever the table would say
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_enumeration_oracle_tag():
