@@ -137,13 +137,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def first_appearance(
+    labels: np.ndarray, key=None, codes=None, positions=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense codes in order of first appearance, row by row.
 
     labels is an (R, n) integer array. Returns the (R, n) codes, the (R,)
     number of distinct labels per row, and the (R, G) positions of each
     code's first unit, G being the largest count (rows with fewer labels
-    are padded with n).
+    are padded with n). key and codes, (R, n) intp arrays, and positions,
+    np.arange(R * n), may be given to work in: the codes are then written
+    into `codes`, and `key` is overwritten.
     """
     r, n = labels.shape
     if labels.size == 0:
@@ -155,16 +159,18 @@ def first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         _, lab = np.unique(lab.ravel(), return_inverse=True)
         lab, lo, span = lab.reshape(r, n), 0, int(lab.max()) + 1
     rows = np.arange(r)[:, None]
-    key = np.subtract(lab, lo - span * rows).ravel()  # (row, label) cell
+    key = np.subtract(lab, lo - span * rows, out=key).ravel()  # (row, label) cell
     first = np.full(r * span, r * n, dtype=np.intp)
-    np.minimum.at(first, key, np.arange(r * n))
+    np.minimum.at(first, key, np.arange(r * n) if positions is None else positions)
     # each row's cells by first appearance, as flat cell indices
     order = np.argsort(first.reshape(r, span), axis=1, kind="stable") + span * rows
     rank = np.empty(r * span, dtype=np.intp)
     rank[order.ravel()] = np.tile(np.arange(span), r)
     count = (first < r * n).reshape(r, span).sum(axis=1)
     firsts = np.minimum(first[order[:, : int(count.max())]] - n * rows, n)
-    return np.take(rank, key).reshape(r, n), count, firsts
+    # mode "clip" fills `out` without a buffer; every key is a cell
+    codes = np.take(rank, key.reshape(r, n), out=codes, mode="clip")
+    return codes, count, firsts
 
 
 def _binary(a: np.ndarray) -> bool:
@@ -495,7 +501,7 @@ class StratumMoments:
         return StratumMoments(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
 
 
-def block_moments(z, d, y, strata, num_strata: int) -> StratumMoments:
+def block_moments(z, d, y, strata, num_strata: int, work=None) -> StratumMoments:
     """Per-stratum, per-arm moments of R samples in one vectorized pass.
 
     z, d, y and strata are (R, n) arrays, one sample per row (strata may be
@@ -504,27 +510,36 @@ def block_moments(z, d, y, strata, num_strata: int) -> StratumMoments:
     each cell in unit order, so every row is bit-identical to computing that
     sample alone. Two-pass (mean, then centered products) so the s2 and s_yd
     terms do not suffer the cancellation of a sums-of-squares shortcut.
+
+    work, four C-contiguous (R, n) arrays (intp, then three float64) that
+    no argument shares, may be given for the full-size temporaries: the
+    cells, the centred y and d, and their products. None of them is in the
+    result.
     """
     r, g = len(z), num_strata
-    # full-size temporaries are built in place: a fresh (R, n) array costs
-    # more in page faults than the arithmetic that fills it
-    cell = np.add(strata, g * np.arange(r)[:, None], out=np.empty(z.shape, dtype=np.intp))
+    if work is None:
+        work = (np.empty(z.shape, dtype=np.intp), *(np.empty(z.shape) for _ in range(3)))
+    cell = work[0]
+    np.add(strata, g * np.arange(r)[:, None], out=cell)
     cell *= 2
     cell += z
-    cell = cell.ravel()
+    cell, ry, rd, prod = (a.reshape(-1) for a in work)
     y, d = y.ravel(), d.ravel()
     ncells = 2 * g * r
     counts = np.bincount(cell, minlength=ncells).astype(np.float64)
     sum_y = np.bincount(cell, weights=y, minlength=ncells)
-    sum_d = np.bincount(cell, weights=d, minlength=ncells)
+    # skipping d's zeros leaves every cell's sum of d the same, in order
+    taken = np.flatnonzero(d)
+    sum_d = np.bincount(cell[taken], weights=d[taken], minlength=ncells)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_y = sum_y / counts
         mean_d = sum_d / counts
-    ry = np.take(mean_y, cell)
+    # mode "clip" fills `out` without a buffer; every cell is below ncells
+    np.take(mean_y, cell, out=ry, mode="clip")
     np.subtract(y, ry, out=ry)
-    rd = np.take(mean_d, cell)
+    np.take(mean_d, cell, out=rd, mode="clip")
     np.subtract(d, rd, out=rd)
-    prod = ry * rd
+    np.multiply(ry, rd, out=prod)
     ss_yd = np.bincount(cell, weights=prod, minlength=ncells)
     ss_y = np.bincount(cell, weights=np.multiply(ry, ry, out=prod), minlength=ncells)
     ss_d = np.bincount(cell, weights=np.multiply(rd, rd, out=prod), minlength=ncells)
@@ -581,11 +596,14 @@ class ObservedBlock:
     compliers, the (R, n) mask of true compliers, exists only where the
     science table is known; the ORACLE kernel reads its positions. ORACLE is
     the only kernel that reads the units; every other one reads `moments`
-    or `pooled`.
+    or `pooled`. work, block_moments' four (R, n) arrays, is where both of
+    those passes build their temporaries; a block given work is not safe
+    to share across threads.
     """
 
-    def __init__(self, z, d, y, strata, num_strata, compliers=None) -> None:
+    def __init__(self, z, d, y, strata, num_strata, compliers=None, work=None) -> None:
         self.z, self.d, self.y, self.strata, self.compliers = z, d, y, strata, compliers
+        self.work = work
         self.num_strata = np.asarray(num_strata, dtype=np.intp)
         self.n = z.shape[1]
         self.present = np.arange(int(self.num_strata.max())) < self.num_strata[:, None]
@@ -602,12 +620,14 @@ class ObservedBlock:
 
     @functools.cached_property
     def moments(self) -> StratumMoments:
-        return block_moments(self.z, self.d, self.y, self.strata, self.present.shape[1])
+        return block_moments(
+            self.z, self.d, self.y, self.strata, self.present.shape[1], self.work
+        )
 
     @functools.cached_property
     def pooled(self) -> StratumMoments:
         """Moments with every unit in one stratum: (R, 1) fields."""
-        return block_moments(self.z, self.d, self.y, 0, 1)
+        return block_moments(self.z, self.d, self.y, 0, 1, self.work)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,13 @@ _JSON_TYPES = {
 }
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """The dataclass cls's field types, its string annotations resolved
+    once per class."""
+    return get_type_hints(cls)
+
+
 def _json_kwargs(cls, obj, what: str) -> dict:
     """A JSON object as keyword arguments of the dataclass cls, lists made
     tuples. A ValueError names what is refused: a key that is not a field
@@ -128,7 +135,7 @@ def _json_kwargs(cls, obj, what: str) -> dict:
     unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    types = get_type_hints(cls)
+    types = _field_types(cls)
     for key, value in obj.items():
         check, kind = _JSON_TYPES.get(types[key], (lambda v: True, ""))
         if not check(value):

@@ -41,16 +41,21 @@ preallocated per-replication slots in index order, so results are byte
 identical for any block partition, any mix of configs in a block and any
 thread count: each config's metrics equal those it gets run alone.
 Threads run whole blocks and share no state: each returns its block's
-rows, and the calling thread writes them.
+rows, and the calling thread writes them. The calling thread is one of
+them: it runs every threads-th block in buffers that it keeps between
+blocks and between calls, and a pool runs the others in fresh arrays.
+The buffers are per thread, and every block overwrites what it reads of
+them, so blocks still share no state.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,7 +68,6 @@ from .data_model import (
     _treated_count,
     check_science,
     first_appearance,
-    reveal,
 )
 from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, check_tags, estimate_rows
 
@@ -298,47 +302,65 @@ class _Design:
         if self.random_k is not None:
             draws["labels"][i] = rng.integers(0, self.random_k, size=n)
 
-    def outcomes(self, strata, u, noise, complier) -> None:
+    def outcomes(self, strata, u, noise, complier, rate, shift) -> None:
         """Rows drawn from this design, made tables in place: the complier
-        flags go into `complier`, y0 into `noise` and y1 into `u`."""
-        np.less(u, np.take(self.comp_prob, strata), out=complier)
+        flags go into `complier`, y0 into `noise` and y1 into `u`. rate and
+        shift are float rows of the same shape to work in."""
+        # mode "clip" fills `out` without a buffer; every code is below G
+        np.less(u, np.take(self.comp_prob, strata, out=rate, mode="clip"), out=complier)
         if self.noise_sd != 1.0:
             # normal(0, sd) draws 0 + sd * standard_normal: the same but for
             # the sign of a zero, which y0 = noise + (mu + shift) does not keep
             noise *= self.noise_sd
         # y0 = mu + shift * never-taker + noise, y1 = tau * complier + y0
-        y0 = np.take(self.mu_g, strata)
-        y0 += self.never_taker_shift * ~complier
+        y0 = np.take(self.mu_g, strata, out=rate, mode="clip")
+        y0 += np.multiply(self.never_taker_shift, ~complier, out=shift)
         noise += y0
-        # mode "clip" fills `out` without a buffer; every code is below G
         np.take(self.tau_g, strata, out=u, mode="clip")
         u *= complier
         u += noise
 
 
-def _buffers(reps: int, n: int, labels: bool) -> dict[str, np.ndarray]:
-    """Room for the population draws of `reps` replications."""
-    shape = (reps, n)
-    draws = {"strata": np.empty(shape, dtype=np.int64), "u": np.empty(shape),
-             "noise": np.empty(shape)}
-    if labels:
-        draws["labels"] = np.empty(shape, dtype=np.int64)
-    return draws
+class _Buffers:
+    """The unit-sized arrays that a block runs in, for blocks of up to
+    `units` units, and the arange that refills `order`.
+
+    `rows(r, n)` views the first r * n values of each as (r, n). A
+    block's arrays take turns in the slots, each after the last use of
+    the one before it:
+      strata -> the moments' cells      order -> first_appearance's key
+      labels -> codes                   u -> y1 -> the centred y
+      noise -> y0 -> y                  rate, shift -> the centred d, products
+      z
+    """
+
+    _SLOTS = {"strata": np.intp, "order": np.intp, "labels": np.intp, "u": np.float64,
+              "noise": np.float64, "rate": np.float64, "shift": np.float64, "z": np.int8}
+
+    def __init__(self, units: int) -> None:
+        self.units = units
+        self.flat = {name: np.empty(units, dtype) for name, dtype in self._SLOTS.items()}
+        self.positions = np.arange(units)
+        self.positions.setflags(write=False)
+
+    def rows(self, r: int, n: int) -> dict[str, np.ndarray]:
+        views = {name: a[: r * n].reshape(r, n) for name, a in self.flat.items()}
+        views["positions"] = self.positions[: r * n]
+        return views
 
 
-def _assemble(draws: dict[str, np.ndarray], parts) -> tuple[np.ndarray, ...]:
+def _assemble(slots: dict[str, np.ndarray], parts) -> tuple[np.ndarray, ...]:
     """The tables (y0, y1, d0, d1, strata) of a block of draws, one per
-    row, each part (design, rows) made by its own design. It empties
-    `draws`, whose buffers become the tables, so a block's peak memory
-    stays low."""
-    strata, y1, y0 = draws.pop("strata"), draws.pop("u"), draws.pop("noise")
-    labels = draws.pop("labels", None)
+    row, each part (design, rows) made by its own design. The tables are
+    made in the draws' slots: y0 in noise, y1 in u and the labels drawn
+    with random_k in strata."""
+    strata, y1, y0, labels = (slots[name] for name in ("strata", "u", "noise", "labels"))
     is_complier = np.empty(strata.shape, dtype=bool)
     for design, rows in parts:
-        design.outcomes(strata[rows], y1[rows], y0[rows], is_complier[rows])
+        work = (slots["rate"][rows], slots["shift"][rows])
+        design.outcomes(strata[rows], y1[rows], y0[rows], is_complier[rows], *work)
         if design.random_k is not None:
             strata[rows] = labels[rows]
-    del labels
     d1 = is_complier.view(np.int8)
     d0 = np.zeros_like(d1)
     check_science(y0, y1, d0, d1)
@@ -347,9 +369,9 @@ def _assemble(draws: dict[str, np.ndarray], parts) -> tuple[np.ndarray, ...]:
 
 def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
     design = _Design.of(config)
-    draws = _buffers(1, design.n, design.random_k is not None)
-    design.draw(draws, 0, rng)
-    return ScienceTable.from_arrays(*(a[0] for a in _assemble(draws, [(design, slice(0, 1))])))
+    slots = _Buffers(design.n).rows(1, design.n)
+    design.draw(slots, 0, rng)
+    return ScienceTable.from_arrays(*(a[0] for a in _assemble(slots, [(design, slice(0, 1))])))
 
 
 def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> ScienceTable:
@@ -506,17 +528,28 @@ class _Segment(NamedTuple):
     rows: slice
 
 
-def _draw_block(block: list[_Segment]) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """A block's population draws and its (R, n) assignments. Each
-    replication draws its population and then its assignment from its own
-    substream: the block's one generator, reset to the replication's key.
-    Row i of `order` holds its units' flat positions in the block, so
-    `rng.shuffle` of it draws what permutation(n) does, and the first n1
-    units of each row are treated."""
-    n = block[0].job.config.n
-    r = block[-1].rows.stop
-    draws = _buffers(r, n, any(s.job.design.random_k is not None for s in block))
-    order = np.arange(r * n).reshape(r, n)
+def _shape(block: list[_Segment]) -> tuple[int, int]:
+    """A block's (replications, n)."""
+    return block[-1].rows.stop, block[0].job.config.n
+
+
+def _draw_block(
+    block: list[_Segment], slots: dict[str, np.ndarray] | None = None
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """A block's population draws and its (R, n) assignments, in `slots`
+    (`_Buffers.rows`; fresh ones if None). Each replication draws its
+    population and then its assignment from its own substream: the block's
+    one generator, reset to the replication's key. Row i of `order` holds
+    its units' flat positions in the block, so `rng.shuffle` of it draws
+    what permutation(n) does, and the first n1 units of each row are
+    treated."""
+    r, n = _shape(block)
+    if slots is None:
+        slots = _Buffers(r * n).rows(r, n)
+    labels = any(s.job.design.random_k is not None for s in block)
+    draws = {name: slots[name] for name in ("strata", "u", "noise", "labels")[: 3 + labels]}
+    order = slots["order"]
+    np.copyto(order, slots["positions"].reshape(r, n))
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     # a fresh Philox's state: counter 0, an empty buffer and no spare
@@ -531,30 +564,42 @@ def _draw_block(block: list[_Segment]) -> tuple[dict[str, np.ndarray], np.ndarra
             draw(draws, i, rng)
             rng.shuffle(order[i])
             i += 1
-    z = np.zeros((r, n), dtype=np.int8)
+    z = slots["z"]
+    z.fill(0)
     for job, _, rows in block:
         z.reshape(-1)[order[rows, : job.n1]] = 1
     return draws, z
 
 
-def _run_block(block: list[_Segment], est_config: EstimatorConfig) -> _RepStore:
+def _run_block(
+    block: list[_Segment], est_config: EstimatorConfig, buffers: _Buffers | None = None
+) -> _RepStore:
     """A block's rows: draw each replication from its own substream, then
-    reveal and estimate them all at once. It reads its jobs and writes
-    none of them."""
-    draws, z = _draw_block(block)
-    y0, y1, d0, d1, strata = _assemble(draws, [(s.job.design, s.rows) for s in block])
-    codes, num_strata, _ = first_appearance(strata)
-    del strata
-    y, d = reveal(y0, y1, d0, d1, z)
-    # binary uptake without defiers: a complier is a unit with d1 > d0
-    obs = ObservedBlock(z, d, y, codes, num_strata, d1 > d0)
-    compliers = MaskedRows(obs.complier_positions, z.shape)
+    reveal and estimate them all at once, in `buffers` (fresh ones if
+    None). It reads its jobs and writes none of them, and the rows it
+    returns share no memory with the buffers."""
+    r, n = _shape(block)
+    if buffers is None:
+        buffers = _Buffers(r * n)
+    slots = buffers.rows(r, n)
+    _, z = _draw_block(block, slots)
+    y0, y1, _, d1, strata = _assemble(slots, [(s.job.design, s.rows) for s in block])
+    codes, num_strata, _ = first_appearance(
+        strata, key=slots["order"], codes=slots["labels"], positions=slots["positions"]
+    )
+    # every d0 is 0, so the compliers are the units with d1 = 1
+    is_complier = d1.view(bool)
+    compliers = MaskedRows(np.flatnonzero(is_complier), z.shape)
     live = compliers.counts > 0  # truth undefined elsewhere
     effects = compliers.take(y1) - compliers.take(y0)
     truth = compliers.mean_var(effects)[0]
-    del y0, y1, d0, d1  # free the potential outcomes before the estimators run
+    # reveal y where y0 was, and d; y1's slot and the outcome temporaries'
+    # are then free for the moments
+    np.copyto(y0, y1, where=z.view(bool))
+    work = (strata, y1, slots["rate"], slots["shift"])
+    obs = ObservedBlock(z, d1 * z, y0, codes, num_strata, is_complier, work)
     tags = block[0].job.config.estimators
-    rows = _RepStore.empty(len(tags), len(live))
+    rows = _RepStore.empty(len(tags), r)
     rows.truth[live] = truth[live]
     for i, tag in enumerate(tags):
         out = estimate_rows(obs, tag, est_config)
@@ -651,32 +696,66 @@ def _plan(jobs: Sequence[_Job]) -> list[list[_Segment]]:
     return blocks
 
 
+# the buffers that a thread keeps between blocks and between calls
+_kept = threading.local()
+
+
+def _kept_buffers(units: int) -> _Buffers:
+    """This thread's buffers, made at its first block (or remade larger)
+    to hold BLOCK_UNITS units, or `units` if more."""
+    buffers = getattr(_kept, "buffers", None)
+    if buffers is None or buffers.units < units:
+        buffers = _kept.buffers = _Buffers(max(units, BLOCK_UNITS))
+    return buffers
+
+
+def _block_rows(blocks: list[list[_Segment]], threads: int) -> Iterator[_RepStore]:
+    """Each block's rows, in block order. This thread runs every
+    threads-th block, from the first, in the buffers it keeps; a pool of
+    threads - 1 runs the others in fresh arrays."""
+    est_config = EstimatorConfig()
+
+    def own(block: list[_Segment]) -> _RepStore:
+        r, n = _shape(block)
+        return _run_block(block, est_config, _kept_buffers(r * n))
+
+    if threads == 1:
+        yield from map(own, blocks)
+        return
+    # the pool starts no thread unless a block is submitted
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        pending = {
+            i: pool.submit(_run_block, block, est_config)
+            for i, block in enumerate(blocks)
+            if i % threads
+        }
+        for i, block in enumerate(blocks):
+            yield pending.pop(i).result() if i in pending else own(block)
+
+
 def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
     """Every replication of every config, in blocks that `_plan` fills.
-    Blocks run on `threads` threads and return their rows, which this
-    thread writes into each config's slots in block order. A config's
-    slots exist from its first block's rows to its last's, when
-    finish(config, slots) runs; its results come back in config order."""
+    Blocks run on `threads` threads, this one included, and return their
+    rows, which this thread writes into each config's slots in block
+    order. A config's slots exist from its first block's rows to its
+    last's, when finish(config, slots) runs; its results come back in
+    config order."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = [_Job(c) for c in configs]
     blocks = _plan(jobs)
-    run = functools.partial(_run_block, est_config=EstimatorConfig())
-    # the pool starts no thread unless it maps
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parallel = threads > 1 and len(blocks) > 1
-        for block, rows in zip(blocks, (pool.map if parallel else map)(run, blocks)):
-            for job, reps, src in block:
-                if job.store is None:
-                    config = job.config
-                    job.store = _RepStore.empty(len(config.estimators), config.replications)
-                dst = slice(reps.start, reps.stop)
-                job.store.values[..., dst] = rows.values[..., src]
-                job.store.dropped[:, dst] = rows.dropped[:, src]
-                job.store.truth[dst] = rows.truth[src]
-                job.blocks -= 1
-                if not job.blocks:
-                    job.result, job.store = finish(job.config, job.store), None
+    for block, rows in zip(blocks, _block_rows(blocks, threads)):
+        for job, reps, src in block:
+            if job.store is None:
+                config = job.config
+                job.store = _RepStore.empty(len(config.estimators), config.replications)
+            dst = slice(reps.start, reps.stop)
+            job.store.values[..., dst] = rows.values[..., src]
+            job.store.dropped[:, dst] = rows.dropped[:, src]
+            job.store.truth[dst] = rows.truth[src]
+            job.blocks -= 1
+            if not job.blocks:
+                job.result, job.store = finish(job.config, job.store), None
     return [job.result for job in jobs]
 
 

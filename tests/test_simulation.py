@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -443,6 +445,9 @@ def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
 
     def peak(count: int) -> int:
         configs = [make_config(n=60, replications=300, seed=s) for s in range(count)]
+        # this thread's block buffers are made afresh, so they count in
+        # every peak
+        vars(simulation._kept).clear()
         tracemalloc.start()
         try:
             run_grid(configs)
@@ -452,3 +457,70 @@ def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
 
     peak(1)  # leave out allocations made only on a first call
     assert peak(20) < 1.5 * peak(2)
+
+
+def _on_a_new_thread(fn):
+    """fn() run on a thread of its own, which keeps no block buffers yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_kept_buffers_carry_nothing_between_blocks_or_calls(threads, monkeypatch):
+    """A config run after others that leave other shapes, strata counts
+    and design kinds in this thread's buffers writes the bytes it writes
+    on a new thread."""
+    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # 5 blocks of a
+    a = make_config(n=200, num_strata=4, predicts_outcome=True, replications=150, seed=21)
+    b = make_config(n=120, target_pi_c=0.3, random_strata_k=12, replications=70, seed=22)
+    c = ConcentrationConfig(r=0.25, n=150, replications=50, seed=23)
+
+    def text(config) -> str:
+        return metrics_text(run_grid([config], threads)[0])
+
+    first, _, _, again = [text(config) for config in (a, b, c, a)]
+    fresh = _on_a_new_thread(lambda: text(a))
+    assert first == fresh
+    assert again == fresh
+
+
+def _largest_line_allocation(fn) -> int:
+    """The largest rise of traced memory within one line of Python that
+    fn() runs, above its level when the line began. No single allocation
+    is larger, unless its line freed memory before making it."""
+    largest = start = 0
+
+    def trace(frame, event, arg):
+        nonlocal largest, start
+        largest = max(largest, tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return largest
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        make_config(n=2000, target_pi_c=0.05, predicts_compliance=True, predicts_outcome=True,
+                    replications=100, seed=3),
+        ConcentrationConfig(r=0.25, n=500, replications=300, seed=4),
+    ],
+    ids=["scenario", "concentration"],
+)
+def test_a_repeated_call_allocates_no_unit_sized_array(config):
+    """After a first call has made this thread's buffers, a call of
+    several blocks allocates no array as large as one block's (R, n)
+    float64 array."""
+    unit = simulation.BLOCK_UNITS // config.n * config.n * 8
+    run_grid([config])
+    assert len(_plan([_Job(config)])) > 1
+    assert _largest_line_allocation(lambda: run_grid([config])) < unit
