@@ -147,7 +147,8 @@ def first_appearance(
     code's first unit, G being the largest count (rows with fewer labels
     are padded with n). key and codes, (R, n) intp arrays, and positions,
     np.arange(R * n), may be given to work in: the codes are then written
-    into `codes`, and `key` is overwritten.
+    into `codes`, which may be intp labels themselves, and `key` is
+    overwritten.
     """
     r, n = labels.shape
     if labels.size == 0:
@@ -596,14 +597,11 @@ class ObservedBlock:
     compliers, the (R, n) mask of true compliers, exists only where the
     science table is known; the ORACLE kernel reads its positions. ORACLE is
     the only kernel that reads the units; every other one reads `moments`
-    or `pooled`. work, block_moments' four (R, n) arrays, is where both of
-    those passes build their temporaries; a block given work is not safe
-    to share across threads.
+    or `pooled`, which is all that a block made by of_moments holds.
     """
 
-    def __init__(self, z, d, y, strata, num_strata, compliers=None, work=None) -> None:
+    def __init__(self, z, d, y, strata, num_strata, compliers=None) -> None:
         self.z, self.d, self.y, self.strata, self.compliers = z, d, y, strata, compliers
-        self.work = work
         self.num_strata = np.asarray(num_strata, dtype=np.intp)
         self.n = z.shape[1]
         self.present = np.arange(int(self.num_strata.max())) < self.num_strata[:, None]
@@ -613,6 +611,18 @@ class ObservedBlock:
         return cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
                    [sample.num_strata], None if compliers is None else compliers[None])
 
+    @classmethod
+    def of_moments(cls, moments, pooled, num_strata, n: int) -> "ObservedBlock":
+        """A block of R rows of n units that holds only their moments, (R, G)
+        at any G no smaller than a row's stratum count and pooled (R, 1):
+        enough for every kernel but ORACLE."""
+        block = cls.__new__(cls)
+        block.z = block.d = block.y = block.strata = block.compliers = None
+        block.num_strata, block.n = np.asarray(num_strata, dtype=np.intp), n
+        block.present = np.arange(moments.n_g.shape[1]) < block.num_strata[:, None]
+        block.moments, block.pooled = moments, pooled
+        return block
+
     @functools.cached_property
     def complier_positions(self) -> np.ndarray:
         """Flat positions of the true compliers in the (R, n) layout."""
@@ -620,14 +630,12 @@ class ObservedBlock:
 
     @functools.cached_property
     def moments(self) -> StratumMoments:
-        return block_moments(
-            self.z, self.d, self.y, self.strata, self.present.shape[1], self.work
-        )
+        return block_moments(self.z, self.d, self.y, self.strata, self.present.shape[1])
 
     @functools.cached_property
     def pooled(self) -> StratumMoments:
         """Moments with every unit in one stratum: (R, 1) fields."""
-        return block_moments(self.z, self.d, self.y, 0, 1, self.work)
+        return block_moments(self.z, self.d, self.y, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,24 @@ as (p r^3, p r^2, p r, p) across four strata so a single knob r moves the
 design from uninformative (r = 1) to perfectly predictive (r = 0).
 
 The engine's unit of work is a segment, a range of one config's
-replications, and a block is a list of segments of about 64k units in
-all. Configs that share n and estimator tags fill blocks together, in
-config order, so a config smaller than a block shares one with the next.
-Within a block each replication draws its table and assignment from its
-own stream; the block is then revealed, reduced to (R, G) moments in one
-pass and run through every estimator's row-wise kernel at once
-(estimators.estimate_rows), the same code that estimate() runs on one
-sample. A block returns its rows' results and writes nothing else; the
-calling thread copies them into each config's slots in block order, and
-aggregates and frees a config's slots once its last block is written.
+replications. A chunk is a list of segments of at most BLOCK_UNITS units
+in all, and a block a list of chunks whose moment rows, 13 (G + 1)
+values per replication at the largest stratum count G among its configs,
+hold at most BLOCK_UNITS values. Configs that share n and estimator tags
+fill chunks and blocks together, in config order, so a config smaller
+than a block shares one with the next. A block runs in two phases:
+  * per chunk, each replication draws its table and assignment from its
+    own stream; the chunk is revealed, reduced to (R, G) and pooled
+    (R, 1) moments, and run through ORACLE, the one kernel that reads
+    units;
+  * per block, every other estimator's row-wise kernel
+    (estimators.estimate_rows, the same code that estimate() runs on one
+    sample) runs once on the chunks' stacked moments.
+A chunk's rows lacking some of the G codes have empty cells there, which
+the kernels mask out. A block returns its rows' results and writes
+nothing else; the calling thread copies them into each config's slots in
+block order, and aggregates and frees a config's slots once its last
+block is written.
 
 A replication's draws are, in order, what these numpy calls draw from its
 stream, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))):
@@ -26,7 +34,7 @@ integers(0, G, n) or choice(G, n, p=weights), random(n),
 normal(0, sd, n), with random strata integers(0, k, n), and
 permutation(n)[:n1] for the treated units. The engine makes the same bits
 with less per-replication work: it derives the Philox keys of a config's
-replications once per config, resets one generator per block to each
+replications once per config, resets one generator per chunk to each
 replication's key, and draws with calls that skip per-call work (a
 searchsorted of random(n) into the weights' cdf, standard normals scaled
 once per segment, and an in-place shuffle of an arange row).
@@ -36,16 +44,18 @@ substream keyed by (seed, replication index) (Philox; Salmon et al., SC11).
 Its key is numpy's SeedSequence(entropy=seed, spawn_key=(rep,)) key,
 derived once per config, and the block's one generator is reset to that
 key, counter 0 and an empty buffer before the replication draws. Each row
-of a block is computed independently of the others, and aggregation reads
-preallocated per-replication slots in index order, so results are byte
-identical for any block partition, any mix of configs in a block and any
+of a block is computed independently of the others, and of how many
+strata its moments hold, and aggregation reads preallocated
+per-replication slots in index order, so results are byte identical for
+any block or chunk partition, any mix of configs in a block and any
 thread count: each config's metrics equal those it gets run alone.
 Threads run whole blocks and share no state: each returns its block's
 rows, and the calling thread writes them. The calling thread is one of
 them: it runs every threads-th block in buffers that it keeps between
-blocks and between calls, and a pool runs the others in fresh arrays.
-The buffers are per thread, and every block overwrites what it reads of
-them, so blocks still share no state.
+blocks and between calls, and a pool runs each of the others in buffers
+made for that block. A block's chunks take turns in its buffers, and
+every chunk overwrites what it reads of them, so blocks still share no
+state.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -65,7 +75,9 @@ from .data_model import (
     MaskedRows,
     ObservedBlock,
     ScienceTable,
+    StratumMoments,
     _treated_count,
+    block_moments,
     check_science,
     first_appearance,
 )
@@ -322,15 +334,16 @@ class _Design:
 
 
 class _Buffers:
-    """The unit-sized arrays that a block runs in, for blocks of up to
+    """The unit-sized arrays that a chunk runs in, for chunks of up to
     `units` units, and the arange that refills `order`.
 
     `rows(r, n)` views the first r * n values of each as (r, n). A
-    block's arrays take turns in the slots, each after the last use of
+    chunk's arrays take turns in the slots, each after the last use of
     the one before it:
-      strata -> the moments' cells      order -> first_appearance's key
-      labels -> codes                   u -> y1 -> the centred y
-      noise -> y0 -> y                  rate, shift -> the centred d, products
+      strata -> codes                   order -> the treated units' positions
+      labels -> first_appearance's key  u -> y1 -> the centred y
+        -> the moments' cells           noise -> y0 -> y
+      rate, shift -> the centred d, products
       z
     """
 
@@ -521,32 +534,32 @@ class _RepStore:
 
 class _Segment(NamedTuple):
     """The engine's unit of work: replications `reps` of one job, in rows
-    `rows` of the block that holds them."""
+    `rows` of the chunk that holds them."""
 
     job: "_Job"
     reps: range
     rows: slice
 
 
-def _shape(block: list[_Segment]) -> tuple[int, int]:
-    """A block's (replications, n)."""
-    return block[-1].rows.stop, block[0].job.config.n
+def _shape(chunk: list[_Segment]) -> tuple[int, int]:
+    """A chunk's (replications, n)."""
+    return chunk[-1].rows.stop, chunk[0].job.config.n
 
 
 def _draw_block(
-    block: list[_Segment], slots: dict[str, np.ndarray] | None = None
+    chunk: list[_Segment], slots: dict[str, np.ndarray] | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """A block's population draws and its (R, n) assignments, in `slots`
+    """A chunk's population draws and its (R, n) assignments, in `slots`
     (`_Buffers.rows`; fresh ones if None). Each replication draws its
-    population and then its assignment from its own substream: the block's
+    population and then its assignment from its own substream: the chunk's
     one generator, reset to the replication's key. Row i of `order` holds
-    its units' flat positions in the block, so `rng.shuffle` of it draws
+    its units' flat positions in the chunk, so `rng.shuffle` of it draws
     what permutation(n) does, and the first n1 units of each row are
     treated."""
-    r, n = _shape(block)
+    r, n = _shape(chunk)
     if slots is None:
         slots = _Buffers(r * n).rows(r, n)
-    labels = any(s.job.design.random_k is not None for s in block)
+    labels = any(s.job.design.random_k is not None for s in chunk)
     draws = {name: slots[name] for name in ("strata", "u", "noise", "labels")[: 3 + labels]}
     order = slots["order"]
     np.copyto(order, slots["positions"].reshape(r, n))
@@ -556,7 +569,7 @@ def _draw_block(
     # 32-bit word; each replication starts from it with its own key
     state = bit_generator.state
     i = 0
-    for job, reps, _ in block:
+    for job, reps, _ in chunk:
         draw = job.design.draw
         for key in job.keys[reps.start : reps.stop].tolist():
             state["state"]["key"] = key
@@ -566,48 +579,86 @@ def _draw_block(
             i += 1
     z = slots["z"]
     z.fill(0)
-    for job, _, rows in block:
+    for job, _, rows in chunk:
         z.reshape(-1)[order[rows, : job.n1]] = 1
     return draws, z
 
 
-def _run_block(
-    block: list[_Segment], est_config: EstimatorConfig, buffers: _Buffers | None = None
-) -> _RepStore:
-    """A block's rows: draw each replication from its own substream, then
-    reveal and estimate them all at once, in `buffers` (fresh ones if
-    None). It reads its jobs and writes none of them, and the rows it
-    returns share no memory with the buffers."""
-    r, n = _shape(block)
-    if buffers is None:
-        buffers = _Buffers(r * n)
-    slots = buffers.rows(r, n)
-    _, z = _draw_block(block, slots)
-    y0, y1, _, d1, strata = _assemble(slots, [(s.job.design, s.rows) for s in block])
+def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int):
+    """What a chunk computes from its units, in `slots` (`_Buffers.rows`):
+    each replication drawn from its own substream and revealed, as an
+    ObservedBlock; each row's realized complier effect, nan without
+    compliers; and the rows' moments at `width` strata and pooled."""
+    _, z = _draw_block(chunk, slots)
+    y0, y1, _, d1, strata = _assemble(slots, [(s.job.design, s.rows) for s in chunk])
+    # the codes replace the labels, and `order` keeps the treated positions
     codes, num_strata, _ = first_appearance(
-        strata, key=slots["order"], codes=slots["labels"], positions=slots["positions"]
+        strata, key=slots["labels"], codes=strata, positions=slots["positions"]
     )
     # every d0 is 0, so the compliers are the units with d1 = 1
-    is_complier = d1.view(bool)
-    compliers = MaskedRows(np.flatnonzero(is_complier), z.shape)
-    live = compliers.counts > 0  # truth undefined elsewhere
-    effects = compliers.take(y1) - compliers.take(y0)
-    truth = compliers.mean_var(effects)[0]
-    # reveal y where y0 was, and d; y1's slot and the outcome temporaries'
-    # are then free for the moments
-    np.copyto(y0, y1, where=z.view(bool))
-    work = (strata, y1, slots["rate"], slots["shift"])
-    obs = ObservedBlock(z, d1 * z, y0, codes, num_strata, is_complier, work)
-    tags = block[0].job.config.estimators
-    rows = _RepStore.empty(len(tags), r)
-    rows.truth[live] = truth[live]
+    obs = ObservedBlock(z, d1 * z, y0, codes, num_strata, d1.view(bool))
+    compliers = MaskedRows(obs.complier_positions, z.shape)
+    truth = compliers.mean_var(compliers.take(y1) - compliers.take(y0))[0]
+    # reveal y where y0 was: y1 at each row's treated units, a row at a
+    # time, so that no index or value array is copied whole
+    y, y1_flat = y0.reshape(-1), y1.reshape(-1)
+    for job, _, rows in chunk:
+        for treated in slots["order"][rows, : job.n1]:
+            y[treated] = y1_flat[treated]
+    # the key's slot, y1's and the outcome temporaries' are free for the moments
+    work = (slots["labels"], y1, slots["rate"], slots["shift"])
+    moments = block_moments(z, obs.d, y0, codes, width, work)
+    return obs, truth, moments, block_moments(z, obs.d, y0, 0, 1, work)
+
+
+def _stack(parts: list[StratumMoments]) -> StratumMoments:
+    """Moments of consecutive rows, stacked in order."""
+    return StratumMoments(
+        *(np.concatenate([getattr(m, f.name) for m in parts]) for f in fields(StratumMoments))
+    )
+
+
+def _write(rows: _RepStore, i: int, out, at: slice, num_strata: np.ndarray) -> None:
+    """Tag i's results `out` written into rows `at`, where those rows have
+    compliers and the estimator did not fail."""
+    ok = ~np.isnan(rows.truth[at]) & ~out.failed
+    results = (out.est, out.se_bloom, out.se_delta, out.n_used)
+    for field, result in zip(rows.values[:, i, at], results):
+        field[ok] = result[ok]
+    rows.dropped[i, at] = ok & (out.kept.sum(axis=1) < num_strata)
+
+
+def _run_block(
+    block: list[list[_Segment]],
+    est_config: EstimatorConfig,
+    buffers_for: Callable[[int], _Buffers] = _Buffers,
+) -> _RepStore:
+    """A block's rows: each chunk's unit phase in turn, in the buffers that
+    buffers_for(units) gives for its largest chunk, then every tag but ORACLE
+    once on the chunks' stacked moments. It reads its jobs and writes none
+    of them, and the rows it returns share no memory with the buffers."""
+    config = block[0][0].job.config
+    sizes = [_shape(chunk)[0] for chunk in block]
+    buffers = buffers_for(max(sizes) * config.n)
+    width = max(s.job.width for chunk in block for s in chunk)
+    tags = config.estimators
+    oracle = tags.index("ORACLE") if "ORACLE" in tags else None
+    rows = _RepStore.empty(len(tags), sum(sizes))
+    parts, start = [], 0
+    for chunk, r in zip(block, sizes):
+        obs, truth, *moments = _unit_phase(chunk, buffers.rows(r, config.n), width)
+        at = slice(start, start + r)
+        start += r
+        rows.truth[at] = truth
+        if oracle is not None:
+            _write(rows, oracle, estimate_rows(obs, "ORACLE", est_config), at, obs.num_strata)
+        parts.append((*moments, obs.num_strata))
+    moments, pooled, num_strata = zip(*parts)
+    num_strata = np.concatenate(num_strata)
+    obs = ObservedBlock.of_moments(_stack(moments), _stack(pooled), num_strata, config.n)
     for i, tag in enumerate(tags):
-        out = estimate_rows(obs, tag, est_config)
-        ok = live & ~out.failed
-        results = (out.est, out.se_bloom, out.se_delta, out.n_used)
-        for field, result in zip(rows.values[:, i], results):
-            field[ok] = result[ok]
-        rows.dropped[i] = ok & (out.kept.sum(axis=1) < num_strata)
+        if i != oracle:
+            _write(rows, i, estimate_rows(obs, tag, est_config), slice(None), num_strata)
     return rows
 
 
@@ -661,39 +712,71 @@ class _Job:
         self.config = config
         self.design = _Design.of(config)
         self.n1 = _treated_count(config.n, config.p_treat)  # the config checked it
+        # the most strata a replication can have
+        self.width = self.design.random_k or self.design.num_strata
         # row i: replication i's Philox key
         self.keys = _philox_keys(int(config.seed), range(config.replications))
-        self.blocks = 0  # blocks holding some of its replications, not yet run
+        self.segments = 0  # segments of its replications not yet written
         self.store: _RepStore | None = None
         self.result = None
 
 
-def _plan(jobs: Sequence[_Job]) -> list[list[_Segment]]:
-    """Blocks of as many replications as fit in BLOCK_UNITS units, with
-    each job's count of them. The jobs that share n and estimator tags fill
-    blocks together, in job order, so a job's replications span
-    consecutive blocks."""
+def _cut(pieces: list[tuple[_Job, range]], size: int) -> list[list[_Segment]]:
+    """Consecutive (job, replications) pieces cut into chunks of `size`
+    replications, the last perhaps fewer, each a list of segments."""
+    chunks, chunk, used = [], [], 0
+    for job, reps in pieces:
+        start = reps.start
+        while start < reps.stop:
+            stop = min(reps.stop, start + size - used)
+            chunk.append(_Segment(job, range(start, stop), slice(used, used + stop - start)))
+            job.segments += 1
+            used += stop - start
+            start = stop
+            if used == size:
+                chunks.append(chunk)
+                chunk, used = [], 0
+    return chunks + [chunk] if chunk else chunks
+
+
+def _plan(jobs: Sequence[_Job]) -> list[list[list[_Segment]]]:
+    """Blocks of chunks. A chunk holds as many replications as fit in
+    BLOCK_UNITS units, and a block as many as keep their moment rows, at
+    the largest stratum count G of its jobs, within BLOCK_UNITS values:
+    13 (G + 1) per replication, (R, G) and pooled (R, 1) for each field.
+    The jobs that share n and estimator tags fill blocks together, in job
+    order, so a job's replications span consecutive chunks and blocks."""
     groups: dict[tuple, list[_Job]] = {}
     for job in jobs:
         groups.setdefault((job.config.n, job.config.estimators), []).append(job)
+    per_stratum = len(fields(StratumMoments))
     blocks = []
     for (n, _), group in groups.items():
-        size = max(1, BLOCK_UNITS // n)
-        block, used = [], 0
+        chunk = max(1, BLOCK_UNITS // n)
+        pieces, width, used = [], 0, 0  # the block being filled
         for job in group:
             start, reps = 0, job.config.replications
             while start < reps:
-                stop = min(reps, start + size - used)
-                block.append(_Segment(job, range(start, stop), slice(used, used + stop - start)))
-                job.blocks += 1
-                used += stop - start
-                start = stop
-                if used == size:
-                    blocks.append(block)
-                    block, used = [], 0
-        if block:
-            blocks.append(block)
+                size = max(1, BLOCK_UNITS // (per_stratum * (max(width, job.width) + 1)))
+                if used < size:
+                    stop = min(reps, start + size - used)
+                    pieces.append((job, range(start, stop)))
+                    width, used, start = max(width, job.width), used + stop - start, stop
+                if used >= size:  # full, or too full for this job's strata
+                    blocks.append(_cut(pieces, chunk))
+                    pieces, width, used = [], 0, 0
+        if pieces:
+            blocks.append(_cut(pieces, chunk))
     return blocks
+
+
+def _block_segments(block: list[list[_Segment]]) -> Iterator[_Segment]:
+    """A block's segments, in order, with rows counted in the block."""
+    base = 0
+    for chunk in block:
+        for job, reps, rows in chunk:
+            yield _Segment(job, reps, slice(base + rows.start, base + rows.stop))
+        base += _shape(chunk)[0]
 
 
 # the buffers that a thread keeps between blocks and between calls
@@ -709,15 +792,14 @@ def _kept_buffers(units: int) -> _Buffers:
     return buffers
 
 
-def _block_rows(blocks: list[list[_Segment]], threads: int) -> Iterator[_RepStore]:
+def _block_rows(blocks: list[list[list[_Segment]]], threads: int) -> Iterator[_RepStore]:
     """Each block's rows, in block order. This thread runs every
     threads-th block, from the first, in the buffers it keeps; a pool of
-    threads - 1 runs the others in fresh arrays."""
+    threads - 1 runs the others, each in buffers made for it."""
     est_config = EstimatorConfig()
 
-    def own(block: list[_Segment]) -> _RepStore:
-        r, n = _shape(block)
-        return _run_block(block, est_config, _kept_buffers(r * n))
+    def own(block: list[list[_Segment]]) -> _RepStore:
+        return _run_block(block, est_config, _kept_buffers)
 
     if threads == 1:
         yield from map(own, blocks)
@@ -745,7 +827,7 @@ def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
     jobs = [_Job(c) for c in configs]
     blocks = _plan(jobs)
     for block, rows in zip(blocks, _block_rows(blocks, threads)):
-        for job, reps, src in block:
+        for job, reps, src in _block_segments(block):
             if job.store is None:
                 config = job.config
                 job.store = _RepStore.empty(len(config.estimators), config.replications)
@@ -753,8 +835,8 @@ def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
             job.store.values[..., dst] = rows.values[..., src]
             job.store.dropped[:, dst] = rows.dropped[:, src]
             job.store.truth[dst] = rows.truth[src]
-            job.blocks -= 1
-            if not job.blocks:
+            job.segments -= 1
+            if not job.segments:
                 job.result, job.store = finish(job.config, job.store), None
     return [job.result for job in jobs]
 

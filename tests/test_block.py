@@ -4,10 +4,13 @@ against independent oracles.
 * Every estimator run on a block of R samples gives, row by row, the
   bit-identical result (or the same exception) of estimate() /
   oracle_complier_dim on that sample alone.
+* Every method but ORACLE gives the same rows on moments held at more
+  strata than the block has.
 * The simulation's per-replication slots do not depend on how the
-  replications are cut into blocks, which other configs share those
-  blocks, or how the blocks are spread over threads. A block returns its
-  rows, in any order it runs, and writes nothing into the jobs it reads.
+  replications are cut into blocks and chunks, which other configs share
+  those blocks, or how the blocks are spread over threads. A block
+  returns its rows, in any order it runs, and writes nothing into the
+  jobs it reads.
 * Exact enumeration over blocks of assignments equals the loop that runs
   estimate() assignment by assignment.
 * The closed-form TSLS_DUMMY matches a least-squares 2SLS within 1e-12.
@@ -16,6 +19,7 @@ against independent oracles.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -39,7 +43,9 @@ from ivstrat.data_model import (
     MaskedRows,
     ObservedBlock,
     ObservedSample,
+    StratumMoments,
     _dense_codes,
+    block_moments,
     first_appearance,
     reveal,
     science_to_observed,
@@ -203,6 +209,36 @@ def test_methods_read_only_the_moments(seed, reps, n, k, pc):
             (type(e), str(e)) for e in want.causes], tag
 
 
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reps=st.integers(1, 6),
+    n=st.integers(4, 48),
+    k=st.integers(1, 12),
+    pc=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+    extra=st.integers(1, 5),
+)
+def test_kernels_do_not_depend_on_the_moments_width(seed, reps, n, k, pc, extra):
+    """Every method but ORACLE, run on a block of moments alone held at
+    more strata than any row has, gives the rows it gives on the block
+    itself byte for byte, with the extra strata not kept."""
+    labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
+    codes, num_strata, _ = first_appearance(labels)
+    y, d = reveal(y0, y1, d0, d1, z)
+    g = int(num_strata.max())
+    wide = ObservedBlock.of_moments(
+        block_moments(z, d, y, codes, g + extra), block_moments(z, d, y, 0, 1), num_strata, n
+    )
+    for tag in METHODS:
+        want = estimate_rows(ObservedBlock(z, d, y, codes, num_strata), tag)
+        got = estimate_rows(wide, tag)
+        for field in ("est", "f_hat", "n_used", "se_bloom", "se_delta", "code"):
+            a, b = getattr(want, field), getattr(got, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (tag, field)
+        assert np.array_equal(got.kept[:, :g], want.kept), tag
+        assert not got.kept[:, g:].any(), tag
+
+
 @settings(max_examples=25)
 @given(
     labels=st.lists(st.integers(-3, 40), min_size=1, max_size=60),
@@ -247,6 +283,22 @@ def _run_slots(configs, units: int, threads: int) -> list[dict]:
         return _run_reps(configs, threads, _slots)
 
 
+def _plan(configs, units: int) -> list:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "BLOCK_UNITS", units)
+        return simulation._plan([simulation._Job(config) for config in configs])
+
+
+def _whole(config) -> int:
+    """Units enough to run config alone in one chunk of one block."""
+    width = simulation._Job(config).width
+    return config.replications * max(config.n, len(fields(StratumMoments)) * (width + 1))
+
+
+# a run of several blocks, of which one has several chunks
+SPLIT = dict(which=list(range(len(CONFIGS))), units=2400, threads=3)
+
+
 @settings(max_examples=20)
 @given(
     which=st.lists(st.integers(0, len(CONFIGS) - 1), min_size=1, unique=True),
@@ -255,15 +307,26 @@ def _run_slots(configs, units: int, threads: int) -> list[dict]:
 )
 @example(which=list(range(len(CONFIGS))), units=1000, threads=3)
 @example(which=[3, 0, 6, 4], units=40 * 60, threads=1)
+@example(**SPLIT)
 def test_rep_store_slots_do_not_depend_on_block_partition(which, units, threads):
-    """Each config's slots, run with others in blocks of any size, equal
-    those it gets run alone in one block."""
+    """Each config's slots, run with others in blocks and chunks of any
+    size, equal those it gets run alone in one block of one chunk."""
     configs = [CONFIGS[i] for i in which]
     for config, parts in zip(configs, _run_slots(configs, units, threads)):
-        (whole,) = _run_slots([config], config.replications * config.n, 1)
+        ((_,),) = _plan([config], _whole(config))
+        (whole,) = _run_slots([config], _whole(config), 1)
         assert whole.keys() == parts.keys()
         for name, values in whole.items():
             assert np.array_equal(values, parts[name], equal_nan=values.dtype.kind == "f"), name
+
+
+def test_partition_examples_split_blocks_and_chunks():
+    """The partition test's SPLIT example runs several blocks, one of them
+    of several chunks, and the blocks mix configs."""
+    blocks = _plan([CONFIGS[i] for i in SPLIT["which"]], SPLIT["units"])
+    assert len(blocks) >= 2
+    assert max(len(block) for block in blocks) >= 2
+    assert any(len({id(s.job) for chunk in block for s in chunk}) > 1 for block in blocks)
 
 
 def test_blocks_return_their_rows_and_write_no_job():
@@ -274,7 +337,7 @@ def test_blocks_return_their_rows_and_write_no_job():
         mp.setattr(simulation, "BLOCK_UNITS", 1000)
         jobs = [simulation._Job(config) for config in CONFIGS]
         blocks = simulation._plan(jobs)
-    assert any(len({id(s.job) for s in block}) > 1 for block in blocks)
+    assert any(len({id(s.job) for chunk in block for s in chunk}) > 1 for block in blocks)
     before = [dict(vars(job)) for job in jobs]
     rows = [simulation._run_block(block, EstimatorConfig()) for block in reversed(blocks)]
     for job, was in zip(jobs, before):
@@ -284,7 +347,7 @@ def test_blocks_return_their_rows_and_write_no_job():
     stores = {job: simulation._RepStore.empty(len(job.config.estimators),
                                               job.config.replications) for job in jobs}
     for block, got in zip(blocks, reversed(rows)):
-        for job, reps, src in block:
+        for job, reps, src in simulation._block_segments(block):
             store, dst = stores[job], slice(reps.start, reps.stop)
             store.values[..., dst] = got.values[..., src]
             store.dropped[:, dst] = got.dropped[:, src]

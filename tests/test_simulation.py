@@ -407,8 +407,8 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", Philox)
     job = _Job(config)
-    (block,) = _plan([job])
-    draws, z = _draw_block(block)
+    ((chunk,),) = _plan([job])
+    draws, z = _draw_block(chunk)
     monkeypatch.undo()
     (bit_generator,) = made
     # each replication's state after its draws: the one its successor's
@@ -439,9 +439,12 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
 
 
 def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
-    # blocks of 100 replications, so that the slots set the peak; all 20
-    # configs' slots kept to the end would about quadruple it
-    monkeypatch.setattr(simulation, "BLOCK_UNITS", 100 * 60)
+    # blocks of 100 replications in one chunk each (their moment rows, 13
+    # (G + 1) values each at G = 4, fill BLOCK_UNITS), so that the slots
+    # set the peak; all 20 configs' slots kept to the end would about
+    # triple it
+    monkeypatch.setattr(simulation, "BLOCK_UNITS", 100 * 13 * 5)
+    assert _chunk_sizes([make_config(n=60, replications=300)]) == [[100]] * 3
 
     def peak(count: int) -> int:
         configs = [make_config(n=60, replications=300, seed=s) for s in range(count)]
@@ -470,7 +473,7 @@ def test_kept_buffers_carry_nothing_between_blocks_or_calls(threads, monkeypatch
     """A config run after others that leave other shapes, strata counts
     and design kinds in this thread's buffers writes the bytes it writes
     on a new thread."""
-    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # 5 blocks of a
+    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # 5 chunks of a, in 2 blocks
     a = make_config(n=200, num_strata=4, predicts_outcome=True, replications=150, seed=21)
     b = make_config(n=120, target_pi_c=0.3, random_strata_k=12, replications=70, seed=22)
     c = ConcentrationConfig(r=0.25, n=150, replications=50, seed=23)
@@ -518,9 +521,31 @@ def _largest_line_allocation(fn) -> int:
 )
 def test_a_repeated_call_allocates_no_unit_sized_array(config):
     """After a first call has made this thread's buffers, a call of
-    several blocks allocates no array as large as one block's (R, n)
+    several chunks allocates no array as large as one chunk's (R, n)
     float64 array."""
     unit = simulation.BLOCK_UNITS // config.n * config.n * 8
     run_grid([config])
-    assert len(_plan([_Job(config)])) > 1
+    assert sum(len(block) for block in _plan([_Job(config)])) > 1
     assert _largest_line_allocation(lambda: run_grid([config])) < unit
+
+
+def _chunk_sizes(configs) -> list[list[int]]:
+    """Each planned block's chunk sizes, in replications."""
+    return [[chunk[-1].rows.stop for chunk in block] for block in _plan([_Job(c) for c in configs])]
+
+
+def test_sim_n2000_config_runs_as_one_block_of_four_chunks():
+    """The benchmark's n=2000 config: chunks of 32 replications fill
+    BLOCK_UNITS units, and all 100 replications' moment rows fit in one
+    block, so every kernel but ORACLE runs once per call."""
+    config = ScenarioConfig(n=2000, num_strata=4, target_pi_c=0.05, predicts_compliance=True,
+                            predicts_outcome=True, replications=100, seed=1)
+    assert _chunk_sizes([config]) == [[32, 32, 32, 4]]
+
+
+def test_quick_grid_plans_blocks_for_every_thread():
+    """`grid --quick` plans at least 3 blocks, so that its runs at 2 and at
+    3 threads put blocks on the pool."""
+    sizes = _chunk_sizes(default_grid(replications=100, seed=3, n_values=(500,)))
+    assert len(sizes) >= 3
+    assert sum(map(sum, sizes)) == 72 * 100
