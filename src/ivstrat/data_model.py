@@ -392,7 +392,10 @@ class MaskedRows:
         # each entry's offset from where its row starts in positions to
         # where it starts in index
         shift = np.repeat(np.add.accumulate(counts)[order] - ends, sizes)
-        self.index = positions[shift + np.arange(len(positions))]
+        # entries gathered at `positions`, in their order, are in index
+        # order at entry_order
+        self.entry_order = shift + np.arange(len(positions))
+        self.index = positions[self.entry_order]
         cuts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), r]
         starts = [0, *ends.tolist()]  # where each row, in count order, starts in index
         # (first row, last row + 1, first entry, entries per row), in order
@@ -502,36 +505,52 @@ class StratumMoments:
         return StratumMoments(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
 
 
-def block_moments(z, d, y, strata, num_strata: int, work=None) -> StratumMoments:
-    """Per-stratum, per-arm moments of R samples in one vectorized pass.
+def block_moments(
+    z, d, y, strata, num_strata: int, work=None
+) -> tuple[StratumMoments, StratumMoments]:
+    """Per-stratum, per-arm moments of R samples in one vectorized call:
+    (R, G) fields with G = num_strata, and pooled (R, 1) fields with every
+    unit in one stratum.
 
-    z, d, y and strata are (R, n) arrays, one sample per row (strata may be
-    a scalar code shared by every unit); the result's fields are (R, G) with
-    G = num_strata. One bincount over the cell index rep*2G + 2g + z sums
-    each cell in unit order, so every row is bit-identical to computing that
-    sample alone. Two-pass (mean, then centered products) so the s2 and s_yd
-    terms do not suffer the cancellation of a sums-of-squares shortcut.
+    z, d, y and strata are (R, n) arrays, one sample per row, and d is
+    integer-valued. Each pass runs one bincount per sum over a cell index
+    (rep*2G + 2g + z, then rep*2 + z), which sums each cell in unit order,
+    so every row is bit-identical to computing that sample alone. The
+    pooled counts and d sums are the stratified ones added over strata,
+    which is exact. Two-pass (mean, then centered products) so the s2 and
+    s_yd terms do not suffer the cancellation of a sums-of-squares shortcut.
 
     work, four C-contiguous (R, n) arrays (intp, then three float64) that
     no argument shares, may be given for the full-size temporaries: the
-    cells, the centred y and d, and their products. None of them is in the
-    result.
+    cells, d as float and then the cross products, and the centred y and
+    d, squared in place. None of them is in the result.
     """
     r, g = len(z), num_strata
     if work is None:
         work = (np.empty(z.shape, dtype=np.intp), *(np.empty(z.shape) for _ in range(3)))
-    cell = work[0]
-    np.add(strata, g * np.arange(r)[:, None], out=cell)
+    rows = np.arange(r)[:, None]
+    np.add(strata, g * rows, out=work[0])
+    cell, prod, ry, rd = (a.reshape(-1) for a in work)
     cell *= 2
-    cell += z
-    cell, ry, rd, prod = (a.reshape(-1) for a in work)
+    cell += z.ravel()
     y, d = y.ravel(), d.ravel()
+    np.copyto(prod, d)
+    counts = np.bincount(cell, minlength=2 * g * r).astype(np.float64)
+    sum_d = np.bincount(cell, weights=prod, minlength=2 * g * r)
+    arrays = (cell, y, d, prod, ry, rd)
+    moments = _cell_moments(counts, sum_d, *arrays, r, g)
+    if g == 1:
+        return moments, moments
+    np.add(z, 2 * rows, out=work[0])
+    pooled = (a.reshape(r, g, 2).sum(axis=1).ravel() for a in (counts, sum_d))
+    return moments, _cell_moments(*pooled, *arrays, r, 1)
+
+
+def _cell_moments(counts, sum_d, cell, y, d, prod, ry, rd, r: int, g: int) -> StratumMoments:
+    """block_moments' pass over the cells in `cell`, given each cell's
+    count and sum of d."""
     ncells = 2 * g * r
-    counts = np.bincount(cell, minlength=ncells).astype(np.float64)
     sum_y = np.bincount(cell, weights=y, minlength=ncells)
-    # skipping d's zeros leaves every cell's sum of d the same, in order
-    taken = np.flatnonzero(d)
-    sum_d = np.bincount(cell[taken], weights=d[taken], minlength=ncells)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_y = sum_y / counts
         mean_d = sum_d / counts
@@ -540,10 +559,9 @@ def block_moments(z, d, y, strata, num_strata: int, work=None) -> StratumMoments
     np.subtract(y, ry, out=ry)
     np.take(mean_d, cell, out=rd, mode="clip")
     np.subtract(d, rd, out=rd)
-    np.multiply(ry, rd, out=prod)
-    ss_yd = np.bincount(cell, weights=prod, minlength=ncells)
-    ss_y = np.bincount(cell, weights=np.multiply(ry, ry, out=prod), minlength=ncells)
-    ss_d = np.bincount(cell, weights=np.multiply(rd, rd, out=prod), minlength=ncells)
+    ss_yd = np.bincount(cell, weights=np.multiply(ry, rd, out=prod), minlength=ncells)
+    ss_y = np.bincount(cell, weights=np.multiply(ry, ry, out=ry), minlength=ncells)
+    ss_d = np.bincount(cell, weights=np.multiply(rd, rd, out=rd), minlength=ncells)
     dof = counts - 1.0
     with np.errstate(invalid="ignore", divide="ignore"):
         s2_y = np.where(dof >= 1, ss_y / dof, np.nan)
@@ -576,7 +594,7 @@ def block_moments(z, d, y, strata, num_strata: int, work=None) -> StratumMoments
 def stratum_moments(sample: ObservedSample) -> StratumMoments:
     """All per-stratum, per-arm moments of one sample: block_moments with
     R = 1, fields indexed by dense stratum code."""
-    m = block_moments(
+    m, _ = block_moments(
         sample.z[None], sample.d[None], sample.y[None], sample.strata[None], sample.num_strata
     )
     return m.map(lambda a: a[0])
@@ -595,9 +613,11 @@ class ObservedBlock:
     its (R, G) moments pad the codes it lacks with empty cells, which
     `present` masks out. A single ObservedSample is the R = 1 case (of).
     compliers, the (R, n) mask of true compliers, exists only where the
-    science table is known; the ORACLE kernel reads its positions. ORACLE is
-    the only kernel that reads the units; every other one reads `moments`
-    or `pooled`, which is all that a block made by of_moments holds.
+    science table is known; the ORACLE kernel reads `complier_entries`, the
+    compliers' flat positions, z, y and stratum codes. ORACLE is the only
+    kernel that reads units; every other one reads `moments` or `pooled`,
+    which with the complier entries is all that a block made by of_moments
+    holds.
     """
 
     def __init__(self, z, d, y, strata, num_strata, compliers=None) -> None:
@@ -612,30 +632,39 @@ class ObservedBlock:
                    [sample.num_strata], None if compliers is None else compliers[None])
 
     @classmethod
-    def of_moments(cls, moments, pooled, num_strata, n: int) -> "ObservedBlock":
+    def of_moments(cls, moments, pooled, num_strata, n: int, complier_entries=None):
         """A block of R rows of n units that holds only their moments, (R, G)
-        at any G no smaller than a row's stratum count and pooled (R, 1):
-        enough for every kernel but ORACLE."""
+        at any G no smaller than a row's stratum count and pooled (R, 1),
+        and perhaps its complier entries: enough for every kernel."""
         block = cls.__new__(cls)
         block.z = block.d = block.y = block.strata = block.compliers = None
         block.num_strata, block.n = np.asarray(num_strata, dtype=np.intp), n
         block.present = np.arange(moments.n_g.shape[1]) < block.num_strata[:, None]
-        block.moments, block.pooled = moments, pooled
+        block._moments, block.complier_entries = (moments, pooled), complier_entries
         return block
 
     @functools.cached_property
-    def complier_positions(self) -> np.ndarray:
-        """Flat positions of the true compliers in the (R, n) layout."""
-        return np.flatnonzero(self.compliers)
+    def complier_entries(self) -> tuple[np.ndarray, ...] | None:
+        """The true compliers' flat positions in the (R, n) layout, in order,
+        and their z, y and stratum codes; None without a complier mask."""
+        if self.compliers is None:
+            return None
+        at = np.flatnonzero(self.compliers)
+        row, col = np.divmod(at, self.n)
+        return (at, *(a[row, col] for a in (self.z, self.y, self.strata)))
 
     @functools.cached_property
-    def moments(self) -> StratumMoments:
+    def _moments(self) -> tuple[StratumMoments, StratumMoments]:
         return block_moments(self.z, self.d, self.y, self.strata, self.present.shape[1])
 
-    @functools.cached_property
+    @property
+    def moments(self) -> StratumMoments:
+        return self._moments[0]
+
+    @property
     def pooled(self) -> StratumMoments:
         """Moments with every unit in one stratum: (R, 1) fields."""
-        return block_moments(self.z, self.d, self.y, 0, 1)
+        return self._moments[1]
 
 
 @dataclass(frozen=True)

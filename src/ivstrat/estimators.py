@@ -24,9 +24,9 @@ Every estimator, ORACLE included, is a row-wise kernel over an
 ObservedBlock of R samples (estimate_rows); estimate() and
 oracle_complier_dim are its R = 1 calls, and simulate and
 enumerate_expectation call it once per block. Every kernel but ORACLE reads
-only the block's stratum moments. ORACLE reads the block's true-complier
-mask, which only a science table has, so METHODS and estimate() leave it
-out. Kept sets are (R, G) code masks; labels appear only in EstimateReport.
+only the block's stratum moments. ORACLE reads the block's true compliers'
+entries, which only a science table gives, so METHODS and estimate() leave
+it out. Kept sets are (R, G) code masks; labels appear only in EstimateReport.
 Failures are data: Rows.code[r] indexes row r's exception in Rows.causes
 (-1: none), and exactly the failed rows have a nan estimate. Past a DSS or
 DSF screen (AllStrataDropped), every ratio kernel and both TSLS fail by
@@ -210,21 +210,20 @@ def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     """Infeasible benchmark: the difference in observed means among the
     true compliers, with the Neyman SE; a row keeps the strata that contain
     a complier."""
-    if block.compliers is None:
+    if block.complier_entries is None:
         raise ValueError("ORACLE needs the true compliers, known only from a science table")
-    at = block.complier_positions
-    row, col = np.divmod(at, block.n)
-    in_treated = block.z[row, col] == 1  # z is 0 or 1
-    treated = MaskedRows(at[in_treated], block.z.shape)
-    control = MaskedRows(at[~in_treated], block.z.shape)
-    n1, n0 = treated.counts, control.counts
-    mean1, var1 = treated.mean_var(treated.take(block.y))
-    mean0, var0 = control.mean_var(control.take(block.y))
+    at, z, y, strata = block.complier_entries
+    r, g = block.present.shape
+    treated = z == 1  # z is 0 or 1
+    arms = []
+    for arm in (treated, ~treated):
+        rows = MaskedRows(at[arm], (r, block.n))
+        arms.append((rows.counts, *rows.mean_var(y[arm][rows.entry_order])))
+    (n1, mean1, var1), (n0, mean0, var0) = arms
     est = mean1 - mean0
     with np.errstate(invalid="ignore", divide="ignore"):
         se = np.sqrt(var1 / n1 + var0 / n0)
-    r, g = block.present.shape
-    kept = np.bincount(block.strata[row, col] + g * row, minlength=r * g).reshape(r, g) > 0
+    kept = np.bincount(strata + g * (at // block.n), minlength=r * g).reshape(r, g) > 0
     checks = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
     return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), checks)
 

@@ -15,13 +15,20 @@ values per replication at the largest stratum count G among its configs,
 hold at most BLOCK_UNITS values. Configs that share n and estimator tags
 fill chunks and blocks together, in config order, so a config smaller
 than a block shares one with the next. A block runs in two phases:
-  * per chunk, each replication draws its table and assignment from its
-    own stream; the chunk is revealed, reduced to (R, G) and pooled
-    (R, 1) moments, and run through ORACLE, the one kernel that reads
-    units;
+  * per chunk, each replication draws its population and assignment from
+    its own stream, made in place into complier flags, y0 and each unit's
+    effect tau. y1 equals y0 but at the compliers, where it is tau + y0,
+    so the chunk forms y1 only there and reveals y by writing it at the
+    treated compliers. One block_moments call reduces the chunk to (R, G)
+    and pooled (R, 1) moments, and the chunk gathers its compliers'
+    entries: position, z, observed y, stratum code and y1 - y0;
+  * per run of chunks, a run ending where its entries reach BLOCK_UNITS
+    values or the block ends, each row's realized complier effect is one
+    mean over the stacked entries, and ORACLE runs once on them;
   * per block, every other estimator's row-wise kernel
     (estimators.estimate_rows, the same code that estimate() runs on one
     sample) runs once on the chunks' stacked moments.
+A block of few compliers is one run, so every kernel runs once on it.
 A chunk's rows lacking some of the G codes have empty cells there, which
 the kernels mask out. A block returns its rows' results and writes
 nothing else; the calling thread copies them into each config's slots in
@@ -73,12 +80,12 @@ from .data_model import (
     BLOCK_UNITS,
     Infeasible,
     MaskedRows,
+    NonFinite,
     ObservedBlock,
     ScienceTable,
     StratumMoments,
     _treated_count,
     block_moments,
-    check_science,
     first_appearance,
 )
 from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, check_tags, estimate_rows
@@ -259,7 +266,7 @@ class _Design:
     Each replication draws, from its own stream and in this order: stratum
     labels (uniform, or by the weights' cdf), compliance uniforms, outcome
     normals, and with random_k the k random stratum labels that replace
-    the first ones. `_assemble` turns a block of such draws into tables.
+    the first ones. `outcomes` turns rows of such draws into tables.
     """
 
     n: int
@@ -315,22 +322,21 @@ class _Design:
             draws["labels"][i] = rng.integers(0, self.random_k, size=n)
 
     def outcomes(self, strata, u, noise, complier, rate, shift) -> None:
-        """Rows drawn from this design, made tables in place: the complier
-        flags go into `complier`, y0 into `noise` and y1 into `u`. rate and
-        shift are float rows of the same shape to work in."""
+        """Rows drawn from this design, made tables in place but for y1: the
+        complier flags go into `complier`, y0 into `noise` and each unit's
+        tau into `u`. rate and shift are float rows of the same shape to
+        work in. y1 is tau + y0 at a complier and y0 at any other unit."""
         # mode "clip" fills `out` without a buffer; every code is below G
         np.less(u, np.take(self.comp_prob, strata, out=rate, mode="clip"), out=complier)
         if self.noise_sd != 1.0:
             # normal(0, sd) draws 0 + sd * standard_normal: the same but for
             # the sign of a zero, which y0 = noise + (mu + shift) does not keep
             noise *= self.noise_sd
-        # y0 = mu + shift * never-taker + noise, y1 = tau * complier + y0
+        # y0 = mu + shift * never-taker + noise
         y0 = np.take(self.mu_g, strata, out=rate, mode="clip")
         y0 += np.multiply(self.never_taker_shift, ~complier, out=shift)
         noise += y0
         np.take(self.tau_g, strata, out=u, mode="clip")
-        u *= complier
-        u += noise
 
 
 class _Buffers:
@@ -340,15 +346,16 @@ class _Buffers:
     `rows(r, n)` views the first r * n values of each as (r, n). A
     chunk's arrays take turns in the slots, each after the last use of
     the one before it:
-      strata -> codes                   order -> the treated units' positions
-      labels -> first_appearance's key  u -> y1 -> the centred y
+      strata -> codes                   order -> each row's shuffled units
+      labels -> first_appearance's key  u -> tau -> d as float, products
         -> the moments' cells           noise -> y0 -> y
-      rate, shift -> the centred d, products
-      z
+      rate, shift -> the outcomes' work -> the centred y and d
+      complier -> d                     z
     """
 
     _SLOTS = {"strata": np.intp, "order": np.intp, "labels": np.intp, "u": np.float64,
-              "noise": np.float64, "rate": np.float64, "shift": np.float64, "z": np.int8}
+              "noise": np.float64, "rate": np.float64, "shift": np.float64, "z": np.int8,
+              "complier": np.bool_}
 
     def __init__(self, units: int) -> None:
         self.units = units
@@ -362,29 +369,18 @@ class _Buffers:
         return views
 
 
-def _assemble(slots: dict[str, np.ndarray], parts) -> tuple[np.ndarray, ...]:
-    """The tables (y0, y1, d0, d1, strata) of a block of draws, one per
-    row, each part (design, rows) made by its own design. The tables are
-    made in the draws' slots: y0 in noise, y1 in u and the labels drawn
-    with random_k in strata."""
-    strata, y1, y0, labels = (slots[name] for name in ("strata", "u", "noise", "labels"))
-    is_complier = np.empty(strata.shape, dtype=bool)
-    for design, rows in parts:
-        work = (slots["rate"][rows], slots["shift"][rows])
-        design.outcomes(strata[rows], y1[rows], y0[rows], is_complier[rows], *work)
-        if design.random_k is not None:
-            strata[rows] = labels[rows]
-    d1 = is_complier.view(np.int8)
-    d0 = np.zeros_like(d1)
-    check_science(y0, y1, d0, d1)
-    return y0, y1, d0, d1, strata
-
-
 def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
     design = _Design.of(config)
     slots = _Buffers(design.n).rows(1, design.n)
     design.draw(slots, 0, rng)
-    return ScienceTable.from_arrays(*(a[0] for a in _assemble(slots, [(design, slice(0, 1))])))
+    names = ("strata", "u", "noise", "complier", "rate", "shift", "labels")
+    strata, y1, y0, complier, *work, labels = (slots[name][0] for name in names)
+    design.outcomes(strata, y1, y0, complier, *work)
+    y1 *= complier  # tau * 0 + y0 is y0
+    y1 += y0
+    d1 = complier.view(np.int8)
+    strata = strata if design.random_k is None else labels
+    return ScienceTable.from_arrays(y0, y1, np.zeros_like(d1), d1, strata)
 
 
 def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> ScienceTable:
@@ -584,31 +580,39 @@ def _draw_block(
     return draws, z
 
 
-def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int):
-    """What a chunk computes from its units, in `slots` (`_Buffers.rows`):
-    each replication drawn from its own substream and revealed, as an
-    ObservedBlock; each row's realized complier effect, nan without
-    compliers; and the rows' moments at `width` strata and pooled."""
+def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int, base: int):
+    """What a chunk computes from its units, in `slots` (`_Buffers.rows`),
+    each replication drawn from its own substream and revealed: each row's
+    stratum count, the rows' moments at `width` strata and pooled, and its
+    compliers' entries (flat positions counted from row `base`, z, y,
+    stratum codes and y1 - y0), in position order."""
+    n = chunk[0].job.config.n
     _, z = _draw_block(chunk, slots)
-    y0, y1, _, d1, strata = _assemble(slots, [(s.job.design, s.rows) for s in chunk])
-    # the codes replace the labels, and `order` keeps the treated positions
+    strata, tau, y, complier = (slots[name] for name in ("strata", "u", "noise", "complier"))
+    for job, _, rows in chunk:
+        work = (slots["rate"][rows], slots["shift"][rows])
+        job.design.outcomes(strata[rows], tau[rows], y[rows], complier[rows], *work)
+        if job.design.random_k is not None:
+            strata[rows] = slots["labels"][rows]
+    # y holds y0; y1 differs from it only at the compliers, where it is tau + y0
+    at = np.flatnonzero(complier)
+    y0 = y.take(at)
+    y1 = tau.take(at)
+    y1 += y0
+    if not (np.isfinite(y).all() and np.isfinite(y1).all()):
+        raise NonFinite("potential outcomes must be finite")
     codes, num_strata, _ = first_appearance(
         strata, key=slots["labels"], codes=strata, positions=slots["positions"]
     )
-    # every d0 is 0, so the compliers are the units with d1 = 1
-    obs = ObservedBlock(z, d1 * z, y0, codes, num_strata, d1.view(bool))
-    compliers = MaskedRows(obs.complier_positions, z.shape)
-    truth = compliers.mean_var(compliers.take(y1) - compliers.take(y0))[0]
-    # reveal y where y0 was: y1 at each row's treated units, a row at a
-    # time, so that no index or value array is copied whole
-    y, y1_flat = y0.reshape(-1), y1.reshape(-1)
-    for job, _, rows in chunk:
-        for treated in slots["order"][rows, : job.n1]:
-            y[treated] = y1_flat[treated]
-    # the key's slot, y1's and the outcome temporaries' are free for the moments
-    work = (slots["labels"], y1, slots["rate"], slots["shift"])
-    moments = block_moments(z, obs.d, y0, codes, width, work)
-    return obs, truth, moments, block_moments(z, obs.d, y0, 0, 1, work)
+    # reveal y1 at the treated compliers and d = d1 * z in place
+    treated = z.take(at).view(bool)
+    y.reshape(-1)[at[treated]] = y1[treated]
+    d = np.logical_and(complier, z, out=complier).view(np.int8)
+    # the key's slot, tau's and the outcome temporaries' are free for the moments
+    work = (slots["labels"], tau, slots["rate"], slots["shift"])
+    moments, pooled = block_moments(z, d, y, codes, width, work)
+    entries = (at + base * n, treated.view(np.int8), np.where(treated, y1, y0), codes.take(at))
+    return num_strata, moments, pooled, (*entries, y1 - y0)
 
 
 def _stack(parts: list[StratumMoments]) -> StratumMoments:
@@ -628,34 +632,52 @@ def _write(rows: _RepStore, i: int, out, at: slice, num_strata: np.ndarray) -> N
     rows.dropped[i, at] = ok & (out.kept.sum(axis=1) < num_strata)
 
 
+def _complier_rows(rows: _RepStore, oracle, held: list, at: slice, n: int, est_config):
+    """Rows `at`, a run of chunks whose unit phases are `held`: the truth,
+    one mean over the chunks' stacked complier entries, and with ORACLE at
+    tag index `oracle` (None: not run) its results on those entries.
+    Returns the run's stacked stratum counts, moments and pooled moments."""
+    num_strata, moments, pooled, entries = zip(*held)
+    *entries, effect = (np.concatenate(a) for a in zip(*entries))
+    compliers = MaskedRows(entries[0], (at.stop - at.start, n))
+    rows.truth[at] = compliers.mean_var(effect[compliers.entry_order])[0]  # nan without compliers
+    num_strata, moments, pooled = np.concatenate(num_strata), _stack(moments), _stack(pooled)
+    if oracle is not None:
+        obs = ObservedBlock.of_moments(moments, pooled, num_strata, n, entries)
+        _write(rows, oracle, estimate_rows(obs, "ORACLE", est_config), at, num_strata)
+    return num_strata, moments, pooled
+
+
 def _run_block(
     block: list[list[_Segment]],
     est_config: EstimatorConfig,
     buffers_for: Callable[[int], _Buffers] = _Buffers,
 ) -> _RepStore:
     """A block's rows: each chunk's unit phase in turn, in the buffers that
-    buffers_for(units) gives for its largest chunk, then every tag but ORACLE
-    once on the chunks' stacked moments. It reads its jobs and writes none
-    of them, and the rows it returns share no memory with the buffers."""
+    buffers_for(units) gives for its largest chunk; the truth and ORACLE
+    once per run of chunks, on their stacked complier entries, a run ending
+    where its entries reach BLOCK_UNITS values or the block ends; then every
+    other tag once on the block's stacked moments. It reads its jobs and
+    writes none of them, and the rows it returns share no memory with the
+    buffers."""
     config = block[0][0].job.config
+    n, tags = config.n, config.estimators
     sizes = [_shape(chunk)[0] for chunk in block]
-    buffers = buffers_for(max(sizes) * config.n)
+    buffers = buffers_for(max(sizes) * n)
     width = max(s.job.width for chunk in block for s in chunk)
-    tags = config.estimators
     oracle = tags.index("ORACLE") if "ORACLE" in tags else None
     rows = _RepStore.empty(len(tags), sum(sizes))
-    parts, start = [], 0
+    runs, held, first, start = [], [], 0, 0
     for chunk, r in zip(block, sizes):
-        obs, truth, *moments = _unit_phase(chunk, buffers.rows(r, config.n), width)
-        at = slice(start, start + r)
+        held.append(_unit_phase(chunk, buffers.rows(r, n), width, start - first))
         start += r
-        rows.truth[at] = truth
-        if oracle is not None:
-            _write(rows, oracle, estimate_rows(obs, "ORACLE", est_config), at, obs.num_strata)
-        parts.append((*moments, obs.num_strata))
-    moments, pooled, num_strata = zip(*parts)
+        # the entries held stay near BLOCK_UNITS values, as a chunk's units do
+        if start == len(rows.truth) or sum(a.size for *_, e in held for a in e) >= BLOCK_UNITS:
+            runs.append(_complier_rows(rows, oracle, held, slice(first, start), n, est_config))
+            held, first = [], start
+    num_strata, moments, pooled = zip(*runs)
     num_strata = np.concatenate(num_strata)
-    obs = ObservedBlock.of_moments(_stack(moments), _stack(pooled), num_strata, config.n)
+    obs = ObservedBlock.of_moments(_stack(moments), _stack(pooled), num_strata, n)
     for i, tag in enumerate(tags):
         if i != oracle:
             _write(rows, i, estimate_rows(obs, tag, est_config), slice(None), num_strata)

@@ -130,8 +130,9 @@ def moments(table: ScienceTable, p: float) -> PopulationMoments:
     # engine's treated-arm s2_y1 is then each row's sample variance
     u = np.stack((u1, u0, u1 - u0))
     z, d = np.ones(u.shape, np.int8), np.zeros(u.shape)
-    by_stratum = block_moments(z, d, u, np.broadcast_to(table.strata, u.shape), table.num_strata)
-    pooled = block_moments(z, d, u, 0, 1).s2_y1[:, 0]
+    strata = np.broadcast_to(table.strata, u.shape)
+    by_stratum, pooled = block_moments(z, d, u, strata, table.num_strata)
+    s2_pooled = pooled.s2_y1[:, 0]
     g_s2 = by_stratum.s2_y1
     return PopulationMoments(
         n=n,
@@ -145,9 +146,9 @@ def moments(table: ScienceTable, p: float) -> PopulationMoments:
         ybar_a1=_group_mean(is_a, table.y1),
         ybar_n0=_group_mean(is_n, table.y0),
         cace=cace,
-        s2_u1=float(pooled[0]),
-        s2_u0=float(pooled[1]),
-        s2_u01=float(pooled[2]),
+        s2_u1=float(s2_pooled[0]),
+        s2_u0=float(s2_pooled[1]),
+        s2_u01=float(s2_pooled[2]),
         g_s2_u1=g_s2[0],
         g_s2_u0=g_s2[1],
         g_s2_u01=g_s2[2],

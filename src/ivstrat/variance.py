@@ -34,6 +34,7 @@ from .data_model import (
     EmptyArm,
     EstimationError,
     MaskedRows,
+    NonFinite,
     StratumMoments,
     TooFewUnits,
     ZeroCompliance,
@@ -49,7 +50,8 @@ class Rows:
     est, f_hat, n_used and kept (an (R, G) mask) describe each row's
     estimate; se_bloom / se_delta are nan where undefined. checks are
     (row mask, exception) pairs in the order they run; code[r] indexes in
-    causes the first exception whose mask holds row r, or is -1. A failed
+    causes the first exception whose mask holds row r, or is -1; a last
+    check fails a row whose est is not finite with NonFinite. A failed
     row's est and SEs are nan (an unfailed row's est is finite); its f_hat
     stays, so a first_stage_checks failure can be read off it.
     """
@@ -65,6 +67,8 @@ class Rows:
     causes: tuple[EstimationError, ...] = field(init=False)
 
     def __post_init__(self, checks) -> None:
+        # last: an estimate that overflowed has no other cause
+        checks = [*checks, (~np.isfinite(self.est), NonFinite("the estimate is not finite"))]
         masks, self.causes = zip(*checks)
         self.code = np.full(len(self.est), -1)
         for i in reversed(range(len(masks))):  # the first check that holds wins

@@ -69,6 +69,43 @@ def pooled_moments(s: ObservedSample) -> StratumMoments:
     return stratum_moments(ObservedSample.from_arrays(s.z, s.d, s.y))
 
 
+def pooled_pass(z: np.ndarray, d: np.ndarray, y: np.ndarray) -> StratumMoments:
+    """Pooled (R, 1) moments of (R, n) blocks by a pass of their own: each
+    row's two arm cells (2 rep + z) counted, summed (d over its nonzero
+    units) and centred by separate bincounts, as block_moments computed
+    them before its stratified sums gave the pooled counts and d sums."""
+    r = len(z)
+    cell = (2 * np.arange(r)[:, None] + z).ravel()
+    y, d = y.ravel(), d.ravel()
+    ncells = 2 * r
+    counts = np.bincount(cell, minlength=ncells).astype(np.float64)
+    sum_y = np.bincount(cell, weights=y, minlength=ncells)
+    taken = np.flatnonzero(d)
+    sum_d = np.bincount(cell[taken], weights=d[taken], minlength=ncells)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_y = sum_y / counts
+        mean_d = sum_d / counts
+    ry = y - mean_y[cell]
+    rd = d - mean_d[cell]
+    ss_yd = np.bincount(cell, weights=ry * rd, minlength=ncells)
+    ss_y = np.bincount(cell, weights=ry * ry, minlength=ncells)
+    ss_d = np.bincount(cell, weights=rd * rd, minlength=ncells)
+    dof = counts - 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s2_y, s2_d, s_yd = (np.where(dof >= 1, ss / dof, np.nan) for ss in (ss_y, ss_d, ss_yd))
+
+    def arms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = a.reshape(r, 1, 2)
+        return a[..., 1], a[..., 0]
+
+    (n1, n0), (ybar1, ybar0), (dbar1, dbar0) = arms(counts), arms(mean_y), arms(mean_d)
+    (s2_y1, s2_y0), (s2_d1, s2_d0), (s_yd1, s_yd0) = arms(s2_y), arms(s2_d), arms(s_yd)
+    return StratumMoments(
+        (n0 + n1).astype(np.intp), n1.astype(np.intp), n0.astype(np.intp), ybar1, ybar0,
+        dbar1, dbar0, s2_y1, s2_y0, s2_d1, s2_d0, s_yd1, s_yd0,
+    )
+
+
 def sample_a() -> ObservedSample:
     """Single stratum, 4 units, hand-checkable moments.
 

@@ -4,8 +4,8 @@ against independent oracles.
 * Every estimator run on a block of R samples gives, row by row, the
   bit-identical result (or the same exception) of estimate() /
   oracle_complier_dim on that sample alone.
-* Every method but ORACLE gives the same rows on moments held at more
-  strata than the block has.
+* Every method, ORACLE included, gives the same rows on moments held at
+  more strata than the block has.
 * The simulation's per-replication slots do not depend on how the
   replications are cut into blocks and chunks, which other configs share
   those blocks, or how the blocks are spread over threads. A block
@@ -16,6 +16,7 @@ against independent oracles.
 * The closed-form TSLS_DUMMY matches a least-squares 2SLS within 1e-12.
 * MaskedRows gives every row the bit-identical 1-D np.sum / np.mean /
   np.var of its entries.
+* block_moments' pooled moments equal those of a pass of their own.
 """
 
 import math
@@ -53,7 +54,13 @@ from ivstrat.data_model import (
 from ivstrat.estimators import EstimatorConfig, estimate_rows
 from ivstrat import simulation
 from ivstrat.simulation import ConcentrationConfig, _run_reps
-from helpers import StageRankDeficient, enumerate_loop, random_sample, tsls_dummies_lstsq
+from helpers import (
+    StageRankDeficient,
+    enumerate_loop,
+    pooled_pass,
+    random_sample,
+    tsls_dummies_lstsq,
+)
 
 
 def _same(a: float, b: float) -> bool:
@@ -219,18 +226,20 @@ def test_methods_read_only_the_moments(seed, reps, n, k, pc):
     extra=st.integers(1, 5),
 )
 def test_kernels_do_not_depend_on_the_moments_width(seed, reps, n, k, pc, extra):
-    """Every method but ORACLE, run on a block of moments alone held at
-    more strata than any row has, gives the rows it gives on the block
-    itself byte for byte, with the extra strata not kept."""
+    """Every method, ORACLE included, run on a block of moments and
+    complier entries alone, its moments held at more strata than any row
+    has, gives the rows it gives on the block itself byte for byte, with
+    the extra strata not kept."""
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
     g = int(num_strata.max())
+    block = ObservedBlock(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
     wide = ObservedBlock.of_moments(
-        block_moments(z, d, y, codes, g + extra), block_moments(z, d, y, 0, 1), num_strata, n
+        *block_moments(z, d, y, codes, g + extra), num_strata, n, block.complier_entries
     )
-    for tag in METHODS:
-        want = estimate_rows(ObservedBlock(z, d, y, codes, num_strata), tag)
+    for tag in (*METHODS, "ORACLE"):
+        want = estimate_rows(block, tag)
         got = estimate_rows(wide, tag)
         for field in ("est", "f_hat", "n_used", "se_bloom", "se_delta", "code"):
             a, b = getattr(want, field), getattr(got, field)
@@ -463,9 +472,39 @@ def test_masked_rows_match_one_dimensional_reductions(seed, counts, shared, spar
         total = rows.sum(values)
         mean, var = rows.mean_var(rows.take(values))
         assert np.array_equal(rows.counts, counts)
+        # entries gathered in position order, put in index order
+        gathered = values.ravel()[np.flatnonzero(mask)]
+        assert gathered[rows.entry_order].tobytes() == rows.take(values).tobytes()
         for i in range(len(counts)):
             entries = values[i][mask[i]]
             assert _hex(total[i]) == _hex(np.sum(entries)), i
             assert _hex(mean[i]) == (_hex(np.mean(entries)) if len(entries) else "nan"), i
             expected = _hex(np.var(entries, ddof=1)) if len(entries) >= 2 else "nan"
             assert _hex(var[i]) == expected, i
+
+
+@settings(max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reps=st.integers(1, 6),
+    n=st.integers(1, 30),
+    g=st.integers(1, 8),
+    p_treat=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    p_take=st.sampled_from([0.0, 0.3, 1.0]),
+    scale=st.sampled_from([1.0, 1e-300, 1e150]),
+)
+def test_pooled_moments_equal_a_pass_of_their_own(seed, reps, n, g, p_treat, p_take, scale):
+    """block_moments' pooled fields, whose counts and d sums add up its
+    stratified ones, equal pooled_pass's own bincounts byte for byte: d
+    taken on both arms, empty arms (p_treat 0 or 1) and one-unit cells
+    (n = 1, or many strata) among the inputs."""
+    rng = np.random.default_rng(seed)
+    z = (rng.random((reps, n)) < p_treat).astype(np.int8)
+    d = (rng.random((reps, n)) < p_take).astype(np.int8)
+    y = rng.normal(size=(reps, n)) * scale
+    strata = rng.integers(0, g, size=(reps, n))
+    _, pooled = block_moments(z, d, y, strata, g)
+    want = pooled_pass(z, d, y)
+    for f in fields(StratumMoments):
+        a, b = getattr(pooled, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name

@@ -20,6 +20,7 @@ from ivstrat.data_model import (
     AllStrataDropped,
     EmptyArm,
     NoCompliersInArm,
+    NonFinite,
     stratum_moments,
 )
 from helpers import (
@@ -280,6 +281,17 @@ def test_tsls_dummies_rank_deficient():
     )
     with pytest.raises(ZeroCompliance):
         estimate(s, "TSLS_DUMMY")
+
+
+@pytest.mark.parametrize("tag", ["UNSTRAT", "IV_A", "PWIV"])
+def test_an_estimate_that_overflows_fails_with_non_finite(tag):
+    """Finite outcomes whose sums overflow leave no finite estimate; the row
+    fails with NonFinite rather than returning nan with no cause."""
+    z = np.tile([1, 0], 9)
+    d = np.tile([1, 0, 0, 0, 1, 0], 3)  # two of three treated units take up, per stratum
+    sample = ObservedSample.from_arrays(z, d, np.full(18, 1e308), np.repeat([0, 1, 2], 6))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+        estimate(sample, tag)
 
 
 def test_estimate_dispatcher_covers_all_methods():

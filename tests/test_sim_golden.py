@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from ivstrat import ConcentrationConfig, run_concentration, run_scenario, simulation
+from ivstrat import ConcentrationConfig, ScenarioConfig, run_concentration, run_scenario, simulation
 from ivstrat.estimators import estimate_rows
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent / "golden"))
@@ -64,18 +64,16 @@ def test_quick_grid_metrics_match_frozen_bytes(threads):
     _assert_matches((GOLDEN / GRID_QUICK).read_text(), grid_quick_text(threads=threads))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_failure_codes_count_every_failed_replication(name, monkeypatch):
-    """For each frozen row, one bincount of the estimator's failure codes
-    over the replications with a complier, plus the replications without
-    one, is fail_rate * replications exactly. A block's rows have a
-    complier where its returned truth is not nan; ORACLE runs once per
-    chunk and every other tag once per block, so each tag's calls in a
-    block, in order, cover its rows."""
+def _failures(config, monkeypatch) -> tuple[simulation.ScenarioMetrics, dict[str, int]]:
+    """config's metrics, and for each tag one bincount of its failure codes
+    over the replications with a complier plus the replications without
+    one. A block's rows have a complier where its returned truth is not
+    nan; every tag but ORACLE runs once per block, and ORACLE once per run
+    of chunks, so each tag's calls in a block, in order, cover its rows."""
     calls, blocks = [], []
 
-    def recording(block, tag, config):
-        rows = estimate_rows(block, tag, config)
+    def recording(block, tag, est_config):
+        rows = estimate_rows(block, tag, est_config)
         calls.append((tag, rows))
         return rows
 
@@ -86,27 +84,49 @@ def test_failure_codes_count_every_failed_replication(name, monkeypatch):
         return out
 
     run_block = simulation._run_block
-    monkeypatch.setattr(simulation, "estimate_rows", recording)
-    monkeypatch.setattr(simulation, "_run_block", running)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "estimate_rows", recording)
+        patch.setattr(simulation, "_run_block", running)
+        run = run_concentration if isinstance(config, ConcentrationConfig) else run_scenario
+        metrics = run(config)
+    assert sum(len(live) for _, live in blocks) == config.replications
+    failures = {}
+    for tag in config.estimators:
+        codes, no_complier = [], 0
+        for block_calls, live in blocks:
+            ran = [rows for t, rows in block_calls if t == tag]
+            code, est = (np.concatenate([getattr(r, f) for r in ran]) for f in ("code", "est"))
+            assert len(code) == len(live), tag
+            assert np.isfinite(est[live & (code < 0)]).all(), tag
+            codes.append(code[live])
+            no_complier += int((~live).sum())
+        codes = np.concatenate(codes)
+        failures[tag] = int(np.bincount(codes[codes >= 0]).sum()) + no_complier
+    return metrics, failures
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_failure_codes_count_every_failed_replication(name, monkeypatch):
+    """For each frozen row, one bincount of the estimator's failure codes
+    over the replications with a complier, plus the replications without
+    one, is fail_rate * replications exactly."""
     frozen = {
         (row["scenario_id"], row["estimator"]): float(row["fail_rate"])
         for row in csv.DictReader(io.StringIO((GOLDEN / name).read_text()))
     }
     for config in CONFIGS[name]:
-        blocks.clear()
-        run = run_concentration if isinstance(config, ConcentrationConfig) else run_scenario
-        scenario_id = run(config).scenario_id
+        metrics, failures = _failures(config, monkeypatch)
         reps = config.replications
-        assert sum(len(live) for _, live in blocks) == reps
         for tag in config.estimators:
-            codes, no_complier = [], 0
-            for block_calls, live in blocks:
-                ran = [rows for t, rows in block_calls if t == tag]
-                code, est = (np.concatenate([getattr(r, f) for r in ran]) for f in ("code", "est"))
-                assert len(code) == len(live), tag
-                assert np.isfinite(est[live & (code < 0)]).all(), tag
-                codes.append(code[live])
-                no_complier += int((~live).sum())
-            codes = np.concatenate(codes)
-            failures = int(np.bincount(codes[codes >= 0]).sum()) + no_complier
-            assert frozen[scenario_id, tag] == 1.0 - (reps - failures) / reps, tag
+            assert frozen[metrics.scenario_id, tag] == 1.0 - (reps - failures[tag]) / reps, tag
+
+
+def test_failure_codes_count_estimates_that_overflowed(monkeypatch):
+    """Effects so large that the moments' sums overflow: every estimate,
+    ORACLE's included, fails with a cause, and the same count holds."""
+    config = ScenarioConfig(n=40, replications=20, tau=1.7e308, target_pi_c=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics, failures = _failures(config, monkeypatch)
+    for row in metrics.rows:
+        assert row.fail_rate == 1.0, row.estimator
+        assert failures[row.estimator] == row.fail_rate * config.replications, row.estimator

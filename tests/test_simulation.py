@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ivstrat import (
@@ -24,8 +24,9 @@ from ivstrat import (
     run_scenario,
     write_metrics_csv,
 )
-from ivstrat import simulation
-from ivstrat.simulation import _Job, _draw_block, _philox_keys, _plan
+from ivstrat import ScienceTable, science_to_observed, simulation
+from ivstrat.estimators import EstimatorConfig, estimate_rows
+from ivstrat.simulation import _Buffers, _Job, _draw_block, _philox_keys, _plan, _run_block
 from helpers import rep_rng, stratified_table
 
 
@@ -428,7 +429,7 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
             strata = ref.integers(0, g, size=n)
         assert np.array_equal(draws["strata"][rep], strata)
         assert np.array_equal(draws["u"][rep], ref.random(n))
-        # _assemble scales the standard normals by noise_sd
+        # _Design.outcomes scales the standard normals by noise_sd
         assert np.array_equal(draws["noise"][rep] * sd, ref.normal(0.0, sd, n))
         if "labels" in draws:
             assert np.array_equal(draws["labels"][rep], ref.integers(0, 3, size=n))
@@ -529,18 +530,48 @@ def test_a_repeated_call_allocates_no_unit_sized_array(config):
     assert _largest_line_allocation(lambda: run_grid([config])) < unit
 
 
+def test_a_block_holds_the_complier_entries_of_one_run_of_chunks():
+    """The truth and ORACLE stack the complier entries of a run of chunks
+    that ends once they reach BLOCK_UNITS values, so with half the units
+    compliers a repeated call's peak barely grows from 200 to 800
+    replications in one block (stacking the whole block's would about
+    quadruple it)."""
+
+    def peak(reps: int) -> int:
+        config = make_config(n=2000, target_pi_c=0.5, replications=reps, seed=5)
+        assert len(_plan([_Job(config)])) == 1
+        run_grid([config])
+        tracemalloc.start()
+        try:
+            run_grid([config])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(800) < 1.5 * peak(200)
+
+
 def _chunk_sizes(configs) -> list[list[int]]:
     """Each planned block's chunk sizes, in replications."""
     return [[chunk[-1].rows.stop for chunk in block] for block in _plan([_Job(c) for c in configs])]
 
 
-def test_sim_n2000_config_runs_as_one_block_of_four_chunks():
+def test_sim_n2000_config_runs_as_one_block_of_four_chunks(monkeypatch):
     """The benchmark's n=2000 config: chunks of 32 replications fill
     BLOCK_UNITS units, and all 100 replications' moment rows fit in one
-    block, so every kernel but ORACLE runs once per call."""
+    block, so every kernel, ORACLE included, runs once per call."""
     config = ScenarioConfig(n=2000, num_strata=4, target_pi_c=0.05, predicts_compliance=True,
                             predicts_outcome=True, replications=100, seed=1)
     assert _chunk_sizes([config]) == [[32, 32, 32, 4]]
+    calls = []
+
+    def recording(block, tag, est_config):
+        calls.append(tag)
+        return estimate_rows(block, tag, est_config)
+
+    monkeypatch.setattr(simulation, "estimate_rows", recording)
+    run_grid([config])
+    assert sorted(calls) == sorted(config.estimators)
 
 
 def test_quick_grid_plans_blocks_for_every_thread():
@@ -549,3 +580,75 @@ def test_quick_grid_plans_blocks_for_every_thread():
     sizes = _chunk_sizes(default_grid(replications=100, seed=3, n_values=(500,)))
     assert len(sizes) >= 3
     assert sum(map(sum, sizes)) == 72 * 100
+
+
+@st.composite
+def small_configs(draw):
+    """A small config of either kind: odd n with p_treat = 3/7, random
+    strata, never-taker shifts, heterogeneous effects and outcome-predictive
+    strata among them."""
+    p_treat = draw(st.sampled_from([0.5, 3 / 7]))
+    n = 2 * draw(st.integers(2, 30)) if p_treat == 0.5 else 7 * draw(st.integers(1, 8))
+    common = dict(
+        n=n,
+        p_treat=p_treat,
+        replications=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        never_taker_shift=draw(st.sampled_from([0.0, -0.5, 1.5])),
+        heterogeneous_tau=draw(st.booleans()),
+        predicts_outcome=draw(st.booleans()),
+    )
+    try:
+        if draw(st.booleans()):
+            config = ScenarioConfig(
+                target_pi_c=draw(st.sampled_from([0.05, 0.3, 0.7])),
+                predicts_compliance=draw(st.booleans()),
+                num_strata=draw(st.integers(1, 5)),
+                random_strata_k=draw(st.none() | st.integers(1, 12)),
+                **common,
+            )
+        else:
+            config = ConcentrationConfig(
+                r=draw(st.sampled_from([0.0, 0.25, 1.0])),
+                target_p=draw(st.sampled_from([0.05, 0.3])),
+                weights=draw(st.sampled_from([(0.35, 0.30, 0.20, 0.15), (1.0,), (0.5, 0.5)])),
+                **common,
+            )
+    except Infeasible:
+        assume(False)
+    # an outcome pattern over one stratum has no scale (a ZeroDivisionError)
+    assume(not (config.predicts_outcome and config.num_strata == 1))
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs())
+def test_chunks_reveal_what_the_table_path_reveals(config):
+    """Each replication of a chunk has the z, d, revealed y and stratum codes
+    that science_to_observed gives on generate_*_table's table of that
+    replication and its assignment, and that table's cace as its truth, bit
+    for bit; every such table passes ScienceTable.from_arrays."""
+    generate = (
+        generate_concentration_table if isinstance(config, ConcentrationConfig)
+        else generate_science_table
+    )
+    job = _Job(config)
+    ((chunk,),) = _plan([job])
+    n, reps = config.n, config.replications
+    buffers = _Buffers(reps * n)
+    rows = _run_block([chunk], EstimatorConfig(), lambda units: buffers)
+    slots = buffers.rows(reps, n)
+    z, d, y, codes = slots["z"], slots["complier"].view(np.int8), slots["noise"], slots["strata"]
+    for rep in range(reps):
+        rng = rep_rng(config.seed, rep)
+        table = generate(config, rng)
+        ScienceTable.from_arrays(table.y0, table.y1, table.d0, table.d1, table.strata)
+        assignment = np.zeros(n, dtype=np.int8)
+        assignment[rng.permutation(n)[: job.n1]] = 1
+        sample = science_to_observed(table, assignment)
+        for got, want in ((z, sample.z), (d, sample.d), (y, sample.y), (codes, sample.strata)):
+            assert got.dtype == want.dtype and got[rep].tobytes() == want.tobytes(), rep
+        if table.is_complier.any():
+            assert rows.truth[rep].tobytes() == np.float64(table.cace).tobytes(), rep
+        else:
+            assert np.isnan(rows.truth[rep]), rep
