@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields, replace
-from typing import Hashable
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -525,6 +525,13 @@ def block_moments(
     cells, d as float and then the cross products, and the centred y and
     d, squared in place. None of them is in the result.
     """
+    passes = _moment_passes(z, d, y, strata, num_strata, work)
+    return next(passes), next(passes)
+
+
+def _moment_passes(z, d, y, strata, num_strata: int, work) -> Iterator[StratumMoments]:
+    """block_moments' two passes, each run when asked for: the (R, G)
+    moments, then the pooled (R, 1) ones."""
     r, g = len(z), num_strata
     if work is None:
         work = (np.empty(z.shape, dtype=np.intp), *(np.empty(z.shape) for _ in range(3)))
@@ -539,11 +546,13 @@ def block_moments(
     sum_d = np.bincount(cell, weights=prod, minlength=2 * g * r)
     arrays = (cell, y, d, prod, ry, rd)
     moments = _cell_moments(counts, sum_d, *arrays, r, g)
+    yield moments
     if g == 1:
-        return moments, moments
+        yield moments
+        return
     np.add(z, 2 * rows, out=work[0])
     pooled = (a.reshape(r, g, 2).sum(axis=1).ravel() for a in (counts, sum_d))
-    return moments, _cell_moments(*pooled, *arrays, r, 1)
+    yield _cell_moments(*pooled, *arrays, r, 1)
 
 
 def _cell_moments(counts, sum_d, cell, y, d, prod, ry, rd, r: int, g: int) -> StratumMoments:
@@ -592,12 +601,11 @@ def _cell_moments(counts, sum_d, cell, y, d, prod, ry, rd, r: int, g: int) -> St
 
 
 def stratum_moments(sample: ObservedSample) -> StratumMoments:
-    """All per-stratum, per-arm moments of one sample: block_moments with
-    R = 1, fields indexed by dense stratum code."""
-    m, _ = block_moments(
-        sample.z[None], sample.d[None], sample.y[None], sample.strata[None], sample.num_strata
-    )
-    return m.map(lambda a: a[0])
+    """All per-stratum, per-arm moments of one sample: block_moments' (R, G)
+    pass with R = 1, without its pooled one, fields indexed by dense
+    stratum code."""
+    z, d, y, strata = (a[None] for a in (sample.z, sample.d, sample.y, sample.strata))
+    return next(_moment_passes(z, d, y, strata, sample.num_strata, None)).map(lambda a: a[0])
 
 
 # units per block of samples: amortizes numpy call overhead over many

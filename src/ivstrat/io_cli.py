@@ -856,7 +856,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # _cmd_simulate runs them and writes their metrics
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--out", default="-", help="metrics CSV path, - for stdout")
-    run.add_argument("--threads", type=_threads, default=1)
+    run.add_argument("--threads", type=_threads, default=1,
+                     help="at least 1; kept for old scripts: one thread runs every block")
     run.set_defaults(func=_cmd_simulate)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--replications", type=int, default=1000)

@@ -56,13 +56,12 @@ strata its moments hold, and aggregation reads preallocated
 per-replication slots in index order, so results are byte identical for
 any block or chunk partition, any mix of configs in a block and any
 thread count: each config's metrics equal those it gets run alone.
-Threads run whole blocks and share no state: each returns its block's
-rows, and the calling thread writes them. The calling thread is one of
-them: it runs every threads-th block in buffers that it keeps between
-blocks and between calls, and a pool runs each of the others in buffers
-made for that block. A block's chunks take turns in its buffers, and
-every chunk overwrites what it reads of them, so blocks still share no
-state.
+The calling thread runs every block, one after another, in buffers that
+it keeps between blocks and between calls. A block's chunks take turns
+in them, and every chunk overwrites what it reads of them, so no block
+reads what another left. The buffers are the thread's own, so two
+threads may each run run_grid at once. The `threads` argument is checked
+(at least 1) and changes nothing that runs.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -138,6 +136,8 @@ def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
         if not math.isfinite(getattr(config, name)):
             raise ValueError(f"{name} must be finite, got {getattr(config, name)!r}")
     check_tags(config.estimators, (*METHODS, "ORACLE"))
+    if config.predicts_outcome and config.num_strata == 1:
+        raise ValueError("predicts_outcome needs at least 2 strata to spread outcomes over")
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.target_pi_c < 1.0:
             raise ValueError("target_pi_c must lie in (0, 1)")
-        _check_run(self)
         _check_count("num_strata", self.num_strata, 1)
+        _check_run(self)
         if not 0.0 < self.compliance_ratio <= 1.0:
             raise ValueError("compliance_ratio must lie in (0, 1]")
         if self.random_strata_k is not None:
@@ -367,6 +367,19 @@ class _Buffers:
         views = {name: a[: r * n].reshape(r, n) for name, a in self.flat.items()}
         views["positions"] = self.positions[: r * n]
         return views
+
+
+# the buffers that a thread keeps between blocks and between calls
+_kept = threading.local()
+
+
+def _kept_buffers(units: int) -> _Buffers:
+    """This thread's buffers, made at its first block (or remade larger)
+    to hold BLOCK_UNITS units, or `units` if more."""
+    buffers = getattr(_kept, "buffers", None)
+    if buffers is None or buffers.units < units:
+        buffers = _kept.buffers = _Buffers(max(units, BLOCK_UNITS))
+    return buffers
 
 
 def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
@@ -648,22 +661,17 @@ def _complier_rows(rows: _RepStore, oracle, held: list, at: slice, n: int, est_c
     return num_strata, moments, pooled
 
 
-def _run_block(
-    block: list[list[_Segment]],
-    est_config: EstimatorConfig,
-    buffers_for: Callable[[int], _Buffers] = _Buffers,
-) -> _RepStore:
-    """A block's rows: each chunk's unit phase in turn, in the buffers that
-    buffers_for(units) gives for its largest chunk; the truth and ORACLE
-    once per run of chunks, on their stacked complier entries, a run ending
-    where its entries reach BLOCK_UNITS values or the block ends; then every
-    other tag once on the block's stacked moments. It reads its jobs and
-    writes none of them, and the rows it returns share no memory with the
-    buffers."""
+def _run_block(block: list[list[_Segment]], est_config: EstimatorConfig) -> _RepStore:
+    """A block's rows: each chunk's unit phase in turn, in the buffers this
+    thread keeps; the truth and ORACLE once per run of chunks, on their
+    stacked complier entries, a run ending where its entries reach
+    BLOCK_UNITS values or the block ends; then every other tag once on the
+    block's stacked moments. It reads its jobs and writes none of them,
+    and the rows it returns share no memory with the buffers."""
     config = block[0][0].job.config
     n, tags = config.n, config.estimators
     sizes = [_shape(chunk)[0] for chunk in block]
-    buffers = buffers_for(max(sizes) * n)
+    buffers = _kept_buffers(max(sizes) * n)
     width = max(s.job.width for chunk in block for s in chunk)
     oracle = tags.index("ORACLE") if "ORACLE" in tags else None
     rows = _RepStore.empty(len(tags), sum(sizes))
@@ -801,54 +809,19 @@ def _block_segments(block: list[list[_Segment]]) -> Iterator[_Segment]:
         base += _shape(chunk)[0]
 
 
-# the buffers that a thread keeps between blocks and between calls
-_kept = threading.local()
-
-
-def _kept_buffers(units: int) -> _Buffers:
-    """This thread's buffers, made at its first block (or remade larger)
-    to hold BLOCK_UNITS units, or `units` if more."""
-    buffers = getattr(_kept, "buffers", None)
-    if buffers is None or buffers.units < units:
-        buffers = _kept.buffers = _Buffers(max(units, BLOCK_UNITS))
-    return buffers
-
-
-def _block_rows(blocks: list[list[list[_Segment]]], threads: int) -> Iterator[_RepStore]:
-    """Each block's rows, in block order. This thread runs every
-    threads-th block, from the first, in the buffers it keeps; a pool of
-    threads - 1 runs the others, each in buffers made for it."""
-    est_config = EstimatorConfig()
-
-    def own(block: list[list[_Segment]]) -> _RepStore:
-        return _run_block(block, est_config, _kept_buffers)
-
-    if threads == 1:
-        yield from map(own, blocks)
-        return
-    # the pool starts no thread unless a block is submitted
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        pending = {
-            i: pool.submit(_run_block, block, est_config)
-            for i, block in enumerate(blocks)
-            if i % threads
-        }
-        for i, block in enumerate(blocks):
-            yield pending.pop(i).result() if i in pending else own(block)
-
-
 def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
-    """Every replication of every config, in blocks that `_plan` fills.
-    Blocks run on `threads` threads, this one included, and return their
-    rows, which this thread writes into each config's slots in block
-    order. A config's slots exist from its first block's rows to its
-    last's, when finish(config, slots) runs; its results come back in
-    config order."""
+    """Every replication of every config, in blocks that `_plan` fills and
+    this thread runs in turn. Each block returns its rows, which are
+    written into each config's slots in block order. A config's slots
+    exist from its first block's rows to its last's, when
+    finish(config, slots) runs; its results come back in config order.
+    threads is checked but changes nothing that runs."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = [_Job(c) for c in configs]
-    blocks = _plan(jobs)
-    for block, rows in zip(blocks, _block_rows(blocks, threads)):
+    est_config = EstimatorConfig()
+    for block in _plan(jobs):
+        rows = _run_block(block, est_config)
         for job, reps, src in _block_segments(block):
             if job.store is None:
                 config = job.config
@@ -886,13 +859,14 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     Per replication: fresh table, complete randomization of p_treat * n
     units, every configured estimator. Estimator failures are tallied, not
     fatal; bias and rmse are measured against each replication's own
-    realized complier effect.
+    realized complier effect. threads is as in run_grid.
     """
     return run_grid([config], threads)[0]
 
 
 def run_concentration(config: ConcentrationConfig, threads: int = 1) -> ScenarioMetrics:
-    """Run one point of the compliance-concentration sweep."""
+    """Run one point of the compliance-concentration sweep; threads is as
+    in run_grid."""
     return run_grid([config], threads)[0]
 
 
@@ -902,7 +876,8 @@ def run_grid(
     """Run a collection of scenarios of either config type; one
     ScenarioMetrics per config, in order. Configs that share n and
     estimator tags share blocks, and each config's metrics equal those it
-    gets run alone."""
+    gets run alone. Every block runs on the calling thread: threads must
+    be at least 1 and changes nothing else."""
     return _run_reps(configs, threads, _metrics)
 
 

@@ -677,6 +677,14 @@ def test_cli_simulate_refuses_a_count_not_an_integer(tmp_path, capsys, config, f
     assert not out.exists()
 
 
+def test_cli_simulate_refuses_an_outcome_pattern_over_one_stratum(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", '{"num_strata": 1, "predicts_outcome": true}')
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "predicts_outcome" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_r(tmp_path):
     out = str(tmp_path / "sweep.csv")
     code = cli_main(

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,7 +27,7 @@ from ivstrat import (
 )
 from ivstrat import ScienceTable, science_to_observed, simulation
 from ivstrat.estimators import EstimatorConfig, estimate_rows
-from ivstrat.simulation import _Buffers, _Job, _draw_block, _philox_keys, _plan, _run_block
+from ivstrat.simulation import _Job, _draw_block, _philox_keys, _plan, _run_block
 from helpers import rep_rng, stratified_table
 
 
@@ -136,6 +137,23 @@ def test_concentration_config_refuses_a_count_not_an_integer(field, value):
     kw[field] = value
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         ConcentrationConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScenarioConfig(n=40, replications=2, num_strata=1, predicts_outcome=True),
+        lambda: ScenarioConfig(n=40, replications=2, num_strata=1, predicts_outcome=True,
+                               random_strata_k=3, outcome_r2=0.0),
+        lambda: ConcentrationConfig(n=40, replications=2, weights=(1.0,), predicts_outcome=True),
+    ],
+    ids=["scenario", "random strata", "concentration"],
+)
+def test_configs_refuse_an_outcome_pattern_over_one_stratum(make):
+    """An outcome pattern over one stratum has no scale (its between-stratum
+    spread is 0), so such a config is refused when it is made."""
+    with pytest.raises(ValueError, match="predicts_outcome"):
+        make()
 
 
 def test_concentration_infeasible_target():
@@ -574,12 +592,28 @@ def test_sim_n2000_config_runs_as_one_block_of_four_chunks(monkeypatch):
     assert sorted(calls) == sorted(config.estimators)
 
 
-def test_quick_grid_plans_blocks_for_every_thread():
-    """`grid --quick` plans at least 3 blocks, so that its runs at 2 and at
-    3 threads put blocks on the pool."""
+def test_quick_grid_plans_several_blocks():
+    """`grid --quick` plans all 7200 replications into at least 3 blocks, so
+    its golden covers rows written from block after block, and configs
+    that span blocks."""
     sizes = _chunk_sizes(default_grid(replications=100, seed=3, n_values=(500,)))
     assert len(sizes) >= 3
     assert sum(map(sum, sizes)) == 72 * 100
+
+
+def test_every_block_runs_on_the_calling_thread(monkeypatch):
+    """A run of several blocks starts no thread at 1, 2 or 3 threads, and
+    writes the same metrics bytes at each."""
+    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # chunks of 30, 92 reps a block
+    config = make_config(num_strata=4, replications=300, seed=31)
+    assert len(_plan([_Job(config)])) >= 3
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    texts = [metrics_text(run_grid([config], threads)[0]) for threads in (1, 2, 3)]
+    assert texts[1] == texts[0] and texts[2] == texts[0]
 
 
 @st.composite
@@ -616,8 +650,9 @@ def small_configs(draw):
             )
     except Infeasible:
         assume(False)
-    # an outcome pattern over one stratum has no scale (a ZeroDivisionError)
-    assume(not (config.predicts_outcome and config.num_strata == 1))
+    except ValueError as exc:  # an outcome pattern over one stratum is refused
+        assume(not str(exc).startswith("predicts_outcome"))
+        raise
     return config
 
 
@@ -635,9 +670,9 @@ def test_chunks_reveal_what_the_table_path_reveals(config):
     job = _Job(config)
     ((chunk,),) = _plan([job])
     n, reps = config.n, config.replications
-    buffers = _Buffers(reps * n)
-    rows = _run_block([chunk], EstimatorConfig(), lambda units: buffers)
-    slots = buffers.rows(reps, n)
+    rows = _run_block([chunk], EstimatorConfig())
+    # the chunk ran in this thread's kept buffers, which still hold its arrays
+    slots = simulation._kept.buffers.rows(reps, n)
     z, d, y, codes = slots["z"], slots["complier"].view(np.int8), slots["noise"], slots["strata"]
     for rep in range(reps):
         rng = rep_rng(config.seed, rep)
