@@ -9,31 +9,31 @@ as (p r^3, p r^2, p r, p) across four strata so a single knob r moves the
 design from uninformative (r = 1) to perfectly predictive (r = 0).
 
 The engine's unit of work is a segment, a range of one config's
-replications. A chunk is a list of segments of at most BLOCK_UNITS units
-in all, and a block a list of chunks whose moment rows, 13 (G + 1)
-values per replication at the largest stratum count G among its configs,
-hold at most BLOCK_UNITS values. Configs that share n and estimator tags
-fill chunks and blocks together, in config order, so a config smaller
-than a block shares one with the next. A block runs in two phases:
+replications. Configs that share n and estimator tags form a group, whose
+width is the most strata one of its replications can have. A group's
+replications, in config order, are cut into chunks of at most BLOCK_UNITS
+units and at most BLOCK_UNITS moment values, so a config smaller than a
+chunk shares one with the next. The engine runs a group's chunks in turn:
   * per chunk, each replication draws its population and assignment from
     its own stream, made in place into complier flags, y0 and each unit's
     effect tau. y1 equals y0 but at the compliers, where it is tau + y0,
     so the chunk forms y1 only there and reveals y by writing it at the
-    treated compliers. One block_moments call reduces the chunk to (R, G)
-    and pooled (R, 1) moments, and the chunk gathers its compliers'
-    entries: position, z, observed y, stratum code and y1 - y0;
-  * per run of chunks, a run ending where its entries reach BLOCK_UNITS
-    values or the block ends, each row's realized complier effect is one
-    mean over the stacked entries, and ORACLE runs once on them;
-  * per block, every other estimator's row-wise kernel
-    (estimators.estimate_rows, the same code that estimate() runs on one
-    sample) runs once on the chunks' stacked moments.
-A block of few compliers is one run, so every kernel runs once on it.
-A chunk's rows lacking some of the G codes have empty cells there, which
-the kernels mask out. A block returns its rows' results and writes
-nothing else; the calling thread copies them into each config's slots in
-block order, and aggregates and frees a config's slots once its last
-block is written.
+    treated compliers. One block_moments call reduces the chunk to
+    (R, width) and pooled (R, 1) moments, and the chunk gathers its
+    compliers' entries: position, z, observed y, stratum code and y1 - y0;
+  * the chunks' results are held until their moment values, 13
+    (width + 1) per row, and their complier entries' values reach
+    BLOCK_UNITS, or the group ends. Then a flush stacks them: each row's
+    realized complier effect is one mean over the stacked entries, and
+    every estimator's row-wise kernel (estimators.estimate_rows, the same
+    code that estimate() runs on one sample), ORACLE included, runs once
+    on the stacked rows.
+A group of few rows and compliers is one flush, so every kernel runs once
+on it. A chunk's rows lacking some of the width's codes have empty cells
+there, which the kernels mask out. A flush returns its rows' results and
+writes nothing else; the engine copies them into each config's slots in
+order, and aggregates and frees a config's slots once its last row is
+written.
 
 A replication's draws are, in order, what these numpy calls draw from its
 stream, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))):
@@ -49,19 +49,18 @@ once per segment, and an in-place shuffle of an arange row).
 Determinism contract: every replication draws from its own counter-based
 substream keyed by (seed, replication index) (Philox; Salmon et al., SC11).
 Its key is numpy's SeedSequence(entropy=seed, spawn_key=(rep,)) key,
-derived once per config, and the block's one generator is reset to that
+derived once per config, and the chunk's one generator is reset to that
 key, counter 0 and an empty buffer before the replication draws. Each row
-of a block is computed independently of the others, and of how many
+of a flush is computed independently of the others, and of how many
 strata its moments hold, and aggregation reads preallocated
 per-replication slots in index order, so results are byte identical for
-any block or chunk partition, any mix of configs in a block and any
-thread count: each config's metrics equal those it gets run alone.
-The calling thread runs every block, one after another, in buffers that
-it keeps between blocks and between calls. A block's chunks take turns
-in them, and every chunk overwrites what it reads of them, so no block
-reads what another left. The buffers are the thread's own, so two
-threads may each run run_grid at once. The `threads` argument is checked
-(at least 1) and changes nothing that runs.
+any partition into chunks and flushes, any mix of configs in them and
+any thread count: each config's metrics equal those it gets run alone.
+The calling thread runs every chunk, one after another, in buffers that
+it keeps between chunks and between calls. Every chunk overwrites what it
+reads of them, so no chunk reads what another left. The buffers are the
+thread's own, so two threads may each run run_grid at once. The `threads`
+argument is checked (at least 1) and changes nothing that runs.
 """
 
 from __future__ import annotations
@@ -369,12 +368,12 @@ class _Buffers:
         return views
 
 
-# the buffers that a thread keeps between blocks and between calls
+# the buffers that a thread keeps between chunks and between calls
 _kept = threading.local()
 
 
 def _kept_buffers(units: int) -> _Buffers:
-    """This thread's buffers, made at its first block (or remade larger)
+    """This thread's buffers, made at its first chunk (or remade larger)
     to hold BLOCK_UNITS units, or `units` if more."""
     buffers = getattr(_kept, "buffers", None)
     if buffers is None or buffers.units < units:
@@ -382,7 +381,13 @@ def _kept_buffers(units: int) -> _Buffers:
     return buffers
 
 
-def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
+def generate_science_table(
+    config: ScenarioConfig | ConcentrationConfig, rng: np.random.Generator
+) -> ScienceTable:
+    """Draw one population table for a factorial-grid scenario or a point
+    of the concentration sweep, with the compliance rates config.comp_prob.
+    With random_strata_k the table is relabeled as generate_random_strata
+    does."""
     design = _Design.of(config)
     slots = _Buffers(design.n).rows(1, design.n)
     design.draw(slots, 0, rng)
@@ -396,18 +401,8 @@ def _draw_table(config, rng: np.random.Generator) -> ScienceTable:
     return ScienceTable.from_arrays(y0, y1, np.zeros_like(d1), d1, strata)
 
 
-def generate_science_table(config: ScenarioConfig, rng: np.random.Generator) -> ScienceTable:
-    """Draw one population table for a factorial-grid scenario, with the
-    compliance rates config.comp_prob. With random_strata_k the table is
-    relabeled as generate_random_strata does."""
-    return _draw_table(config, rng)
-
-
-def generate_concentration_table(
-    config: ConcentrationConfig, rng: np.random.Generator
-) -> ScienceTable:
-    """Draw one population table for the concentration sweep."""
-    return _draw_table(config, rng)
+# the concentration sweep's name for the same draw
+generate_concentration_table = generate_science_table
 
 
 def generate_random_strata(
@@ -521,7 +516,7 @@ def _philox_keys(seed: int, reps: range) -> np.ndarray:
 
 @dataclass
 class _RepStore:
-    """Per-replication results, as a block's rows or as a config's slots.
+    """Per-replication results, as a flush's rows or as a config's slots.
 
     values[0..3] are each tag's (T, reps) est, se_bloom, se_delta and
     n_used, nan where a replication has no result (no complier, or the
@@ -628,6 +623,10 @@ def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int,
     return num_strata, moments, pooled, (*entries, y1 - y0)
 
 
+# a row's moment values per stratum
+_MOMENT_FIELDS = len(fields(StratumMoments))
+
+
 def _stack(parts: list[StratumMoments]) -> StratumMoments:
     """Moments of consecutive rows, stacked in order."""
     return StratumMoments(
@@ -635,60 +634,32 @@ def _stack(parts: list[StratumMoments]) -> StratumMoments:
     )
 
 
-def _write(rows: _RepStore, i: int, out, at: slice, num_strata: np.ndarray) -> None:
-    """Tag i's results `out` written into rows `at`, where those rows have
-    compliers and the estimator did not fail."""
-    ok = ~np.isnan(rows.truth[at]) & ~out.failed
+def _write(rows: _RepStore, i: int, out, num_strata: np.ndarray) -> None:
+    """Tag i's results `out` written into the rows that have compliers and
+    where the estimator did not fail."""
+    ok = ~np.isnan(rows.truth) & ~out.failed
     results = (out.est, out.se_bloom, out.se_delta, out.n_used)
-    for field, result in zip(rows.values[:, i, at], results):
+    for field, result in zip(rows.values[:, i], results):
         field[ok] = result[ok]
-    rows.dropped[i, at] = ok & (out.kept.sum(axis=1) < num_strata)
+    rows.dropped[i] = ok & (out.kept.sum(axis=1) < num_strata)
 
 
-def _complier_rows(rows: _RepStore, oracle, held: list, at: slice, n: int, est_config):
-    """Rows `at`, a run of chunks whose unit phases are `held`: the truth,
-    one mean over the chunks' stacked complier entries, and with ORACLE at
-    tag index `oracle` (None: not run) its results on those entries.
-    Returns the run's stacked stratum counts, moments and pooled moments."""
-    num_strata, moments, pooled, entries = zip(*held)
-    *entries, effect = (np.concatenate(a) for a in zip(*entries))
-    compliers = MaskedRows(entries[0], (at.stop - at.start, n))
-    rows.truth[at] = compliers.mean_var(effect[compliers.entry_order])[0]  # nan without compliers
-    num_strata, moments, pooled = np.concatenate(num_strata), _stack(moments), _stack(pooled)
-    if oracle is not None:
-        obs = ObservedBlock.of_moments(moments, pooled, num_strata, n, entries)
-        _write(rows, oracle, estimate_rows(obs, "ORACLE", est_config), at, num_strata)
-    return num_strata, moments, pooled
-
-
-def _run_block(block: list[list[_Segment]], est_config: EstimatorConfig) -> _RepStore:
-    """A block's rows: each chunk's unit phase in turn, in the buffers this
-    thread keeps; the truth and ORACLE once per run of chunks, on their
-    stacked complier entries, a run ending where its entries reach
-    BLOCK_UNITS values or the block ends; then every other tag once on the
-    block's stacked moments. It reads its jobs and writes none of them,
-    and the rows it returns share no memory with the buffers."""
-    config = block[0][0].job.config
-    n, tags = config.n, config.estimators
-    sizes = [_shape(chunk)[0] for chunk in block]
-    buffers = _kept_buffers(max(sizes) * n)
-    width = max(s.job.width for chunk in block for s in chunk)
-    oracle = tags.index("ORACLE") if "ORACLE" in tags else None
-    rows = _RepStore.empty(len(tags), sum(sizes))
-    runs, held, first, start = [], [], 0, 0
-    for chunk, r in zip(block, sizes):
-        held.append(_unit_phase(chunk, buffers.rows(r, n), width, start - first))
-        start += r
-        # the entries held stay near BLOCK_UNITS values, as a chunk's units do
-        if start == len(rows.truth) or sum(a.size for *_, e in held for a in e) >= BLOCK_UNITS:
-            runs.append(_complier_rows(rows, oracle, held, slice(first, start), n, est_config))
-            held, first = [], start
-    num_strata, moments, pooled = zip(*runs)
+def _flush(held: list, est_config: EstimatorConfig) -> _RepStore:
+    """The rows of `held`, consecutive chunks of one group each paired with
+    its unit phase: the truth, one mean over their stacked complier
+    entries, and every tag's results, each run once on their stacked
+    moments and entries. It reads its chunks' jobs and writes none of
+    them, and the rows it returns share no memory with the buffers."""
+    config = held[0][0][0].job.config
+    num_strata, moments, pooled, entries = zip(*(phase for _, phase in held))
     num_strata = np.concatenate(num_strata)
-    obs = ObservedBlock.of_moments(_stack(moments), _stack(pooled), num_strata, n)
-    for i, tag in enumerate(tags):
-        if i != oracle:
-            _write(rows, i, estimate_rows(obs, tag, est_config), slice(None), num_strata)
+    *entries, effect = (np.concatenate(a) for a in zip(*entries))
+    rows = _RepStore.empty(len(config.estimators), len(num_strata))
+    compliers = MaskedRows(entries[0], (len(num_strata), config.n))
+    rows.truth[:] = compliers.mean_var(effect[compliers.entry_order])[0]  # nan without compliers
+    obs = ObservedBlock.of_moments(_stack(moments), _stack(pooled), num_strata, config.n, entries)
+    for i, tag in enumerate(config.estimators):
+        _write(rows, i, estimate_rows(obs, tag, est_config), num_strata)
     return rows
 
 
@@ -735,15 +706,15 @@ def _aggregate(
 
 
 class _Job:
-    """One config's run: its design, the slots its blocks' rows are
-    written into, and what `finish` made of the slots once they are done."""
+    """One config's run: its design, the slots its rows are written into,
+    and what `finish` made of the slots once they are done."""
 
     def __init__(self, config: "ScenarioConfig | ConcentrationConfig") -> None:
         self.config = config
         self.design = _Design.of(config)
         self.n1 = _treated_count(config.n, config.p_treat)  # the config checked it
-        # the most strata a replication can have
-        self.width = self.design.random_k or self.design.num_strata
+        # the most strata a replication can have: at most one per unit
+        self.width = min(self.design.random_k or self.design.num_strata, config.n)
         # row i: replication i's Philox key
         self.keys = _philox_keys(int(config.seed), range(config.replications))
         self.segments = 0  # segments of its replications not yet written
@@ -769,39 +740,26 @@ def _cut(pieces: list[tuple[_Job, range]], size: int) -> list[list[_Segment]]:
     return chunks + [chunk] if chunk else chunks
 
 
-def _plan(jobs: Sequence[_Job]) -> list[list[list[_Segment]]]:
-    """Blocks of chunks. A chunk holds as many replications as fit in
-    BLOCK_UNITS units, and a block as many as keep their moment rows, at
-    the largest stratum count G of its jobs, within BLOCK_UNITS values:
-    13 (G + 1) per replication, (R, G) and pooled (R, 1) for each field.
-    The jobs that share n and estimator tags fill blocks together, in job
-    order, so a job's replications span consecutive chunks and blocks."""
+def _plan(jobs: Sequence[_Job]) -> list[tuple[int, list[list[_Segment]]]]:
+    """Each group of the jobs that share n and estimator tags, as its width
+    (the largest width of its jobs) and its chunks: its jobs'
+    replications, in job order, cut into chunks of as many as keep both
+    their units and their moment values, 13 (width + 1) per row, within
+    BLOCK_UNITS, so a job's replications span consecutive chunks."""
     groups: dict[tuple, list[_Job]] = {}
     for job in jobs:
         groups.setdefault((job.config.n, job.config.estimators), []).append(job)
-    per_stratum = len(fields(StratumMoments))
-    blocks = []
+    plan = []
     for (n, _), group in groups.items():
-        chunk = max(1, BLOCK_UNITS // n)
-        pieces, width, used = [], 0, 0  # the block being filled
-        for job in group:
-            start, reps = 0, job.config.replications
-            while start < reps:
-                size = max(1, BLOCK_UNITS // (per_stratum * (max(width, job.width) + 1)))
-                if used < size:
-                    stop = min(reps, start + size - used)
-                    pieces.append((job, range(start, stop)))
-                    width, used, start = max(width, job.width), used + stop - start, stop
-                if used >= size:  # full, or too full for this job's strata
-                    blocks.append(_cut(pieces, chunk))
-                    pieces, width, used = [], 0, 0
-        if pieces:
-            blocks.append(_cut(pieces, chunk))
-    return blocks
+        width = max(job.width for job in group)
+        size = max(1, BLOCK_UNITS // max(n, _MOMENT_FIELDS * (width + 1)))
+        plan.append((width, _cut([(job, range(job.config.replications)) for job in group], size)))
+    return plan
 
 
 def _block_segments(block: list[list[_Segment]]) -> Iterator[_Segment]:
-    """A block's segments, in order, with rows counted in the block."""
+    """Consecutive chunks' segments, in order, with rows counted from the
+    first chunk's."""
     base = 0
     for chunk in block:
         for job, reps, rows in chunk:
@@ -810,29 +768,43 @@ def _block_segments(block: list[list[_Segment]]) -> Iterator[_Segment]:
 
 
 def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
-    """Every replication of every config, in blocks that `_plan` fills and
-    this thread runs in turn. Each block returns its rows, which are
-    written into each config's slots in block order. A config's slots
-    exist from its first block's rows to its last's, when
-    finish(config, slots) runs; its results come back in config order.
-    threads is checked but changes nothing that runs."""
+    """Every replication of every config, each group's chunks in turn, on
+    this thread and in the buffers it keeps. The unit phases of a group's
+    chunks are held until their moment values, 13 (width + 1) per row, and
+    their complier entries' values reach BLOCK_UNITS, or the group ends;
+    then `_flush` runs them, and its rows are written into each config's
+    slots in order. A config's slots exist from its first rows to its
+    last, when finish(config, slots) runs; its results come back in config
+    order. threads is checked but changes nothing that runs."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = [_Job(c) for c in configs]
     est_config = EstimatorConfig()
-    for block in _plan(jobs):
-        rows = _run_block(block, est_config)
-        for job, reps, src in _block_segments(block):
-            if job.store is None:
-                config = job.config
-                job.store = _RepStore.empty(len(config.estimators), config.replications)
-            dst = slice(reps.start, reps.stop)
-            job.store.values[..., dst] = rows.values[..., src]
-            job.store.dropped[:, dst] = rows.dropped[:, src]
-            job.store.truth[dst] = rows.truth[src]
-            job.segments -= 1
-            if not job.segments:
-                job.result, job.store = finish(job.config, job.store), None
+    for width, chunks in _plan(jobs):
+        n = _shape(chunks[0])[1]
+        buffers = _kept_buffers(max(_shape(chunk)[0] for chunk in chunks) * n)
+        held, base, values = [], 0, 0
+        for chunk in chunks:
+            r = _shape(chunk)[0]
+            phase = _unit_phase(chunk, buffers.rows(r, n), width, base)
+            held.append((chunk, phase))
+            base += r
+            values += _MOMENT_FIELDS * (width + 1) * r + sum(a.size for a in phase[-1])
+            if values < BLOCK_UNITS and chunk is not chunks[-1]:
+                continue
+            rows = _flush(held, est_config)
+            for job, reps, src in _block_segments([c for c, _ in held]):
+                if job.store is None:
+                    config = job.config
+                    job.store = _RepStore.empty(len(config.estimators), config.replications)
+                dst = slice(reps.start, reps.stop)
+                job.store.values[..., dst] = rows.values[..., src]
+                job.store.dropped[:, dst] = rows.dropped[:, src]
+                job.store.truth[dst] = rows.truth[src]
+                job.segments -= 1
+                if not job.segments:
+                    job.result, job.store = finish(job.config, job.store), None
+            held, base, values = [], 0, 0
     return [job.result for job in jobs]
 
 
@@ -875,9 +847,9 @@ def run_grid(
 ) -> list[ScenarioMetrics]:
     """Run a collection of scenarios of either config type; one
     ScenarioMetrics per config, in order. Configs that share n and
-    estimator tags share blocks, and each config's metrics equal those it
-    gets run alone. Every block runs on the calling thread: threads must
-    be at least 1 and changes nothing else."""
+    estimator tags share chunks and flushes, and each config's metrics
+    equal those it gets run alone. Every chunk runs on the calling thread:
+    threads must be at least 1 and changes nothing else."""
     return _run_reps(configs, threads, _metrics)
 
 

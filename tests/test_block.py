@@ -7,10 +7,9 @@ against independent oracles.
 * Every method, ORACLE included, gives the same rows on moments held at
   more strata than the block has.
 * The simulation's per-replication slots do not depend on how the
-  replications are cut into blocks and chunks, which other configs share
-  those blocks, or how the blocks are spread over threads. A block
-  returns its rows, in any order it runs, and writes nothing into the
-  jobs it reads.
+  replications are cut into chunks and flushes, which other configs share
+  them, or the thread count. A flush returns its rows, in any order it
+  runs, and writes nothing into the jobs it reads.
 * Exact enumeration over blocks of assignments equals the loop that runs
   estimate() assignment by assignment.
 * The closed-form TSLS_DUMMY matches a least-squares 2SLS within 1e-12.
@@ -298,13 +297,29 @@ def _plan(configs, units: int) -> list:
         return simulation._plan([simulation._Job(config) for config in configs])
 
 
+def _flushed(configs, units: int) -> list[list]:
+    """What each flush of a run of configs held, in order: its chunks,
+    each with its unit phase."""
+    flushed = []
+    flush = simulation._flush
+
+    def recording(held, est_config):
+        flushed.append(held)
+        return flush(held, est_config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_flush", recording)
+        _run_slots(configs, units, 1)
+    return flushed
+
+
 def _whole(config) -> int:
-    """Units enough to run config alone in one chunk of one block."""
+    """Units enough to run config alone in one chunk, which one flush runs."""
     width = simulation._Job(config).width
     return config.replications * max(config.n, len(fields(StratumMoments)) * (width + 1))
 
 
-# a run of several blocks, of which one has several chunks
+# a run of several flushes, of which one has several chunks
 SPLIT = dict(which=list(range(len(CONFIGS))), units=2400, threads=3)
 
 
@@ -318,11 +333,11 @@ SPLIT = dict(which=list(range(len(CONFIGS))), units=2400, threads=3)
 @example(which=[3, 0, 6, 4], units=40 * 60, threads=1)
 @example(**SPLIT)
 def test_rep_store_slots_do_not_depend_on_block_partition(which, units, threads):
-    """Each config's slots, run with others in blocks and chunks of any
-    size, equal those it gets run alone in one block of one chunk."""
+    """Each config's slots, run with others in chunks and flushes of any
+    size, equal those it gets run alone in one chunk."""
     configs = [CONFIGS[i] for i in which]
     for config, parts in zip(configs, _run_slots(configs, units, threads)):
-        ((_,),) = _plan([config], _whole(config))
+        ((_, (_,)),) = _plan([config], _whole(config))
         (whole,) = _run_slots([config], _whole(config), 1)
         assert whole.keys() == parts.keys()
         for name, values in whole.items():
@@ -330,39 +345,36 @@ def test_rep_store_slots_do_not_depend_on_block_partition(which, units, threads)
 
 
 def test_partition_examples_split_blocks_and_chunks():
-    """The partition test's SPLIT example runs several blocks, one of them
-    of several chunks, and the blocks mix configs."""
-    blocks = _plan([CONFIGS[i] for i in SPLIT["which"]], SPLIT["units"])
-    assert len(blocks) >= 2
-    assert max(len(block) for block in blocks) >= 2
-    assert any(len({id(s.job) for chunk in block for s in chunk}) > 1 for block in blocks)
+    """The partition test's SPLIT example runs several flushes, one of them
+    of several chunks, and a flush's chunks mix configs."""
+    flushed = _flushed([CONFIGS[i] for i in SPLIT["which"]], SPLIT["units"])
+    assert len(flushed) >= 2
+    assert max(len(held) for held in flushed) >= 2
+    assert any(len({id(s.job) for chunk, _ in held for s in chunk}) > 1 for held in flushed)
 
 
 def test_blocks_return_their_rows_and_write_no_job():
-    """Blocks run in reverse order return rows that, written into each
-    config's slots by hand, equal what _run_reps gives; no block touches
-    a job."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "BLOCK_UNITS", 1000)
-        jobs = [simulation._Job(config) for config in CONFIGS]
-        blocks = simulation._plan(jobs)
-    assert any(len({id(s.job) for chunk in block for s in chunk}) > 1 for block in blocks)
-    before = [dict(vars(job)) for job in jobs]
-    rows = [simulation._run_block(block, EstimatorConfig()) for block in reversed(blocks)]
-    for job, was in zip(jobs, before):
-        assert job.store is None
+    """A run's flushes, run again in reverse order on what they held,
+    return rows that, written into each config's slots by hand, equal what
+    the run gave; no flush touches a job."""
+    flushed = _flushed(CONFIGS, 1000)
+    assert any(len({id(s.job) for chunk, _ in held for s in chunk}) > 1 for held in flushed)
+    jobs = {s.job.config: s.job for held in flushed for chunk, _ in held for s in chunk}
+    before = {job: dict(vars(job)) for job in jobs.values()}
+    rows = [simulation._flush(held, EstimatorConfig()) for held in reversed(flushed)]
+    for job, was in before.items():
         assert vars(job).keys() == was.keys()
         assert all(vars(job)[name] is value for name, value in was.items())
     stores = {job: simulation._RepStore.empty(len(job.config.estimators),
-                                              job.config.replications) for job in jobs}
-    for block, got in zip(blocks, reversed(rows)):
-        for job, reps, src in simulation._block_segments(block):
+                                              job.config.replications) for job in before}
+    for held, got in zip(flushed, reversed(rows)):
+        for job, reps, src in simulation._block_segments([chunk for chunk, _ in held]):
             store, dst = stores[job], slice(reps.start, reps.stop)
             store.values[..., dst] = got.values[..., src]
             store.dropped[:, dst] = got.dropped[:, src]
             store.truth[dst] = got.truth[src]
-    for job, want in zip(jobs, _run_slots(CONFIGS, 1000, 1)):
-        got = _slots(job.config, stores[job])
+    for config, want in zip(CONFIGS, _run_slots(CONFIGS, 1000, 1)):
+        got = _slots(config, stores[jobs[config]])
         assert got.keys() == want.keys()
         for name, values in want.items():
             assert np.array_equal(values, got[name], equal_nan=values.dtype.kind == "f"), name

@@ -67,35 +67,35 @@ def test_quick_grid_metrics_match_frozen_bytes(threads):
 def _failures(config, monkeypatch) -> tuple[simulation.ScenarioMetrics, dict[str, int]]:
     """config's metrics, and for each tag one bincount of its failure codes
     over the replications with a complier plus the replications without
-    one. A block's rows have a complier where its returned truth is not
-    nan; every tag but ORACLE runs once per block, and ORACLE once per run
-    of chunks, so each tag's calls in a block, in order, cover its rows."""
-    calls, blocks = [], []
+    one. A flush's rows have a complier where its returned truth is not
+    nan, and every tag, ORACLE included, runs once per flush, on all of
+    its rows."""
+    calls, flushes = [], []
 
     def recording(block, tag, est_config):
         rows = estimate_rows(block, tag, est_config)
         calls.append((tag, rows))
         return rows
 
-    def running(block, *args):
+    def flushing(held, *args):
         calls.clear()
-        out = run_block(block, *args)
-        blocks.append((list(calls), ~np.isnan(out.truth)))
+        out = flush(held, *args)
+        flushes.append((list(calls), ~np.isnan(out.truth)))
         return out
 
-    run_block = simulation._run_block
+    flush = simulation._flush
     with monkeypatch.context() as patch:
         patch.setattr(simulation, "estimate_rows", recording)
-        patch.setattr(simulation, "_run_block", running)
+        patch.setattr(simulation, "_flush", flushing)
         run = run_concentration if isinstance(config, ConcentrationConfig) else run_scenario
         metrics = run(config)
-    assert sum(len(live) for _, live in blocks) == config.replications
+    assert sum(len(live) for _, live in flushes) == config.replications
     failures = {}
     for tag in config.estimators:
         codes, no_complier = [], 0
-        for block_calls, live in blocks:
-            ran = [rows for t, rows in block_calls if t == tag]
-            code, est = (np.concatenate([getattr(r, f) for r in ran]) for f in ("code", "est"))
+        for flush_calls, live in flushes:
+            (ran,) = [rows for t, rows in flush_calls if t == tag]
+            code, est = ran.code, ran.est
             assert len(code) == len(live), tag
             assert np.isfinite(est[live & (code < 0)]).all(), tag
             codes.append(code[live])

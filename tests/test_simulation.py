@@ -27,7 +27,7 @@ from ivstrat import (
 )
 from ivstrat import ScienceTable, science_to_observed, simulation
 from ivstrat.estimators import EstimatorConfig, estimate_rows
-from ivstrat.simulation import _Job, _draw_block, _philox_keys, _plan, _run_block
+from ivstrat.simulation import _Job, _draw_block, _flush, _philox_keys, _plan, _unit_phase
 from helpers import rep_rng, stratified_table
 
 
@@ -426,7 +426,7 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", Philox)
     job = _Job(config)
-    ((chunk,),) = _plan([job])
+    ((_, (chunk,)),) = _plan([job])
     draws, z = _draw_block(chunk)
     monkeypatch.undo()
     (bit_generator,) = made
@@ -458,16 +458,16 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
 
 
 def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
-    # blocks of 100 replications in one chunk each (their moment rows, 13
-    # (G + 1) values each at G = 4, fill BLOCK_UNITS), so that the slots
-    # set the peak; all 20 configs' slots kept to the end would about
-    # triple it
+    # chunks of 100 replications (their moment rows, 13 (G + 1) values
+    # each at G = 4, fill BLOCK_UNITS), each flushed alone (with their
+    # complier entries they pass it), so that the slots set the peak; all
+    # 20 configs' slots kept to the end would about triple it
     monkeypatch.setattr(simulation, "BLOCK_UNITS", 100 * 13 * 5)
-    assert _chunk_sizes([make_config(n=60, replications=300)]) == [[100]] * 3
+    assert _flush_sizes([make_config(n=60, replications=300)]) == [[100]] * 3
 
     def peak(count: int) -> int:
         configs = [make_config(n=60, replications=300, seed=s) for s in range(count)]
-        # this thread's block buffers are made afresh, so they count in
+        # this thread's kept buffers are made afresh, so they count in
         # every peak
         vars(simulation._kept).clear()
         tracemalloc.start()
@@ -492,7 +492,7 @@ def test_kept_buffers_carry_nothing_between_blocks_or_calls(threads, monkeypatch
     """A config run after others that leave other shapes, strata counts
     and design kinds in this thread's buffers writes the bytes it writes
     on a new thread."""
-    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # 5 chunks of a, in 2 blocks
+    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # 5 chunks of a, each flushed alone
     a = make_config(n=200, num_strata=4, predicts_outcome=True, replications=150, seed=21)
     b = make_config(n=120, target_pi_c=0.3, random_strata_k=12, replications=70, seed=22)
     c = ConcentrationConfig(r=0.25, n=150, replications=50, seed=23)
@@ -544,69 +544,146 @@ def test_a_repeated_call_allocates_no_unit_sized_array(config):
     float64 array."""
     unit = simulation.BLOCK_UNITS // config.n * config.n * 8
     run_grid([config])
-    assert sum(len(block) for block in _plan([_Job(config)])) > 1
+    assert sum(len(chunks) for _, chunks in _plan([_Job(config)])) > 1
     assert _largest_line_allocation(lambda: run_grid([config])) < unit
 
 
-def test_a_block_holds_the_complier_entries_of_one_run_of_chunks():
-    """The truth and ORACLE stack the complier entries of a run of chunks
-    that ends once they reach BLOCK_UNITS values, so with half the units
-    compliers a repeated call's peak barely grows from 200 to 800
-    replications in one block (stacking the whole block's would about
-    quadruple it)."""
+def _repeated_call_peak(configs) -> int:
+    """The traced peak of run_grid(configs) called a second time, once the
+    first call has made this thread's buffers."""
+    run_grid(configs)
+    tracemalloc.start()
+    try:
+        run_grid(configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_flush_holds_about_block_units_values_of_complier_entries():
+    """A flush holds chunks until their moment values and complier entries'
+    values reach BLOCK_UNITS, so with half the units compliers a repeated
+    call's peak barely grows from 200 to 800 replications of one config
+    (holding the whole config's entries would about quadruple it)."""
 
     def peak(reps: int) -> int:
         config = make_config(n=2000, target_pi_c=0.5, replications=reps, seed=5)
-        assert len(_plan([_Job(config)])) == 1
-        run_grid([config])
-        tracemalloc.start()
-        try:
-            run_grid([config])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ((_, chunks),) = _plan([_Job(config)])
+        assert len(chunks) == -(-reps // 32)
+        return _repeated_call_peak([config])
 
     assert peak(800) < 1.5 * peak(200)
 
 
-def _chunk_sizes(configs) -> list[list[int]]:
-    """Each planned block's chunk sizes, in replications."""
-    return [[chunk[-1].rows.stop for chunk in block] for block in _plan([_Job(c) for c in configs])]
+def test_a_flush_holds_about_block_units_values_of_moments():
+    """At 12 random strata and few units, a replication's moment rows (13
+    values at each of 13 strata, one of them pooled) weigh about as much as
+    its complier entries, and a flush counts both: a repeated call's peak
+    barely grows from 3 to 12 configs of 400 replications in one group
+    (holding the whole group's rows would about quadruple it)."""
+
+    def peak(count: int) -> int:
+        configs = [make_config(n=200, random_strata_k=12, replications=400, seed=40 + s)
+                   for s in range(count)]
+        assert len(_plan([_Job(c) for c in configs])) == 1
+        return _repeated_call_peak(configs)
+
+    assert peak(12) < 1.5 * peak(3)
 
 
-def test_sim_n2000_config_runs_as_one_block_of_four_chunks(monkeypatch):
-    """The benchmark's n=2000 config: chunks of 32 replications fill
-    BLOCK_UNITS units, and all 100 replications' moment rows fit in one
-    block, so every kernel, ORACLE included, runs once per call."""
-    config = ScenarioConfig(n=2000, num_strata=4, target_pi_c=0.05, predicts_compliance=True,
-                            predicts_outcome=True, replications=100, seed=1)
-    assert _chunk_sizes([config]) == [[32, 32, 32, 4]]
+def test_random_strata_far_above_n_size_no_array_by_k():
+    """A replication has at most n strata, so random_strata_k = 10**5 at
+    n = 100 makes moments at most n strata wide: a repeated call's peak
+    stays below the size of one (replications, k) float64 array."""
+    config = make_config(n=100, random_strata_k=10**5, replications=20, seed=8)
+    assert _Job(config).width == config.n
+    assert _repeated_call_peak([config]) < config.replications * 10**5 * 8
+
+
+def test_a_chunk_keeps_its_units_and_moment_values_within_block_units():
+    """A chunk holds as many replications as keep both its units and its
+    moment values, 13 (width + 1) per row, within BLOCK_UNITS: the moments
+    bound chunks at small n, the units at large n."""
+    configs = [make_config(n=8, replications=3000), make_config(n=2000, replications=100),
+               make_config(n=16, random_strata_k=16, replications=3000)]
+    for config in configs:
+        ((width, chunks),) = _plan([_Job(config)])
+        sizes = [chunk[-1].rows.stop for chunk in chunks]
+        per_row = max(config.n, 13 * (width + 1))
+        assert sum(sizes) == config.replications
+        assert sizes[0] == simulation.BLOCK_UNITS // per_row
+
+
+def _flush_sizes(configs) -> list[list[int]]:
+    """The chunk sizes, in replications, of each flush that
+    run_grid(configs) runs."""
+    sizes = []
+
+    def recording(held, est_config):
+        sizes.append([chunk[-1].rows.stop for chunk, _ in held])
+        return flush(held, est_config)
+
+    flush = simulation._flush
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_flush", recording)
+        run_grid(configs)
+    return sizes
+
+
+def _tag_calls(configs) -> list[str]:
+    """The tags that run_grid(configs) calls estimate_rows with, in order."""
     calls = []
 
     def recording(block, tag, est_config):
         calls.append(tag)
         return estimate_rows(block, tag, est_config)
 
-    monkeypatch.setattr(simulation, "estimate_rows", recording)
-    run_grid([config])
-    assert sorted(calls) == sorted(config.estimators)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "estimate_rows", recording)
+        run_grid(configs)
+    return calls
+
+
+def test_sim_n2000_config_runs_as_one_block_of_four_chunks():
+    """The benchmark's n=2000 config: chunks of 32 replications fill
+    BLOCK_UNITS units, and all 100 replications' moment rows and complier
+    entries fit in one flush, so every kernel, ORACLE included, runs once
+    per call."""
+    config = ScenarioConfig(n=2000, num_strata=4, target_pi_c=0.05, predicts_compliance=True,
+                            predicts_outcome=True, replications=100, seed=1)
+    assert _flush_sizes([config]) == [[32, 32, 32, 4]]
+    assert sorted(_tag_calls([config])) == sorted(config.estimators)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sim_n500_k12_configs_run_as_one_block_of_one_chunk(seed):
+    """The benchmark's n=500 configs, 12 random strata and an r=0.25
+    concentration point of 60 replications each: one group, one chunk of
+    120 replications and one flush, so every kernel, ORACLE included, runs
+    once per call."""
+    configs = [
+        ScenarioConfig(n=500, target_pi_c=0.05, random_strata_k=12, replications=60, seed=seed),
+        ConcentrationConfig(r=0.25, n=500, replications=60, seed=seed + 100),
+    ]
+    assert _flush_sizes(configs) == [[120]]
+    assert sorted(_tag_calls(configs)) == sorted(configs[0].estimators)
 
 
 def test_quick_grid_plans_several_blocks():
-    """`grid --quick` plans all 7200 replications into at least 3 blocks, so
-    its golden covers rows written from block after block, and configs
-    that span blocks."""
-    sizes = _chunk_sizes(default_grid(replications=100, seed=3, n_values=(500,)))
+    """`grid --quick` runs all 7200 replications in at least 3 flushes, so
+    its golden covers rows written from flush after flush, and configs
+    that span flushes."""
+    sizes = _flush_sizes(default_grid(replications=100, seed=3, n_values=(500,)))
     assert len(sizes) >= 3
     assert sum(map(sum, sizes)) == 72 * 100
 
 
 def test_every_block_runs_on_the_calling_thread(monkeypatch):
-    """A run of several blocks starts no thread at 1, 2 or 3 threads, and
+    """A run of several flushes starts no thread at 1, 2 or 3 threads, and
     writes the same metrics bytes at each."""
-    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # chunks of 30, 92 reps a block
+    monkeypatch.setattr(simulation, "BLOCK_UNITS", 30 * 200)  # chunks of 30, each flushed alone
     config = make_config(num_strata=4, replications=300, seed=31)
-    assert len(_plan([_Job(config)])) >= 3
+    assert len(_flush_sizes([config])) >= 3
 
     def refuse(thread):
         raise AssertionError(f"thread {thread.name} started")
@@ -668,11 +745,11 @@ def test_chunks_reveal_what_the_table_path_reveals(config):
         else generate_science_table
     )
     job = _Job(config)
-    ((chunk,),) = _plan([job])
+    ((width, (chunk,)),) = _plan([job])
     n, reps = config.n, config.replications
-    rows = _run_block([chunk], EstimatorConfig())
-    # the chunk ran in this thread's kept buffers, which still hold its arrays
-    slots = simulation._kept.buffers.rows(reps, n)
+    slots = simulation._kept_buffers(reps * n).rows(reps, n)
+    rows = _flush([(chunk, _unit_phase(chunk, slots, width, 0))], EstimatorConfig())
+    # the flush shares no memory with the buffers, which still hold the chunk's arrays
     z, d, y, codes = slots["z"], slots["complier"].view(np.int8), slots["noise"], slots["strata"]
     for rep in range(reps):
         rng = rep_rng(config.seed, rep)
