@@ -14,7 +14,6 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields, replace
 from typing import Hashable, Iterator
 
@@ -613,66 +612,56 @@ def stratum_moments(sample: ObservedSample) -> StratumMoments:
 BLOCK_UNITS = 1 << 16
 
 
+@dataclass(frozen=True, eq=False)
 class ObservedBlock:
-    """R observed samples of n units each, stacked row by row: the input of
-    every estimator.
+    """R observed samples of n units each, as every estimator reads them.
 
-    Row r holds dense first-appearance stratum codes 0..num_strata[r]-1;
-    its (R, G) moments pad the codes it lacks with empty cells, which
-    `present` masks out. A single ObservedSample is the R = 1 case (of).
-    compliers, the (R, n) mask of true compliers, exists only where the
-    science table is known; the ORACLE kernel reads `complier_entries`, the
-    compliers' flat positions, z, y and stratum codes. ORACLE is the only
-    kernel that reads units; every other one reads `moments` or `pooled`,
-    which with the complier entries is all that a block made by of_moments
-    holds.
+    moments holds their (R, G) per-stratum, per-arm moments and pooled the
+    (R, 1) ones with every unit in one stratum. Row r has dense
+    first-appearance stratum codes 0..num_strata[r]-1; G may exceed a
+    row's count, and `present` masks out the codes it lacks.
+    complier_entries, known only from a science table, holds the true
+    compliers' flat positions in the (R, n) layout, in order, and their z,
+    observed y and stratum codes (complier_values); only the ORACLE kernel
+    reads them. of_units builds a block from unit arrays, and `of` from one
+    ObservedSample (R = 1). Equality is identity.
     """
 
-    def __init__(self, z, d, y, strata, num_strata, compliers=None) -> None:
-        self.z, self.d, self.y, self.strata, self.compliers = z, d, y, strata, compliers
-        self.num_strata = np.asarray(num_strata, dtype=np.intp)
-        self.n = z.shape[1]
-        self.present = np.arange(int(self.num_strata.max())) < self.num_strata[:, None]
+    moments: StratumMoments
+    pooled: StratumMoments
+    num_strata: np.ndarray
+    n: int
+    complier_entries: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def present(self) -> np.ndarray:
+        """The (R, G) mask of the stratum codes each row has."""
+        return np.arange(self.moments.n_g.shape[1]) < self.num_strata[:, None]
+
+    @classmethod
+    def of_units(cls, z, d, y, strata, num_strata, compliers=None) -> "ObservedBlock":
+        """The block of (R, n) unit arrays, one sample per row with dense
+        stratum codes and num_strata[r] of them, its moments at G =
+        num_strata.max(); compliers, the (R, n) mask of true compliers,
+        gives the complier entries."""
+        num_strata = np.asarray(num_strata, dtype=np.intp)
+        moments, pooled = block_moments(z, d, y, strata, int(num_strata.max()))
+        entries = None
+        if compliers is not None:
+            at = np.flatnonzero(compliers)
+            entries = (at, *complier_values(at, z, y, strata))
+        return cls(moments, pooled, num_strata, z.shape[1], entries)
 
     @classmethod
     def of(cls, sample: ObservedSample, compliers=None) -> "ObservedBlock":
-        return cls(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
-                   [sample.num_strata], None if compliers is None else compliers[None])
+        return cls.of_units(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
+                            [sample.num_strata], None if compliers is None else compliers[None])
 
-    @classmethod
-    def of_moments(cls, moments, pooled, num_strata, n: int, complier_entries=None):
-        """A block of R rows of n units that holds only their moments, (R, G)
-        at any G no smaller than a row's stratum count and pooled (R, 1),
-        and perhaps its complier entries: enough for every kernel."""
-        block = cls.__new__(cls)
-        block.z = block.d = block.y = block.strata = block.compliers = None
-        block.num_strata, block.n = np.asarray(num_strata, dtype=np.intp), n
-        block.present = np.arange(moments.n_g.shape[1]) < block.num_strata[:, None]
-        block._moments, block.complier_entries = (moments, pooled), complier_entries
-        return block
 
-    @functools.cached_property
-    def complier_entries(self) -> tuple[np.ndarray, ...] | None:
-        """The true compliers' flat positions in the (R, n) layout, in order,
-        and their z, y and stratum codes; None without a complier mask."""
-        if self.compliers is None:
-            return None
-        at = np.flatnonzero(self.compliers)
-        row, col = np.divmod(at, self.n)
-        return (at, *(a[row, col] for a in (self.z, self.y, self.strata)))
-
-    @functools.cached_property
-    def _moments(self) -> tuple[StratumMoments, StratumMoments]:
-        return block_moments(self.z, self.d, self.y, self.strata, self.present.shape[1])
-
-    @property
-    def moments(self) -> StratumMoments:
-        return self._moments[0]
-
-    @property
-    def pooled(self) -> StratumMoments:
-        """Moments with every unit in one stratum: (R, 1) fields."""
-        return self._moments[1]
+def complier_values(at: np.ndarray, z, y, strata) -> tuple[np.ndarray, ...]:
+    """The z, observed y and stratum codes of the units at flat positions
+    `at` of (R, n) arrays: a complier entry's values."""
+    return z.take(at), y.take(at), strata.take(at)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,15 @@ arm averaged over the strata that have units in it; it equals IV_A when
 every present stratum has both arms.
 
 Every estimator, ORACLE included, is a row-wise kernel over an
-ObservedBlock of R samples (estimate_rows); estimate() and
-oracle_complier_dim are its R = 1 calls, and simulate and
-enumerate_expectation call it once per block. Every kernel but ORACLE reads
-only the block's stratum moments. ORACLE reads the block's true compliers'
-entries, which only a science table gives, so METHODS and estimate() leave
-it out. Kept sets are (R, G) code masks; labels appear only in EstimateReport.
+ObservedBlock (estimate_rows): the record of R samples' (R, G) stratum
+moments, pooled moments, stratum counts and n, and perhaps their true
+compliers' entries. estimate() and oracle_complier_dim are its R = 1
+calls, through ObservedBlock.of; enumerate_expectation calls it once per
+block of assignments, through ObservedBlock.of_units, and simulate once
+per flush, on a record of stacked moments. Every kernel but ORACLE reads
+only the moments. ORACLE reads the complier entries, which only a science
+table gives, so METHODS and estimate() leave it out. Kept sets are (R, G)
+code masks; labels appear only in EstimateReport.
 Failures are data: Rows.code[r] indexes row r's exception in Rows.causes
 (-1: none), and exactly the failed rows have a nan estimate. Past a DSS or
 DSF screen (AllStrataDropped), every ratio kernel and both TSLS fail by

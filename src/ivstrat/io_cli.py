@@ -476,7 +476,8 @@ def analyze(
     even when UNSTRAT is not in the requested set); p-values use the Bloom
     SE with a normal approximation. Estimator failures leave unavailable
     cells rather than aborting. Every estimator runs on one ObservedBlock,
-    so the sample's moments are computed once per call.
+    the sample's moments (ObservedBlock.of, one block_moments call), so
+    they are computed once per call.
     """
     if se not in ("bloom", "delta", "both"):
         raise ValueError(f"se must be bloom, delta, or both, got {se!r}")

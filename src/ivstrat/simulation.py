@@ -83,6 +83,7 @@ from .data_model import (
     StratumMoments,
     _treated_count,
     block_moments,
+    complier_values,
     first_appearance,
 )
 from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, check_tags, estimate_rows
@@ -551,18 +552,15 @@ def _shape(chunk: list[_Segment]) -> tuple[int, int]:
 
 
 def _draw_block(
-    chunk: list[_Segment], slots: dict[str, np.ndarray] | None = None
+    chunk: list[_Segment], slots: dict[str, np.ndarray]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """A chunk's population draws and its (R, n) assignments, in `slots`
-    (`_Buffers.rows`; fresh ones if None). Each replication draws its
-    population and then its assignment from its own substream: the chunk's
-    one generator, reset to the replication's key. Row i of `order` holds
-    its units' flat positions in the chunk, so `rng.shuffle` of it draws
-    what permutation(n) does, and the first n1 units of each row are
-    treated."""
+    (`_Buffers.rows`). Each replication draws its population and then its
+    assignment from its own substream: the chunk's one generator, reset to
+    the replication's key. Row i of `order` holds its units' flat positions
+    in the chunk, so `rng.shuffle` of it draws what permutation(n) does,
+    and the first n1 units of each row are treated."""
     r, n = _shape(chunk)
-    if slots is None:
-        slots = _Buffers(r * n).rows(r, n)
     labels = any(s.job.design.random_k is not None for s in chunk)
     draws = {name: slots[name] for name in ("strata", "u", "noise", "labels")[: 3 + labels]}
     order = slots["order"]
@@ -592,8 +590,9 @@ def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int,
     """What a chunk computes from its units, in `slots` (`_Buffers.rows`),
     each replication drawn from its own substream and revealed: each row's
     stratum count, the rows' moments at `width` strata and pooled, and its
-    compliers' entries (flat positions counted from row `base`, z, y,
-    stratum codes and y1 - y0), in position order."""
+    compliers' entries in position order: flat positions counted from row
+    `base`, their z, y and stratum codes, gathered after the reveal by the
+    rule ObservedBlock.of_units uses (complier_values), and y1 - y0."""
     n = chunk[0].job.config.n
     _, z = _draw_block(chunk, slots)
     strata, tau, y, complier = (slots[name] for name in ("strata", "u", "noise", "complier"))
@@ -619,8 +618,8 @@ def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int,
     # the key's slot, tau's and the outcome temporaries' are free for the moments
     work = (slots["labels"], tau, slots["rate"], slots["shift"])
     moments, pooled = block_moments(z, d, y, codes, width, work)
-    entries = (at + base * n, treated.view(np.int8), np.where(treated, y1, y0), codes.take(at))
-    return num_strata, moments, pooled, (*entries, y1 - y0)
+    entries = (at + base * n, *complier_values(at, z, y, codes), y1 - y0)
+    return num_strata, moments, pooled, entries
 
 
 # a row's moment values per stratum
@@ -647,9 +646,10 @@ def _write(rows: _RepStore, i: int, out, num_strata: np.ndarray) -> None:
 def _flush(held: list, est_config: EstimatorConfig) -> _RepStore:
     """The rows of `held`, consecutive chunks of one group each paired with
     its unit phase: the truth, one mean over their stacked complier
-    entries, and every tag's results, each run once on their stacked
-    moments and entries. It reads its chunks' jobs and writes none of
-    them, and the rows it returns share no memory with the buffers."""
+    entries, and every tag's results, each run once on one ObservedBlock
+    of their stacked moments and entries, built by its constructor. It
+    reads its chunks' jobs and writes none of them, and the rows it
+    returns share no memory with the buffers."""
     config = held[0][0][0].job.config
     num_strata, moments, pooled, entries = zip(*(phase for _, phase in held))
     num_strata = np.concatenate(num_strata)
@@ -657,7 +657,7 @@ def _flush(held: list, est_config: EstimatorConfig) -> _RepStore:
     rows = _RepStore.empty(len(config.estimators), len(num_strata))
     compliers = MaskedRows(entries[0], (len(num_strata), config.n))
     rows.truth[:] = compliers.mean_var(effect[compliers.entry_order])[0]  # nan without compliers
-    obs = ObservedBlock.of_moments(_stack(moments), _stack(pooled), num_strata, config.n, entries)
+    obs = ObservedBlock(_stack(moments), _stack(pooled), num_strata, config.n, tuple(entries))
     for i, tag in enumerate(config.estimators):
         _write(rows, i, estimate_rows(obs, tag, est_config), num_strata)
     return rows
@@ -717,7 +717,6 @@ class _Job:
         self.width = min(self.design.random_k or self.design.num_strata, config.n)
         # row i: replication i's Philox key
         self.keys = _philox_keys(int(config.seed), range(config.replications))
-        self.segments = 0  # segments of its replications not yet written
         self.store: _RepStore | None = None
         self.result = None
 
@@ -731,7 +730,6 @@ def _cut(pieces: list[tuple[_Job, range]], size: int) -> list[list[_Segment]]:
         while start < reps.stop:
             stop = min(reps.stop, start + size - used)
             chunk.append(_Segment(job, range(start, stop), slice(used, used + stop - start)))
-            job.segments += 1
             used += stop - start
             start = stop
             if used == size:
@@ -801,8 +799,8 @@ def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
                 job.store.values[..., dst] = rows.values[..., src]
                 job.store.dropped[:, dst] = rows.dropped[:, src]
                 job.store.truth[dst] = rows.truth[src]
-                job.segments -= 1
-                if not job.segments:
+                # a job's segments are flushed in order: this is its last
+                if reps.stop == job.config.replications:
                     job.result, job.store = finish(job.config, job.store), None
             held, base, values = [], 0, 0
     return [job.result for job in jobs]

@@ -19,7 +19,7 @@ against independent oracles.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -96,7 +96,7 @@ def test_block_rows_match_per_sample_estimates(seed, reps, n, k, pc, pa):
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
     compliers = (d1 == 1) & (d0 == 0)
-    block = ObservedBlock(z, d, y, codes, num_strata, compliers)
+    block = ObservedBlock.of_units(z, d, y, codes, num_strata, compliers)
     results = {tag: estimate_rows(block, tag) for tag in (*METHODS, "ORACLE")}
     for i in range(reps):
         table = ScienceTable.from_arrays(y0[i], y1[i], d0[i], d1[i], strata=labels[i])
@@ -137,7 +137,7 @@ def test_a_row_has_no_estimate_exactly_when_it_failed(seed, reps, n, k, pc, pa):
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
-    block = ObservedBlock(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
+    block = ObservedBlock.of_units(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
     for tag in (*METHODS, "ORACLE"):
         rows = estimate_rows(block, tag)
         assert ((-1 <= rows.code) & (rows.code < len(rows.causes))).all(), tag
@@ -164,7 +164,7 @@ def test_ratio_kernels_share_one_first_stage_rule(seed, reps, n, k, pc, pa):
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
-    block = ObservedBlock(z, d, y, codes, num_strata)
+    block = ObservedBlock.of_units(z, d, y, codes, num_strata)
     for tag in RATIO_TAGS:
         rows = estimate_rows(block, tag)
         cause = [type(rows.causes[c]) if c >= 0 else None for c in rows.code]
@@ -195,17 +195,20 @@ def test_no_uptake_fails_iv_w_and_pwiv_alike():
     pc=st.sampled_from([0.0, 0.3, 0.9]),
 )
 def test_methods_read_only_the_moments(seed, reps, n, k, pc):
-    """Every method but ORACLE is a function of the block's moments: with
-    moments and pooled cached and the unit arrays gone, each gives the
-    bits and failure codes of an untouched block."""
+    """The block is a frozen record of what the kernels read, and holds no
+    unit array. Every method but ORACLE gives the same bits, failure codes
+    and causes on a block built by of_units and on one built from a direct
+    block_moments call."""
+    names = [f.name for f in fields(ObservedBlock)]
+    assert names == ["moments", "pooled", "num_strata", "n", "complier_entries"]
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
-    bare = ObservedBlock(z, d, y, codes, num_strata)
-    bare.moments, bare.pooled  # fill both caches
-    bare.z = bare.d = bare.y = bare.strata = None
+    bare = ObservedBlock(*block_moments(z, d, y, codes, int(num_strata.max())), num_strata, n)
+    with pytest.raises(FrozenInstanceError):
+        bare.moments = None
     for tag in METHODS:
-        want = estimate_rows(ObservedBlock(z, d, y, codes, num_strata), tag)
+        want = estimate_rows(ObservedBlock.of_units(z, d, y, codes, num_strata), tag)
         got = estimate_rows(bare, tag)
         for field in ("est", "f_hat", "n_used", "kept", "se_bloom", "se_delta"):
             assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), (
@@ -233,8 +236,8 @@ def test_kernels_do_not_depend_on_the_moments_width(seed, reps, n, k, pc, extra)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
     g = int(num_strata.max())
-    block = ObservedBlock(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
-    wide = ObservedBlock.of_moments(
+    block = ObservedBlock.of_units(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
+    wide = ObservedBlock(
         *block_moments(z, d, y, codes, g + extra), num_strata, n, block.complier_entries
     )
     for tag in (*METHODS, "ORACLE"):

@@ -27,7 +27,9 @@ from ivstrat import (
 )
 from ivstrat import ScienceTable, science_to_observed, simulation
 from ivstrat.estimators import EstimatorConfig, estimate_rows
-from ivstrat.simulation import _Job, _draw_block, _flush, _philox_keys, _plan, _unit_phase
+from ivstrat.simulation import (
+    _Buffers, _Job, _draw_block, _flush, _philox_keys, _plan, _unit_phase,
+)
 from helpers import rep_rng, stratified_table
 
 
@@ -427,7 +429,8 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", Philox)
     job = _Job(config)
     ((_, (chunk,)),) = _plan([job])
-    draws, z = _draw_block(chunk)
+    r = config.replications
+    draws, z = _draw_block(chunk, _Buffers(r * n).rows(r, n))
     monkeypatch.undo()
     (bit_generator,) = made
     # each replication's state after its draws: the one its successor's
