@@ -617,9 +617,9 @@ class ObservedBlock:
     """R observed samples of n units each, as every estimator reads them.
 
     moments holds their (R, G) per-stratum, per-arm moments and pooled the
-    (R, 1) ones with every unit in one stratum. Row r has dense
-    first-appearance stratum codes 0..num_strata[r]-1; G may exceed a
-    row's count, and `present` masks out the codes it lacks.
+    (R, 1) ones with every unit in one stratum. Each row has dense stratum
+    codes; G may exceed a row's count, and `present` masks out the codes
+    it lacks, the ones without units.
     complier_entries, known only from a science table, holds the true
     compliers' flat positions in the (R, n) layout, in order, and their z,
     observed y and stratum codes (complier_values); only the ORACLE kernel
@@ -629,33 +629,31 @@ class ObservedBlock:
 
     moments: StratumMoments
     pooled: StratumMoments
-    num_strata: np.ndarray
     n: int
     complier_entries: tuple[np.ndarray, ...] | None = None
 
     @property
     def present(self) -> np.ndarray:
         """The (R, G) mask of the stratum codes each row has."""
-        return np.arange(self.moments.n_g.shape[1]) < self.num_strata[:, None]
+        return self.moments.n_g > 0
 
     @classmethod
-    def of_units(cls, z, d, y, strata, num_strata, compliers=None) -> "ObservedBlock":
+    def of_units(cls, z, d, y, strata, compliers=None) -> "ObservedBlock":
         """The block of (R, n) unit arrays, one sample per row with dense
-        stratum codes and num_strata[r] of them, its moments at G =
-        num_strata.max(); compliers, the (R, n) mask of true compliers,
-        gives the complier entries."""
-        num_strata = np.asarray(num_strata, dtype=np.intp)
-        moments, pooled = block_moments(z, d, y, strata, int(num_strata.max()))
+        stratum codes, its moments at G = strata.max() + 1 (0 without
+        units); compliers, the (R, n) mask of true compliers, gives the
+        complier entries."""
+        moments, pooled = block_moments(z, d, y, strata, int(strata.max(initial=-1)) + 1)
         entries = None
         if compliers is not None:
             at = np.flatnonzero(compliers)
             entries = (at, *complier_values(at, z, y, strata))
-        return cls(moments, pooled, num_strata, z.shape[1], entries)
+        return cls(moments, pooled, z.shape[1], entries)
 
     @classmethod
     def of(cls, sample: ObservedSample, compliers=None) -> "ObservedBlock":
         return cls.of_units(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
-                            [sample.num_strata], None if compliers is None else compliers[None])
+                            None if compliers is None else compliers[None])
 
 
 def complier_values(at: np.ndarray, z, y, strata) -> tuple[np.ndarray, ...]:

@@ -22,14 +22,14 @@ every present stratum has both arms.
 
 Every estimator, ORACLE included, is a row-wise kernel over an
 ObservedBlock (estimate_rows): the record of R samples' (R, G) stratum
-moments, pooled moments, stratum counts and n, and perhaps their true
-compliers' entries. estimate() and oracle_complier_dim are its R = 1
-calls, through ObservedBlock.of; enumerate_expectation calls it once per
-block of assignments, through ObservedBlock.of_units, and simulate once
-per flush, on a record of stacked moments. Every kernel but ORACLE reads
-only the moments. ORACLE reads the complier entries, which only a science
-table gives, so METHODS and estimate() leave it out. Kept sets are (R, G)
-code masks; labels appear only in EstimateReport.
+moments, pooled moments and n, and perhaps their true compliers' entries.
+estimate() and oracle_complier_dim are its R = 1 calls, through
+ObservedBlock.of; enumerate_expectation calls it once per block of
+assignments, through ObservedBlock.of_units, and simulate once per flush,
+on a record of stacked moments. Every kernel but ORACLE reads only the
+moments. ORACLE reads the complier entries, which only a science table
+gives, so METHODS and estimate() leave it out. Kept sets are (R, G) code
+masks; labels appear only in EstimateReport.
 Failures are data: Rows.code[r] indexes row r's exception in Rows.causes
 (-1: none), and exactly the failed rows have a nan estimate. Past a DSS or
 DSF screen (AllStrataDropped), every ratio kernel and both TSLS fail by
@@ -174,7 +174,7 @@ def _tsls_dummies_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
             + b * b * (ss(m.s2_d1, m.n_g1) + ss(m.s2_d0, m.n_g0))
         )
         between = np.where(varies, h * (m.itt_hat - b * m.f_hat) ** 2, 0.0)
-        dof = block.n - (block.num_strata + 1)
+        dof = block.n - (present.sum(axis=1) + 1)
         var = ksum(np.where(present, within + between, 0.0)) / dof / (pi * pi * h_sum)
         se = np.where(dof >= 1, np.sqrt(np.where(0.0 > var, 0.0, var)), np.nan)
     nan = np.full(len(beta), np.nan)

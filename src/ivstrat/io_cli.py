@@ -629,13 +629,28 @@ def write_metrics_csv(metrics: Iterable[ScenarioMetrics], fh: IO[str]) -> None:
 
 
 def read_metrics_csv(fh: IO[str]) -> list[dict]:
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
+    """A metrics table's rows as dicts of parsed cells; a row of the wrong
+    length, or with a cell its column does not parse, raises MalformedRow."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
         raise EmptyFile("metrics stream")
-    if tuple(reader.fieldnames) != METRICS_COLUMNS:
-        raise MalformedRow(1, f"expected header {list(METRICS_COLUMNS)}, got {reader.fieldnames}")
-    codecs = _metrics_codecs()
-    return [{col: parse(raw[col]) for col, (_, parse, _) in codecs.items()} for raw in reader]
+    if tuple(header) != METRICS_COLUMNS:
+        raise MalformedRow(1, f"expected header {list(METRICS_COLUMNS)}, got {header}")
+    parsers = [(col, parse) for col, (_, parse, _) in _metrics_codecs().items()]
+    rows = []
+    for row in filter(None, reader):  # csv.DictReader skips blank lines too
+        if len(row) != len(parsers):
+            raise MalformedRow(reader.line_num, "wrong number of fields")
+        parsed = {}
+        for (col, parse), raw in zip(parsers, row):
+            try:
+                parsed[col] = parse(raw)
+            except ValueError:
+                reason = f"{col}={raw!r} is not a {parse.__name__}"
+                raise MalformedRow(reader.line_num, reason) from None
+        rows.append(parsed)
+    return rows
 
 
 def _config_from_dict(obj: Mapping) -> ScenarioConfig | ConcentrationConfig:
@@ -858,7 +873,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--out", default="-", help="metrics CSV path, - for stdout")
     run.add_argument("--threads", type=_threads, default=1,
-                     help="at least 1; kept for old scripts: one thread runs every block")
+                     help="at least 1; kept for old scripts: one thread runs every chunk")
     run.set_defaults(func=_cmd_simulate)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--replications", type=int, default=1000)

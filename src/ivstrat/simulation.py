@@ -30,10 +30,10 @@ chunk shares one with the next. The engine runs a group's chunks in turn:
     on the stacked rows.
 A group of few rows and compliers is one flush, so every kernel runs once
 on it. A chunk's rows lacking some of the width's codes have empty cells
-there, which the kernels mask out. A flush returns its rows' results and
-writes nothing else; the engine copies them into each config's slots in
-order, and aggregates and frees a config's slots once its last row is
-written.
+there, which are not its strata (ObservedBlock.present). A flush returns
+its rows' results and writes nothing else; run_grid, the one run loop,
+copies them into each config's slots in order, and aggregates and frees
+a config's slots once its last row is written.
 
 A replication's draws are, in order, what these numpy calls draw from its
 stream, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))):
@@ -69,7 +69,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,7 +86,7 @@ from .data_model import (
     complier_values,
     first_appearance,
 )
-from .estimators import DEFAULT_ESTIMATORS, METHODS, EstimatorConfig, check_tags, estimate_rows
+from .estimators import DEFAULT_ESTIMATORS, METHODS, check_tags, estimate_rows
 
 __all__ = [
     "RNG_FAMILY",
@@ -174,6 +174,8 @@ class ScenarioConfig:
             raise ValueError("compliance_ratio must lie in (0, 1]")
         if self.random_strata_k is not None:
             _check_count("random_strata_k", self.random_strata_k, 1)
+            if self.random_strata_k > 2**63:  # integers(0, k) draws int64 labels
+                raise ValueError("random_strata_k must be at most 2**63")
         self.comp_prob  # fail construction on infeasible compliance
 
     @functools.cached_property
@@ -551,18 +553,15 @@ def _shape(chunk: list[_Segment]) -> tuple[int, int]:
     return chunk[-1].rows.stop, chunk[0].job.config.n
 
 
-def _draw_block(
-    chunk: list[_Segment], slots: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """A chunk's population draws and its (R, n) assignments, in `slots`
-    (`_Buffers.rows`). Each replication draws its population and then its
-    assignment from its own substream: the chunk's one generator, reset to
-    the replication's key. Row i of `order` holds its units' flat positions
-    in the chunk, so `rng.shuffle` of it draws what permutation(n) does,
-    and the first n1 units of each row are treated."""
+def _draw_block(chunk: list[_Segment], slots: dict[str, np.ndarray]) -> np.ndarray:
+    """A chunk's population draws, written into `slots` (`_Buffers.rows`)
+    by `_Design.draw`, and its (R, n) assignments z, which it returns.
+    Each replication draws its population and then its assignment from its
+    own substream: the chunk's one generator, reset to the replication's
+    key. Row i of `order` holds its units' flat positions in the chunk, so
+    `rng.shuffle` of it draws what permutation(n) does, and the first n1
+    units of each row are treated."""
     r, n = _shape(chunk)
-    labels = any(s.job.design.random_k is not None for s in chunk)
-    draws = {name: slots[name] for name in ("strata", "u", "noise", "labels")[: 3 + labels]}
     order = slots["order"]
     np.copyto(order, slots["positions"].reshape(r, n))
     bit_generator = np.random.Philox(0)
@@ -576,25 +575,25 @@ def _draw_block(
         for key in job.keys[reps.start : reps.stop].tolist():
             state["state"]["key"] = key
             bit_generator.state = state
-            draw(draws, i, rng)
+            draw(slots, i, rng)
             rng.shuffle(order[i])
             i += 1
     z = slots["z"]
     z.fill(0)
     for job, _, rows in chunk:
         z.reshape(-1)[order[rows, : job.n1]] = 1
-    return draws, z
+    return z
 
 
 def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int, base: int):
     """What a chunk computes from its units, in `slots` (`_Buffers.rows`),
-    each replication drawn from its own substream and revealed: each row's
-    stratum count, the rows' moments at `width` strata and pooled, and its
-    compliers' entries in position order: flat positions counted from row
+    each replication drawn from its own substream and revealed: the rows'
+    moments at `width` strata and pooled, and the chunk's compliers'
+    entries in position order: flat positions counted from row
     `base`, their z, y and stratum codes, gathered after the reveal by the
     rule ObservedBlock.of_units uses (complier_values), and y1 - y0."""
     n = chunk[0].job.config.n
-    _, z = _draw_block(chunk, slots)
+    z = _draw_block(chunk, slots)
     strata, tau, y, complier = (slots[name] for name in ("strata", "u", "noise", "complier"))
     for job, _, rows in chunk:
         work = (slots["rate"][rows], slots["shift"][rows])
@@ -608,7 +607,7 @@ def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int,
     y1 += y0
     if not (np.isfinite(y).all() and np.isfinite(y1).all()):
         raise NonFinite("potential outcomes must be finite")
-    codes, num_strata, _ = first_appearance(
+    codes, _, _ = first_appearance(
         strata, key=slots["labels"], codes=strata, positions=slots["positions"]
     )
     # reveal y1 at the treated compliers and d = d1 * z in place
@@ -619,7 +618,7 @@ def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int,
     work = (slots["labels"], tau, slots["rate"], slots["shift"])
     moments, pooled = block_moments(z, d, y, codes, width, work)
     entries = (at + base * n, *complier_values(at, z, y, codes), y1 - y0)
-    return num_strata, moments, pooled, entries
+    return moments, pooled, entries
 
 
 # a row's moment values per stratum
@@ -633,33 +632,29 @@ def _stack(parts: list[StratumMoments]) -> StratumMoments:
     )
 
 
-def _write(rows: _RepStore, i: int, out, num_strata: np.ndarray) -> None:
-    """Tag i's results `out` written into the rows that have compliers and
-    where the estimator did not fail."""
-    ok = ~np.isnan(rows.truth) & ~out.failed
-    results = (out.est, out.se_bloom, out.se_delta, out.n_used)
-    for field, result in zip(rows.values[:, i], results):
-        field[ok] = result[ok]
-    rows.dropped[i] = ok & (out.kept.sum(axis=1) < num_strata)
-
-
-def _flush(held: list, est_config: EstimatorConfig) -> _RepStore:
+def _flush(held: list) -> _RepStore:
     """The rows of `held`, consecutive chunks of one group each paired with
     its unit phase: the truth, one mean over their stacked complier
-    entries, and every tag's results, each run once on one ObservedBlock
-    of their stacked moments and entries, built by its constructor. It
-    reads its chunks' jobs and writes none of them, and the rows it
-    returns share no memory with the buffers."""
+    entries, and every tag's results where a row has compliers and the
+    tag did not fail, each tag run once on one ObservedBlock of their
+    stacked moments and entries, built by its constructor. It reads its
+    chunks' jobs and writes none of them, and the rows it returns share
+    no memory with the buffers."""
     config = held[0][0][0].job.config
-    num_strata, moments, pooled, entries = zip(*(phase for _, phase in held))
-    num_strata = np.concatenate(num_strata)
+    moments, pooled, entries = zip(*(phase for _, phase in held))
     *entries, effect = (np.concatenate(a) for a in zip(*entries))
+    obs = ObservedBlock(_stack(moments), _stack(pooled), config.n, tuple(entries))
+    num_strata = obs.present.sum(axis=1)
     rows = _RepStore.empty(len(config.estimators), len(num_strata))
     compliers = MaskedRows(entries[0], (len(num_strata), config.n))
     rows.truth[:] = compliers.mean_var(effect[compliers.entry_order])[0]  # nan without compliers
-    obs = ObservedBlock(_stack(moments), _stack(pooled), num_strata, config.n, tuple(entries))
     for i, tag in enumerate(config.estimators):
-        _write(rows, i, estimate_rows(obs, tag, est_config), num_strata)
+        out = estimate_rows(obs, tag)
+        ok = ~np.isnan(rows.truth) & ~out.failed
+        results = (out.est, out.se_bloom, out.se_delta, out.n_used)
+        for field, result in zip(rows.values[:, i], results):
+            field[ok] = result[ok]
+        rows.dropped[i] = ok & (out.kept.sum(axis=1) < num_strata)
     return rows
 
 
@@ -706,8 +701,8 @@ def _aggregate(
 
 
 class _Job:
-    """One config's run: its design, the slots its rows are written into,
-    and what `finish` made of the slots once they are done."""
+    """One config's run: its design, treated count, width and Philox keys,
+    and the slots its rows are written into from its first flush to its last."""
 
     def __init__(self, config: "ScenarioConfig | ConcentrationConfig") -> None:
         self.config = config
@@ -718,7 +713,6 @@ class _Job:
         # row i: replication i's Philox key
         self.keys = _philox_keys(int(config.seed), range(config.replications))
         self.store: _RepStore | None = None
-        self.result = None
 
 
 def _cut(pieces: list[tuple[_Job, range]], size: int) -> list[list[_Segment]]:
@@ -765,19 +759,21 @@ def _block_segments(block: list[list[_Segment]]) -> Iterator[_Segment]:
         base += _shape(chunk)[0]
 
 
-def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
-    """Every replication of every config, each group's chunks in turn, on
-    this thread and in the buffers it keeps. The unit phases of a group's
-    chunks are held until their moment values, 13 (width + 1) per row, and
-    their complier entries' values reach BLOCK_UNITS, or the group ends;
-    then `_flush` runs them, and its rows are written into each config's
-    slots in order. A config's slots exist from its first rows to its
-    last, when finish(config, slots) runs; its results come back in config
-    order. threads is checked but changes nothing that runs."""
+def run_grid(
+    configs: Sequence[ScenarioConfig | ConcentrationConfig], threads: int = 1
+) -> list[ScenarioMetrics]:
+    """Run configs of either type; one ScenarioMetrics per config, in
+    order, each equal to what it gets run alone. Each group's chunks run in
+    turn, on this thread and in the buffers it keeps; their unit phases
+    are held until their moment values, 13 (width + 1) per row, and
+    complier entries' values reach BLOCK_UNITS, or the group ends, and
+    then `_flush` runs them. A config's slots exist from its first rows to
+    its last, then become its metrics. threads must be at least 1 and
+    changes nothing that runs."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = [_Job(c) for c in configs]
-    est_config = EstimatorConfig()
+    results = {}
     for width, chunks in _plan(jobs):
         n = _shape(chunks[0])[1]
         buffers = _kept_buffers(max(_shape(chunk)[0] for chunk in chunks) * n)
@@ -790,7 +786,7 @@ def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
             values += _MOMENT_FIELDS * (width + 1) * r + sum(a.size for a in phase[-1])
             if values < BLOCK_UNITS and chunk is not chunks[-1]:
                 continue
-            rows = _flush(held, est_config)
+            rows = _flush(held)
             for job, reps, src in _block_segments([c for c, _ in held]):
                 if job.store is None:
                     config = job.config
@@ -801,9 +797,9 @@ def _run_reps(configs: Sequence, threads: int, finish: Callable) -> list:
                 job.store.truth[dst] = rows.truth[src]
                 # a job's segments are flushed in order: this is its last
                 if reps.stop == job.config.replications:
-                    job.result, job.store = finish(job.config, job.store), None
+                    results[job], job.store = _metrics(job.config, job.store), None
             held, base, values = [], 0, 0
-    return [job.result for job in jobs]
+    return [results[job] for job in jobs]
 
 
 def _metrics(config, store: _RepStore) -> ScenarioMetrics:
@@ -823,8 +819,9 @@ def _metrics(config, store: _RepStore) -> ScenarioMetrics:
     )
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
-    """Run one factorial-grid scenario and aggregate its metrics.
+def run_scenario(config: ScenarioConfig | ConcentrationConfig, threads: int = 1) -> ScenarioMetrics:
+    """Run one factorial-grid scenario or one point of the concentration
+    sweep and aggregate its metrics.
 
     Per replication: fresh table, complete randomization of p_treat * n
     units, every configured estimator. Estimator failures are tallied, not
@@ -834,21 +831,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioMetrics:
     return run_grid([config], threads)[0]
 
 
-def run_concentration(config: ConcentrationConfig, threads: int = 1) -> ScenarioMetrics:
-    """Run one point of the compliance-concentration sweep; threads is as
-    in run_grid."""
-    return run_grid([config], threads)[0]
-
-
-def run_grid(
-    configs: Sequence[ScenarioConfig | ConcentrationConfig], threads: int = 1
-) -> list[ScenarioMetrics]:
-    """Run a collection of scenarios of either config type; one
-    ScenarioMetrics per config, in order. Configs that share n and
-    estimator tags share chunks and flushes, and each config's metrics
-    equal those it gets run alone. Every chunk runs on the calling thread:
-    threads must be at least 1 and changes nothing else."""
-    return _run_reps(configs, threads, _metrics)
+# the concentration sweep's name for the same run
+run_concentration = run_scenario
 
 
 def default_grid(

@@ -344,7 +344,7 @@ def _block_values(
     r, n = z.shape
     strata, compliers = (np.broadcast_to(a, (r, n)) for a in (table.strata, table.is_complier))
     y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
-    block = ObservedBlock.of_units(z, d, y, strata, np.full(r, table.num_strata), compliers)
+    block = ObservedBlock.of_units(z, d, y, strata, compliers)
     return estimate_rows(block, tag, config).est  # nan exactly where the row failed
 
 

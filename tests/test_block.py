@@ -50,9 +50,9 @@ from ivstrat.data_model import (
     reveal,
     science_to_observed,
 )
-from ivstrat.estimators import EstimatorConfig, estimate_rows
+from ivstrat.estimators import estimate_rows
 from ivstrat import simulation
-from ivstrat.simulation import ConcentrationConfig, _run_reps
+from ivstrat.simulation import ConcentrationConfig
 from helpers import (
     StageRankDeficient,
     enumerate_loop,
@@ -93,10 +93,10 @@ def _block_of_tables(seed: int, reps: int, n: int, k: int, pc: float, pa: float)
 )
 def test_block_rows_match_per_sample_estimates(seed, reps, n, k, pc, pa):
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
-    codes, num_strata, _ = first_appearance(labels)
+    codes, _, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
     compliers = (d1 == 1) & (d0 == 0)
-    block = ObservedBlock.of_units(z, d, y, codes, num_strata, compliers)
+    block = ObservedBlock.of_units(z, d, y, codes, compliers)
     results = {tag: estimate_rows(block, tag) for tag in (*METHODS, "ORACLE")}
     for i in range(reps):
         table = ScienceTable.from_arrays(y0[i], y1[i], d0[i], d1[i], strata=labels[i])
@@ -135,9 +135,9 @@ def test_a_row_has_no_estimate_exactly_when_it_failed(seed, reps, n, k, pc, pa):
     """On finite data every unfailed row's estimate is finite and every
     failed row's is nan, so `failed` alone says which rows are defined."""
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
-    codes, num_strata, _ = first_appearance(labels)
+    codes, _, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
-    block = ObservedBlock.of_units(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
+    block = ObservedBlock.of_units(z, d, y, codes, (d1 == 1) & (d0 == 0))
     for tag in (*METHODS, "ORACLE"):
         rows = estimate_rows(block, tag)
         assert ((-1 <= rows.code) & (rows.code < len(rows.causes))).all(), tag
@@ -162,9 +162,9 @@ def test_ratio_kernels_share_one_first_stage_rule(seed, reps, n, k, pc, pa):
     EmptyArm exactly where its reported f_hat is nan, and with
     ZeroCompliance exactly where it is 0."""
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, pa)
-    codes, num_strata, _ = first_appearance(labels)
+    codes, _, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
-    block = ObservedBlock.of_units(z, d, y, codes, num_strata)
+    block = ObservedBlock.of_units(z, d, y, codes)
     for tag in RATIO_TAGS:
         rows = estimate_rows(block, tag)
         cause = [type(rows.causes[c]) if c >= 0 else None for c in rows.code]
@@ -200,15 +200,15 @@ def test_methods_read_only_the_moments(seed, reps, n, k, pc):
     and causes on a block built by of_units and on one built from a direct
     block_moments call."""
     names = [f.name for f in fields(ObservedBlock)]
-    assert names == ["moments", "pooled", "num_strata", "n", "complier_entries"]
+    assert names == ["moments", "pooled", "n", "complier_entries"]
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
-    bare = ObservedBlock(*block_moments(z, d, y, codes, int(num_strata.max())), num_strata, n)
+    bare = ObservedBlock(*block_moments(z, d, y, codes, int(num_strata.max())), n)
     with pytest.raises(FrozenInstanceError):
         bare.moments = None
     for tag in METHODS:
-        want = estimate_rows(ObservedBlock.of_units(z, d, y, codes, num_strata), tag)
+        want = estimate_rows(ObservedBlock.of_units(z, d, y, codes), tag)
         got = estimate_rows(bare, tag)
         for field in ("est", "f_hat", "n_used", "kept", "se_bloom", "se_delta"):
             assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), (
@@ -231,15 +231,18 @@ def test_kernels_do_not_depend_on_the_moments_width(seed, reps, n, k, pc, extra)
     """Every method, ORACLE included, run on a block of moments and
     complier entries alone, its moments held at more strata than any row
     has, gives the rows it gives on the block itself byte for byte, with
-    the extra strata not kept."""
+    the extra strata not kept. On both, a row's present strata are the
+    first_appearance count of codes, and no code padded past it."""
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
     g = int(num_strata.max())
-    block = ObservedBlock.of_units(z, d, y, codes, num_strata, (d1 == 1) & (d0 == 0))
+    block = ObservedBlock.of_units(z, d, y, codes, (d1 == 1) & (d0 == 0))
     wide = ObservedBlock(
-        *block_moments(z, d, y, codes, g + extra), num_strata, n, block.complier_entries
+        *block_moments(z, d, y, codes, g + extra), n, block.complier_entries
     )
+    for present in (block.present, wide.present):
+        assert np.array_equal(present, np.arange(present.shape[1]) < num_strata[:, None])
     for tag in (*METHODS, "ORACLE"):
         want = estimate_rows(block, tag)
         got = estimate_rows(wide, tag)
@@ -289,9 +292,11 @@ CONFIGS = [
 
 
 def _run_slots(configs, units: int, threads: int) -> list[dict]:
+    """Each config's raw slots, run_grid's aggregation replaced by _slots."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "BLOCK_UNITS", units)
-        return _run_reps(configs, threads, _slots)
+        mp.setattr(simulation, "_metrics", _slots)
+        return simulation.run_grid(configs, threads)
 
 
 def _plan(configs, units: int) -> list:
@@ -306,9 +311,9 @@ def _flushed(configs, units: int) -> list[list]:
     flushed = []
     flush = simulation._flush
 
-    def recording(held, est_config):
+    def recording(held):
         flushed.append(held)
-        return flush(held, est_config)
+        return flush(held)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "_flush", recording)
@@ -364,7 +369,7 @@ def test_blocks_return_their_rows_and_write_no_job():
     assert any(len({id(s.job) for chunk, _ in held for s in chunk}) > 1 for held in flushed)
     jobs = {s.job.config: s.job for held in flushed for chunk, _ in held for s in chunk}
     before = {job: dict(vars(job)) for job in jobs.values()}
-    rows = [simulation._flush(held, EstimatorConfig()) for held in reversed(flushed)]
+    rows = [simulation._flush(held) for held in reversed(flushed)]
     for job, was in before.items():
         assert vars(job).keys() == was.keys()
         assert all(vars(job)[name] is value for name, value in was.items())

@@ -384,6 +384,31 @@ def test_read_metrics_csv_rejects_other_headers():
         read_metrics_csv(io.StringIO(""))
 
 
+_BIAS = METRICS_COLUMNS.index("bias")
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda cells: cells[:-1], "wrong number of fields"),
+        (lambda cells: cells + ["1.0"], "wrong number of fields"),
+        (lambda cells: cells[:_BIAS] + ["abc"] + cells[_BIAS + 1:], "bias='abc' is not a float"),
+    ],
+    ids=["short row", "extra cell", "cell not a number"],
+)
+def test_read_metrics_csv_refuses_a_malformed_row_on_its_line(edit, reason):
+    """A row a cell short or long, or with a cell its column does not
+    parse, raises MalformedRow with its line, as the dataset readers do."""
+    buf = io.StringIO()
+    config = ScenarioConfig(n=40, target_pi_c=0.3, replications=4, estimators=("UNSTRAT", "IV_A"))
+    write_metrics_csv([run_scenario(config)], buf)
+    header, first, second = buf.getvalue().splitlines()
+    bad = ",".join(edit(second.split(",")))
+    with pytest.raises(MalformedRow) as exc:
+        read_metrics_csv(io.StringIO("\n".join([header, first, bad]) + "\n"))
+    assert (exc.value.line, exc.value.reason) == (3, reason)
+
+
 # ---------------------------------------------------------------- cli
 
 
@@ -674,6 +699,21 @@ def test_cli_simulate_refuses_a_count_not_an_integer(tmp_path, capsys, config, f
     out = tmp_path / "metrics.csv"
     assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_random_strata_past_int64_labels(tmp_path, capsys):
+    """A config past 2**63 random strata is refused before any config runs,
+    and random-strata's --k 1e19 alike."""
+    base = '"n": 40, "target_pi_c": 0.3, "replications": 2'
+    cfg = write(tmp_path, "cfg.json", f'[{{{base}}}, {{{base}, "random_strata_k": {10**19}}}]')
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "random_strata_k must be at most 2**63" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["random-strata", "--k", "1e19", "--n", "40", "--replications", "2", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert "random_strata_k must be at most 2**63" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -72,14 +72,14 @@ def _failures(config, monkeypatch) -> tuple[simulation.ScenarioMetrics, dict[str
     its rows."""
     calls, flushes = [], []
 
-    def recording(block, tag, est_config):
-        rows = estimate_rows(block, tag, est_config)
+    def recording(block, tag):
+        rows = estimate_rows(block, tag)
         calls.append((tag, rows))
         return rows
 
-    def flushing(held, *args):
+    def flushing(held):
         calls.clear()
-        out = flush(held, *args)
+        out = flush(held)
         flushes.append((list(calls), ~np.isnan(out.truth)))
         return out
 

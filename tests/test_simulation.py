@@ -26,7 +26,8 @@ from ivstrat import (
     write_metrics_csv,
 )
 from ivstrat import ScienceTable, science_to_observed, simulation
-from ivstrat.estimators import EstimatorConfig, estimate_rows
+from ivstrat.data_model import first_appearance
+from ivstrat.estimators import estimate_rows
 from ivstrat.simulation import (
     _Buffers, _Job, _draw_block, _flush, _philox_keys, _plan, _unit_phase,
 )
@@ -131,6 +132,17 @@ _COUNTS = [
 def test_scenario_config_refuses_a_count_not_an_integer(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         make_config(**{field: value})
+
+
+def test_scenario_config_refuses_random_strata_past_int64_labels():
+    """Random labels are int64 draws of integers(0, k): k = 2**63 runs, and
+    any larger k is refused at construction, naming the field, not in the
+    config's first chunk."""
+    config = make_config(n=40, random_strata_k=2**63, replications=3)
+    assert run_grid([config])[0].replications == 3
+    for k in (2**63 + 1, 10**19):
+        with pytest.raises(ValueError, match=r"random_strata_k must be at most 2\*\*63"):
+            make_config(n=40, random_strata_k=k, replications=3)
 
 
 @pytest.mark.parametrize("field, value", _COUNTS)
@@ -430,7 +442,8 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
     job = _Job(config)
     ((_, (chunk,)),) = _plan([job])
     r = config.replications
-    draws, z = _draw_block(chunk, _Buffers(r * n).rows(r, n))
+    slots = _Buffers(r * n).rows(r, n)
+    z = _draw_block(chunk, slots)
     monkeypatch.undo()
     (bit_generator,) = made
     # each replication's state after its draws: the one its successor's
@@ -448,12 +461,12 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
             strata = ref.choice(g, size=n, p=config.weights)
         else:
             strata = ref.integers(0, g, size=n)
-        assert np.array_equal(draws["strata"][rep], strata)
-        assert np.array_equal(draws["u"][rep], ref.random(n))
+        assert np.array_equal(slots["strata"][rep], strata)
+        assert np.array_equal(slots["u"][rep], ref.random(n))
         # _Design.outcomes scales the standard normals by noise_sd
-        assert np.array_equal(draws["noise"][rep] * sd, ref.normal(0.0, sd, n))
-        if "labels" in draws:
-            assert np.array_equal(draws["labels"][rep], ref.integers(0, 3, size=n))
+        assert np.array_equal(slots["noise"][rep] * sd, ref.normal(0.0, sd, n))
+        if job.design.random_k is not None:
+            assert np.array_equal(slots["labels"][rep], ref.integers(0, 3, size=n))
         treated = np.zeros(n, dtype=np.int8)
         treated[ref.permutation(n)[: job.n1]] = 1
         assert np.array_equal(z[rep], treated)
@@ -622,9 +635,9 @@ def _flush_sizes(configs) -> list[list[int]]:
     run_grid(configs) runs."""
     sizes = []
 
-    def recording(held, est_config):
+    def recording(held):
         sizes.append([chunk[-1].rows.stop for chunk, _ in held])
-        return flush(held, est_config)
+        return flush(held)
 
     flush = simulation._flush
     with pytest.MonkeyPatch.context() as mp:
@@ -637,9 +650,9 @@ def _tag_calls(configs) -> list[str]:
     """The tags that run_grid(configs) calls estimate_rows with, in order."""
     calls = []
 
-    def recording(block, tag, est_config):
+    def recording(block, tag):
         calls.append(tag)
-        return estimate_rows(block, tag, est_config)
+        return estimate_rows(block, tag)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "estimate_rows", recording)
@@ -751,7 +764,7 @@ def test_chunks_reveal_what_the_table_path_reveals(config):
     ((width, (chunk,)),) = _plan([job])
     n, reps = config.n, config.replications
     slots = simulation._kept_buffers(reps * n).rows(reps, n)
-    rows = _flush([(chunk, _unit_phase(chunk, slots, width, 0))], EstimatorConfig())
+    rows = _flush([(chunk, _unit_phase(chunk, slots, width, 0))])
     # the flush shares no memory with the buffers, which still hold the chunk's arrays
     z, d, y, codes = slots["z"], slots["complier"].view(np.int8), slots["noise"], slots["strata"]
     for rep in range(reps):
@@ -767,3 +780,38 @@ def test_chunks_reveal_what_the_table_path_reveals(config):
             assert rows.truth[rep].tobytes() == np.float64(table.cace).tobytes(), rep
         else:
             assert np.isnan(rows.truth[rep]), rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=small_configs(), units=st.integers(1, 3000))
+@example(config=ScenarioConfig(n=40, target_pi_c=0.3, random_strata_k=12, replications=6, seed=3),
+         units=600)
+def test_flush_rows_present_exactly_the_strata_they_drew(config, units):
+    """Each flush row's present strata, the codes whose cells hold units,
+    number what first_appearance counts on that replication's drawn
+    labels, and no code padded past that count, up to the group's width,
+    is present."""
+    blocks = []
+
+    def recording(block, tag):
+        if not blocks or blocks[-1] is not block:
+            blocks.append(block)
+        return estimate_rows(block, tag)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "BLOCK_UNITS", units)
+        mp.setattr(simulation, "estimate_rows", recording)
+        run_grid([config])
+    present = np.concatenate([block.present for block in blocks])
+    generate = (
+        generate_concentration_table if isinstance(config, ConcentrationConfig)
+        else generate_science_table
+    )
+    labels = []
+    for rep in range(config.replications):
+        table = generate(config, rep_rng(config.seed, rep))
+        labels.append(np.array(table.stratum_labels)[table.strata])
+    _, counts, _ = first_appearance(np.stack(labels))
+    assert present.shape == (config.replications, _Job(config).width)
+    assert np.array_equal(present.sum(axis=1), counts)
+    assert np.array_equal(present, np.arange(present.shape[1]) < counts[:, None])
