@@ -430,8 +430,13 @@ class MaskedRows:
         """Each row's sum of the entries of (R, m) values."""
         return self._rows(self._reduce(self.take(values)))
 
+    def mean(self, entries: np.ndarray) -> np.ndarray:
+        """Row means (nan without entries) of entries in index order."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self._rows(self._reduce(entries) / self.sizes)
+
     def mean_var(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row means (nan without entries) and sample variances (ddof 1;
+        """Row means, as `mean`, and sample variances (ddof 1;
         nan with fewer than 2 entries) of entries in index order, as from
         `take`. The variance runs np.var's steps: the sum divided by the
         count, deviations, their squares, and the sum of those."""
@@ -612,6 +617,43 @@ def stratum_moments(sample: ObservedSample) -> StratumMoments:
 BLOCK_UNITS = 1 << 16
 
 
+@dataclass(frozen=True)
+class ComplierSummary:
+    """R samples' true compliers, each row reduced on its own: per arm the
+    count, mean and ddof-1 variance of observed y (nan with too few), the
+    (R, G) mask of the strata that hold one, and, where the effects were
+    given, the truth: the mean of their y1 - y0 (nan without compliers)."""
+
+    n1: np.ndarray
+    ybar1: np.ndarray
+    s2_y1: np.ndarray
+    n0: np.ndarray
+    ybar0: np.ndarray
+    s2_y0: np.ndarray
+    strata: np.ndarray
+    truth: np.ndarray | None = None
+
+
+def complier_summary(at, z, y, strata, num_strata: int, effect=None) -> ComplierSummary:
+    """The ComplierSummary at G = num_strata of (R, n) arrays z, y and
+    dense stratum codes whose true compliers sit at the increasing flat
+    positions `at`; effect, if given, holds their y1 - y0 in `at` order.
+    MaskedRows reduces each row alone, whatever rows it is reduced with."""
+    r, n = z.shape
+    treated = z.take(at) == 1  # z is 0 or 1
+    arms = []
+    for arm in (treated, ~treated):
+        rows = MaskedRows(at[arm], (r, n))
+        arms += (rows.counts, *rows.mean_var(rows.take(y)))
+    has = np.zeros((r, num_strata), dtype=bool)
+    has[at // n, strata.take(at)] = True
+    truth = None
+    if effect is not None:
+        rows = MaskedRows(at, (r, n))
+        truth = rows.mean(effect[rows.entry_order])
+    return ComplierSummary(*arms, has, truth)
+
+
 @dataclass(frozen=True, eq=False)
 class ObservedBlock:
     """R observed samples of n units each, as every estimator reads them.
@@ -619,18 +661,16 @@ class ObservedBlock:
     moments holds their (R, G) per-stratum, per-arm moments and pooled the
     (R, 1) ones with every unit in one stratum. Each row has dense stratum
     codes; G may exceed a row's count, and `present` masks out the codes
-    it lacks, the ones without units.
-    complier_entries, known only from a science table, holds the true
-    compliers' flat positions in the (R, n) layout, in order, and their z,
-    observed y and stratum codes (complier_values); only the ORACLE kernel
-    reads them. of_units builds a block from unit arrays, and `of` from one
-    ObservedSample (R = 1). Equality is identity.
+    it lacks, the ones without units. compliers, known only from a science
+    table, is their ComplierSummary at the same G; only the ORACLE kernel
+    reads it. No field is per unit. of_units builds a block from unit
+    arrays, and `of` from one ObservedSample (R = 1). Equality is identity.
     """
 
     moments: StratumMoments
     pooled: StratumMoments
     n: int
-    complier_entries: tuple[np.ndarray, ...] | None = None
+    compliers: ComplierSummary | None = None
 
     @property
     def present(self) -> np.ndarray:
@@ -642,24 +682,18 @@ class ObservedBlock:
         """The block of (R, n) unit arrays, one sample per row with dense
         stratum codes, its moments at G = strata.max() + 1 (0 without
         units); compliers, the (R, n) mask of true compliers, gives the
-        complier entries."""
-        moments, pooled = block_moments(z, d, y, strata, int(strata.max(initial=-1)) + 1)
-        entries = None
+        complier summary."""
+        g = int(strata.max(initial=-1)) + 1
+        moments, pooled = block_moments(z, d, y, strata, g)
+        summary = None
         if compliers is not None:
-            at = np.flatnonzero(compliers)
-            entries = (at, *complier_values(at, z, y, strata))
-        return cls(moments, pooled, z.shape[1], entries)
+            summary = complier_summary(np.flatnonzero(compliers), z, y, strata, g)
+        return cls(moments, pooled, z.shape[1], summary)
 
     @classmethod
     def of(cls, sample: ObservedSample, compliers=None) -> "ObservedBlock":
         return cls.of_units(sample.z[None], sample.d[None], sample.y[None], sample.strata[None],
                             None if compliers is None else compliers[None])
-
-
-def complier_values(at: np.ndarray, z, y, strata) -> tuple[np.ndarray, ...]:
-    """The z, observed y and stratum codes of the units at flat positions
-    `at` of (R, n) arrays: a complier entry's values."""
-    return z.take(at), y.take(at), strata.take(at)
 
 
 @dataclass(frozen=True)

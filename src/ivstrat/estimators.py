@@ -22,14 +22,15 @@ every present stratum has both arms.
 
 Every estimator, ORACLE included, is a row-wise kernel over an
 ObservedBlock (estimate_rows): the record of R samples' (R, G) stratum
-moments, pooled moments and n, and perhaps their true compliers' entries.
-estimate() and oracle_complier_dim are its R = 1 calls, through
-ObservedBlock.of; enumerate_expectation calls it once per block of
-assignments, through ObservedBlock.of_units, and simulate once per flush,
-on a record of stacked moments. Every kernel but ORACLE reads only the
-moments. ORACLE reads the complier entries, which only a science table
-gives, so METHODS and estimate() leave it out. Kept sets are (R, G) code
-masks; labels appear only in EstimateReport.
+moments, pooled moments and n, and perhaps their true compliers'
+ComplierSummary. estimate() and oracle_complier_dim are its R = 1 calls,
+through ObservedBlock.of; enumerate_expectation calls it once per block
+of assignments, through ObservedBlock.of_units, and simulate once per
+flush, on a record of stacked moments and summaries. Every kernel but
+ORACLE reads only the moments. ORACLE is arithmetic on the complier
+summary alone (_oracle_rows), which only a science table gives, so
+METHODS and estimate() leave it out. Kept sets are (R, G) code masks;
+labels appear only in EstimateReport.
 Failures are data: Rows.code[r] indexes row r's exception in Rows.causes
 (-1: none), and exactly the failed rows have a nan estimate. Past a DSS or
 DSF screen (AllStrataDropped), every ratio kernel and both TSLS fail by
@@ -44,6 +45,7 @@ import numpy as np
 
 from .data_model import (
     AllStrataDropped,
+    ComplierSummary,
     EstimateReport,
     NoCompliersInArm,
     ObservedBlock,
@@ -209,26 +211,18 @@ def _tsls_weighted_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
     return Rows(est, first, np.full(len(est), block.n), present, nan, nan, checks)
 
 
-def _complier_dim_rows(block: ObservedBlock, config: EstimatorConfig) -> Rows:
-    """Infeasible benchmark: the difference in observed means among the
-    true compliers, with the Neyman SE; a row keeps the strata that contain
-    a complier."""
-    if block.complier_entries is None:
+def _oracle_rows(c: ComplierSummary | None) -> Rows:
+    """Infeasible benchmark, arithmetic on a complier summary: the
+    difference in observed means among the true compliers, with the Neyman
+    SE; a row keeps the strata that contain a complier."""
+    if c is None:
         raise ValueError("ORACLE needs the true compliers, known only from a science table")
-    at, z, y, strata = block.complier_entries
-    r, g = block.present.shape
-    treated = z == 1  # z is 0 or 1
-    arms = []
-    for arm in (treated, ~treated):
-        rows = MaskedRows(at[arm], (r, block.n))
-        arms.append((rows.counts, *rows.mean_var(y[arm][rows.entry_order])))
-    (n1, mean1, var1), (n0, mean0, var0) = arms
-    est = mean1 - mean0
+    est = c.ybar1 - c.ybar0
     with np.errstate(invalid="ignore", divide="ignore"):
-        se = np.sqrt(var1 / n1 + var0 / n0)
-    kept = np.bincount(strata + g * (at // block.n), minlength=r * g).reshape(r, g) > 0
-    checks = [(n1 == 0, NoCompliersInArm(1)), (n0 == 0, NoCompliersInArm(0))]
-    return Rows(est, np.ones(r), n1 + n0, kept, se, np.full(r, np.nan), checks)
+        se = np.sqrt(c.s2_y1 / c.n1 + c.s2_y0 / c.n0)
+    checks = [(c.n1 == 0, NoCompliersInArm(1)), (c.n0 == 0, NoCompliersInArm(0))]
+    r = len(est)
+    return Rows(est, np.ones(r), c.n1 + c.n0, c.strata, se, np.full(r, np.nan), checks)
 
 
 _KERNELS = {
@@ -240,7 +234,7 @@ _KERNELS = {
     "PWIV": _pwiv_rows,
     "TSLS_DUMMY": _tsls_dummies_rows,
     "TSLS_WEIGHTED": _tsls_weighted_rows,
-    "ORACLE": _complier_dim_rows,
+    "ORACLE": lambda block, config: _oracle_rows(block.compliers),
 }
 
 METHODS = tuple(tag for tag in _KERNELS if tag != "ORACLE")  # observed data suffices

@@ -12,28 +12,21 @@ The engine's unit of work is a segment, a range of one config's
 replications. Configs that share n and estimator tags form a group, whose
 width is the most strata one of its replications can have. A group's
 replications, in config order, are cut into chunks of at most BLOCK_UNITS
-units and at most BLOCK_UNITS moment values, so a config smaller than a
-chunk shares one with the next. The engine runs a group's chunks in turn:
-  * per chunk, each replication draws its population and assignment from
-    its own stream, made in place into complier flags, y0 and each unit's
-    effect tau. y1 equals y0 but at the compliers, where it is tau + y0,
-    so the chunk forms y1 only there and reveals y by writing it at the
-    treated compliers. One block_moments call reduces the chunk to
-    (R, width) and pooled (R, 1) moments, and the chunk gathers its
-    compliers' entries: position, z, observed y, stratum code and y1 - y0;
-  * the chunks' results are held until their moment values, 13
-    (width + 1) per row, and their complier entries' values reach
-    BLOCK_UNITS, or the group ends. Then a flush stacks them: each row's
-    realized complier effect is one mean over the stacked entries, and
-    every estimator's row-wise kernel (estimators.estimate_rows, the same
-    code that estimate() runs on one sample), ORACLE included, runs once
-    on the stacked rows.
-A group of few rows and compliers is one flush, so every kernel runs once
-on it. A chunk's rows lacking some of the width's codes have empty cells
-there, which are not its strata (ObservedBlock.present). A flush returns
-its rows' results and writes nothing else; run_grid, the one run loop,
-copies them into each config's slots in order, and aggregates and frees
-a config's slots once its last row is written.
+units and BLOCK_UNITS moment values, so a config smaller than a chunk
+shares one with the next, and its chunks into flushes (_plan). Per chunk,
+each replication draws its population and assignment from its own stream
+and reveals y (_unit_phase). Two calls reduce the chunk to rows of fixed
+size: block_moments to (R, width) and pooled (R, 1) moments, and
+complier_summary to each row's compliers' arm counts, means and variances
+of y, their strata and the truth, the mean of their y1 - y0. A flush
+stacks its chunks' rows, and every estimator's row-wise kernel
+(estimators.estimate_rows, the code that estimate() runs on one sample),
+ORACLE included, runs once on them. A chunk's rows lacking some of the
+width's codes have empty cells there, which are not its strata
+(ObservedBlock.present). A flush returns its rows' results and writes
+nothing else; run_grid, the one run loop, copies them into each config's
+slots in order, and aggregates and frees a config's slots once its last
+row is written.
 
 A replication's draws are, in order, what these numpy calls draw from its
 stream, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))):
@@ -47,26 +40,24 @@ searchsorted of random(n) into the weights' cdf, standard normals scaled
 once per segment, and an in-place shuffle of an arange row).
 
 Determinism contract: every replication draws from its own counter-based
-substream keyed by (seed, replication index) (Philox; Salmon et al., SC11).
-Its key is numpy's SeedSequence(entropy=seed, spawn_key=(rep,)) key,
-derived once per config, and the chunk's one generator is reset to that
-key, counter 0 and an empty buffer before the replication draws. Each row
-of a flush is computed independently of the others, and of how many
-strata its moments hold, and aggregation reads preallocated
-per-replication slots in index order, so results are byte identical for
-any partition into chunks and flushes, any mix of configs in them and
-any thread count: each config's metrics equal those it gets run alone.
-The calling thread runs every chunk, one after another, in buffers that
-it keeps between chunks and between calls. Every chunk overwrites what it
-reads of them, so no chunk reads what another left. The buffers are the
-thread's own, so two threads may each run run_grid at once. The `threads`
-argument is checked (at least 1) and changes nothing that runs.
+substream keyed by (seed, replication index) (Philox; Salmon et al., SC11),
+the chunk's one generator reset to that key, counter 0 and an empty buffer
+before the replication draws. Each row of a flush is computed on its own,
+whatever strata its moments hold, and aggregation reads per-replication
+slots in index order, so results are byte identical for any partition
+into chunks and flushes, any mix of configs in them and any thread count:
+each config's metrics equal those it gets run alone. The calling thread
+runs every chunk in buffers that it keeps between chunks and calls; every
+chunk overwrites what it reads of them, and two threads may each run
+run_grid at once. `threads` is checked (at least 1) and changes nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple, Sequence
@@ -75,6 +66,7 @@ import numpy as np
 
 from .data_model import (
     BLOCK_UNITS,
+    ComplierSummary,
     Infeasible,
     MaskedRows,
     NonFinite,
@@ -83,7 +75,7 @@ from .data_model import (
     StratumMoments,
     _treated_count,
     block_moments,
-    complier_values,
+    complier_summary,
     first_appearance,
 )
 from .estimators import DEFAULT_ESTIMATORS, METHODS, check_tags, estimate_rows
@@ -106,13 +98,6 @@ __all__ = [
 
 RNG_FAMILY = "philox4x64"
 
-# stratum pattern scale: between-stratum variance of centered consecutive
-# integers 0..G-1 over equal strata is (G^2 - 1) / 12
-def _pattern_scale(num_strata: int, between_var: float) -> float:
-    spread = (num_strata * num_strata - 1.0) / 12.0
-    return math.sqrt(between_var / spread)
-
-
 def _check_count(name: str, value, least: int) -> None:
     """Refuse a count that is not an integer (a bool is not one) or is
     below least."""
@@ -123,7 +108,14 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
-    """The checks both config types share."""
+    """The checks both config types share. tau and never_taker_shift must
+    each lie within +-sqrt(DBL_MAX / replications) / (16 n^4), where no
+    moment, SE or metric can overflow: every outcome is at most
+    M = |tau| + |never_taker_shift| + 16 in size (the pattern is below
+    sqrt(3), a float64 standard normal below 14); under one-sided uptake a
+    nonzero first stage is at least 1/n, so an estimate is at most about
+    M n^2 / 2 and a squared SE about M^2 n^8 / 32 (both TSLS_DUMMY's); the
+    metrics sum `replications` such squares, about 2**10 below DBL_MAX."""
     _check_count("n", config.n, 4)
     _treated_count(config.n, config.p_treat)
     _check_count("replications", config.replications, 1)
@@ -132,9 +124,15 @@ def _check_run(config: "ScenarioConfig | ConcentrationConfig") -> None:
         raise ValueError("seed must be a non-negative integer")
     if not 0.0 <= config.outcome_r2 < 1.0:
         raise ValueError("outcome_r2 must lie in [0, 1)")
+    bound = math.sqrt(sys.float_info.max / config.replications) / (16.0 * float(config.n) ** 4)
     for name in ("tau", "never_taker_shift"):
-        if not math.isfinite(getattr(config, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(config, name)!r}")
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if abs(value) > bound:
+            raise ValueError(f"{name}={value!r} lies outside +-{bound:.4g}, where the moments "
+                             f"and SEs of n={config.n} units over {config.replications} "
+                             "replications can overflow")
     check_tags(config.estimators, (*METHODS, "ORACLE"))
     if config.predicts_outcome and config.num_strata == 1:
         raise ValueError("predicts_outcome needs at least 2 strata to spread outcomes over")
@@ -291,7 +289,9 @@ class _Design:
         else:
             cdf, random_k = None, config.random_strata_k
         if config.predicts_outcome:
-            scale = _pattern_scale(g, config.outcome_r2)
+            # the between-stratum variance of centered consecutive integers
+            # 0..G-1 over equal strata is (G^2 - 1) / 12
+            scale = math.sqrt(config.outcome_r2 / ((g * g - 1.0) / 12.0))
             mu_g = scale * (np.arange(g) - (g - 1) / 2.0)
             noise_sd = math.sqrt(1.0 - config.outcome_r2)
         else:
@@ -532,11 +532,8 @@ class _RepStore:
 
     @classmethod
     def empty(cls, tags: int, reps: int) -> "_RepStore":
-        return cls(
-            np.full((4, tags, reps), np.nan),
-            np.zeros((tags, reps), dtype=bool),
-            np.full(reps, np.nan),
-        )
+        nan = np.full((4, tags, reps), np.nan)
+        return cls(nan, np.zeros((tags, reps), dtype=bool), np.full(reps, np.nan))
 
 
 class _Segment(NamedTuple):
@@ -585,14 +582,11 @@ def _draw_block(chunk: list[_Segment], slots: dict[str, np.ndarray]) -> np.ndarr
     return z
 
 
-def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int, base: int):
+def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int):
     """What a chunk computes from its units, in `slots` (`_Buffers.rows`),
     each replication drawn from its own substream and revealed: the rows'
-    moments at `width` strata and pooled, and the chunk's compliers'
-    entries in position order: flat positions counted from row
-    `base`, their z, y and stratum codes, gathered after the reveal by the
-    rule ObservedBlock.of_units uses (complier_values), and y1 - y0."""
-    n = chunk[0].job.config.n
+    moments at `width` strata and pooled, and their ComplierSummary at
+    `width` with the truth, by the call that ObservedBlock.of_units makes."""
     z = _draw_block(chunk, slots)
     strata, tau, y, complier = (slots[name] for name in ("strata", "u", "noise", "complier"))
     for job, _, rows in chunk:
@@ -617,37 +611,32 @@ def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int,
     # the key's slot, tau's and the outcome temporaries' are free for the moments
     work = (slots["labels"], tau, slots["rate"], slots["shift"])
     moments, pooled = block_moments(z, d, y, codes, width, work)
-    entries = (at + base * n, *complier_values(at, z, y, codes), y1 - y0)
-    return moments, pooled, entries
+    return moments, pooled, complier_summary(at, z, y, codes, width, y1 - y0)
 
 
 # a row's moment values per stratum
 _MOMENT_FIELDS = len(fields(StratumMoments))
 
 
-def _stack(parts: list[StratumMoments]) -> StratumMoments:
-    """Moments of consecutive rows, stacked in order."""
-    return StratumMoments(
-        *(np.concatenate([getattr(m, f.name) for m in parts]) for f in fields(StratumMoments))
+def _stack(parts: list) -> "StratumMoments | ComplierSummary":
+    """Moments, or complier summaries, of consecutive rows, stacked in order."""
+    return type(parts[0])(
+        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(parts[0]))
     )
 
 
 def _flush(held: list) -> _RepStore:
     """The rows of `held`, consecutive chunks of one group each paired with
-    its unit phase: the truth, one mean over their stacked complier
-    entries, and every tag's results where a row has compliers and the
-    tag did not fail, each tag run once on one ObservedBlock of their
-    stacked moments and entries, built by its constructor. It reads its
-    chunks' jobs and writes none of them, and the rows it returns share
-    no memory with the buffers."""
+    its unit phase: the truth, and every tag's results where a row has
+    compliers and the tag did not fail, each tag run once on one
+    ObservedBlock of their stacked moments and complier summaries. It
+    writes none of its chunks' jobs, nor rows that share the buffers."""
     config = held[0][0][0].job.config
-    moments, pooled, entries = zip(*(phase for _, phase in held))
-    *entries, effect = (np.concatenate(a) for a in zip(*entries))
-    obs = ObservedBlock(_stack(moments), _stack(pooled), config.n, tuple(entries))
+    moments, pooled, compliers = (_stack(p) for p in zip(*(phase for _, phase in held)))
+    obs = ObservedBlock(moments, pooled, config.n, compliers)
     num_strata = obs.present.sum(axis=1)
     rows = _RepStore.empty(len(config.estimators), len(num_strata))
-    compliers = MaskedRows(entries[0], (len(num_strata), config.n))
-    rows.truth[:] = compliers.mean_var(effect[compliers.entry_order])[0]  # nan without compliers
+    rows.truth[:] = compliers.truth  # nan without compliers
     for i, tag in enumerate(config.estimators):
         out = estimate_rows(obs, tag)
         ok = ~np.isnan(rows.truth) & ~out.failed
@@ -733,11 +722,14 @@ def _cut(pieces: list[tuple[_Job, range]], size: int) -> list[list[_Segment]]:
 
 
 def _plan(jobs: Sequence[_Job]) -> list[tuple[int, list[list[_Segment]]]]:
-    """Each group of the jobs that share n and estimator tags, as its width
-    (the largest width of its jobs) and its chunks: its jobs'
-    replications, in job order, cut into chunks of as many as keep both
-    their units and their moment values, 13 (width + 1) per row, within
-    BLOCK_UNITS, so a job's replications span consecutive chunks."""
+    """Every flush, in order, as its group's width and its chunks. The jobs
+    that share n and estimator tags form a group, whose width is the
+    largest of its jobs'. Its jobs' replications, in job order, are cut
+    into chunks of as many as keep both their units and their moment
+    values, 13 (width + 1) per row, within BLOCK_UNITS, so a job's
+    replications span consecutive chunks. Every row has a fixed number of
+    values, so each flush is as many of the group's chunks, in order, as
+    take their rows' values to BLOCK_UNITS, or the group's rest."""
     groups: dict[tuple, list[_Job]] = {}
     for job in jobs:
         groups.setdefault((job.config.n, job.config.estimators), []).append(job)
@@ -745,7 +737,11 @@ def _plan(jobs: Sequence[_Job]) -> list[tuple[int, list[list[_Segment]]]]:
     for (n, _), group in groups.items():
         width = max(job.width for job in group)
         size = max(1, BLOCK_UNITS // max(n, _MOMENT_FIELDS * (width + 1)))
-        plan.append((width, _cut([(job, range(job.config.replications)) for job in group], size)))
+        chunks = _cut([(job, range(job.config.replications)) for job in group], size)
+        # a row's moments and its ComplierSummary, 7 values and a flag per stratum
+        row_values = _MOMENT_FIELDS * (width + 1) + 7 + width
+        per = -(-BLOCK_UNITS // (size * row_values))  # chunks per flush
+        plan += [(width, chunks[i : i + per]) for i in range(0, len(chunks), per)]
     return plan
 
 
@@ -763,42 +759,28 @@ def run_grid(
     configs: Sequence[ScenarioConfig | ConcentrationConfig], threads: int = 1
 ) -> list[ScenarioMetrics]:
     """Run configs of either type; one ScenarioMetrics per config, in
-    order, each equal to what it gets run alone. Each group's chunks run in
-    turn, on this thread and in the buffers it keeps; their unit phases
-    are held until their moment values, 13 (width + 1) per row, and
-    complier entries' values reach BLOCK_UNITS, or the group ends, and
-    then `_flush` runs them. A config's slots exist from its first rows to
-    its last, then become its metrics. threads must be at least 1 and
-    changes nothing that runs."""
+    order, each equal to what it gets run alone. Each flush that `_plan`
+    makes runs its chunks' unit phases in turn, on this thread and in the
+    buffers it keeps, and then `_flush` runs them. A config's slots exist
+    from its first rows to its last, then become its metrics. threads must
+    be at least 1 and changes nothing that runs."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = [_Job(c) for c in configs]
     results = {}
     for width, chunks in _plan(jobs):
-        n = _shape(chunks[0])[1]
-        buffers = _kept_buffers(max(_shape(chunk)[0] for chunk in chunks) * n)
-        held, base, values = [], 0, 0
-        for chunk in chunks:
-            r = _shape(chunk)[0]
-            phase = _unit_phase(chunk, buffers.rows(r, n), width, base)
-            held.append((chunk, phase))
-            base += r
-            values += _MOMENT_FIELDS * (width + 1) * r + sum(a.size for a in phase[-1])
-            if values < BLOCK_UNITS and chunk is not chunks[-1]:
-                continue
-            rows = _flush(held)
-            for job, reps, src in _block_segments([c for c, _ in held]):
-                if job.store is None:
-                    config = job.config
-                    job.store = _RepStore.empty(len(config.estimators), config.replications)
-                dst = slice(reps.start, reps.stop)
-                job.store.values[..., dst] = rows.values[..., src]
-                job.store.dropped[:, dst] = rows.dropped[:, src]
-                job.store.truth[dst] = rows.truth[src]
-                # a job's segments are flushed in order: this is its last
-                if reps.stop == job.config.replications:
-                    results[job], job.store = _metrics(job.config, job.store), None
-            held, base, values = [], 0, 0
+        buffers = _kept_buffers(max(math.prod(_shape(chunk)) for chunk in chunks))
+        rows = _flush([(c, _unit_phase(c, buffers.rows(*_shape(c)), width)) for c in chunks])
+        for job, reps, src in _block_segments(chunks):
+            if job.store is None:
+                job.store = _RepStore.empty(len(job.config.estimators), job.config.replications)
+            dst = slice(reps.start, reps.stop)
+            job.store.values[..., dst] = rows.values[..., src]
+            job.store.dropped[:, dst] = rows.dropped[:, src]
+            job.store.truth[dst] = rows.truth[src]
+            # a job's segments are flushed in order: this is its last
+            if reps.stop == job.config.replications:
+                results[job], job.store = _metrics(job.config, job.store), None
     return [results[job] for job in jobs]
 
 
@@ -842,27 +824,15 @@ def default_grid(
     pi_c_values: Sequence[float] = (0.05, 0.075, 0.10),
     nt_shifts: Sequence[float] = (-0.5, 0.0, 0.5),
 ) -> list[ScenarioConfig]:
-    """The full factorial grid; seeds are offset per scenario so no two
-    scenarios share a replication stream."""
-    configs = []
-    idx = 0
-    for n in n_values:
-        for pi_c in pi_c_values:
-            for predicts_c in (False, True):
-                for predicts_y in (False, True):
-                    for shift in nt_shifts:
-                        for het in (False, True):
-                            configs.append(
-                                ScenarioConfig(
-                                    n=n,
-                                    target_pi_c=pi_c,
-                                    predicts_compliance=predicts_c,
-                                    predicts_outcome=predicts_y,
-                                    never_taker_shift=shift,
-                                    heterogeneous_tau=het,
-                                    replications=replications,
-                                    seed=seed + idx,
-                                )
-                            )
-                            idx += 1
-    return configs
+    """The full factorial grid, its last factor varying fastest; seeds are
+    offset per scenario so no two scenarios share a replication stream."""
+    flags = (False, True)
+    cells = itertools.product(n_values, pi_c_values, flags, flags, nt_shifts, flags)
+    return [
+        ScenarioConfig(
+            n=n, target_pi_c=pi_c, predicts_compliance=predicts_c, predicts_outcome=predicts_y,
+            never_taker_shift=shift, heterogeneous_tau=het, replications=replications,
+            seed=seed + idx,
+        )
+        for idx, (n, pi_c, predicts_c, predicts_y, shift, het) in enumerate(cells)
+    ]

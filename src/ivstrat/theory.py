@@ -7,7 +7,8 @@ the small-sample bias of the IV ratio, and a brute-force enumeration oracle
 that averages an estimator, named by its tag, over every possible
 assignment. Both run on the engine's kernels: the population variances are
 data_model.block_moments' sample variances, and the oracle runs UNSTRAT by
-its arm-sum closed form and every other tag by the estimators' row-wise
+its arm-sum closed form, ORACLE by its kernel's arithmetic on each block's
+complier summary alone, and every other tag by the estimators' row-wise
 kernels, on blocks of assignments.
 
 All variances are variances of the estimators themselves (the 1/n factors
@@ -50,9 +51,10 @@ from .data_model import (
     TwoSidedInput,
     _treated_count,
     block_moments,
+    complier_summary,
     reveal,
 )
-from .estimators import METHODS, EstimatorConfig, check_tags, estimate_rows
+from .estimators import METHODS, EstimatorConfig, _oracle_rows, check_tags, estimate_rows
 
 __all__ = [
     "PopulationMoments",
@@ -201,11 +203,6 @@ def asyvar_iv_ps(m: PopulationMoments, exact_factors: bool = False) -> float:
     return _neyman_var(w, n1, n0, m.n_g, m.g_s2_u1, m.g_s2_u0, m.g_s2_u01, m.pi_c)
 
 
-def _require_one_sided(table: ScienceTable) -> None:
-    if not table.one_sided:
-        raise TwoSidedInput("table has always-takers; this formula is one-sided only")
-
-
 def bias_one_sided_exact(
     table: ScienceTable, p: float, convention: str | None = None
 ) -> float:
@@ -224,7 +221,8 @@ def bias_one_sided_exact(
 
     if convention not in (None, "condition"):
         raise ValueError(f"unknown convention {convention!r}")
-    _require_one_sided(table)
+    if not table.one_sided:
+        raise TwoSidedInput("table has always-takers; this formula is one-sided only")
     n = table.n
     n1 = _treated_count(n, p)
     ctype = table.compliance_type
@@ -341,10 +339,12 @@ def _block_values(
         f = zf @ d1 / n1 - (float(d0.sum()) - zf @ d0) / n0
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(f != 0.0, itt / f, np.nan)
-    r, n = z.shape
-    strata, compliers = (np.broadcast_to(a, (r, n)) for a in (table.strata, table.is_complier))
+    strata = np.broadcast_to(table.strata, z.shape)
     y, d = reveal(table.y0, table.y1, table.d0, table.d1, z)
-    block = ObservedBlock.of_units(z, d, y, strata, compliers)
+    if tag == "ORACLE":  # no moments: ORACLE reads only the compliers' summary
+        at = np.flatnonzero(np.broadcast_to(table.is_complier, z.shape))
+        return _oracle_rows(complier_summary(at, z, y, strata, table.num_strata)).est
+    block = ObservedBlock.of_units(z, d, y, strata)
     return estimate_rows(block, tag, config).est  # nan exactly where the row failed
 
 
@@ -386,9 +386,10 @@ def enumerate_expectation(
     pN treated units.
 
     estimator is a tag: one of METHODS, or "ORACLE". UNSTRAT runs its
-    arm-sum closed form on blocks of assignments, and every other tag runs
-    the estimators' row-wise kernels on the revealed blocks, as simulate
-    does. The revealed samples are used as-is (no validation), so
+    arm-sum closed form on blocks of assignments, ORACLE its kernel's
+    arithmetic on each revealed block's complier summary, and every other
+    tag the estimators' row-wise kernels on the revealed blocks, as
+    simulate does. The revealed samples are used as-is (no validation), so
     per-estimator preconditions decide definedness assignment by
     assignment. By default (None) any undefined mass raises Infeasible,
     while convention="condition" averages over the defined assignments.

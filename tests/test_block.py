@@ -46,6 +46,7 @@ from ivstrat.data_model import (
     StratumMoments,
     _dense_codes,
     block_moments,
+    complier_summary,
     first_appearance,
     reveal,
     science_to_observed,
@@ -200,7 +201,7 @@ def test_methods_read_only_the_moments(seed, reps, n, k, pc):
     and causes on a block built by of_units and on one built from a direct
     block_moments call."""
     names = [f.name for f in fields(ObservedBlock)]
-    assert names == ["moments", "pooled", "n", "complier_entries"]
+    assert names == ["moments", "pooled", "n", "compliers"]
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
@@ -229,17 +230,19 @@ def test_methods_read_only_the_moments(seed, reps, n, k, pc):
 )
 def test_kernels_do_not_depend_on_the_moments_width(seed, reps, n, k, pc, extra):
     """Every method, ORACLE included, run on a block of moments and
-    complier entries alone, its moments held at more strata than any row
-    has, gives the rows it gives on the block itself byte for byte, with
-    the extra strata not kept. On both, a row's present strata are the
+    a complier summary alone, both held at more strata than any row has,
+    gives the rows it gives on the block itself byte for byte, with the
+    extra strata not kept. On both, a row's present strata are the
     first_appearance count of codes, and no code padded past it."""
     labels, y0, y1, d0, d1, z = _block_of_tables(seed, reps, n, k, pc, 0.1)
     codes, num_strata, _ = first_appearance(labels)
     y, d = reveal(y0, y1, d0, d1, z)
     g = int(num_strata.max())
-    block = ObservedBlock.of_units(z, d, y, codes, (d1 == 1) & (d0 == 0))
+    compliers = (d1 == 1) & (d0 == 0)
+    block = ObservedBlock.of_units(z, d, y, codes, compliers)
     wide = ObservedBlock(
-        *block_moments(z, d, y, codes, g + extra), n, block.complier_entries
+        *block_moments(z, d, y, codes, g + extra), n,
+        complier_summary(np.flatnonzero(compliers), z, y, codes, g + extra),
     )
     for present in (block.present, wide.present):
         assert np.array_equal(present, np.arange(present.shape[1]) < num_strata[:, None])

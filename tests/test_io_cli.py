@@ -717,6 +717,17 @@ def test_cli_simulate_refuses_random_strata_past_int64_labels(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_simulate_refuses_an_outcome_scale_that_can_overflow(tmp_path, capsys):
+    """The config that ran with overflow warnings exits 1, naming tau, and
+    writes no output file."""
+    cfg = write(tmp_path, "cfg.json",
+                '{"n": 40, "replications": 20, "tau": 1.7e308, "target_pi_c": 0.5}')
+    out = tmp_path / "metrics.csv"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "tau=1.7e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_refuses_an_outcome_pattern_over_one_stratum(tmp_path, capsys):
     cfg = write(tmp_path, "cfg.json", '{"num_strata": 1, "predicts_outcome": true}')
     out = tmp_path / "metrics.csv"

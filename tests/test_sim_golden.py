@@ -123,8 +123,11 @@ def test_failure_codes_count_every_failed_replication(name, monkeypatch):
 
 def test_failure_codes_count_estimates_that_overflowed(monkeypatch):
     """Effects so large that the moments' sums overflow: every estimate,
-    ORACLE's included, fails with a cause, and the same count holds."""
-    config = ScenarioConfig(n=40, replications=20, tau=1.7e308, target_pi_c=0.5)
+    ORACLE's included, fails with a cause, and the same count holds. A
+    config refuses such a tau, so the test sets it past the check, to
+    reach the kernels' NonFinite rule through the engine."""
+    config = ScenarioConfig(n=40, replications=20, target_pi_c=0.5)
+    object.__setattr__(config, "tau", 1.7e308)
     with np.errstate(over="ignore", invalid="ignore"):
         metrics, failures = _failures(config, monkeypatch)
     for row in metrics.rows:

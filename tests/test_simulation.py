@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ from ivstrat import (
     write_metrics_csv,
 )
 from ivstrat import ScienceTable, science_to_observed, simulation
-from ivstrat.data_model import first_appearance
+from ivstrat.data_model import ComplierSummary, complier_summary, first_appearance
 from ivstrat.estimators import estimate_rows
 from ivstrat.simulation import (
-    _Buffers, _Job, _draw_block, _flush, _philox_keys, _plan, _unit_phase,
+    _Buffers, _Job, _draw_block, _flush, _philox_keys, _plan, _shape, _unit_phase,
 )
 from helpers import rep_rng, stratified_table
 
@@ -143,6 +144,39 @@ def test_scenario_config_refuses_random_strata_past_int64_labels():
     for k in (2**63 + 1, 10**19):
         with pytest.raises(ValueError, match=r"random_strata_k must be at most 2\*\*63"):
             make_config(n=40, random_strata_k=k, replications=3)
+
+
+def _outcome_bound(n: int, replications: int) -> float:
+    """The largest |tau| or |never_taker_shift| a config of n units and
+    that many replications accepts, as its docstring states it."""
+    return math.sqrt(sys.float_info.max / replications) / (16.0 * n**4)
+
+
+def test_configs_refuse_outcome_scales_that_can_overflow():
+    """tau = 1.7e308 at n = 40 ran with overflow warnings and failed every
+    tag; it is refused at construction, naming the field, as is a
+    never-taker shift past the bound for either config type."""
+    with pytest.raises(ValueError, match="tau"):
+        ScenarioConfig(n=40, replications=20, tau=1.7e308, target_pi_c=0.5)
+    bound = _outcome_bound(100, 30)
+    for make in (ScenarioConfig, ConcentrationConfig):
+        for field in ("tau", "never_taker_shift"):
+            for sign in (1.0, -1.0):
+                with pytest.raises(ValueError, match=field):
+                    make(n=100, replications=30, **{field: sign * bound * (1 + 1e-9)})
+            make(n=100, replications=30, **{field: bound})
+
+
+@pytest.mark.parametrize("field", ["tau", "never_taker_shift"])
+def test_half_the_outcome_bound_runs_without_overflow(field):
+    """At half the bound the refused config's shape runs with no
+    RuntimeWarning (tier-1 makes each one an error), and every tag
+    estimates on some replication."""
+    bound = _outcome_bound(40, 20)
+    for value in (bound / 2, -bound / 2):
+        config = ScenarioConfig(n=40, replications=20, target_pi_c=0.5, **{field: value})
+        metrics = run_scenario(config)
+        assert all(row.fail_rate < 1.0 and math.isfinite(row.bias) for row in metrics.rows)
 
 
 @pytest.mark.parametrize("field, value", _COUNTS)
@@ -476,7 +510,7 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
 def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
     # chunks of 100 replications (their moment rows, 13 (G + 1) values
     # each at G = 4, fill BLOCK_UNITS), each flushed alone (with their
-    # complier entries they pass it), so that the slots set the peak; all
+    # complier summaries they pass it), so that the slots set the peak; all
     # 20 configs' slots kept to the end would about triple it
     monkeypatch.setattr(simulation, "BLOCK_UNITS", 100 * 13 * 5)
     assert _flush_sizes([make_config(n=60, replications=300)]) == [[100]] * 3
@@ -576,11 +610,11 @@ def _repeated_call_peak(configs) -> int:
         tracemalloc.stop()
 
 
-def test_a_flush_holds_about_block_units_values_of_complier_entries():
-    """A flush holds chunks until their moment values and complier entries'
-    values reach BLOCK_UNITS, so with half the units compliers a repeated
-    call's peak barely grows from 200 to 800 replications of one config
-    (holding the whole config's entries would about quadruple it)."""
+def test_a_flush_holds_no_value_per_complier():
+    """A flush holds fixed-size rows, moments and complier summaries, and
+    nothing per complier: with half the units compliers a repeated call's
+    peak barely grows from 200 to 800 replications of one config, each run
+    as one flush (holding a value per complier would about quadruple it)."""
 
     def peak(reps: int) -> int:
         config = make_config(n=2000, target_pi_c=0.5, replications=reps, seed=5)
@@ -592,19 +626,78 @@ def test_a_flush_holds_about_block_units_values_of_complier_entries():
 
 
 def test_a_flush_holds_about_block_units_values_of_moments():
-    """At 12 random strata and few units, a replication's moment rows (13
-    values at each of 13 strata, one of them pooled) weigh about as much as
-    its complier entries, and a flush counts both: a repeated call's peak
-    barely grows from 3 to 12 configs of 400 replications in one group
-    (holding the whole group's rows would about quadruple it)."""
+    """At 12 random strata and few units, a replication's rows are mostly
+    moments (13 values at each of 13 strata, one of them pooled), beside
+    its complier summary (7 values and 12 flags), and _plan cuts a group's
+    chunks into flushes by both: a repeated call's peak barely grows from
+    3 to 12 configs of 400 replications in one group, run in several
+    flushes (holding the whole group's rows would about quadruple it)."""
 
     def peak(count: int) -> int:
         configs = [make_config(n=200, random_strata_k=12, replications=400, seed=40 + s)
                    for s in range(count)]
-        assert len(_plan([_Job(c) for c in configs])) == 1
+        assert len(_plan([_Job(c) for c in configs])) > 1
         return _repeated_call_peak(configs)
 
     assert peak(12) < 1.5 * peak(3)
+
+
+def _row_values(width: int, chunk) -> int:
+    """One replication's fixed values in a flush, counted on the unit phase
+    of a chunk at its group's width: its moments and pooled moments, and
+    its complier summary."""
+    slots = simulation._kept_buffers(_shape(chunk)[0] * _shape(chunk)[1]).rows(*_shape(chunk))
+    phase = _unit_phase(chunk, slots, width)
+    return sum(getattr(part, f.name)[0].size for part in phase for f in fields(part))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    which=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    units=st.integers(1, 5000),
+)
+def test_flushes_are_planned_by_rows(which, units):
+    """Each flush that _plan makes holds whole chunks of one group, in
+    order, whose rows' fixed values stay below BLOCK_UNITS, plus at most
+    one chunk, the one that reaches it; only a group's last flush may stop
+    short of it. Each config's replications run in order, each once."""
+    kinds = [
+        dict(n=60, target_pi_c=0.3, random_strata_k=12, replications=23),
+        dict(n=200, target_pi_c=0.05, predicts_compliance=True, replications=31),
+        dict(n=60, target_pi_c=0.5, num_strata=2, replications=17),
+        dict(n=8, target_pi_c=0.3, replications=200),
+    ]
+    configs = [make_config(**kinds[i], seed=i) for i in which]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "BLOCK_UNITS", units)
+        plan = _plan([_Job(c) for c in configs])
+    per_row = {}  # by (n, width), which each group has its own of here
+    for i, (width, chunks) in enumerate(plan):
+        group = (_shape(chunks[0])[1], width)
+        if group not in per_row:
+            per_row[group] = _row_values(width, chunks[0])
+        assert all(_shape(chunk)[1] == group[0] for chunk in chunks)
+        values = [per_row[group] * _shape(chunk)[0] for chunk in chunks]
+        assert sum(values[:-1]) < units
+        last = i + 1 == len(plan) or (_shape(plan[i + 1][1][0])[1], plan[i + 1][0]) != group
+        assert sum(values) >= units or last
+    reps = [(seg.job.config, seg.reps) for _, chunks in plan for chunk in chunks for seg in chunk]
+    for config in configs:
+        mine = [r for c, r in reps if c is config]
+        assert [r.start for r in mine] == [0, *(r.stop for r in mine[:-1])]
+        assert mine[-1].stop == config.replications
+
+
+def test_the_complier_rate_does_not_move_a_flush():
+    """_plan cuts flushes by row counts alone: the n=2000 config at
+    target_pi_c 0.5 flushes at the same row counts as at 0.05."""
+
+    def rows(pi_c: float) -> list[list[int]]:
+        config = make_config(n=2000, target_pi_c=pi_c, replications=800, seed=5)
+        return [[_shape(c)[0] for c in chunks] for _, chunks in _plan([_Job(config)])]
+
+    assert rows(0.5) == rows(0.05)
+    assert rows(0.5) == [[32] * 25]
 
 
 def test_random_strata_far_above_n_size_no_array_by_k():
@@ -623,8 +716,9 @@ def test_a_chunk_keeps_its_units_and_moment_values_within_block_units():
     configs = [make_config(n=8, replications=3000), make_config(n=2000, replications=100),
                make_config(n=16, random_strata_k=16, replications=3000)]
     for config in configs:
-        ((width, chunks),) = _plan([_Job(config)])
-        sizes = [chunk[-1].rows.stop for chunk in chunks]
+        plan = _plan([_Job(config)])
+        width = plan[0][0]
+        sizes = [chunk[-1].rows.stop for _, chunks in plan for chunk in chunks]
         per_row = max(config.n, 13 * (width + 1))
         assert sum(sizes) == config.replications
         assert sizes[0] == simulation.BLOCK_UNITS // per_row
@@ -663,7 +757,7 @@ def _tag_calls(configs) -> list[str]:
 def test_sim_n2000_config_runs_as_one_block_of_four_chunks():
     """The benchmark's n=2000 config: chunks of 32 replications fill
     BLOCK_UNITS units, and all 100 replications' moment rows and complier
-    entries fit in one flush, so every kernel, ORACLE included, runs once
+    summaries fit in one flush, so every kernel, ORACLE included, runs once
     per call."""
     config = ScenarioConfig(n=2000, num_strata=4, target_pi_c=0.05, predicts_compliance=True,
                             predicts_outcome=True, replications=100, seed=1)
@@ -710,16 +804,17 @@ def test_every_block_runs_on_the_calling_thread(monkeypatch):
 
 
 @st.composite
-def small_configs(draw):
+def small_configs(draw, pi_c=(0.05, 0.3, 0.7), target_p=(0.05, 0.3), reps=6):
     """A small config of either kind: odd n with p_treat = 3/7, random
     strata, never-taker shifts, heterogeneous effects and outcome-predictive
-    strata among them."""
+    strata among them, at a target_pi_c of pi_c or a target_p of target_p,
+    with at most reps replications."""
     p_treat = draw(st.sampled_from([0.5, 3 / 7]))
     n = 2 * draw(st.integers(2, 30)) if p_treat == 0.5 else 7 * draw(st.integers(1, 8))
     common = dict(
         n=n,
         p_treat=p_treat,
-        replications=draw(st.integers(1, 6)),
+        replications=draw(st.integers(1, reps)),
         seed=draw(st.integers(0, 2**32 - 1)),
         never_taker_shift=draw(st.sampled_from([0.0, -0.5, 1.5])),
         heterogeneous_tau=draw(st.booleans()),
@@ -728,7 +823,7 @@ def small_configs(draw):
     try:
         if draw(st.booleans()):
             config = ScenarioConfig(
-                target_pi_c=draw(st.sampled_from([0.05, 0.3, 0.7])),
+                target_pi_c=draw(st.sampled_from(pi_c)),
                 predicts_compliance=draw(st.booleans()),
                 num_strata=draw(st.integers(1, 5)),
                 random_strata_k=draw(st.none() | st.integers(1, 12)),
@@ -737,7 +832,7 @@ def small_configs(draw):
         else:
             config = ConcentrationConfig(
                 r=draw(st.sampled_from([0.0, 0.25, 1.0])),
-                target_p=draw(st.sampled_from([0.05, 0.3])),
+                target_p=draw(st.sampled_from(target_p)),
                 weights=draw(st.sampled_from([(0.35, 0.30, 0.20, 0.15), (1.0,), (0.5, 0.5)])),
                 **common,
             )
@@ -764,7 +859,7 @@ def test_chunks_reveal_what_the_table_path_reveals(config):
     ((width, (chunk,)),) = _plan([job])
     n, reps = config.n, config.replications
     slots = simulation._kept_buffers(reps * n).rows(reps, n)
-    rows = _flush([(chunk, _unit_phase(chunk, slots, width, 0))])
+    rows = _flush([(chunk, _unit_phase(chunk, slots, width))])
     # the flush shares no memory with the buffers, which still hold the chunk's arrays
     z, d, y, codes = slots["z"], slots["complier"].view(np.int8), slots["noise"], slots["strata"]
     for rep in range(reps):
@@ -780,6 +875,72 @@ def test_chunks_reveal_what_the_table_path_reveals(config):
             assert rows.truth[rep].tobytes() == np.float64(table.cace).tobytes(), rep
         else:
             assert np.isnan(rows.truth[rep]), rep
+
+
+def _same_bits(a, b) -> bool:
+    """Equal float64 bits, or both nan."""
+    a, b = np.float64(a), np.float64(b)
+    return a.tobytes() == b.tobytes() or (np.isnan(a) and np.isnan(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=small_configs(pi_c=(0.05, 0.2, 0.5), target_p=(0.05, 0.2, 0.5), reps=12),
+    cuts=st.lists(st.integers(1, 11), max_size=4),
+)
+def test_complier_summary_does_not_depend_on_how_rows_are_split(config, cuts):
+    """The ComplierSummary of a block of replications, each row a table of
+    generate_*_table revealed under its assignment, equals bit for bit the
+    concatenated summaries of the rows split into chunks at `cuts`, the
+    summary of the engine's unit phase, and per-sample 1-D numpy: np.mean
+    and np.var(ddof=1) of each arm's complier y, np.mean of y1 - y0, and
+    np.unique of the complier codes. A reduction padded or stacked across
+    rows sums some row in another order and fails it."""
+    generate = (
+        generate_concentration_table if isinstance(config, ConcentrationConfig)
+        else generate_science_table
+    )
+    job = _Job(config)
+    n, reps, width = config.n, config.replications, job.width
+    z, y, codes, compliers, effect = ([] for _ in range(5))
+    for rep in range(reps):
+        rng = rep_rng(config.seed, rep)
+        table = generate(config, rng)
+        assignment = np.zeros(n, dtype=np.int8)
+        assignment[rng.permutation(n)[: job.n1]] = 1
+        sample = science_to_observed(table, assignment)
+        for rows, a in zip((z, y, codes, compliers, effect), (
+            sample.z, sample.y, sample.strata, table.is_complier, table.y1 - table.y0,
+        )):
+            rows.append(a)
+    z, y, codes, compliers, effect = map(np.stack, (z, y, codes, compliers, effect))
+
+    def summary(a: int, b: int) -> ComplierSummary:
+        at = np.flatnonzero(compliers[a:b])
+        return complier_summary(at, z[a:b], y[a:b], codes[a:b], width, effect[a:b].take(at))
+
+    whole = summary(0, reps)
+    bounds = [0, *sorted({c for c in cuts if c < reps}), reps]
+    parts = [summary(a, b) for a, b in zip(bounds, bounds[1:])]
+    ((_, (chunk,)),) = _plan([job])
+    slots = simulation._kept_buffers(reps * n).rows(reps, n)
+    engine = _unit_phase(chunk, slots, width)[2]
+    for f in fields(ComplierSummary):
+        want = getattr(whole, f.name)
+        split = np.concatenate([getattr(part, f.name) for part in parts])
+        for got in (split, getattr(engine, f.name)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+    for i in range(reps):
+        for arm, (count, mean, var) in (
+            (1, (whole.n1, whole.ybar1, whole.s2_y1)), (0, (whole.n0, whole.ybar0, whole.s2_y0)),
+        ):
+            ys = y[i][compliers[i] & (z[i] == arm)]
+            assert count[i] == len(ys), (i, arm)
+            assert _same_bits(mean[i], np.mean(ys) if len(ys) else np.nan), (i, arm)
+            assert _same_bits(var[i], np.var(ys, ddof=1) if len(ys) >= 2 else np.nan), (i, arm)
+        effects = effect[i][compliers[i]]
+        assert _same_bits(whole.truth[i], np.mean(effects) if len(effects) else np.nan), i
+        assert np.array_equal(np.flatnonzero(whole.strata[i]), np.unique(codes[i][compliers[i]]))
 
 
 @settings(max_examples=40, deadline=None)
