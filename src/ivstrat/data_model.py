@@ -191,8 +191,11 @@ def _int8(a, name: str) -> np.ndarray:
 def _levels(column) -> tuple[list, np.ndarray]:
     """Hashable labels' distinct values by first appearance (equal ones, as
     1, 1.0 and True, share the first's level) and each item's index."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(column))}
-    return list(index), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+    index: dict = {}  # each label's first item's position, one lookup per item
+    first = np.fromiter(map(index.setdefault, column, range(len(column))), np.intp, len(column))
+    level = np.empty(len(column), np.intp)
+    level[np.fromiter(index.values(), np.intp, len(index))] = np.arange(len(index))
+    return list(index), level[first]
 
 
 def _dense_codes(strata) -> tuple[np.ndarray, tuple[Hashable, ...]]:

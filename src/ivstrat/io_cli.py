@@ -22,6 +22,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import compress
 from typing import IO, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
@@ -271,23 +272,32 @@ def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _
 def _read_columns(path: str, numeric, text, refuse_blank: bool) -> _Columns | None:
     """_read_rows's result from one pass of numpy's C reader, or None where
     it might differ; it may also raise where _read_rows would not."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)  # with no header, or a column missing, _read_rows reports it
-        rest = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # The checks run on the bytes, which hold each ASCII character as itself; the
+    # header line is the file up to its first \n, and where it holds a \r other
+    # than a CRLF's the physical lines of csv.reader and loadtxt may differ.
+    start = raw.find(b"\n") + 1
+    line = raw[:start].removesuffix(b"\n").removesuffix(b"\r")
+    if not start or b"\r" in line:
+        return None
+    reader = csv.reader([line.decode("utf-8"), ""])  # a record that runs on reads the "" too
+    header = next(reader)  # with no header, or a column missing, _read_rows reports it
     # loadtxt skips one physical line, also splits at a bare \r and reads \x1c-\x1f
     # around a number as whitespace. csv.reader refuses \x00 before Python 3.11, and any
-    # field over its limit: a line that long holds an aligned half-limit block with no \n.
+    # field over its limit, counted in characters: a line that long holds an aligned
+    # block of half the limit in bytes with no \n (so may a shorter multibyte line).
     half = csv.field_size_limit() // 2
     if (
         reader.line_num != 1
-        or any(map(rest.__contains__, "\x00\x1c\x1d\x1e\x1f"))
-        or ("\r" in rest and rest.count("\r") != rest.count("\r\n"))
-        or not all(rest.find("\n", i, i + half) >= 0 for i in range(0, len(rest) - half + 1, half))
+        or any(raw.find(c, start) >= 0 for c in (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+        or (raw.find(b"\r", start) >= 0 and raw.count(b"\r", start) != raw.count(b"\r\n", start))
+        or not all(raw.find(b"\n", i, i + half) >= 0 for i in range(start, len(raw) - half + 1, half))
     ):
         return None
-    line_count = rest.count("\n") + (not rest.endswith("\n"))
-    del rest
+    line_count = np.count_nonzero(np.frombuffer(raw, np.uint8, offset=start) == 10)
+    line_count += not raw.endswith(b"\n", start)  # an unended last line, or none
+    del raw
     pos = {name: i for i, name in enumerate(header)}
     # Text is read as object, as a "U" field in a structured dtype comes back
     # empty; other columns as U0, which counts the field and stores nothing.
@@ -328,8 +338,12 @@ def _quantile_levels(
     counts. A value that is not a finite number raises on the line of its
     first row."""
     present = np.array([v.strip() != "" for v in values], dtype=bool)
-    numbers = np.zeros(len(values))
-    for j in np.flatnonzero(present):  # in order of first appearance
+    numbers = np.full(len(values), math.nan)
+    try:  # every present value in one pass; _parse names the first that fails
+        numbers[present] = list(map(float, compress(values, present)))
+    except ValueError:
+        pass
+    for j in np.flatnonzero(present & ~_KINDS["outcome"][0](numbers)):  # by first appearance
         try:
             numbers[j] = _parse(values[j], col, "outcome", 0)
         except MalformedRow as exc:

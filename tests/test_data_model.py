@@ -32,6 +32,7 @@ from ivstrat.data_model import (
     NonFinite,
     TooFewUnits,
     _dense_codes,
+    _levels,
     stratum_moments,
 )
 from helpers import ERROR_CLASSES, random_sample, sample_a, sample_two_strata
@@ -299,11 +300,32 @@ NAN = float("nan")
         list(np.array([NAN, 1.0, NAN])),  # numpy scalars: each nan its own label
         ["b", "a", "b", ("a", 1), ("a", 1), None],
         list(np.array(["x", "y", "x"])),
+        [],
     ],
-    ids=["equal", "nan", "np-nan", "mixed", "np-str"],
+    ids=["equal", "nan", "np-nan", "mixed", "np-str", "empty"],
 )
 def test_dense_codes_of_hashable_labels_match_a_first_appearance_loop(labels):
     codes, found = _dense_codes(labels)
     want_codes, want = _first_appearance_loop(labels)
     assert codes.tolist() == want_codes
+    assert len(found) == len(want) and all(a is b for a, b in zip(found, want))
+
+
+# Labels that repeat as the same object (NAN too) or as equal ones, and fresh
+# nan objects, each its own label.
+MIXED_LABELS = st.one_of(
+    st.sampled_from(["a", "b", "", 0, 1, 1.0, True, False, -0.0, NAN, ("a", 1), ("a", 1.0)]),
+    st.text(max_size=2),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0).map(lambda v: round(v, 1)),
+    st.builds(float, st.just("nan")),
+    st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 2)),
+)
+
+
+@given(st.lists(MIXED_LABELS, max_size=200))
+def test_levels_match_a_first_appearance_loop(labels):
+    found, codes = _levels(labels)
+    want_codes, want = _first_appearance_loop(labels)
+    assert codes.dtype == np.intp and codes.tolist() == want_codes
     assert len(found) == len(want) and all(a is b for a, b in zip(found, want))

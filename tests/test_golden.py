@@ -110,17 +110,13 @@ def test_spotlight_unstrat_row_recomputed_from_raw():
 def test_spotlight_screens_drop_expected_strata():
     # west's uptake is below the 2% screen but above zero, so the
     # weighted estimator keeps it and the screened ones drop it
-    frozen = {
-        r["method"]: r
-        for r in csv.DictReader(open(GOLDEN / "spotlight_like_report.csv"))
-    }
+    with open(GOLDEN / "spotlight_like_report.csv", newline="") as fh:
+        frozen = {r["method"]: r for r in csv.DictReader(fh)}
     assert frozen["IV_W"]["n"] == "1000"
     assert frozen["DSS"]["n"] == "750"
     assert int(frozen["DSF"]["n"]) <= 750
-    west = {
-        r["stratum"]: r
-        for r in csv.DictReader(open(GOLDEN / "spotlight_like_strata.csv"))
-    }["west"]
+    with open(GOLDEN / "spotlight_like_strata.csv", newline="") as fh:
+        west = {r["stratum"]: r for r in csv.DictReader(fh)}["west"]
     assert 0.0 < float(west["pi_c_hat"]) < 0.02
 
 

@@ -244,6 +244,15 @@ TRAPS = {
     "huge_unread_field": "z,d,y,s,x\n1,0,1,a," + "w" * 140_000 + "\n0,1,2,b,c\n",
     "huge_padded_number": "z,d,y,s\n1,0," + " " * 140_000 + "1,a\n0,1,2,b\n",
     "huge_label": "z,d,y,s\n1,0,1," + "w" * 140_000 + "\n0,1,2,b\n",
+    # the fast path checks bytes; where they cannot decide, the per-row reader does
+    "header_only_without_newline": "z,d,y,s",
+    # csv.reader's header ends on line 2 and loadtxt's at the \r, which gives loadtxt
+    # one row more; skipping the blank line evens the counts
+    "cr_in_header_line": 'z,d,y,s,"x\r1,0,1,2,b"\n\n0,1,2,x,c\n',
+    "separator_in_header": "z,d,y,s,\x1cx\n1,0,1,a,b\n0,1,2,b,c\n",
+    # over half the field limit in bytes, under it in characters
+    "long_multibyte_label": "z,d,y,s\n1,0,1," + "\u00e9" * 40_000 + "\n0,1,2,b\n",
+    "invalid_utf8_in_label": b"z,d,y,s\n1,0,1,a\xffb\n0,1,2,b\n",
 }
 ODD_NUMBERS = ["NaN", "Infinity", "+inf", "-inf", "1e999", "1_0", "0_0", "\u0661", "\u0660", "1\x1f"]
 
@@ -252,10 +261,13 @@ ODD_NUMBERS = ["NaN", "Infinity", "+inf", "-inf", "1e999", "1_0", "0_0", "\u0661
 @pytest.mark.parametrize("quantile", [False, True])
 def test_trap_inputs_load_as_the_oracle_does(tmp_path, text, quantile):
     path = tmp_path / "d.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     schema = DatasetSchema(strata_cols=("s",), binning={"s": {"quantile": 2}} if quantile else {})
-    new = _outcome(load_csv, str(path), schema)
-    _assert_same(new, _outcome(load_csv_rowwise, str(path), schema), ("z", "d", "y", "strata"))
+    old = _outcome(load_csv_rowwise, str(path), schema)
+    for loader_path in _both_paths():
+        with loader_path:
+            new = _outcome(load_csv, str(path), schema)
+        _assert_same(new, old, ("z", "d", "y", "strata"))
 
 
 @pytest.mark.parametrize("cell", ODD_NUMBERS)

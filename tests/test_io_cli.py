@@ -511,7 +511,7 @@ def test_cli_simulate_threads_reproduce_bytes(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert cli_main(["simulate", "--config", cfg, "--out", a]) == 0
     assert cli_main(["simulate", "--config", cfg, "--out", b, "--threads", "3"]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
