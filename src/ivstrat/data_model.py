@@ -195,7 +195,8 @@ def _levels(column) -> tuple[list, np.ndarray]:
     first = np.fromiter(map(index.setdefault, column, range(len(column))), np.intp, len(column))
     level = np.empty(len(column), np.intp)
     level[np.fromiter(index.values(), np.intp, len(index))] = np.arange(len(index))
-    return list(index), level[first]
+    # in place: mode "clip" fills `out` without a buffer; no position is past n
+    return list(index), np.take(level, first, out=first, mode="clip")
 
 
 def _dense_codes(strata) -> tuple[np.ndarray, tuple[Hashable, ...]]:

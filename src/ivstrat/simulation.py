@@ -35,9 +35,13 @@ normal(0, sd, n), with random strata integers(0, k, n), and
 permutation(n)[:n1] for the treated units. The engine makes the same bits
 with less per-replication work: it derives the Philox keys of a config's
 replications once per config, resets one generator per chunk to each
-replication's key, and draws with calls that skip per-call work (a
-searchsorted of random(n) into the weights' cdf, standard normals scaled
-once per segment, and an in-place shuffle of an arange row).
+replication's key, and makes only C fills per replication: integers'
+raw 64-bit words, choice's random(n), standard normals and an in-place
+shuffle of an arange row. Once per segment it maps each word's 32-bit
+halves to labels as integers does (Lemire), counts choice's cdf edges
+at or below each uniform and scales the normals. A replication with a word
+that integers rejects, and a segment of odd n or some k past 2**32,
+draws by the literal calls.
 
 Determinism contract: every replication draws from its own counter-based
 substream keyed by (seed, replication index) (Philox; Salmon et al., SC11),
@@ -307,8 +311,9 @@ class _Design:
         )
 
     def draw(self, draws: dict[str, np.ndarray], i: int, rng: np.random.Generator) -> None:
-        """One replication's population draws into row i: what
-        integers(0, G, n) or choice(G, n, p=weights), random(n),
+        """One replication's population draws into row i by the literal
+        calls, as generate_science_table and the engine where not `raw`
+        draw: what integers(0, G, n) or choice(G, n, p=weights), random(n),
         normal(0, noise_sd, n) and, with random_k, integers(0, k, n) draw
         in turn. choice is its own searchsorted of random(n) into the cdf,
         without its per-call checks of p, and the normals are standard ones
@@ -322,6 +327,39 @@ class _Design:
         rng.standard_normal(out=draws["noise"][i])
         if self.random_k is not None:
             draws["labels"][i] = rng.integers(0, self.random_k, size=n)
+
+    @property
+    def raw(self) -> bool:  # draw_raw's bits are draw's: no spare 32-bit word, no 64-bit one
+        return self.n % 2 == 0 and max(self.num_strata, self.random_k or 1) <= 2**32
+
+    def draw_raw(self, draws: dict[str, np.ndarray], i: int, rng: np.random.Generator) -> None:
+        """draw's bits in row i, but each integers(0, k, n) left as the
+        n / 2 words it maps (none at k = 1) and choice's uniforms in
+        `rate`, for map_raw to make labels of, a segment at a time."""
+        if self.cdf is not None:
+            rng.random(out=draws["rate"][i])
+        elif self.num_strata > 1:
+            draws["strata_words"][i] = rng.bit_generator.random_raw(self.n // 2)
+        rng.random(out=draws["u"][i])
+        rng.standard_normal(out=draws["noise"][i])
+        if (self.random_k or 1) > 1:
+            draws["label_words"][i] = rng.bit_generator.random_raw(self.n // 2)
+
+    def map_raw(self, draws: dict[str, np.ndarray], rows: slice) -> np.ndarray:
+        """The labels of draw_raw's rows `rows`, in place, and the rows with
+        a word numpy rejects, after which all its draws differ. choice's
+        label counts the cdf's inner edges at or below its uniform, which
+        is searchsorted(side="right")."""
+        strata, rejected = draws["strata"][rows], False
+        if self.cdf is not None:
+            strata.fill(0)
+            for edge in self.cdf[:-1]:
+                strata += np.greater_equal(draws["rate"][rows], edge, out=draws["complier"][rows])
+        else:
+            rejected = _lemire(draws["strata_words"][rows], self.num_strata, strata)
+        if self.random_k is not None:
+            rejected |= _lemire(draws["label_words"][rows], self.random_k, draws["labels"][rows])
+        return rows.start + np.flatnonzero(rejected)
 
     def outcomes(self, strata, u, noise, complier, rate, shift) -> None:
         """Rows drawn from this design, made tables in place but for y1: the
@@ -351,8 +389,9 @@ class _Buffers:
       strata -> codes                   order -> each row's shuffled units
       labels -> first_appearance's key  u -> tau -> d as float, products
         -> the moments' cells           noise -> y0 -> y
-      rate, shift -> the outcomes' work -> the centred y and d
-      complier -> d                     z
+      rate -> choice's uniforms or the strata's words, shift -> the
+        labels' words; both -> the outcomes' work -> the centred y and d
+      complier -> choice's work -> d    z
     """
 
     _SLOTS = {"strata": np.intp, "order": np.intp, "labels": np.intp, "u": np.float64,
@@ -368,6 +407,9 @@ class _Buffers:
     def rows(self, r: int, n: int) -> dict[str, np.ndarray]:
         views = {name: a[: r * n].reshape(r, n) for name, a in self.flat.items()}
         views["positions"] = self.positions[: r * n]
+        # the words that _Design.draw_raw draws strata and labels as
+        views["strata_words"] = views["rate"].view("<u8")[:, : n // 2]
+        views["label_words"] = views["shift"].view("<u8")[:, : n // 2]
         return views
 
 
@@ -550,31 +592,54 @@ def _shape(chunk: list[_Segment]) -> tuple[int, int]:
     return chunk[-1].rows.stop, chunk[0].job.config.n
 
 
+def _lemire(words: np.ndarray, k: int, out: np.ndarray):
+    """What integers(0, k, n) draws from rows of n / 2 words, into the
+    (R, n) rows `out`, and whether each row has a word it rejects: each
+    32-bit half x, low first, maps to (x * k) >> 32, rejected where
+    (x * k) mod 2**32 < 2**32 mod k (Lemire, ACM TOMACS 29(1), 2019). At
+    k = 2**32 it maps x to x, at k = 1 to 0. It overwrites the words."""
+    halves, wide = words.view("<u4"), out.view(np.uint64)
+    np.multiply(halves, np.uint64(k), out=wide, dtype=np.uint64)
+    np.right_shift(wide, np.uint64(32), out=wide)
+    if 2**32 % k == 0:
+        return False
+    np.multiply(halves, np.uint32(k), out=halves)  # each product mod 2**32
+    return halves.min(axis=1) < 2**32 % k
+
+
 def _draw_block(chunk: list[_Segment], slots: dict[str, np.ndarray]) -> np.ndarray:
-    """A chunk's population draws, written into `slots` (`_Buffers.rows`)
-    by `_Design.draw`, and its (R, n) assignments z, which it returns.
-    Each replication draws its population and then its assignment from its
-    own substream: the chunk's one generator, reset to the replication's
-    key. Row i of `order` holds its units' flat positions in the chunk, so
-    `rng.shuffle` of it draws what permutation(n) does, and the first n1
-    units of each row are treated."""
+    """A chunk's population draws, written into `slots` (`_Buffers.rows`),
+    and its (R, n) assignments z, which it returns. Each replication draws
+    its population and then its assignment from its own substream: the
+    chunk's one generator, reset to the replication's key. Row i of
+    `order` holds its units' flat positions in the chunk, so `rng.shuffle`
+    of it draws what permutation(n) does, and the first n1 units of each
+    row are treated. A segment draws by _Design.draw_raw where _Design.raw
+    holds, and then maps its words at once; a replication with a word
+    numpy rejects, and any other segment, draws by _Design.draw."""
     r, n = _shape(chunk)
-    order = slots["order"]
-    np.copyto(order, slots["positions"].reshape(r, n))
+    order, positions = slots["order"], slots["positions"].reshape(r, n)
+    np.copyto(order, positions)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     # a fresh Philox's state: counter 0, an empty buffer and no spare
     # 32-bit word; each replication starts from it with its own key
     state = bit_generator.state
-    i = 0
-    for job, reps, _ in chunk:
-        draw = job.design.draw
-        for key in job.keys[reps.start : reps.stop].tolist():
-            state["state"]["key"] = key
-            bit_generator.state = state
-            draw(slots, i, rng)
-            rng.shuffle(order[i])
-            i += 1
+
+    def replicate(draw, i: int, key: list) -> None:
+        state["state"]["key"] = key
+        bit_generator.state = state
+        draw(slots, i, rng)
+        rng.shuffle(order[i])
+
+    for job, reps, rows in chunk:
+        design, keys = job.design, job.keys[reps.start : reps.stop].tolist()
+        draw = design.draw_raw if design.raw else design.draw
+        for i, key in enumerate(keys, rows.start):
+            replicate(draw, i, key)
+        for i in design.map_raw(slots, rows) if design.raw else ():
+            order[i] = positions[i]
+            replicate(design.draw, i, keys[i - rows.start])
     z = slots["z"]
     z.fill(0)
     for job, _, rows in chunk:

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -321,6 +322,20 @@ MIXED_LABELS = st.one_of(
     st.builds(float, st.just("nan")),
     st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 2)),
 )
+
+
+def test_levels_of_many_labels_hold_under_three_index_arrays():
+    """_levels on 100k labels of few levels peaks below three n-sized intp
+    arrays: it gathers the codes into its first-position array, in place."""
+    labels = [("north", "south", "east", "west", "central")[i % 5] for i in range(100_000)]
+    tracemalloc.start()
+    try:
+        _, codes = _levels(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.tolist()[:7] == [0, 1, 2, 3, 4, 0, 1]
+    assert peak < 3 * len(labels) * np.dtype(np.intp).itemsize
 
 
 @given(st.lists(MIXED_LABELS, max_size=200))

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -5,7 +6,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -413,7 +414,25 @@ DRAW_CONFIGS = {
     "random strata": lambda **kw: ScenarioConfig(target_pi_c=0.3, random_strata_k=3, **kw),
     "float weights": lambda **kw: ConcentrationConfig(r=0.5, predicts_outcome=True, **kw),
     "integer weights": lambda **kw: ConcentrationConfig(weights=(1,), **kw),
+    # the benchmark's shapes: 4 predictive strata at n = 2000 and 12 random
+    # strata at n = 500
+    "predictive strata": lambda **kw: ScenarioConfig(
+        target_pi_c=0.05, predicts_compliance=True, predicts_outcome=True, **kw
+    ),
+    "random strata k=12": lambda **kw: ScenarioConfig(target_pi_c=0.05, random_strata_k=12, **kw),
 }
+# k where integers(0, k) draws no word (1), rejects about half of its
+# 32-bit words (2**31+1) or a quarter (3*2**30), maps them whole (2**32)
+# or draws 64-bit words (2**32+1)
+BOUNDARY_K = {"1": 1, "2**31+1": 2**31 + 1, "3*2**30": 3 * 2**30, "2**32": 2**32,
+              "2**32+1": 2**32 + 1}
+for name, k in BOUNDARY_K.items():
+    DRAW_CONFIGS[f"random strata k={name}"] = functools.partial(
+        ScenarioConfig, target_pi_c=0.3, random_strata_k=k
+    )
+    # a config cannot hold so many equal strata (comp_prob holds a rate per
+    # stratum), so the test widens their design, whose draws read no rate
+    DRAW_CONFIGS[f"equal strata G={name}"] = DRAW_CONFIGS["uniform strata"]
 
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 3]
@@ -448,15 +467,17 @@ def test_philox_keys_refuse_indices_past_32_bits(reps):
         _philox_keys(5, reps)
 
 
-@pytest.mark.parametrize("n", [4, 7, 500])
+@pytest.mark.parametrize("n", [4, 7, 500, 2000])
 @pytest.mark.parametrize("kind", sorted(DRAW_CONFIGS))
 def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
     """Each replication's rows equal numpy's one-call draws on its
     substream, and leave the block's generator in the state they leave
-    that substream's generator."""
+    that substream's generator. A replication drawn again after a
+    rejected word ends in the state of its last reset's draws."""
     config = DRAW_CONFIGS[kind](n=n, p_treat=3 / 7 if n == 7 else 0.5, replications=4, seed=31)
     numpy_philox = np.random.Philox
     made, states = [], []  # the block's generators; their states before each reset
+    keys = []  # the key each reset set
 
     class Philox(numpy_philox):  # its state names its class, so it keeps numpy's name
         def __init__(self, *args, **kwargs):
@@ -470,25 +491,32 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
         @state.setter
         def state(self, value):
             states.append(self.state)
+            keys.append(tuple(value["state"]["key"]))
             numpy_philox.state.__set__(self, value)
 
     monkeypatch.setattr(np.random, "Philox", Philox)
     job = _Job(config)
-    ((_, (chunk,)),) = _plan([job])
+    if kind.startswith("equal strata G="):
+        wide = BOUNDARY_K[kind.removeprefix("equal strata G=")]
+        job.design = replace(job.design, num_strata=wide)
     r = config.replications
+    # one chunk of them all (_plan cuts n = 2000 at a width of 2000 finer)
+    chunk = [simulation._Segment(job, range(r), slice(0, r))]
     slots = _Buffers(r * n).rows(r, n)
     z = _draw_block(chunk, slots)
     monkeypatch.undo()
     (bit_generator,) = made
-    # each replication's state after its draws: the one its successor's
-    # reset replaced, and for the last, the one the block left
-    ends = states[1:] + [bit_generator.state]
+    # each replication's state after its last reset's draws: the one the
+    # next reset replaced, and for the block's last reset, the one it left
+    ends = dict(zip(keys, states[1:] + [bit_generator.state]))
+    assert list(ends) == [tuple(key) for key in job.keys.tolist()]
+    ends = list(ends.values())
     assert len(ends) == config.replications
 
     def plain(state: dict) -> str:
         return json.dumps(state, default=np.ndarray.tolist, sort_keys=True)
 
-    sd, g = job.design.noise_sd, config.num_strata
+    sd, g = job.design.noise_sd, job.design.num_strata
     for rep, end in enumerate(ends):
         ref = rep_rng(config.seed, rep)
         if isinstance(config, ConcentrationConfig):
@@ -500,11 +528,27 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
         # _Design.outcomes scales the standard normals by noise_sd
         assert np.array_equal(slots["noise"][rep] * sd, ref.normal(0.0, sd, n))
         if job.design.random_k is not None:
-            assert np.array_equal(slots["labels"][rep], ref.integers(0, 3, size=n))
+            k = job.design.random_k
+            assert np.array_equal(slots["labels"][rep], ref.integers(0, k, size=n))
         treated = np.zeros(n, dtype=np.int8)
         treated[ref.permutation(n)[: job.n1]] = 1
         assert np.array_equal(z[rep], treated)
         assert plain(end) == plain(ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("k", [3, 7, 2**31 + 1, 2**32 - 1])
+def test_lemire_rejects_exactly_below_numpys_threshold(k):
+    """_lemire flags a row where a 32-bit half x has (x * k) mod 2**32
+    below 2**32 mod k, numpy's rejection test, and no other, and maps each
+    half to (x * k) >> 32. Random words meet the threshold's edge about
+    once in 2**32, so these halves are made to sit on either side of it."""
+    threshold, inverse = 2**32 % k, pow(k, -1, 2**32)  # k is odd
+    below, at = ((leftover * inverse) % 2**32 for leftover in (threshold - 1, threshold))
+    halves = np.array([[at, at], [at, below], [below, at]], dtype="<u4")
+    out = np.empty((3, 2), dtype=np.intp)
+    rejected = simulation._lemire(halves.copy().view("<u8"), k, out)
+    assert rejected.tolist() == [False, True, True]
+    assert out.tolist() == [[x * k >> 32 for x in row] for row in halves.tolist()]
 
 
 def test_run_grid_frees_each_config_slots_after_its_last_block(monkeypatch):
@@ -826,7 +870,11 @@ def small_configs(draw, pi_c=(0.05, 0.3, 0.7), target_p=(0.05, 0.3), reps=6):
                 target_pi_c=draw(st.sampled_from(pi_c)),
                 predicts_compliance=draw(st.booleans()),
                 num_strata=draw(st.integers(1, 5)),
-                random_strata_k=draw(st.none() | st.integers(1, 12)),
+                # past 12: k where numpy rejects half of the 32-bit words,
+                # maps them whole, or draws 64-bit words
+                random_strata_k=draw(
+                    st.none() | st.integers(1, 12) | st.sampled_from([2**31 + 1, 2**32, 2**32 + 1])
+                ),
                 **common,
             )
         else:
@@ -846,6 +894,9 @@ def small_configs(draw, pi_c=(0.05, 0.3, 0.7), target_p=(0.05, 0.3), reps=6):
 
 @settings(max_examples=60, deadline=None)
 @given(config=small_configs())
+@example(config=ScenarioConfig(n=8, target_pi_c=0.3, random_strata_k=2**31 + 1, replications=6))
+@example(config=ScenarioConfig(n=7, p_treat=3 / 7, random_strata_k=2**32, replications=6))
+@example(config=ScenarioConfig(n=8, target_pi_c=0.3, random_strata_k=2**32 + 1, replications=6))
 def test_chunks_reveal_what_the_table_path_reveals(config):
     """Each replication of a chunk has the z, d, revealed y and stratum codes
     that science_to_observed gives on generate_*_table's table of that
