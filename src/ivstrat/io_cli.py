@@ -233,6 +233,16 @@ def _midranks(values: np.ndarray, counts: np.ndarray | None = None) -> np.ndarra
     return ranks
 
 
+def _records(reader):
+    """reader's rows, a row that csv refuses (a field over
+    csv.field_size_limit(), or a NUL before Python 3.11) raised as a
+    MalformedRow on reader.line_num."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+
+
 def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _Columns:
     """Read a CSV one csv.reader row at a time: the ingest specification.
     numeric holds (column, kind) pairs, kind a key of _KINDS; text columns,
@@ -240,10 +250,11 @@ def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _
     float arrays, each text column's _levels and each row's last physical
     line (csv.DictReader's line_num); a repeated header name means its last
     column. Rows are checked, the first failure raising, by field count,
-    then numeric columns, then text columns."""
+    then numeric columns, then text columns; a row csv refuses fails too."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _records(reader)
+        header = next(records, None)
         if header is None:
             raise EmptyFile(path)
         for col in [c for c, _ in numeric] + list(text):
@@ -253,7 +264,7 @@ def _read_rows(path: str, numeric, text: Sequence[str], refuse_blank: bool) -> _
         numbers: list[list[float]] = [[] for _ in numeric]
         strings: list[list[str]] = [[] for _ in text]
         lines = []
-        for row in filter(None, reader):  # csv.DictReader skips blank lines too
+        for row in filter(None, records):  # csv.DictReader skips blank lines too
             line = reader.line_num
             if len(row) != len(header):
                 raise MalformedRow(line, "wrong number of fields")
@@ -432,7 +443,7 @@ def save_csv(sample: ObservedSample, fh: IO[str]) -> None:
 def load_science_csv(path: str) -> ScienceTable:
     """Parse a potential-outcome table CSV: y0,y1,d0,d1 plus optional stratum."""
     with open(path, encoding="utf-8", newline="") as fh:
-        text = ("stratum",) if "stratum" in (next(csv.reader(fh), None) or ()) else ()
+        text = ("stratum",) if "stratum" in (next(_records(csv.reader(fh)), None) or ()) else ()
     numeric = [("y0", "outcome"), ("y1", "outcome"), ("d0", "binary"), ("d1", "binary")]
     (y0, y1, d0, d1), levels, _ = _load(path, numeric, text, False)
     if not levels:
@@ -644,16 +655,18 @@ def write_metrics_csv(metrics: Iterable[ScenarioMetrics], fh: IO[str]) -> None:
 
 def read_metrics_csv(fh: IO[str]) -> list[dict]:
     """A metrics table's rows as dicts of parsed cells; a row of the wrong
-    length, or with a cell its column does not parse, raises MalformedRow."""
+    length, with a cell its column does not parse, or that csv refuses,
+    raises MalformedRow."""
     reader = csv.reader(fh)
-    header = next(reader, None)
+    records = _records(reader)
+    header = next(records, None)
     if header is None:
         raise EmptyFile("metrics stream")
     if tuple(header) != METRICS_COLUMNS:
         raise MalformedRow(1, f"expected header {list(METRICS_COLUMNS)}, got {header}")
     parsers = [(col, parse) for col, (_, parse, _) in _metrics_codecs().items()]
     rows = []
-    for row in filter(None, reader):  # csv.DictReader skips blank lines too
+    for row in filter(None, records):  # csv.DictReader skips blank lines too
         if len(row) != len(parsers):
             raise MalformedRow(reader.line_num, "wrong number of fields")
         parsed = {}

@@ -8,14 +8,16 @@ total outcome variance. A concentration variant reparameterizes compliance
 as (p r^3, p r^2, p r, p) across four strata so a single knob r moves the
 design from uninformative (r = 1) to perfectly predictive (r = 0).
 
-The engine's unit of work is a segment, a range of one config's
-replications. Configs that share n and estimator tags form a group, whose
-width is the most strata one of its replications can have. A group's
-replications, in config order, are cut into chunks of at most BLOCK_UNITS
-units and BLOCK_UNITS moment values, so a config smaller than a chunk
-shares one with the next, and its chunks into flushes (_plan). Per chunk,
-each replication draws its population and assignment from its own stream
-and reveals y (_unit_phase). Two calls reduce the chunk to rows of fixed
+Configs that share n and estimator tags form a group, whose width is the
+most strata one of its replications can have. A replication's one address
+in the engine is its row in its group, whose rows are its configs'
+replications in config order. Chunks and flushes are ranges of a group's
+rows (_plan): chunks of at most BLOCK_UNITS units and BLOCK_UNITS moment
+values, so a config smaller than a chunk shares one with the next, and
+flushes of consecutive chunks. _segments maps a range of rows to the
+replications it holds, one segment per config. Per chunk, each
+replication draws its population and assignment from its own stream and
+reveals y (_unit_phase). Two calls reduce the chunk to rows of fixed
 size: block_moments to (R, width) and pooled (R, 1) moments, and
 complier_summary to each row's compliers' arm counts, means and variances
 of y, their strata and the truth, the mean of their y1 - y0. A flush
@@ -64,7 +66,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass, fields
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -578,20 +580,6 @@ class _RepStore:
         return cls(nan, np.zeros((tags, reps), dtype=bool), np.full(reps, np.nan))
 
 
-class _Segment(NamedTuple):
-    """The engine's unit of work: replications `reps` of one job, in rows
-    `rows` of the chunk that holds them."""
-
-    job: "_Job"
-    reps: range
-    rows: slice
-
-
-def _shape(chunk: list[_Segment]) -> tuple[int, int]:
-    """A chunk's (replications, n)."""
-    return chunk[-1].rows.stop, chunk[0].job.config.n
-
-
 def _lemire(words: np.ndarray, k: int, out: np.ndarray):
     """What integers(0, k, n) draws from rows of n / 2 words, into the
     (R, n) rows `out`, and whether each row has a word it rejects: each
@@ -607,18 +595,18 @@ def _lemire(words: np.ndarray, k: int, out: np.ndarray):
     return halves.min(axis=1) < 2**32 % k
 
 
-def _draw_block(chunk: list[_Segment], slots: dict[str, np.ndarray]) -> np.ndarray:
-    """A chunk's population draws, written into `slots` (`_Buffers.rows`),
-    and its (R, n) assignments z, which it returns. Each replication draws
-    its population and then its assignment from its own substream: the
-    chunk's one generator, reset to the replication's key. Row i of
-    `order` holds its units' flat positions in the chunk, so `rng.shuffle`
-    of it draws what permutation(n) does, and the first n1 units of each
-    row are treated. A segment draws by _Design.draw_raw where _Design.raw
+def _draw_block(group: Sequence[_Job], chunk: range, slots: dict[str, np.ndarray]) -> np.ndarray:
+    """The population draws of `chunk`, a range of the group's rows,
+    written into `slots` (`_Buffers.rows`), and its (R, n) assignments z,
+    which it returns. Each replication draws its population and then its
+    assignment from its own substream: the chunk's one generator, reset to
+    the replication's key. Row i of `order` holds its units' flat
+    positions in the chunk, so `rng.shuffle` of it draws what
+    permutation(n) does, and the first n1 units of each row are treated.
+    A segment (_segments) draws by _Design.draw_raw where _Design.raw
     holds, and then maps its words at once; a replication with a word
     numpy rejects, and any other segment, draws by _Design.draw."""
-    r, n = _shape(chunk)
-    order, positions = slots["order"], slots["positions"].reshape(r, n)
+    order, positions = slots["order"], slots["positions"].reshape(slots["order"].shape)
     np.copyto(order, positions)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
@@ -632,33 +620,34 @@ def _draw_block(chunk: list[_Segment], slots: dict[str, np.ndarray]) -> np.ndarr
         draw(slots, i, rng)
         rng.shuffle(order[i])
 
-    for job, reps, rows in chunk:
+    for job, reps, at in _segments(group, chunk):
         design, keys = job.design, job.keys[reps.start : reps.stop].tolist()
         draw = design.draw_raw if design.raw else design.draw
-        for i, key in enumerate(keys, rows.start):
+        for i, key in enumerate(keys, at.start):
             replicate(draw, i, key)
-        for i in design.map_raw(slots, rows) if design.raw else ():
+        for i in design.map_raw(slots, at) if design.raw else ():
             order[i] = positions[i]
-            replicate(design.draw, i, keys[i - rows.start])
+            replicate(design.draw, i, keys[i - at.start])
     z = slots["z"]
     z.fill(0)
-    for job, _, rows in chunk:
-        z.reshape(-1)[order[rows, : job.n1]] = 1
+    for job, _, at in _segments(group, chunk):
+        z.reshape(-1)[order[at, : job.n1]] = 1
     return z
 
 
-def _unit_phase(chunk: list[_Segment], slots: dict[str, np.ndarray], width: int):
-    """What a chunk computes from its units, in `slots` (`_Buffers.rows`),
-    each replication drawn from its own substream and revealed: the rows'
-    moments at `width` strata and pooled, and their ComplierSummary at
-    `width` with the truth, by the call that ObservedBlock.of_units makes."""
-    z = _draw_block(chunk, slots)
+def _unit_phase(group: Sequence[_Job], chunk: range, slots: dict[str, np.ndarray], width: int):
+    """What `chunk`, a range of the group's rows, computes from its units
+    in `slots` (`_Buffers.rows`), each replication drawn from its own
+    substream and revealed: the rows' moments at `width` strata and
+    pooled, and their ComplierSummary at `width` with the truth, by the
+    call that ObservedBlock.of_units makes."""
+    z = _draw_block(group, chunk, slots)
     strata, tau, y, complier = (slots[name] for name in ("strata", "u", "noise", "complier"))
-    for job, _, rows in chunk:
-        work = (slots["rate"][rows], slots["shift"][rows])
-        job.design.outcomes(strata[rows], tau[rows], y[rows], complier[rows], *work)
+    for job, _, at in _segments(group, chunk):
+        work = (slots["rate"][at], slots["shift"][at])
+        job.design.outcomes(strata[at], tau[at], y[at], complier[at], *work)
         if job.design.random_k is not None:
-            strata[rows] = slots["labels"][rows]
+            strata[at] = slots["labels"][at]
     # y holds y0; y1 differs from it only at the compliers, where it is tau + y0
     at = np.flatnonzero(complier)
     y0 = y.take(at)
@@ -690,14 +679,13 @@ def _stack(parts: list) -> "StratumMoments | ComplierSummary":
     )
 
 
-def _flush(held: list) -> _RepStore:
-    """The rows of `held`, consecutive chunks of one group each paired with
-    its unit phase: the truth, and every tag's results where a row has
-    compliers and the tag did not fail, each tag run once on one
+def _flush(config: "ScenarioConfig | ConcentrationConfig", phases: list) -> _RepStore:
+    """The rows of `phases`, unit phases of consecutive chunks of a group of
+    which config is one: the truth, and every tag's results where a row
+    has compliers and the tag did not fail, each tag run once on one
     ObservedBlock of their stacked moments and complier summaries. It
-    writes none of its chunks' jobs, nor rows that share the buffers."""
-    config = held[0][0][0].job.config
-    moments, pooled, compliers = (_stack(p) for p in zip(*(phase for _, phase in held)))
+    writes no job, nor rows that share the buffers."""
+    moments, pooled, compliers = (_stack(p) for p in zip(*phases))
     obs = ObservedBlock(moments, pooled, config.n, compliers)
     num_strata = obs.present.sum(axis=1)
     rows = _RepStore.empty(len(config.estimators), len(num_strata))
@@ -769,32 +757,29 @@ class _Job:
         self.store: _RepStore | None = None
 
 
-def _cut(pieces: list[tuple[_Job, range]], size: int) -> list[list[_Segment]]:
-    """Consecutive (job, replications) pieces cut into chunks of `size`
-    replications, the last perhaps fewer, each a list of segments."""
-    chunks, chunk, used = [], [], 0
-    for job, reps in pieces:
-        start = reps.start
-        while start < reps.stop:
-            stop = min(reps.stop, start + size - used)
-            chunk.append(_Segment(job, range(start, stop), slice(used, used + stop - start)))
-            used += stop - start
-            start = stop
-            if used == size:
-                chunks.append(chunk)
-                chunk, used = [], 0
-    return chunks + [chunk] if chunk else chunks
+def _segments(group: Sequence[_Job], rows: range):
+    """Each (job, reps, at) in `rows`, a range of the group's rows (its jobs'
+    replications, in job order): a job, its replications `reps` that the
+    rows hold, and their positions `at`, counted from rows.start."""
+    start = 0
+    for job in group:
+        stop = start + job.config.replications
+        first, last = max(start, rows.start), min(stop, rows.stop)
+        if first < last:
+            at = slice(first - rows.start, last - rows.start)
+            yield job, range(first - start, last - start), at
+        start = stop
 
 
-def _plan(jobs: Sequence[_Job]) -> list[tuple[int, list[list[_Segment]]]]:
-    """Every flush, in order, as its group's width and its chunks. The jobs
-    that share n and estimator tags form a group, whose width is the
-    largest of its jobs'. Its jobs' replications, in job order, are cut
-    into chunks of as many as keep both their units and their moment
-    values, 13 (width + 1) per row, within BLOCK_UNITS, so a job's
-    replications span consecutive chunks. Every row has a fixed number of
-    values, so each flush is as many of the group's chunks, in order, as
-    take their rows' values to BLOCK_UNITS, or the group's rest."""
+def _plan(jobs: Sequence[_Job]) -> list[tuple[list[_Job], int, list[range]]]:
+    """Every flush, in order, as its group, the group's width and its
+    chunks, each a range of the group's rows. The jobs that share n and
+    estimator tags form a group, whose width is the largest of its jobs'.
+    Its rows are cut into chunks of as many as keep both their units and
+    their moment values, 13 (width + 1) per row, within BLOCK_UNITS, so a
+    job's replications span consecutive chunks. Every row has a fixed
+    number of values, so each flush is as many of the group's chunks, in
+    order, as take their rows' values to BLOCK_UNITS, or the group's rest."""
     groups: dict[tuple, list[_Job]] = {}
     for job in jobs:
         groups.setdefault((job.config.n, job.config.estimators), []).append(job)
@@ -802,22 +787,13 @@ def _plan(jobs: Sequence[_Job]) -> list[tuple[int, list[list[_Segment]]]]:
     for (n, _), group in groups.items():
         width = max(job.width for job in group)
         size = max(1, BLOCK_UNITS // max(n, _MOMENT_FIELDS * (width + 1)))
-        chunks = _cut([(job, range(job.config.replications)) for job in group], size)
+        total = sum(job.config.replications for job in group)
+        chunks = [range(start, min(start + size, total)) for start in range(0, total, size)]
         # a row's moments and its ComplierSummary, 7 values and a flag per stratum
         row_values = _MOMENT_FIELDS * (width + 1) + 7 + width
         per = -(-BLOCK_UNITS // (size * row_values))  # chunks per flush
-        plan += [(width, chunks[i : i + per]) for i in range(0, len(chunks), per)]
+        plan += [(group, width, chunks[i : i + per]) for i in range(0, len(chunks), per)]
     return plan
-
-
-def _block_segments(block: list[list[_Segment]]) -> Iterator[_Segment]:
-    """Consecutive chunks' segments, in order, with rows counted from the
-    first chunk's."""
-    base = 0
-    for chunk in block:
-        for job, reps, rows in chunk:
-            yield _Segment(job, reps, slice(base + rows.start, base + rows.stop))
-        base += _shape(chunk)[0]
 
 
 def run_grid(
@@ -826,24 +802,27 @@ def run_grid(
     """Run configs of either type; one ScenarioMetrics per config, in
     order, each equal to what it gets run alone. Each flush that `_plan`
     makes runs its chunks' unit phases in turn, on this thread and in the
-    buffers it keeps, and then `_flush` runs them. A config's slots exist
-    from its first rows to its last, then become its metrics. threads must
-    be at least 1 and changes nothing that runs."""
+    buffers it keeps, and then `_flush` runs them; its rows are copied
+    into their configs' slots, which exist from a config's first rows to
+    its last, then become its metrics. threads must be at least 1 and
+    changes nothing that runs."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     jobs = [_Job(c) for c in configs]
     results = {}
-    for width, chunks in _plan(jobs):
-        buffers = _kept_buffers(max(math.prod(_shape(chunk)) for chunk in chunks))
-        rows = _flush([(c, _unit_phase(c, buffers.rows(*_shape(c)), width)) for c in chunks])
-        for job, reps, src in _block_segments(chunks):
+    for group, width, chunks in _plan(jobs):
+        n = group[0].config.n
+        buffers = _kept_buffers(max(map(len, chunks)) * n)
+        phases = [_unit_phase(group, c, buffers.rows(len(c), n), width) for c in chunks]
+        rows = _flush(group[0].config, phases)
+        for job, reps, src in _segments(group, range(chunks[0].start, chunks[-1].stop)):
             if job.store is None:
                 job.store = _RepStore.empty(len(job.config.estimators), job.config.replications)
             dst = slice(reps.start, reps.stop)
             job.store.values[..., dst] = rows.values[..., src]
             job.store.dropped[:, dst] = rows.dropped[:, src]
             job.store.truth[dst] = rows.truth[src]
-            # a job's segments are flushed in order: this is its last
+            # a job's rows are flushed in order: this is its last
             if reps.stop == job.config.replications:
                 results[job], job.store = _metrics(job.config, job.store), None
     return [results[job] for job in jobs]

@@ -527,29 +527,32 @@ def load_csv_rowwise(path: str, schema: DatasetSchema) -> ObservedSample:
     time, each row's line number taken from the reader."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(path)
-        for col in (schema.z_col, schema.d_col, schema.y_col, *schema.strata_cols):
-            if col not in reader.fieldnames:
-                raise MissingColumn(col)
-        z: list[int] = []
-        d: list[int] = []
-        y: list[float] = []
-        raw_strata: dict[str, list[str | None]] = {c: [] for c in schema.strata_cols}
-        lines: list[int] = []
-        for row in reader:
-            line = reader.line_num
-            if row.get(None) is not None or None in row.values():
-                raise MalformedRow(line, "wrong number of fields")
-            z.append(_parse_binary(row[schema.z_col], schema.z_col, line))
-            d.append(_parse_binary(row[schema.d_col], schema.d_col, line))
-            y.append(_parse_outcome(row[schema.y_col], schema.y_col, line))
-            for col in schema.strata_cols:
-                raw = row[col]
-                if schema.missing_policy == "error" and (raw is None or raw.strip() == ""):
-                    raise MalformedRow(line, f"missing {col}")
-                raw_strata[col].append(raw)
-            lines.append(line)
+        try:
+            if reader.fieldnames is None:
+                raise EmptyFile(path)
+            for col in (schema.z_col, schema.d_col, schema.y_col, *schema.strata_cols):
+                if col not in reader.fieldnames:
+                    raise MissingColumn(col)
+            z: list[int] = []
+            d: list[int] = []
+            y: list[float] = []
+            raw_strata: dict[str, list[str | None]] = {c: [] for c in schema.strata_cols}
+            lines: list[int] = []
+            for row in reader:
+                line = reader.line_num
+                if row.get(None) is not None or None in row.values():
+                    raise MalformedRow(line, "wrong number of fields")
+                z.append(_parse_binary(row[schema.z_col], schema.z_col, line))
+                d.append(_parse_binary(row[schema.d_col], schema.d_col, line))
+                y.append(_parse_outcome(row[schema.y_col], schema.y_col, line))
+                for col in schema.strata_cols:
+                    raw = row[col]
+                    if schema.missing_policy == "error" and (raw is None or raw.strip() == ""):
+                        raise MalformedRow(line, f"missing {col}")
+                    raw_strata[col].append(raw)
+                lines.append(line)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), a NUL before 3.11
+            raise MalformedRow(reader.reader.line_num, str(exc)) from None
     if not z:
         raise EmptyFile(path)
 
@@ -600,24 +603,27 @@ def load_science_csv_rowwise(path: str) -> ScienceTable:
     """Independent oracle for io_cli.load_science_csv, row by row."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(path)
-        for col in ("y0", "y1", "d0", "d1"):
-            if col not in reader.fieldnames:
-                raise MissingColumn(col)
-        has_stratum = "stratum" in reader.fieldnames
-        y0, y1, d0, d1, strata = [], [], [], [], []
-        for row in reader:
-            line = reader.line_num
-            if row.get(None) is not None or None in row.values():
-                raise MalformedRow(line, "wrong number of fields")
-            y0.append(_parse_outcome(row["y0"], "y0", line))
-            y1.append(_parse_outcome(row["y1"], "y1", line))
-            d0.append(_parse_binary(row["d0"], "d0", line))
-            d1.append(_parse_binary(row["d1"], "d1", line))
-            if has_stratum:
-                raw = row["stratum"]
-                strata.append("missing" if raw is None or raw == "" else raw)
+        try:
+            if reader.fieldnames is None:
+                raise EmptyFile(path)
+            for col in ("y0", "y1", "d0", "d1"):
+                if col not in reader.fieldnames:
+                    raise MissingColumn(col)
+            has_stratum = "stratum" in reader.fieldnames
+            y0, y1, d0, d1, strata = [], [], [], [], []
+            for row in reader:
+                line = reader.line_num
+                if row.get(None) is not None or None in row.values():
+                    raise MalformedRow(line, "wrong number of fields")
+                y0.append(_parse_outcome(row["y0"], "y0", line))
+                y1.append(_parse_outcome(row["y1"], "y1", line))
+                d0.append(_parse_binary(row["d0"], "d0", line))
+                d1.append(_parse_binary(row["d1"], "d1", line))
+                if has_stratum:
+                    raw = row["stratum"]
+                    strata.append("missing" if raw is None or raw == "" else raw)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), a NUL before 3.11
+            raise MalformedRow(reader.reader.line_num, str(exc)) from None
     if not y0:
         raise EmptyFile(path)
     return ScienceTable.from_arrays(

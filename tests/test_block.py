@@ -308,20 +308,32 @@ def _plan(configs, units: int) -> list:
         return simulation._plan([simulation._Job(config) for config in configs])
 
 
-def _flushed(configs, units: int) -> list[list]:
-    """What each flush of a run of configs held, in order: its chunks,
-    each with its unit phase."""
-    flushed = []
-    flush = simulation._flush
+def _flushed(configs, units: int) -> list[tuple]:
+    """What each flush of a run of configs held, in order: its group, its
+    chunks and the arguments of its _flush call."""
+    plan, calls = [], []
+    make_plan, flush = simulation._plan, simulation._flush
 
-    def recording(held):
-        flushed.append(held)
-        return flush(held)
+    def planning(jobs):
+        plan.extend(make_plan(jobs))
+        return plan
+
+    def recording(config, phases):
+        calls.append((config, phases))
+        return flush(config, phases)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_plan", planning)
         mp.setattr(simulation, "_flush", recording)
         _run_slots(configs, units, 1)
-    return flushed
+    assert len(calls) == len(plan)
+    return [(group, chunks, call) for (group, _, chunks), call in zip(plan, calls)]
+
+
+def _jobs(group, chunks) -> list:
+    """The jobs whose replications a flush's chunks hold, in order."""
+    rows = range(chunks[0].start, chunks[-1].stop)
+    return [job for job, _, _ in simulation._segments(group, rows)]
 
 
 def _whole(config) -> int:
@@ -348,7 +360,7 @@ def test_rep_store_slots_do_not_depend_on_block_partition(which, units, threads)
     size, equal those it gets run alone in one chunk."""
     configs = [CONFIGS[i] for i in which]
     for config, parts in zip(configs, _run_slots(configs, units, threads)):
-        ((_, (_,)),) = _plan([config], _whole(config))
+        ((_, _, (_,)),) = _plan([config], _whole(config))
         (whole,) = _run_slots([config], _whole(config), 1)
         assert whole.keys() == parts.keys()
         for name, values in whole.items():
@@ -360,8 +372,8 @@ def test_partition_examples_split_blocks_and_chunks():
     of several chunks, and a flush's chunks mix configs."""
     flushed = _flushed([CONFIGS[i] for i in SPLIT["which"]], SPLIT["units"])
     assert len(flushed) >= 2
-    assert max(len(held) for held in flushed) >= 2
-    assert any(len({id(s.job) for chunk, _ in held for s in chunk}) > 1 for held in flushed)
+    assert max(len(chunks) for _, chunks, _ in flushed) >= 2
+    assert any(len(_jobs(group, chunks)) > 1 for group, chunks, _ in flushed)
 
 
 def test_blocks_return_their_rows_and_write_no_job():
@@ -369,17 +381,18 @@ def test_blocks_return_their_rows_and_write_no_job():
     return rows that, written into each config's slots by hand, equal what
     the run gave; no flush touches a job."""
     flushed = _flushed(CONFIGS, 1000)
-    assert any(len({id(s.job) for chunk, _ in held for s in chunk}) > 1 for held in flushed)
-    jobs = {s.job.config: s.job for held in flushed for chunk, _ in held for s in chunk}
+    assert any(len(_jobs(group, chunks)) > 1 for group, chunks, _ in flushed)
+    jobs = {job.config: job for group, chunks, _ in flushed for job in _jobs(group, chunks)}
     before = {job: dict(vars(job)) for job in jobs.values()}
-    rows = [simulation._flush(held) for held in reversed(flushed)]
+    rows = [simulation._flush(*call) for _, _, call in reversed(flushed)]
     for job, was in before.items():
         assert vars(job).keys() == was.keys()
         assert all(vars(job)[name] is value for name, value in was.items())
     stores = {job: simulation._RepStore.empty(len(job.config.estimators),
                                               job.config.replications) for job in before}
-    for held, got in zip(flushed, reversed(rows)):
-        for job, reps, src in simulation._block_segments([chunk for chunk, _ in held]):
+    for (group, chunks, _), got in zip(flushed, reversed(rows)):
+        span = range(chunks[0].start, chunks[-1].stop)
+        for job, reps, src in simulation._segments(group, span):
             store, dst = stores[job], slice(reps.start, reps.stop)
             store.values[..., dst] = got.values[..., src]
             store.dropped[:, dst] = got.dropped[:, src]

@@ -352,6 +352,35 @@ def test_report_json_round_trips_and_nulls():
     assert strata["w"]["cace"] is None
 
 
+# a field over csv.field_size_limit(), which csv.reader refuses, and its reason
+HUGE = "w" * (csv.field_size_limit() + 1)
+REFUSED = f"field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("analyze", f"z,d,y,stratum\n1,0,1,a\n1,0,1,{HUGE}\n0,1,2,b\n", 3),
+        ("theory", f"y0,y1,d0,d1,stratum\n1,2,0,1,{HUGE}\n0.5,1,0,0,b\n", 2),
+        ("theory", f"y0,y1,d0,d1,{HUGE}\n1,2,0,1,a\n", 1),  # the stratum column's peek
+    ],
+    ids=["load_csv", "load_science_csv", "load_science_csv header"],
+)
+def test_a_row_csv_refuses_is_a_malformed_row_on_its_line(tmp_path, capsys, command, text, line):
+    """A row that csv.reader refuses raises MalformedRow with its line and
+    csv's reason, and the CLI prints it as an error line and exits 1."""
+    path = write(tmp_path, "in.csv", text)
+    with pytest.raises(MalformedRow) as exc:
+        if command == "analyze":
+            load_csv(path, DatasetSchema())
+        else:
+            load_science_csv(path)
+    assert (exc.value.line, exc.value.reason) == (line, REFUSED)
+    flag = "--data" if command == "analyze" else "--science-table"
+    assert cli_main([command, flag, path]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: {REFUSED}\n"
+
+
 # ---------------------------------------------------------------- metrics csv
 
 
@@ -393,12 +422,14 @@ _BIAS = METRICS_COLUMNS.index("bias")
         (lambda cells: cells[:-1], "wrong number of fields"),
         (lambda cells: cells + ["1.0"], "wrong number of fields"),
         (lambda cells: cells[:_BIAS] + ["abc"] + cells[_BIAS + 1:], "bias='abc' is not a float"),
+        (lambda cells: cells[:_BIAS] + [HUGE] + cells[_BIAS + 1:], REFUSED),
     ],
-    ids=["short row", "extra cell", "cell not a number"],
+    ids=["short row", "extra cell", "cell not a number", "cell csv refuses"],
 )
 def test_read_metrics_csv_refuses_a_malformed_row_on_its_line(edit, reason):
-    """A row a cell short or long, or with a cell its column does not
-    parse, raises MalformedRow with its line, as the dataset readers do."""
+    """A row a cell short or long, with a cell its column does not parse,
+    or that csv refuses, raises MalformedRow with its line, as the dataset
+    readers do."""
     buf = io.StringIO()
     config = ScenarioConfig(n=40, target_pi_c=0.3, replications=4, estimators=("UNSTRAT", "IV_A"))
     write_metrics_csv([run_scenario(config)], buf)

@@ -77,9 +77,9 @@ def _failures(config, monkeypatch) -> tuple[simulation.ScenarioMetrics, dict[str
         calls.append((tag, rows))
         return rows
 
-    def flushing(held):
+    def flushing(config, phases):
         calls.clear()
-        out = flush(held)
+        out = flush(config, phases)
         flushes.append((list(calls), ~np.isnan(out.truth)))
         return out
 

@@ -31,7 +31,7 @@ from ivstrat import ScienceTable, science_to_observed, simulation
 from ivstrat.data_model import ComplierSummary, complier_summary, first_appearance
 from ivstrat.estimators import estimate_rows
 from ivstrat.simulation import (
-    _Buffers, _Job, _draw_block, _flush, _philox_keys, _plan, _shape, _unit_phase,
+    _Buffers, _Job, _draw_block, _flush, _philox_keys, _plan, _segments, _unit_phase,
 )
 from helpers import rep_rng, stratified_table
 
@@ -501,9 +501,8 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
         job.design = replace(job.design, num_strata=wide)
     r = config.replications
     # one chunk of them all (_plan cuts n = 2000 at a width of 2000 finer)
-    chunk = [simulation._Segment(job, range(r), slice(0, r))]
     slots = _Buffers(r * n).rows(r, n)
-    z = _draw_block(chunk, slots)
+    z = _draw_block([job], range(r), slots)
     monkeypatch.undo()
     (bit_generator,) = made
     # each replication's state after its last reset's draws: the one the
@@ -638,7 +637,7 @@ def test_a_repeated_call_allocates_no_unit_sized_array(config):
     float64 array."""
     unit = simulation.BLOCK_UNITS // config.n * config.n * 8
     run_grid([config])
-    assert sum(len(chunks) for _, chunks in _plan([_Job(config)])) > 1
+    assert sum(len(chunks) for _, _, chunks in _plan([_Job(config)])) > 1
     assert _largest_line_allocation(lambda: run_grid([config])) < unit
 
 
@@ -662,7 +661,7 @@ def test_a_flush_holds_no_value_per_complier():
 
     def peak(reps: int) -> int:
         config = make_config(n=2000, target_pi_c=0.5, replications=reps, seed=5)
-        ((_, chunks),) = _plan([_Job(config)])
+        ((_, _, chunks),) = _plan([_Job(config)])
         assert len(chunks) == -(-reps // 32)
         return _repeated_call_peak([config])
 
@@ -686,13 +685,42 @@ def test_a_flush_holds_about_block_units_values_of_moments():
     assert peak(12) < 1.5 * peak(3)
 
 
-def _row_values(width: int, chunk) -> int:
+def _row_values(group, width: int, chunk) -> int:
     """One replication's fixed values in a flush, counted on the unit phase
     of a chunk at its group's width: its moments and pooled moments, and
     its complier summary."""
-    slots = simulation._kept_buffers(_shape(chunk)[0] * _shape(chunk)[1]).rows(*_shape(chunk))
-    phase = _unit_phase(chunk, slots, width)
+    n = group[0].config.n
+    slots = simulation._kept_buffers(len(chunk) * n).rows(len(chunk), n)
+    phase = _unit_phase(group, chunk, slots, width)
     return sum(getattr(part, f.name)[0].size for part in phase for f in fields(part))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    bounds=st.tuples(st.integers(0, 240), st.integers(0, 240)),
+)
+@example(counts=[5, 3], bounds=(2, 2))  # empty
+@example(counts=[5, 3], bounds=(8, 8))  # empty, at the group's end
+@example(counts=[3, 40, 7], bounds=(5, 20))  # within one config
+@example(counts=[3, 40, 7], bounds=(3, 43))  # one config, whole
+@example(counts=[3, 40, 7, 1], bounds=(1, 51))  # across several, to the end
+def test_segments_map_rows_as_a_brute_force_map_does(counts, bounds):
+    """_segments over a range of a group's rows gives, in order, the
+    (config, replication) pairs that a map of each row to its own pair
+    gives, each at its position counted from the range's start, one
+    nonempty segment per config."""
+    group = [_Job(make_config(n=8, replications=r, seed=i)) for i, r in enumerate(counts)]
+    start, stop = sorted(min(b, sum(counts)) for b in bounds)
+    row_map = [(job, rep) for job in group for rep in range(job.config.replications)]
+    want = [(job, rep, at) for at, (job, rep) in enumerate(row_map[start:stop])]
+    segments = list(_segments(group, range(start, stop)))
+    got = []
+    for job, reps, at in segments:
+        assert len(reps) > 0 and at.stop - at.start == len(reps)
+        got += [(job, rep, at.start + i) for i, rep in enumerate(reps)]
+    assert got == want
+    assert len({id(job) for job, _, _ in segments}) == len(segments)
 
 
 @settings(max_examples=30, deadline=None)
@@ -716,16 +744,17 @@ def test_flushes_are_planned_by_rows(which, units):
         mp.setattr(simulation, "BLOCK_UNITS", units)
         plan = _plan([_Job(c) for c in configs])
     per_row = {}  # by (n, width), which each group has its own of here
-    for i, (width, chunks) in enumerate(plan):
-        group = (_shape(chunks[0])[1], width)
+    for i, (jobs, width, chunks) in enumerate(plan):
+        group = (jobs[0].config.n, width)
         if group not in per_row:
-            per_row[group] = _row_values(width, chunks[0])
-        assert all(_shape(chunk)[1] == group[0] for chunk in chunks)
-        values = [per_row[group] * _shape(chunk)[0] for chunk in chunks]
+            per_row[group] = _row_values(jobs, width, chunks[0])
+        assert all(job.config.n == group[0] for c in chunks for job, _, _ in _segments(jobs, c))
+        values = [per_row[group] * len(chunk) for chunk in chunks]
         assert sum(values[:-1]) < units
-        last = i + 1 == len(plan) or (_shape(plan[i + 1][1][0])[1], plan[i + 1][0]) != group
+        last = i + 1 == len(plan) or (plan[i + 1][0][0].config.n, plan[i + 1][1]) != group
         assert sum(values) >= units or last
-    reps = [(seg.job.config, seg.reps) for _, chunks in plan for chunk in chunks for seg in chunk]
+    reps = [(job.config, reps) for jobs, _, chunks in plan for chunk in chunks
+            for job, reps, _ in _segments(jobs, chunk)]
     for config in configs:
         mine = [r for c, r in reps if c is config]
         assert [r.start for r in mine] == [0, *(r.stop for r in mine[:-1])]
@@ -738,7 +767,7 @@ def test_the_complier_rate_does_not_move_a_flush():
 
     def rows(pi_c: float) -> list[list[int]]:
         config = make_config(n=2000, target_pi_c=pi_c, replications=800, seed=5)
-        return [[_shape(c)[0] for c in chunks] for _, chunks in _plan([_Job(config)])]
+        return [[len(c) for c in chunks] for _, _, chunks in _plan([_Job(config)])]
 
     assert rows(0.5) == rows(0.05)
     assert rows(0.5) == [[32] * 25]
@@ -761,8 +790,8 @@ def test_a_chunk_keeps_its_units_and_moment_values_within_block_units():
                make_config(n=16, random_strata_k=16, replications=3000)]
     for config in configs:
         plan = _plan([_Job(config)])
-        width = plan[0][0]
-        sizes = [chunk[-1].rows.stop for _, chunks in plan for chunk in chunks]
+        width = plan[0][1]
+        sizes = [len(chunk) for _, _, chunks in plan for chunk in chunks]
         per_row = max(config.n, 13 * (width + 1))
         assert sum(sizes) == config.replications
         assert sizes[0] == simulation.BLOCK_UNITS // per_row
@@ -773,9 +802,9 @@ def _flush_sizes(configs) -> list[list[int]]:
     run_grid(configs) runs."""
     sizes = []
 
-    def recording(held):
-        sizes.append([chunk[-1].rows.stop for chunk, _ in held])
-        return flush(held)
+    def recording(config, phases):
+        sizes.append([len(summary.truth) for _, _, summary in phases])
+        return flush(config, phases)
 
     flush = simulation._flush
     with pytest.MonkeyPatch.context() as mp:
@@ -826,10 +855,13 @@ def test_sim_n500_k12_configs_run_as_one_block_of_one_chunk(seed):
 def test_quick_grid_plans_several_blocks():
     """`grid --quick` runs all 7200 replications in at least 3 flushes, so
     its golden covers rows written from flush after flush, and configs
-    that span flushes."""
+    that span flushes. Its 72 configs form one group, cut into chunks of
+    131 rows, so configs share chunks; the chunk sizes of each flush are
+    pinned exactly."""
     sizes = _flush_sizes(default_grid(replications=100, seed=3, n_values=(500,)))
     assert len(sizes) >= 3
     assert sum(map(sum, sizes)) == 72 * 100
+    assert sizes == [[131] * 7] * 7 + [[131] * 5 + [126]]
 
 
 def test_every_block_runs_on_the_calling_thread(monkeypatch):
@@ -907,10 +939,10 @@ def test_chunks_reveal_what_the_table_path_reveals(config):
         else generate_science_table
     )
     job = _Job(config)
-    ((width, (chunk,)),) = _plan([job])
+    ((group, width, (chunk,)),) = _plan([job])
     n, reps = config.n, config.replications
     slots = simulation._kept_buffers(reps * n).rows(reps, n)
-    rows = _flush([(chunk, _unit_phase(chunk, slots, width))])
+    rows = _flush(config, [_unit_phase(group, chunk, slots, width)])
     # the flush shares no memory with the buffers, which still hold the chunk's arrays
     z, d, y, codes = slots["z"], slots["complier"].view(np.int8), slots["noise"], slots["strata"]
     for rep in range(reps):
@@ -973,9 +1005,9 @@ def test_complier_summary_does_not_depend_on_how_rows_are_split(config, cuts):
     whole = summary(0, reps)
     bounds = [0, *sorted({c for c in cuts if c < reps}), reps]
     parts = [summary(a, b) for a, b in zip(bounds, bounds[1:])]
-    ((_, (chunk,)),) = _plan([job])
+    ((group, _, (chunk,)),) = _plan([job])
     slots = simulation._kept_buffers(reps * n).rows(reps, n)
-    engine = _unit_phase(chunk, slots, width)[2]
+    engine = _unit_phase(group, chunk, slots, width)[2]
     for f in fields(ComplierSummary):
         want = getattr(whole, f.name)
         split = np.concatenate([getattr(part, f.name) for part in parts])
