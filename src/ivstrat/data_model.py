@@ -617,8 +617,13 @@ def stratum_moments(sample: ObservedSample) -> StratumMoments:
 
 
 # units per block of samples: amortizes numpy call overhead over many
-# samples while bounding a block's working set to a few MB
-BLOCK_UNITS = 1 << 16
+# samples while bounding a block's working set. The simulation's kept
+# buffers take 66 bytes a unit: 2.16 MB here, about one core's 2 MB L2.
+# On a 2-vCPU host (in-process medians of 25 calls, two rounds), the
+# benchmark's n=2000 call took 26-28 ms at 1 << 14 and 24-25 ms at both
+# 1 << 15 and 1 << 16; its n=500 call took 13.5-14.6 ms at 1 << 14 and
+# 11.1-11.7 ms at both others. 1 << 16 held 2.4 MB more resident memory.
+BLOCK_UNITS = 1 << 15
 
 
 @dataclass(frozen=True)

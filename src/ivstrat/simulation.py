@@ -43,7 +43,9 @@ shuffle of an arange row. Once per segment it maps each word's 32-bit
 halves to labels as integers does (Lemire), counts choice's cdf edges
 at or below each uniform and scales the normals. A replication with a word
 that integers rejects, and a segment of odd n or some k past 2**32,
-draws by the literal calls.
+draws by the literal calls. The first run_grid call of a process checks
+the keys and the word path against numpy's own calls, and raises if they
+differ (_check_numpy).
 
 Determinism contract: every replication draws from its own counter-based
 substream keyed by (seed, replication index) (Philox; Salmon et al., SC11),
@@ -796,6 +798,54 @@ def _plan(jobs: Sequence[_Job]) -> list[tuple[list[_Job], int, list[range]]]:
     return plan
 
 
+@functools.cache
+def _check_numpy() -> None:
+    """Raise, once per process, unless this numpy draws the engine's bits.
+    _philox_keys and the word path (_Design.draw_raw, map_raw's _lemire
+    and the shuffle) re-derive numpy internals, and NEP 19 does not promise
+    that Generator methods keep their streams across numpy versions. So
+    three replications' keys must equal SeedSequence's, and a chunk's draws
+    numpy's literal calls, for one replication on a weights design and one
+    on uniform strata (G = 3 and k = 5, where numpy can reject a word). A
+    mismatch raises rather than falling back to the literal calls, which
+    would draw other bits than the goldens pin under the same RNG_FAMILY."""
+    seed = 2**130 + 3  # five 32-bit words, one past SeedSequence's pool
+    group = [
+        _Job(ConcentrationConfig(n=8, replications=1, seed=seed)),
+        _Job(ScenarioConfig(n=8, num_strata=3, random_strata_k=5, predicts_outcome=True,
+                            replications=3, seed=seed)),
+    ]
+    seqs = [np.random.SeedSequence(entropy=seed, spawn_key=(rep,)) for rep in range(3)]
+    checks = [("Philox keys", group[1].keys, [seq.generate_state(2, np.uint64) for seq in seqs])]
+    # one chunk of each config's first replication
+    slots = _Buffers(2 * 8).rows(2, 8)
+    z = _draw_block(group, range(2), slots)
+    for i, job in enumerate(group):
+        design, n = job.design, job.config.n
+        rng = np.random.Generator(np.random.Philox(seqs[0]))
+        if design.cdf is None:
+            strata = rng.integers(0, design.num_strata, size=n)
+        else:
+            strata = rng.choice(design.num_strata, size=n, p=job.config.weights)
+        checks += [
+            ("strata", slots["strata"][i], strata),
+            ("uniforms", slots["u"][i], rng.random(n)),
+            ("normals", slots["noise"][i] * design.noise_sd, rng.normal(0.0, design.noise_sd, n)),
+        ]
+        if design.random_k is not None:
+            checks.append(("random strata", slots["labels"][i],
+                           rng.integers(0, design.random_k, size=n)))
+        treated = np.zeros(n, dtype=np.int8)
+        treated[rng.permutation(n)[: job.n1]] = 1
+        checks.append(("treated units", z[i], treated))
+    for name, engine, literal in checks:
+        if not np.array_equal(engine, literal):
+            raise RuntimeError(
+                f"numpy {np.__version__}: the engine's {name} differ from numpy's own calls, "
+                f"so its draws would not be {RNG_FAMILY}'s streams; no replication was run"
+            )
+
+
 def run_grid(
     configs: Sequence[ScenarioConfig | ConcentrationConfig], threads: int = 1
 ) -> list[ScenarioMetrics]:
@@ -805,9 +855,11 @@ def run_grid(
     buffers it keeps, and then `_flush` runs them; its rows are copied
     into their configs' slots, which exist from a config's first rows to
     its last, then become its metrics. threads must be at least 1 and
-    changes nothing that runs."""
+    changes nothing that runs. The first call in a process first checks
+    that this numpy draws the engine's bits (_check_numpy)."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    _check_numpy()
     jobs = [_Job(c) for c in configs]
     results = {}
     for group, width, chunks in _plan(jobs):

@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -599,6 +600,53 @@ def test_kept_buffers_carry_nothing_between_blocks_or_calls(threads, monkeypatch
     assert again == fresh
 
 
+def test_the_sim_n2000_config_keeps_at_most_2_5_mb_of_buffers():
+    """After one run of the benchmark's n=2000 config on a new thread, the
+    buffers that thread keeps, every slot and the positions, hold at most
+    2.5 MB: 66 bytes a unit of BLOCK_UNITS = 2**15 units is 2.16 MB
+    (2**16 units held 4.3 MB)."""
+    config = ScenarioConfig(n=2000, num_strata=4, target_pi_c=0.05, predicts_compliance=True,
+                            predicts_outcome=True, replications=100, seed=1)
+
+    def kept_bytes() -> int:
+        run_grid([config])
+        buffers = simulation._kept.buffers
+        return sum(a.nbytes for a in buffers.flat.values()) + buffers.positions.nbytes
+
+    assert _on_a_new_thread(kept_bytes) <= 2_500_000
+
+
+@pytest.mark.parametrize("broken, name", [("_lemire", "strata"), ("_philox_keys", "Philox keys")])
+def test_run_grid_refuses_a_numpy_that_draws_other_bits(broken, name, monkeypatch):
+    """Before the first chunk of a process, run_grid checks that the
+    engine's Philox keys and word path draw what numpy's own calls draw. A
+    _lemire or a _philox_keys that gives other bits, as it would under a
+    numpy whose streams moved, makes it raise naming numpy's version and
+    what differs, and no chunk runs."""
+    real = getattr(simulation, broken)
+
+    def lemire(words, k, out):
+        rejected = real(words, k, out)
+        out[..., 0] = (out[..., 0] + 1) % k  # each row's first label moves
+        return rejected
+
+    def philox_keys(seed, reps):
+        keys = real(seed, reps)
+        keys[:, 0] ^= np.uint64(1)
+        return keys
+
+    def unit_phase(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(simulation, broken, {"_lemire": lemire, "_philox_keys": philox_keys}[broken])
+    monkeypatch.setattr(simulation, "_unit_phase", unit_phase)
+    # the check has passed in this process; it runs again once forgotten
+    simulation._check_numpy.cache_clear()
+    message = rf"^numpy {re.escape(np.__version__)}: the engine's {name} differ"
+    with pytest.raises(RuntimeError, match=message):
+        run_grid([make_config(replications=2)])
+
+
 def _largest_line_allocation(fn) -> int:
     """The largest rise of traced memory within one line of Python that
     fn() runs, above its level when the line began. No single allocation
@@ -656,16 +704,16 @@ def _repeated_call_peak(configs) -> int:
 def test_a_flush_holds_no_value_per_complier():
     """A flush holds fixed-size rows, moments and complier summaries, and
     nothing per complier: with half the units compliers a repeated call's
-    peak barely grows from 200 to 800 replications of one config, each run
+    peak barely grows from 100 to 400 replications of one config, each run
     as one flush (holding a value per complier would about quadruple it)."""
 
     def peak(reps: int) -> int:
         config = make_config(n=2000, target_pi_c=0.5, replications=reps, seed=5)
         ((_, _, chunks),) = _plan([_Job(config)])
-        assert len(chunks) == -(-reps // 32)
+        assert len(chunks) == -(-reps // 16)
         return _repeated_call_peak([config])
 
-    assert peak(800) < 1.5 * peak(200)
+    assert peak(400) < 1.5 * peak(100)
 
 
 def test_a_flush_holds_about_block_units_values_of_moments():
@@ -770,7 +818,7 @@ def test_the_complier_rate_does_not_move_a_flush():
         return [[len(c) for c in chunks] for _, _, chunks in _plan([_Job(config)])]
 
     assert rows(0.5) == rows(0.05)
-    assert rows(0.5) == [[32] * 25]
+    assert rows(0.5) == [[16] * 27, [16] * 23]
 
 
 def test_random_strata_far_above_n_size_no_array_by_k():
@@ -827,28 +875,28 @@ def _tag_calls(configs) -> list[str]:
     return calls
 
 
-def test_sim_n2000_config_runs_as_one_block_of_four_chunks():
-    """The benchmark's n=2000 config: chunks of 32 replications fill
+def test_sim_n2000_config_runs_as_one_flush_of_seven_chunks():
+    """The benchmark's n=2000 config: chunks of 16 replications fill
     BLOCK_UNITS units, and all 100 replications' moment rows and complier
     summaries fit in one flush, so every kernel, ORACLE included, runs once
     per call."""
     config = ScenarioConfig(n=2000, num_strata=4, target_pi_c=0.05, predicts_compliance=True,
                             predicts_outcome=True, replications=100, seed=1)
-    assert _flush_sizes([config]) == [[32, 32, 32, 4]]
+    assert _flush_sizes([config]) == [[16] * 6 + [4]]
     assert sorted(_tag_calls([config])) == sorted(config.estimators)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_sim_n500_k12_configs_run_as_one_block_of_one_chunk(seed):
+def test_sim_n500_k12_configs_run_as_one_flush_of_two_chunks(seed):
     """The benchmark's n=500 configs, 12 random strata and an r=0.25
-    concentration point of 60 replications each: one group, one chunk of
-    120 replications and one flush, so every kernel, ORACLE included, runs
-    once per call."""
+    concentration point of 60 replications each: one group, whose 120
+    replications run as chunks of 65 and 55 in one flush, so every kernel,
+    ORACLE included, runs once per call."""
     configs = [
         ScenarioConfig(n=500, target_pi_c=0.05, random_strata_k=12, replications=60, seed=seed),
         ConcentrationConfig(r=0.25, n=500, replications=60, seed=seed + 100),
     ]
-    assert _flush_sizes(configs) == [[120]]
+    assert _flush_sizes(configs) == [[65, 55]]
     assert sorted(_tag_calls(configs)) == sorted(configs[0].estimators)
 
 
@@ -856,12 +904,12 @@ def test_quick_grid_plans_several_blocks():
     """`grid --quick` runs all 7200 replications in at least 3 flushes, so
     its golden covers rows written from flush after flush, and configs
     that span flushes. Its 72 configs form one group, cut into chunks of
-    131 rows, so configs share chunks; the chunk sizes of each flush are
+    65 rows, so configs share chunks; the chunk sizes of each flush are
     pinned exactly."""
     sizes = _flush_sizes(default_grid(replications=100, seed=3, n_values=(500,)))
     assert len(sizes) >= 3
     assert sum(map(sum, sizes)) == 72 * 100
-    assert sizes == [[131] * 7] * 7 + [[131] * 5 + [126]]
+    assert sizes == [[65] * 7] * 15 + [[65] * 5 + [50]]
 
 
 def test_every_block_runs_on_the_calling_thread(monkeypatch):
