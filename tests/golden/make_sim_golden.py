@@ -4,10 +4,12 @@ Each file holds the metrics CSV of one group of small simulate configs, as
 `ivstrat simulate` writes it. The configs cover the engine's edge paths:
 four predictive strata with every default estimator, twelve random strata
 (at n=60 some replications have fewer than twelve present strata and
-arms with one unit or none), and a compliance-concentration point with
-the ORACLE benchmark. grid_quick_metrics.csv is `ivstrat grid --quick
---seed 3`: 72 n=500 configs that the engine runs on shared blocks. Run
-from the repository root:
+arms with one unit or none), a compliance-concentration point with the
+ORACLE benchmark, and four configs whose every replication draws by
+numpy's literal calls rather than the engine's word path.
+grid_quick_metrics.csv is `ivstrat grid --quick --seed 3`: 72 n=500
+configs that the engine runs on shared blocks. Run from the repository
+root:
 
     PYTHONPATH=src python3 tests/golden/make_sim_golden.py
 """
@@ -50,6 +52,21 @@ CONFIGS = {
     ),
     "sim_r025_metrics.csv": (
         ConcentrationConfig(r=0.25, n=500, replications=150, seed=14),
+    ),
+    # every replication here draws by numpy's literal calls: odd n (with
+    # scaled normals, and with choice), k = 3 * 2**30, where a quarter of
+    # the 32-bit words are rejected, and k past 2**32 (64-bit words)
+    "sim_fallback_metrics.csv": (
+        ScenarioConfig(
+            n=45, p_treat=0.4, target_pi_c=0.2, predicts_compliance=True,
+            predicts_outcome=True, replications=40, seed=15,
+        ),
+        ConcentrationConfig(r=0.5, n=45, p_treat=0.4, predicts_outcome=True, replications=40,
+                            seed=16),
+        ScenarioConfig(n=16, target_pi_c=0.3, random_strata_k=3 * 2**30, replications=40,
+                       seed=17),
+        ScenarioConfig(n=16, target_pi_c=0.3, random_strata_k=2**32 + 1, replications=40,
+                       seed=18),
     ),
 }
 
