@@ -617,13 +617,20 @@ def report_json(table: ReportTable, strata: Iterable[StratumRow] | None = None) 
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _flag(raw: str) -> int:
+    """A flag cell: exactly 0 or 1, as write_metrics_csv writes one."""
+    if raw not in ("0", "1"):
+        raise ValueError(f"flag {raw!r} is not 0 or 1")
+    return int(raw)
+
+
 # Each metrics column is the EstimatorMetrics or ScenarioMetrics field of its
 # name, and that field's declared type gives the column's (format, parse)
 # pair: floats as shortest round-trip decimals, so parsing the file back
 # reproduces exact values, and flags as 0/1.
 _CODECS = {
     float: (lambda v: repr(float(v)), float),
-    bool: (lambda v: str(int(v)), int),
+    bool: (lambda v: str(int(v)), _flag),
     int: (str, int),
     str: (str, str),
 }
@@ -674,7 +681,7 @@ def read_metrics_csv(fh: IO[str]) -> list[dict]:
             try:
                 parsed[col] = parse(raw)
             except ValueError:
-                reason = f"{col}={raw!r} is not a {parse.__name__}"
+                reason = f"{col}={raw!r} is not a {parse.__name__.lstrip('_')}"
                 raise MalformedRow(reader.line_num, reason) from None
         rows.append(parsed)
     return rows

@@ -32,8 +32,8 @@ row is written.
 
 A replication's draws are, in order, what these numpy calls draw from its
 stream, Generator(Philox(SeedSequence(entropy=seed, spawn_key=(rep,)))):
-integers(0, G, n) or choice(G, n, p=weights), random(n),
-normal(0, sd, n), with random strata integers(0, k, n), and
+_Design.draw's integers(0, G, n) or choice(G, n, p=weights), random(n),
+normal(0, sd, n), with random strata integers(0, k, n), and then
 permutation(n)[:n1] for the treated units. The engine makes the same bits
 with less per-replication work: it derives the Philox keys of a config's
 replications once per config, resets one generator per chunk to each
@@ -43,9 +43,9 @@ shuffle of an arange row. Once per segment it maps each word's 32-bit
 halves to labels as integers does (Lemire), counts choice's cdf edges
 at or below each uniform and scales the normals. A replication with a word
 that integers rejects, and a segment of odd n or some k past 2**32,
-draws by the literal calls. The first run_grid call of a process checks
-the keys and the word path against numpy's own calls, and raises if they
-differ (_check_numpy).
+draws by _Design.draw itself. The first run_grid call of a process checks
+the keys and the word path against SeedSequence and _Design.draw, and
+raises if they differ (_check_numpy).
 
 Determinism contract: every replication draws from its own counter-based
 substream keyed by (seed, replication index) (Philox; Salmon et al., SC11),
@@ -272,9 +272,9 @@ class _Design:
     """Everything one replication's population draw needs, per stratum.
 
     Each replication draws, from its own stream and in this order: stratum
-    labels (uniform, or by the weights' cdf), compliance uniforms, outcome
-    normals, and with random_k the k random stratum labels that replace
-    the first ones. `outcomes` turns rows of such draws into tables.
+    labels (uniform, or by the weights), compliance uniforms, outcome
+    noise, and with random_k the k random stratum labels that replace the
+    first ones (draw). `outcomes` turns rows of such draws into tables.
     """
 
     n: int
@@ -284,6 +284,7 @@ class _Design:
     noise_sd: float
     never_taker_shift: float
     tau_g: np.ndarray
+    weights: tuple | None = None
     cdf: np.ndarray | None = None
     random_k: int | None = None
 
@@ -292,10 +293,11 @@ class _Design:
         g = config.num_strata
         if isinstance(config, ConcentrationConfig):
             # the cdf as Generator.choice builds it from p
-            cdf, random_k = np.asarray(config.weights, dtype=np.float64).cumsum(), None
+            weights, random_k = config.weights, None
+            cdf = np.asarray(weights, dtype=np.float64).cumsum()
             cdf /= cdf[-1]
         else:
-            cdf, random_k = None, config.random_strata_k
+            weights, cdf, random_k = None, None, config.random_strata_k
         if config.predicts_outcome:
             # the between-stratum variance of centered consecutive integers
             # 0..G-1 over equal strata is (G^2 - 1) / 12
@@ -311,26 +313,23 @@ class _Design:
             tau_g = np.full(g, config.tau)
         return cls(
             config.n, g, config.comp_prob, mu_g, noise_sd, config.never_taker_shift, tau_g,
-            cdf, random_k,
+            weights, cdf, random_k,
         )
 
     def draw(self, draws: dict[str, np.ndarray], i: int, rng: np.random.Generator) -> None:
-        """One replication's population draws into row i by the literal
-        calls, as generate_science_table and the engine where not `raw`
-        draw: what integers(0, G, n) or choice(G, n, p=weights), random(n),
-        normal(0, noise_sd, n) and, with random_k, integers(0, k, n) draw
-        in turn. choice is its own searchsorted of random(n) into the cdf,
-        without its per-call checks of p, and the normals are standard ones
-        that `outcomes` scales."""
-        n = self.n
-        if self.cdf is None:
-            draws["strata"][i] = rng.integers(0, self.num_strata, size=n)
+        """One replication's population draws into row i of `strata`, `u`,
+        `noise` and `labels` by numpy's literal calls, the draw order that
+        every simulation golden pins. generate_science_table draws by it,
+        the engine where not `raw` or after a rejected word, and
+        _check_numpy checks the word path against it."""
+        if self.weights is None:
+            draws["strata"][i] = rng.integers(0, self.num_strata, self.n)
         else:
-            draws["strata"][i] = self.cdf.searchsorted(rng.random(n), side="right")
-        rng.random(out=draws["u"][i])
-        rng.standard_normal(out=draws["noise"][i])
+            draws["strata"][i] = rng.choice(self.num_strata, self.n, p=self.weights)
+        draws["u"][i] = rng.random(self.n)
+        draws["noise"][i] = rng.normal(0.0, self.noise_sd, self.n)
         if self.random_k is not None:
-            draws["labels"][i] = rng.integers(0, self.random_k, size=n)
+            draws["labels"][i] = rng.integers(0, self.random_k, self.n)
 
     @property
     def raw(self) -> bool:  # draw_raw's bits are draw's: no spare 32-bit word, no 64-bit one
@@ -338,9 +337,10 @@ class _Design:
 
     def draw_raw(self, draws: dict[str, np.ndarray], i: int, rng: np.random.Generator) -> None:
         """draw's bits in row i, but each integers(0, k, n) left as the
-        n / 2 words it maps (none at k = 1) and choice's uniforms in
-        `rate`, for map_raw to make labels of, a segment at a time."""
-        if self.cdf is not None:
+        n / 2 words it maps (none at k = 1), choice's uniforms in `rate`
+        and standard normals, for map_raw to make labels of and scale, a
+        segment at a time."""
+        if self.weights is not None:
             rng.random(out=draws["rate"][i])
         elif self.num_strata > 1:
             draws["strata_words"][i] = rng.bit_generator.random_raw(self.n // 2)
@@ -350,12 +350,16 @@ class _Design:
             draws["label_words"][i] = rng.bit_generator.random_raw(self.n // 2)
 
     def map_raw(self, draws: dict[str, np.ndarray], rows: slice) -> np.ndarray:
-        """The labels of draw_raw's rows `rows`, in place, and the rows with
-        a word numpy rejects, after which all its draws differ. choice's
-        label counts the cdf's inner edges at or below its uniform, which
-        is searchsorted(side="right")."""
-        strata, rejected = draws["strata"][rows], False
-        if self.cdf is not None:
+        """The labels and noise of draw_raw's rows `rows`, in place, and the
+        rows with a word numpy rejects, after which all its draws differ.
+        choice's label counts the cdf's inner edges at or below its uniform,
+        which is its searchsorted(side="right"). normal(0, sd) draws
+        0 + sd * standard_normal: the same but for the sign of a zero, which
+        outcomes' y0 = noise + (mu + shift) does not keep."""
+        strata, noise, rejected = draws["strata"][rows], draws["noise"][rows], False
+        if self.noise_sd != 1.0:
+            noise *= self.noise_sd
+        if self.weights is not None:
             strata.fill(0)
             for edge in self.cdf[:-1]:
                 strata += np.greater_equal(draws["rate"][rows], edge, out=draws["complier"][rows])
@@ -372,10 +376,6 @@ class _Design:
         work in. y1 is tau + y0 at a complier and y0 at any other unit."""
         # mode "clip" fills `out` without a buffer; every code is below G
         np.less(u, np.take(self.comp_prob, strata, out=rate, mode="clip"), out=complier)
-        if self.noise_sd != 1.0:
-            # normal(0, sd) draws 0 + sd * standard_normal: the same but for
-            # the sign of a zero, which y0 = noise + (mu + shift) does not keep
-            noise *= self.noise_sd
         # y0 = mu + shift * never-taker + noise
         y0 = np.take(self.mu_g, strata, out=rate, mode="clip")
         y0 += np.multiply(self.never_taker_shift, ~complier, out=shift)
@@ -608,8 +608,10 @@ def _draw_block(group: Sequence[_Job], chunk: range, slots: dict[str, np.ndarray
     A segment (_segments) draws by _Design.draw_raw where _Design.raw
     holds, and then maps its words at once; a replication with a word
     numpy rejects, and any other segment, draws by _Design.draw."""
-    order, positions = slots["order"], slots["positions"].reshape(slots["order"].shape)
+    order, z = slots["order"], slots["z"]
+    positions = slots["positions"].reshape(order.shape)
     np.copyto(order, positions)
+    z.fill(0)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     # a fresh Philox's state: counter 0, an empty buffer and no spare
@@ -630,9 +632,6 @@ def _draw_block(group: Sequence[_Job], chunk: range, slots: dict[str, np.ndarray
         for i in design.map_raw(slots, at) if design.raw else ():
             order[i] = positions[i]
             replicate(design.draw, i, keys[i - at.start])
-    z = slots["z"]
-    z.fill(0)
-    for job, _, at in _segments(group, chunk):
         z.reshape(-1)[order[at, : job.n1]] = 1
     return z
 
@@ -805,10 +804,11 @@ def _check_numpy() -> None:
     and the shuffle) re-derive numpy internals, and NEP 19 does not promise
     that Generator methods keep their streams across numpy versions. So
     three replications' keys must equal SeedSequence's, and a chunk's draws
-    numpy's literal calls, for one replication on a weights design and one
-    on uniform strata (G = 3 and k = 5, where numpy can reject a word). A
-    mismatch raises rather than falling back to the literal calls, which
-    would draw other bits than the goldens pin under the same RNG_FAMILY."""
+    what _Design.draw and permutation(n) draw on a fresh generator, for one
+    replication on a weights design and one on uniform strata (G = 3 and
+    k = 5, where numpy can reject a word). A mismatch raises rather than
+    falling back to the literal calls, which would draw other bits than
+    the goldens pin under the same RNG_FAMILY."""
     seed = 2**130 + 3  # five 32-bit words, one past SeedSequence's pool
     group = [
         _Job(ConcentrationConfig(n=8, replications=1, seed=seed)),
@@ -818,26 +818,14 @@ def _check_numpy() -> None:
     seqs = [np.random.SeedSequence(entropy=seed, spawn_key=(rep,)) for rep in range(3)]
     checks = [("Philox keys", group[1].keys, [seq.generate_state(2, np.uint64) for seq in seqs])]
     # one chunk of each config's first replication
-    slots = _Buffers(2 * 8).rows(2, 8)
+    slots, drawn = _Buffers(2 * 8).rows(2, 8), _Buffers(2 * 8).rows(2, 8)
     z = _draw_block(group, range(2), slots)
     for i, job in enumerate(group):
-        design, n = job.design, job.config.n
         rng = np.random.Generator(np.random.Philox(seqs[0]))
-        if design.cdf is None:
-            strata = rng.integers(0, design.num_strata, size=n)
-        else:
-            strata = rng.choice(design.num_strata, size=n, p=job.config.weights)
-        checks += [
-            ("strata", slots["strata"][i], strata),
-            ("uniforms", slots["u"][i], rng.random(n)),
-            ("normals", slots["noise"][i] * design.noise_sd, rng.normal(0.0, design.noise_sd, n)),
-        ]
-        if design.random_k is not None:
-            checks.append(("random strata", slots["labels"][i],
-                           rng.integers(0, design.random_k, size=n)))
-        treated = np.zeros(n, dtype=np.int8)
-        treated[rng.permutation(n)[: job.n1]] = 1
-        checks.append(("treated units", z[i], treated))
+        job.design.draw(drawn, i, rng)
+        names = ("strata", "u", "noise") + ("labels",) * (job.design.random_k is not None)
+        checks += [(name, slots[name][i], drawn[name][i]) for name in names]
+        checks.append(("assignments", z[i], np.bincount(rng.permutation(8)[: job.n1], minlength=8)))
     for name, engine, literal in checks:
         if not np.array_equal(engine, literal):
             raise RuntimeError(

@@ -414,6 +414,7 @@ def test_read_metrics_csv_rejects_other_headers():
 
 
 _BIAS = METRICS_COLUMNS.index("bias")
+_FLAG = METRICS_COLUMNS.index("predicts_c")
 
 
 @pytest.mark.parametrize(
@@ -423,13 +424,14 @@ _BIAS = METRICS_COLUMNS.index("bias")
         (lambda cells: cells + ["1.0"], "wrong number of fields"),
         (lambda cells: cells[:_BIAS] + ["abc"] + cells[_BIAS + 1:], "bias='abc' is not a float"),
         (lambda cells: cells[:_BIAS] + [HUGE] + cells[_BIAS + 1:], REFUSED),
+        (lambda cells: cells[:_FLAG] + ["2"] + cells[_FLAG + 1:], "predicts_c='2' is not a flag"),
     ],
-    ids=["short row", "extra cell", "cell not a number", "cell csv refuses"],
+    ids=["short row", "extra cell", "cell not a number", "cell csv refuses", "flag not 0 or 1"],
 )
 def test_read_metrics_csv_refuses_a_malformed_row_on_its_line(edit, reason):
-    """A row a cell short or long, with a cell its column does not parse,
-    or that csv refuses, raises MalformedRow with its line, as the dataset
-    readers do."""
+    """A row a cell short or long, with a cell its column does not parse
+    (a flag other than 0 or 1 among them), or that csv refuses, raises
+    MalformedRow with its line, as the dataset readers do."""
     buf = io.StringIO()
     config = ScenarioConfig(n=40, target_pi_c=0.3, replications=4, estimators=("UNSTRAT", "IV_A"))
     write_metrics_csv([run_scenario(config)], buf)

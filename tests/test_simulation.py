@@ -525,8 +525,7 @@ def test_block_draws_equal_numpy_calls(kind, n, monkeypatch):
             strata = ref.integers(0, g, size=n)
         assert np.array_equal(slots["strata"][rep], strata)
         assert np.array_equal(slots["u"][rep], ref.random(n))
-        # _Design.outcomes scales the standard normals by noise_sd
-        assert np.array_equal(slots["noise"][rep] * sd, ref.normal(0.0, sd, n))
+        assert np.array_equal(slots["noise"][rep], ref.normal(0.0, sd, n))
         if job.design.random_k is not None:
             k = job.design.random_k
             assert np.array_equal(slots["labels"][rep], ref.integers(0, k, size=n))
@@ -616,14 +615,20 @@ def test_the_sim_n2000_config_keeps_at_most_2_5_mb_of_buffers():
     assert _on_a_new_thread(kept_bytes) <= 2_500_000
 
 
-@pytest.mark.parametrize("broken, name", [("_lemire", "strata"), ("_philox_keys", "Philox keys")])
+@pytest.mark.parametrize(
+    "broken, name",
+    [("_lemire", "strata"), ("_philox_keys", "Philox keys"), ("of", "strata"),
+     ("map_raw", "noise")],
+)
 def test_run_grid_refuses_a_numpy_that_draws_other_bits(broken, name, monkeypatch):
     """Before the first chunk of a process, run_grid checks that the
     engine's Philox keys and word path draw what numpy's own calls draw. A
     _lemire or a _philox_keys that gives other bits, as it would under a
-    numpy whose streams moved, makes it raise naming numpy's version and
-    what differs, and no chunk runs."""
-    real = getattr(simulation, broken)
+    numpy whose streams moved, a weights design one cdf edge short, or a
+    word path that leaves its normals unscaled makes it raise naming
+    numpy's version and what differs, and no chunk runs."""
+    owner = simulation._Design if broken in ("of", "map_raw") else simulation
+    real = getattr(owner, broken)
 
     def lemire(words, k, out):
         rejected = real(words, k, out)
@@ -635,10 +640,18 @@ def test_run_grid_refuses_a_numpy_that_draws_other_bits(broken, name, monkeypatc
         keys[:, 0] ^= np.uint64(1)
         return keys
 
+    def of(config):
+        design = real(config)
+        return design if design.cdf is None else replace(design, cdf=design.cdf[1:])
+
+    def map_raw(design, draws, rows):
+        return real(replace(design, noise_sd=1.0), draws, rows)
+
     def unit_phase(*args):
         raise AssertionError("a chunk ran")
 
-    monkeypatch.setattr(simulation, broken, {"_lemire": lemire, "_philox_keys": philox_keys}[broken])
+    breaks = {"_lemire": lemire, "_philox_keys": philox_keys, "of": of, "map_raw": map_raw}
+    monkeypatch.setattr(owner, broken, breaks[broken])
     monkeypatch.setattr(simulation, "_unit_phase", unit_phase)
     # the check has passed in this process; it runs again once forgotten
     simulation._check_numpy.cache_clear()
