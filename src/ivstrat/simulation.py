@@ -292,8 +292,8 @@ class _Design:
     def of(cls, config: "ScenarioConfig | ConcentrationConfig") -> "_Design":
         g = config.num_strata
         if isinstance(config, ConcentrationConfig):
-            # the cdf as Generator.choice builds it from p
             weights, random_k = config.weights, None
+            # the cdf as Generator.choice builds it from p
             cdf = np.asarray(weights, dtype=np.float64).cumsum()
             cdf /= cdf[-1]
         else:
